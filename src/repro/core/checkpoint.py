@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.spool import blob_sha256, write_sidecar
 from repro.resilience import faults
 
@@ -118,7 +118,7 @@ class CheckpointStore:
             return None
 
     def save(self, manifest: Manifest) -> None:
-        """Atomically persist the manifest (tmp file + rename + fsync).
+        """Atomically and durably persist the manifest (:mod:`repro.core.durable`).
 
         Also drops a ``manifest.json.sha256`` sidecar with the digest of
         the committed bytes, so the integrity layer can deep-verify the
@@ -133,12 +133,7 @@ class CheckpointStore:
             "stages": [asdict(record) for record in manifest.stages],
         }
         body = (json.dumps(payload, indent=2) + "\n").encode()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        durable.replace_bytes(self.path, body)
         faults.corrupt_file("manifest.commit", self.path)
         write_sidecar(self.path, hashlib.sha256(body).hexdigest())
 

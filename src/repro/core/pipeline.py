@@ -28,13 +28,14 @@ unreadable manifest fall back to re-running the affected stages.  See
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.core import durable
 from repro.core.attack import WeakHit, group_batch_hits
 from repro.core.batch_gcd import product_tree
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
@@ -313,7 +314,7 @@ def _counted(chunks: Iterator[list], tel: Telemetry) -> Iterator[list]:
 
 def _pairing_stage(
     moduli_blob: Path, gcd_blob: Path, dst: Path, B: IntBackend
-) -> tuple[list[WeakHit], int]:
+) -> tuple[list[WeakHit], BlobInfo]:
     flagged = [
         (idx, n, g)
         for idx, (n, g) in enumerate(zip(iter_blob(moduli_blob), iter_blob(gcd_blob)))
@@ -324,14 +325,12 @@ def _pairing_stage(
         "hits": [{"i": h.i, "j": h.j, "prime": str(h.prime)} for h in hits],
         "flagged": len(flagged),
     }
-    tmp = dst.with_name(dst.name + ".tmp")
-    with tmp.open("w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dst)
-    return hits, dst.stat().st_size
+    body = (json.dumps(payload, indent=2) + "\n").encode()
+    durable.replace_bytes(dst, body)
+    return hits, BlobInfo(
+        path=dst, count=len(hits), nbytes=len(body),
+        sha256=hashlib.sha256(body).hexdigest(),
+    )
 
 
 def _load_hits(path: Path) -> list[WeakHit]:
@@ -443,17 +442,13 @@ def run_pipeline(
             tel.emit("pipeline.stage.start", stage=name)
             dst = spool_dir / blob
             if name == "pairing":
-                (hits, nbytes), seconds = _attempt(
+                (hits, info), seconds = _attempt(
                     name,
                     lambda: _pairing_stage(
                         spool_dir / "product-000.bin", spool_dir / "gcds.bin", dst, B
                     ),
                     config,
                     tel,
-                )
-                info = BlobInfo(
-                    path=dst, count=len(hits), nbytes=nbytes,
-                    sha256=_file_sha256(dst),
                 )
                 result.hits = hits
             else:
@@ -755,9 +750,3 @@ def quick_check(
         )[-1][0]
     gcd, mod, to_int = B.gcd, B.mod, B.to_int
     return [to_int(gcd(n, mod(root, n))) for n in new_moduli]
-
-
-def _file_sha256(path: Path) -> str:
-    from repro.core.spool import blob_sha256
-
-    return blob_sha256(path)

@@ -11,20 +11,20 @@ write is detectable and a reader needs no index:
   by that many little-endian value bytes (zero encodes as a zero-length
   record).
 
-Blob writes go to a ``.tmp`` sibling and are renamed into place only after
-the last record and an ``fsync``, so a crash mid-stage never leaves a
-truncated file under a committed name — the checkpoint manifest
+Blob writes go through :func:`repro.core.durable.replace_stream` (``.tmp``
+sibling, fsync, rename, directory fsync), so a crash mid-stage never leaves
+a truncated file under a committed name — the checkpoint manifest
 (:mod:`repro.core.checkpoint`) additionally pins each blob's SHA-256.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.core import durable
 from repro.resilience import faults
 
 __all__ = [
@@ -100,23 +100,21 @@ def write_blob(path: str | Path, values: Iterable[int]) -> BlobInfo:
     """
     faults.fire("spool.write")
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(MAGIC)
     count = 0
-    nbytes = 0
-    with tmp.open("wb") as fh:
-        fh.write(MAGIC)
-        digest.update(MAGIC)
-        nbytes += len(MAGIC)
+    nbytes = len(MAGIC)
+
+    def records() -> Iterator[bytes]:
+        nonlocal count, nbytes
+        yield MAGIC
         for value in values:
             record = _encode_record(value)
-            fh.write(record)
             digest.update(record)
             count += 1
             nbytes += len(record)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+            yield record
+
+    durable.replace_stream(path, records())
     faults.corrupt_file("spool.write", path)
     return BlobInfo(path=path, count=count, nbytes=nbytes, sha256=digest.hexdigest())
 
@@ -205,12 +203,7 @@ def write_sidecar(path: str | Path, sha256_hex: str) -> Path:
     True
     """
     side = sidecar_path(path)
-    tmp = side.with_name(side.name + ".tmp")
-    with tmp.open("w") as fh:
-        fh.write(sha256_hex + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, side)
+    durable.replace_bytes(side, (sha256_hex + "\n").encode())
     return side
 
 

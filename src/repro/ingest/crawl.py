@@ -31,10 +31,10 @@ is submitted exactly once; ``docs/INGEST.md`` walks the full argument.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import durable
 from repro.ingest.ctlog import CTLogClient, PRECERT_ENTRY, X509_ENTRY
 from repro.ingest.cursor import CrawlCursor, CrawlState
 from repro.ingest.dedup import DedupIndex
@@ -95,19 +95,8 @@ class CrawlReport:
 def _append_outbox(path: Path, moduli: list[int]) -> int:
     """Append hexlines durably; returns the byte count written."""
     blob = "".join(f"{n:x}\n" for n in moduli).encode("ascii")
-    with path.open("ab") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
+    durable.append(path, blob)
     return len(blob)
-
-
-def _truncate_outbox(path: Path, byte_size: int) -> None:
-    """Drop any outbox tail past the committed cursor."""
-    with path.open("ab") as fh:
-        fh.truncate(byte_size)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _read_outbox_slice(path: Path, start_line: int, end_line: int) -> list[int]:
@@ -192,7 +181,7 @@ class _Crawl:
                 next_index=config.start,
                 tree_size=sth.tree_size,
             )
-            config.outbox_path.touch()
+            durable.append(config.outbox_path, b"")
             self.cursor.commit(state)
             self.counters.counter("ingest.cursor.commits").inc()
             return state, False
@@ -203,8 +192,7 @@ class _Crawl:
         # restore the derived stores to the committed snapshot: dedup log
         # truncates to its watermark, the outbox to its committed bytes
         self.dedup.load(prior.dedup_watermark)
-        config.outbox_path.touch()
-        _truncate_outbox(config.outbox_path, prior.outbox_bytes)
+        durable.truncate(config.outbox_path, prior.outbox_bytes)
         state = self._reconcile(prior)
         self.tel.emit(
             "ingest.resume",

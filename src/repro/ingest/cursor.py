@@ -7,11 +7,11 @@ ledger (``outbox_count``/``outbox_bytes``/``acked_count``) that the
 exactly-once submission protocol reconciles against (see
 ``docs/INGEST.md``).
 
-Commits are crash-atomic the same way the spool's blobs are: write to a
-sibling temp file, ``fsync`` it, ``rename`` over the target, ``fsync``
-the directory.  The ``ct.cursor.commit`` fault point fires *before* the
-temp write, so an injected crash always leaves the previous checkpoint
-intact — the invariant the crash/resume matrix in
+Commits are crash-atomic the same way the spool's blobs are, through
+:func:`repro.core.durable.replace_bytes` (temp file, ``fsync``,
+``rename``, directory ``fsync``).  The ``ct.cursor.commit`` fault point
+fires *before* the temp write, so an injected crash always leaves the
+previous checkpoint intact — the invariant the crash/resume matrix in
 ``tests/ingest/test_crawl.py`` kills its way through.
 """
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.spool import write_sidecar
 from repro.resilience import faults
 
@@ -117,16 +117,6 @@ class CrawlCursor:
         faults.fire("ct.cursor.commit")
         payload = {"format": _FORMAT, **asdict(state)}
         body = (json.dumps(payload, indent=2) + "\n").encode()
-        tmp = self._path.with_suffix(".json.tmp")
-        with tmp.open("wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path)
+        durable.replace_bytes(self._path, body)
         faults.corrupt_file("ct.cursor.commit", self._path)
         write_sidecar(self._path, hashlib.sha256(body).hexdigest())
-        dir_fd = os.open(self._dir, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)

@@ -26,8 +26,9 @@ bucket partitioning is uniform by construction.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
+
+from repro.core import durable
 
 __all__ = ["DedupIndex", "DIGEST_SIZE"]
 
@@ -111,10 +112,7 @@ class DedupIndex:
         point after a crash.
         """
         if self._pending:
-            with self._log_path.open("ab") as fh:
-                fh.write(b"".join(self._pending))
-                fh.flush()
-                os.fsync(fh.fileno())
+            durable.append(self._log_path, b"".join(self._pending))
             self._synced += len(self._pending)
             self._pending = []
         return self._synced
@@ -133,10 +131,7 @@ class DedupIndex:
             raise ValueError(
                 f"watermark {watermark} exceeds seen.log ({size // DIGEST_SIZE} records)"
             )
-        with self._log_path.open("ab") as fh:
-            fh.truncate(watermark * DIGEST_SIZE)
-            fh.flush()
-            os.fsync(fh.fileno())
+        durable.truncate(self._log_path, watermark * DIGEST_SIZE)
         # partition the log into per-prefix digest lists, then write each
         # bucket sorted — derived data, rebuilt wholesale on every load
         partitions: dict[int, list[bytes]] = {}

@@ -404,7 +404,8 @@ class ArtifactCatalog:
             ]
         try:
             with path.open("rb") as fh:
-                magic_ok = fh.read(len(MAGIC)) == MAGIC
+                # the batchscan pairing stage pins a JSON hit list, not a blob
+                magic_ok = path.suffix != ".bin" or fh.read(len(MAGIC)) == MAGIC
         except OSError:
             magic_ok = False
         if not magic_ok:

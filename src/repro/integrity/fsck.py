@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.spool import (
     SpoolError,
     blob_sha256,
@@ -151,7 +152,7 @@ class _Repairer:
         while dest.exists():
             serial += 1
             dest = self.quarantine_dir / rel.parent / f"{rel.name}.{serial}"
-        path.rename(dest)
+        durable.rename(path, dest)
         self._did("quarantine", str(rel), f"moved to {dest.relative_to(self.state_dir)}")
 
     # -- the ladder ------------------------------------------------------------
@@ -358,7 +359,7 @@ class _Repairer:
                 return True
             if path.exists():
                 self._quarantine(path)
-            candidate.replace(path)
+            durable.rename(candidate, path)
             self._did("rebuild", blob, detail)
             return True
         finally:
@@ -505,8 +506,7 @@ class _Repairer:
                     )
                     continue
                 if size != whole:
-                    with seen.open("ab") as fh:
-                        fh.truncate(whole)
+                    durable.truncate(seen, whole)
                     self._did(
                         "truncate", artifact,
                         f"cut torn tail to {whole // DIGEST_SIZE} whole records",
@@ -555,8 +555,7 @@ class _Repairer:
                 "committed submissions are lost",
             )
             return
-        with path.open("ab") as fh:
-            fh.truncate(committed)
+        durable.truncate(path, committed)
         self._did("truncate", artifact, f"cut to the committed {committed} bytes")
 
     # -- residue and sidecars ---------------------------------------------------

@@ -3,10 +3,10 @@
 The registry is the service's source of truth.  It reuses the batch
 pipeline's storage primitives — RGSPOOL1 integer blobs
 (:mod:`repro.core.spool`) pinned by SHA-256 in an atomically rewritten
-manifest (:mod:`repro.core.checkpoint`) — so the same crash guarantees
-hold: a batch is *committed* only once both of its blobs are fully written,
-fsynced and recorded in the manifest; anything less is invisible after a
-restart.
+manifest (:mod:`repro.core.checkpoint`), all written through
+:mod:`repro.core.durable` — so a batch is *committed* only once both of its
+blobs and the manifest are durable, directory entries included; anything
+less is invisible after a restart, even one forced by power loss.
 
 Layout of one state directory::
 
@@ -18,13 +18,13 @@ Layout of one state directory::
 
 Commit protocol (the order is the durability argument):
 
-1. ``keys-N.bin`` is written via tmp + rename + fsync (atomic);
+1. ``keys-N.bin`` is written via tmp + fsync + rename + directory fsync;
 2. ``hits-N.bin`` likewise;
-3. ``manifest.json`` is rewritten (atomic) with both stage records appended.
+3. ``manifest.json`` is rewritten likewise with both stage records appended.
 
-``kill -9`` between any two steps leaves at worst stray unreferenced blob
-files with the *next* batch's names — the next commit simply overwrites
-them.  On load, every referenced blob is re-hashed; the first corrupt or
+A crash (``kill -9`` or power loss) between any two steps leaves at
+worst stray unreferenced blob files with the *next* batch's names — the
+next commit simply overwrites them.  On load, every referenced blob is re-hashed; the first corrupt or
 missing blob truncates the registry to the last whole verified batch (and
 the manifest is rewritten to match, so the damage never grows).
 
@@ -253,7 +253,8 @@ class WeakKeyRegistry:
         key, and ``new_hits`` are exactly the hits that scan produced (in
         global indices, each touching at least one new key).  ``exponents``
         maps *global* index → public exponent for keys whose ``e`` is not
-        65537.  Returns only after everything is fsynced and manifested.
+        65537.  Returns only after blobs and manifest are durable
+        (:mod:`repro.core.durable`), so an acked batch survives power loss.
         """
         with self._lock:
             base = len(self.moduli)

@@ -48,13 +48,13 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.attack import WeakHit
 from repro.core.incremental import IncrementalScanner
 from repro.core.spool import write_sidecar
@@ -179,33 +179,6 @@ def _batch_fingerprint(moduli: list[int]) -> str:
     return h.hexdigest()[:16]
 
 
-def _atomic_write_json(path: Path, payload: dict) -> str:
-    """tmp + fsync + rename, the spool's crash-safety discipline.
-
-    Returns the SHA-256 hex digest of the committed bytes, computed from
-    the in-memory payload (so a post-rename corruption cannot launder
-    itself into the checksum the caller records).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(payload).encode("utf-8")
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    digest = hashlib.sha256(body).hexdigest()
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        return digest
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-    return digest
-
-
 # ---------------------------------------------------------------------------
 # worker side (child process)
 # ---------------------------------------------------------------------------
@@ -267,9 +240,12 @@ class _ShardWorker:
             "job_hits": [list(h) for h in self.applied_hits],
             "job_pairs": self.applied_pairs,
         }
-        digest = _atomic_write_json(self.snapshot_path, payload)
+        body = json.dumps(payload).encode("utf-8")
+        self.dir.mkdir(parents=True, exist_ok=True)
+        durable.replace_bytes(self.snapshot_path, body)
         faults.corrupt_file("shard.commit", self.snapshot_path)
-        write_sidecar(self.snapshot_path, digest)
+        # hash the in-memory bytes: a post-rename rot must not reach the sidecar
+        write_sidecar(self.snapshot_path, hashlib.sha256(body).hexdigest())
         self.persisted = True
 
     def _load(self) -> bool:
