@@ -1,7 +1,7 @@
 """Hot-path micro benchmarks: GCD kernels and the submit wire formats.
 
 ``bench_e2e_scaling`` times whole attacks and ``bench_service`` times the
-service under concurrent load; this harness isolates the four innermost
+service under concurrent load; this harness isolates the five innermost
 costs those numbers are made of, so a regression shows up *named* instead
 of as a vague end-to-end slowdown:
 
@@ -10,6 +10,11 @@ of as a vague end-to-end slowdown:
   remainders, in operations/second;
 * ``remainder_tree`` — one full remainder-tree descent over a prebuilt
   product tree (the dominant cost of a batch scan), in keys/second;
+* ``division``       — builtin ``%`` against the python backend's
+  recursive ``mod`` on ``2k``-bit / ``k``-bit operands, at divisor sizes
+  from 16K to 512K bits (to 256K with ``--quick``; the remainder tree's
+  shape); ``speedup`` is the ratio at the largest size.  Always the python backend: its division is
+  the subject, whatever ``--int-backend`` says;
 * ``parse``          — decoding a bulk ``POST /submit`` body: the JSON
   path (``json.loads`` + ``parse_submission``) against the ``RGWIRE1``
   binary path (:func:`repro.service.wire.decode_moduli`), same moduli,
@@ -57,7 +62,12 @@ from repro.service.http import (
     WeakKeyService,
     parse_submission,
 )
-from repro.util.intops import backend_info, resolve_backend
+from repro.util.intops import (
+    DIV_CUTOFF_BITS,
+    PythonBackend,
+    backend_info,
+    resolve_backend,
+)
 
 SCHEMA = "repro.bench_micro/1"
 
@@ -66,12 +76,15 @@ FULL_TREE_KEYS, FULL_TREE_BITS = 768, 512
 QUICK_PARSE_KEYS, QUICK_PARSE_BITS = 1500, 1024
 FULL_PARSE_KEYS, FULL_PARSE_BITS = 4000, 2048
 QUICK_SUBMIT_KEYS, FULL_SUBMIT_KEYS = 120, 400
+QUICK_DIV_BITS = (16_000, 64_000, 256_000)
+FULL_DIV_BITS = (16_000, 32_000, 64_000, 128_000, 256_000, 512_000)
 SUBMIT_BITS = 64
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
     ("leaf_ops", ("leaf_gcd", "ops_per_second")),
     ("remtree_keys", ("remainder_tree", "keys_per_second")),
+    ("div_speedup", ("division", "speedup")),
     ("parse_keys", ("parse", "json", "keys_per_second")),
     ("wire_keys", ("parse", "wire", "keys_per_second")),
     ("wire_speedup", ("parse", "speedup")),
@@ -139,6 +152,35 @@ def bench_remainder_tree(backend, moduli: list[int], bits: int, repeat: int) -> 
         "bits": bits,
         "seconds": round(seconds, 6),
         "keys_per_second": round(len(moduli) / seconds, 1),
+    }
+
+
+def bench_division(divisor_bits: tuple[int, ...], seed: str, repeat: int) -> dict:
+    """Builtin ``%`` against ``PythonBackend.mod`` on remainder-tree shapes.
+
+    Each row divides a ``2k``-bit dividend by a ``k``-bit divisor, the
+    shape of every remainder-tree step below the root, and checks the two
+    remainders agree before timing.
+    """
+    mod = PythonBackend.mod
+    rng = random.Random(seed)
+    rows = []
+    for k in divisor_bits:
+        b = rng.getrandbits(k) | 1 << (k - 1)
+        a = rng.getrandbits(2 * k)
+        assert mod(a, b) == a % b, "recursive/builtin remainder parity"
+        builtin_s, _ = _best_of(lambda: a % b, repeat)
+        mod_s, _ = _best_of(lambda: mod(a, b), repeat)
+        rows.append({
+            "divisor_bits": k,
+            "builtin_seconds": round(builtin_s, 6),
+            "mod_seconds": round(mod_s, 6),
+            "speedup": round(builtin_s / mod_s, 3),
+        })
+    return {
+        "cutoff_bits": DIV_CUTOFF_BITS,
+        "rows": rows,
+        "speedup": rows[-1]["speedup"],
     }
 
 
@@ -350,6 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     parse_keys = args.parse_keys or (QUICK_PARSE_KEYS if args.quick else FULL_PARSE_KEYS)
     parse_bits = args.parse_bits or (QUICK_PARSE_BITS if args.quick else FULL_PARSE_BITS)
     submit_keys = args.submit_keys or (QUICK_SUBMIT_KEYS if args.quick else FULL_SUBMIT_KEYS)
+    div_bits = QUICK_DIV_BITS if args.quick else FULL_DIV_BITS
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -364,6 +407,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"  remainder_tree  {sections['remainder_tree']['keys_per_second']:>12.1f} keys/s",
           file=sys.stderr)
+    sections["division"] = bench_division(div_bits, args.seed + "-div", repeat)
+    for row in sections["division"]["rows"]:
+        print(f"  division {row['divisor_bits']:>7}b  builtin {row['builtin_seconds'] * 1e3:9.2f} ms"
+              f"  mod {row['mod_seconds'] * 1e3:9.2f} ms  {row['speedup']:.2f}x",
+              file=sys.stderr)
     sections["parse"] = bench_parse(backend, parse_moduli, parse_bits, repeat)
     pj, pw = sections["parse"]["json"], sections["parse"]["wire"]
     print(f"  parse json      {pj['keys_per_second']:>12.1f} keys/s"
@@ -405,7 +453,8 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick, "int_backend": backend.name,
             "tree_keys": tree_keys, "tree_bits": tree_bits,
             "parse_keys": parse_keys, "parse_bits": parse_bits,
-            "submit_keys": submit_keys, "repeat": repeat, "seed": args.seed,
+            "submit_keys": submit_keys, "div_bits": list(div_bits),
+            "repeat": repeat, "seed": args.seed,
         },
         "environment": {
             "python": platform.python_version(),
@@ -447,6 +496,8 @@ def test_bench_micro_quick(tmp_path, report):
     s = doc["sections"]
     assert s["leaf_gcd"]["ops_per_second"] > 0
     assert s["remainder_tree"]["keys_per_second"] > 0
+    assert [r["divisor_bits"] for r in s["division"]["rows"]] == list(QUICK_DIV_BITS)
+    assert s["division"]["speedup"] > 0
     # binary decoding must beat hex-in-JSON, and by a wide margin
     assert s["parse"]["speedup"] > 1.0
     assert s["parse"]["wire"]["body_bytes"] < s["parse"]["json"]["body_bytes"]

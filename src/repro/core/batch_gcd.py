@@ -6,7 +6,12 @@ with) computes, for every modulus ``n_i``,
 
     ``g_i = gcd(n_i, (N / n_i) mod n_i)``   where ``N = Π n_j``,
 
-in ``O(m · polylog)`` big-integer time instead of ``O(m²)`` GCDs:
+in ``O(M(m·b) · log m)`` big-integer time instead of ``O(m²)`` GCDs, for
+``b``-bit moduli, where ``M(k)`` is the cost of one ``k``-bit multiply (a
+``k``-bit division reduces to multiplies).  That is quasi-linear only with
+GMP's FFT multiply; the python backend is bound by CPython's Karatsuba,
+``O((m·b)^1.58)``, and gets even that only because its ``mod`` divides by
+recursion rather than schoolbook (:mod:`repro.util.intops`):
 
 1. a *product tree* over the moduli gives ``N`` and all subtree products;
 2. a *remainder tree* pushes ``N`` down: each node holds

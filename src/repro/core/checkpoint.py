@@ -126,7 +126,7 @@ class CheckpointStore:
         nothing else pins the manifest.
         """
         faults.fire("manifest.commit")
-        self.spool_dir.mkdir(parents=True, exist_ok=True)
+        durable.makedirs(self.spool_dir)
         payload = {
             "version": manifest.version,
             "config": manifest.config,

@@ -5,7 +5,8 @@ fsyncs the directory; that last step makes the new name survive power loss,
 not only ``kill -9`` (Pillai et al., OSDI 2014).  A replace that raises
 before its rename leaves the old file intact and at most a ``.tmp`` (an
 ``orphan`` to the integrity catalog).  Appends and truncations fsync the
-file, and its directory too when they created the file.
+file, and its directory too when they created the file.  A new directory
+is fsynced into its parent the same way (:func:`makedirs`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["append", "rename", "replace_bytes", "replace_stream", "truncate"]
+__all__ = ["append", "makedirs", "rename", "replace_bytes", "replace_stream", "truncate"]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -23,6 +24,22 @@ def _fsync_dir(directory: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def makedirs(path: str | Path) -> None:
+    """Create ``path`` and its missing parents, each fsynced into its parent.
+
+    Costs one ``stat`` and no fsync when ``path`` already exists, so it is
+    cheap enough to call before every commit.
+    """
+    path = Path(path)
+    missing = []
+    while not path.is_dir():
+        missing.append(path)
+        path = path.parent
+    for directory in reversed(missing):
+        directory.mkdir(exist_ok=True)  # FileExistsError if a file is in the way
+        _fsync_dir(directory.parent)
 
 
 def rename(src: str | Path, dst: str | Path) -> None:

@@ -1,7 +1,7 @@
 """Sharded, checkpointed batch GCD: the memory-bounded scaling path.
 
-:func:`repro.core.batch_gcd.batch_gcd` is quasi-linear but builds the
-whole product and remainder tree in RAM — at millions of moduli the tree
+:func:`repro.core.batch_gcd.batch_gcd` is subquadratic (quasi-linear
+with GMP) but builds the whole product and remainder tree in RAM — at millions of moduli the tree
 is many times the corpus size and a crash loses everything.  This module
 runs the same mathematics as a sequence of *stages*, each of which streams
 records from disk blobs (:mod:`repro.core.spool`) through a bounded
@@ -372,7 +372,7 @@ def run_pipeline(
     [(0, 2, 11), (1, 2, 5)]
     """
     spool_dir = Path(config.spool_dir)
-    spool_dir.mkdir(parents=True, exist_ok=True)
+    durable.makedirs(spool_dir)
     store = CheckpointStore(spool_dir)
     B = resolve_backend(config.backend)
     tel = telemetry if telemetry is not None else Telemetry.create()

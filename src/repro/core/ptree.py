@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.spool import SpoolError, read_blob, write_blob
 from repro.resilience import RetryPolicy, faults
@@ -230,7 +231,7 @@ class PersistentProductTree:
         def commit_blobs() -> list[StageRecord]:
             nonlocal writes
             faults.fire("ptree.commit")
-            self.spool_dir.mkdir(parents=True, exist_ok=True)
+            durable.makedirs(self.spool_dir)
             records = []
             for seg in self.segments:
                 blob = seg.blob_name()

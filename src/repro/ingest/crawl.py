@@ -123,7 +123,7 @@ class _Crawl:
         self.config = config
         self.tel = telemetry
         self.counters = telemetry.registry
-        Path(config.state_dir).mkdir(parents=True, exist_ok=True)
+        durable.makedirs(config.state_dir)
         self.cursor = CrawlCursor(config.state_dir)
         self.dedup = DedupIndex(config.state_dir, max_memory_keys=config.max_memory_keys)
         self.client = CTLogClient(

@@ -84,7 +84,7 @@ class CrawlCursor:
 
     def __init__(self, state_dir: str | Path) -> None:
         self._dir = Path(state_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        durable.makedirs(self._dir)
         self._path = self._dir / "cursor.json"
 
     @property

@@ -54,7 +54,7 @@ class DedupIndex:
         if max_memory_keys < 1:
             raise ValueError("max_memory_keys must be >= 1")
         self._dir = Path(state_dir) / "dedup"
-        self._dir.mkdir(parents=True, exist_ok=True)
+        durable.makedirs(self._dir)
         self._log_path = self._dir / "seen.log"
         self._max_memory = max_memory_keys
         self._memory: set[bytes] = set()

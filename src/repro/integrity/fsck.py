@@ -147,7 +147,7 @@ class _Repairer:
         """Move ``path`` under ``quarantine/`` preserving its relative path."""
         rel = path.relative_to(self.state_dir)
         dest = self.quarantine_dir / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
+        durable.makedirs(dest.parent)
         serial = 0
         while dest.exists():
             serial += 1

@@ -45,6 +45,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core import durable
 from repro.core.attack import WeakHit
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.incremental import SNAPSHOT_VERSION
@@ -293,7 +294,7 @@ class WeakKeyRegistry:
             # after both blobs land, so retries never duplicate records.
             def persist_blobs():
                 faults.fire("registry.commit")
-                self.state_dir.mkdir(parents=True, exist_ok=True)
+                durable.makedirs(self.state_dir)
                 k = write_blob(self.state_dir / keys_name, new_moduli)
                 faults.corrupt_file("registry.commit", k.path)
                 v = write_blob(self.state_dir / hits_name, flat)

@@ -241,7 +241,7 @@ class _ShardWorker:
             "job_pairs": self.applied_pairs,
         }
         body = json.dumps(payload).encode("utf-8")
-        self.dir.mkdir(parents=True, exist_ok=True)
+        durable.makedirs(self.dir)
         durable.replace_bytes(self.snapshot_path, body)
         faults.corrupt_file("shard.commit", self.snapshot_path)
         # hash the in-memory bytes: a post-rename rot must not reach the sidecar

@@ -12,7 +12,9 @@ your Ps and Qs") and Pelofske's all-to-all GCD scans both close that gap
 by building on GMP.  This module is the seam that lets us do the same
 without a hard dependency:
 
-* ``python``  — plain ``int`` operators, always available, zero deps;
+* ``python``  — plain ``int`` operators, always available, zero deps,
+  plus a Burnikel–Ziegler recursive remainder for the large divisions
+  (below);
 * ``gmpy2``   — GMP via `gmpy2 <https://pypi.org/project/gmpy2/>`_
   (``pip install -e .[fast]``), auto-detected at import time.
 
@@ -22,6 +24,17 @@ name argument, the ``REPRO_INT_BACKEND`` environment variable, then
 tree levels stay backend-native (``mpz`` under gmpy2) — callers convert at
 API boundaries with ``to_int`` so public results are always plain ``int``
 and therefore byte-identical across backends.
+
+CPython 3.11's ``%`` is schoolbook division, ``O(len(divisor) ·
+len(quotient))``, and the remainder tree's divisions have divisor and
+quotient of the same size, up to the whole corpus product.  Above
+:data:`DIV_CUTOFF_BITS` the python backend's ``mod`` therefore divides by
+Burnikel–Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
+1998), which turns one big division into half-size divisions plus
+Karatsuba multiplies; the remainder is bit-for-bit ``a % b``.  CPython
+3.12+ does the same inside ``%`` (``_pylong.int_divmod``); on 3.11 this
+module has to.  ``docs/PERFORMANCE.md`` ("Division on the python
+backend") has the measured crossover.
 
 The deliberately SIMT-unfriendly word-level algorithms A–E
 (:mod:`repro.gcd`, :mod:`repro.mp`) are *not* routed through this seam:
@@ -38,6 +51,7 @@ import os
 __all__ = [
     "BACKEND_CHOICES",
     "BACKEND_ENV",
+    "DIV_CUTOFF_BITS",
     "Gmpy2Backend",
     "IntBackend",
     "PythonBackend",
@@ -51,6 +65,75 @@ BACKEND_ENV = "REPRO_INT_BACKEND"
 
 #: the names :func:`resolve_backend` accepts
 BACKEND_CHOICES = ("auto", "python", "gmpy2")
+
+#: divisor and quotient length (bits) above which :class:`PythonBackend`
+#: divides by recursion instead of CPython's schoolbook ``%``; also the
+#: size at which the recursion bottoms out in builtin ``divmod``.  Measured
+#: crossover on CPython 3.11, see ``docs/PERFORMANCE.md``.
+DIV_CUTOFF_BITS = 8_000
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for ``b`` of exactly ``n`` bits and ``0 <= a < b << n``."""
+    if a.bit_length() - n <= DIV_CUTOFF_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:  # the halving below needs an even n
+        a <<= 1
+        b <<= 1
+        n += 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """``divmod(a12 << n | a3, b)`` for ``b = b1 << n | b2`` of exactly
+    ``2n`` bits, ``a3 < 2**n`` and ``a12 < b``."""
+    if a12 >> n == b1:
+        # a12 // b1 would be >= 2**n, but the quotient fits n bits: clamp it
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    # q estimates from the top half of b alone: it is never low, at most 2 high
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _digits(a: int, n: int) -> list[int]:
+    """``a > 0`` in base ``2**n``, most significant digit first."""
+    out: list[int] = []
+
+    def split(x: int, count: int) -> None:
+        if count == 1:
+            out.append(x)
+            return
+        low = count >> 1
+        high = x >> (low * n)
+        split(high, count - low)
+        split(x ^ (high << (low * n)), low)
+
+    split(a, -(-a.bit_length() // n))
+    return out
+
+
+def _mod(a: int, b: int) -> int:
+    """``a % b``, by Burnikel–Ziegler recursion when divisor and quotient
+    both exceed :data:`DIV_CUTOFF_BITS`; builtin ``%`` otherwise."""
+    n = b.bit_length()
+    if n <= DIV_CUTOFF_BITS or a.bit_length() - n <= DIV_CUTOFF_BITS or a < 0 or b < 0:
+        return a % b
+    # schoolbook long division in base 2**n, each digit step a 2n/1n division
+    r = 0
+    for digit in _digits(a, n):
+        r = _div2n1n(r << n | digit, b, n)[1]
+    return r
 
 
 class IntBackend:
@@ -108,13 +191,15 @@ class PythonBackend(IntBackend):
 
     The operation attributes are the raw builtins/operators themselves, so
     routing through this backend costs one extra function call per
-    operation and nothing else.
+    operation and nothing else -- except ``mod``, which switches to
+    Burnikel–Ziegler recursion when divisor and quotient both exceed
+    :data:`DIV_CUTOFF_BITS` (same remainder, subquadratic cost).
     """
 
     name = "python"
 
     mul = staticmethod(operator.mul)
-    mod = staticmethod(operator.mod)
+    mod = staticmethod(_mod)
     gcd = staticmethod(math.gcd)
     # exact by precondition (the caller guarantees b | a), so floor
     # division returns the same value the true quotient would

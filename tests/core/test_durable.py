@@ -80,3 +80,20 @@ def test_rename_across_directories_fsyncs_both(tmp_path, fsynced):
     durable.rename(src, tmp_path / "q" / "blob.bin")
     assert fsynced == [("dir", "q"), ("dir", tmp_path.name)]
     assert not src.exists() and (tmp_path / "q" / "blob.bin").read_bytes() == b"x"
+
+
+def test_makedirs_fsyncs_each_new_directory_into_its_parent(tmp_path, fsynced):
+    (tmp_path / "state").mkdir()
+    durable.makedirs(tmp_path / "state" / "spool" / "ptree")
+    # top-down: each new entry is durable before its child is created
+    assert fsynced == [("dir", "state"), ("dir", "spool")]
+    assert (tmp_path / "state" / "spool" / "ptree").is_dir()
+    fsynced.clear()
+    durable.makedirs(tmp_path / "state" / "spool" / "ptree")
+    assert fsynced == []  # every component exists: the per-commit call is free
+
+
+def test_makedirs_refuses_a_file_in_the_way(tmp_path):
+    (tmp_path / "state").write_bytes(b"")
+    with pytest.raises(FileExistsError):
+        durable.makedirs(tmp_path / "state")

@@ -1,10 +1,11 @@
 """Guard: ``repro.core.durable`` is the only code in ``src/`` that makes a file durable.
 
 Scans every module's syntax tree for the calls a hand-rolled durable write
-is made of: fsync, an atomic replace or rename, or a file-handle truncate
-(the in-place truncations that were fsync'd).  Any hit outside
-``core/durable.py`` means a copy of the protocol came back; route it
-through the module instead.
+is made of: fsync, an atomic replace or rename, a file-handle truncate
+(the in-place truncations that were fsync'd), or a directory creation
+(``durable.makedirs`` fsyncs each new directory into its parent).  Any hit
+outside ``core/durable.py`` means a copy of the protocol came back; route
+it through the module instead.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DURABLE = SRC / "core" / "durable.py"
 
 #: ``os`` functions that only a durable-write primitive should call
-OS_CALLS = {"fsync", "fdatasync", "sync", "replace", "rename", "renames", "ftruncate"}
+OS_CALLS = {
+    "fsync", "fdatasync", "sync", "replace", "rename", "renames", "ftruncate",
+    "mkdir", "makedirs",
+}
 
-#: the lock file's pid record is rewritten in place and needs no durability
-ALLOWED = {("integrity/lock.py", "os.ftruncate")}
+#: the lock file's pid record is rewritten in place and its directory made
+#: on demand; neither needs to survive power loss
+ALLOWED = {("integrity/lock.py", "os.ftruncate"), ("integrity/lock.py", ".mkdir()")}
 
 
 def _offences(path: Path) -> list[tuple[int, str]]:
@@ -33,7 +38,7 @@ def _offences(path: Path) -> list[tuple[int, str]]:
         if isinstance(owner, ast.Name) and owner.id == "os":
             if attr in OS_CALLS:
                 found.append((node.lineno, f"os.{attr}"))
-        elif attr == "rename" or attr == "truncate":
+        elif attr in ("rename", "truncate", "mkdir"):
             found.append((node.lineno, f".{attr}()"))
         elif attr == "replace" and len(node.args) == 1 and not node.keywords:
             # Path.replace(target); str.replace(old, new) takes two arguments
@@ -65,9 +70,14 @@ def test_guard_sees_every_call_shape(tmp_path):
         "tmp.replace(dst)\n"
         "src.rename(dst)\n"
         "fh.truncate(0)\n"
+        "spool.mkdir(parents=True, exist_ok=True)\n"
+        "os.makedirs(d)\n"
+        "os.mkdir(d)\n"
         "text.replace('a', 'b')\n"
         "durable.rename(a, b)\n"
+        "durable.makedirs(d)\n"
     )
     assert [call for _, call in _offences(probe)] == [
         "os.fsync", "os.replace", ".replace()", ".rename()", ".truncate()",
+        ".mkdir()", "os.makedirs", "os.mkdir",
     ]
