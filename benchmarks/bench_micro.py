@@ -23,7 +23,14 @@ of as a vague end-to-end slowdown:
   in-process :class:`~repro.service.http.HttpServer`, single keys with
   ``?wait=1`` over one keep-alive connection, once per wire format on
   identical fresh registries — RPS, p50/p99 latency, and a hit-digest
-  parity check between the formats.
+  parity check between the formats;
+* ``bulk``           — one paper-sized block through the bulk SIMT engine
+  (:meth:`repro.bulk.BulkGcdEngine.run_pairs`: Approximate Euclid, d=32,
+  early termination, compaction) over all 2016 pairs of 64 1024-bit
+  moduli, in pairs/second and loop trips, against the same pairs run
+  serially on the word-level tier (:func:`repro.gcd.word.gcd_approx_words`,
+  timed on a prefix of the block); ``speedup`` is the per-pair ratio.
+  Independent of ``--int-backend``: the engine works on NumPy words.
 
 Results land in ``BENCH_micro.json`` (schema ``repro.bench_micro/1``).
 Each ``REPRO_BENCH_MICRO_MIN_*`` environment variable (or the matching
@@ -54,7 +61,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.bulk.engine import BulkGcdEngine
 from repro.core.batch_gcd import product_tree, remainder_tree
+from repro.gcd.word import gcd_approx_words
+from repro.mp.wordint import WordInt
 from repro.service import wire
 from repro.service.http import (
     HttpServer,
@@ -79,6 +89,11 @@ QUICK_SUBMIT_KEYS, FULL_SUBMIT_KEYS = 120, 400
 QUICK_DIV_BITS = (16_000, 64_000, 256_000)
 FULL_DIV_BITS = (16_000, 32_000, 64_000, 128_000, 256_000, 512_000)
 SUBMIT_BITS = 64
+#: the bulk section's block: all pairs of BULK_MODULI moduli of BULK_BITS
+#: bits (64 -> 2016 lanes, the paper's r = 64 diagonal block)
+BULK_MODULI, BULK_BITS = 64, 1024
+#: block prefix timed serially on the word tier (~8 ms a pair at 1024 bits)
+QUICK_BULK_WORD_PAIRS, FULL_BULK_WORD_PAIRS = 16, 64
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
@@ -89,6 +104,7 @@ FLOORS = (
     ("wire_keys", ("parse", "wire", "keys_per_second")),
     ("wire_speedup", ("parse", "speedup")),
     ("submit_rps", ("submit", "wire", "submissions_per_second")),
+    ("bulk_speedup", ("bulk", "speedup")),
 )
 
 
@@ -229,6 +245,53 @@ def bench_parse(backend, moduli: list[int], bits: int, repeat: int) -> dict:
             "keys_per_second": round(n / native_s, 1),
         }
     return doc
+
+
+def bench_bulk(word_pairs: int, seed: str, repeat: int) -> dict:
+    """One 2016-lane bulk block against the same pairs on the word tier.
+
+    The engine runs exactly as a pairwise scan drives it (Approximate
+    Euclid, ``d = 32``, ``stop_bits = bits // 2``, compaction on).  The
+    serial word-level kernel is timed on the first ``word_pairs`` pairs of
+    the block and must return the engine's GCDs for them.
+    """
+    moduli = synthetic_moduli(BULK_MODULI, BULK_BITS, seed)
+    pairs = [(a, b) for i, a in enumerate(moduli) for b in moduli[i + 1:]]
+    stop_bits = BULK_BITS // 2
+    engine = BulkGcdEngine(d=32, algorithm="approx")
+    seconds, result = _best_of(
+        lambda: engine.run_pairs(pairs, stop_bits=stop_bits, compact=True), repeat
+    )
+    sample = pairs[:word_pairs]
+    cap = -(-BULK_BITS // 32)
+
+    def serial():
+        return [
+            gcd_approx_words(
+                WordInt.from_int(a, 32, capacity=cap, name="X"),
+                WordInt.from_int(b, 32, capacity=cap, name="Y"),
+                stop_bits=stop_bits,
+            )
+            for a, b in sample
+        ]
+
+    word_s, word_gcds = _best_of(serial, 1)
+    assert word_gcds == result.gcds[: len(sample)], "bulk/word GCD parity"
+    bulk_rate = len(pairs) / seconds
+    word_rate = len(sample) / word_s
+    return {
+        "lanes": len(pairs),
+        "bits": BULK_BITS,
+        "d": 32,
+        "stop_bits": stop_bits,
+        "seconds": round(seconds, 6),
+        "pairs_per_second": round(bulk_rate, 1),
+        "loop_trips": result.loop_trips,
+        "word_pairs": len(sample),
+        "word_seconds": round(word_s, 6),
+        "word_pairs_per_second": round(word_rate, 1),
+        "speedup": round(bulk_rate / word_rate, 3),
+    }
 
 
 class _Client:
@@ -393,6 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     parse_bits = args.parse_bits or (QUICK_PARSE_BITS if args.quick else FULL_PARSE_BITS)
     submit_keys = args.submit_keys or (QUICK_SUBMIT_KEYS if args.quick else FULL_SUBMIT_KEYS)
     div_bits = QUICK_DIV_BITS if args.quick else FULL_DIV_BITS
+    bulk_word_pairs = QUICK_BULK_WORD_PAIRS if args.quick else FULL_BULK_WORD_PAIRS
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -420,6 +484,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  parse wire      {pw['keys_per_second']:>12.1f} keys/s"
           f"  ({pw['body_bytes']} B, {sections['parse']['speedup']}x)",
           file=sys.stderr)
+    sections["bulk"] = bench_bulk(bulk_word_pairs, args.seed + "-bulk", repeat)
+    b = sections["bulk"]
+    print(f"  bulk            {b['pairs_per_second']:>12.1f} pairs/s"
+          f"  ({b['lanes']} lanes x {b['bits']}-bit, {b['loop_trips']} trips,"
+          f" {b['speedup']:.1f}x the word tier)", file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -454,6 +523,7 @@ def main(argv: list[str] | None = None) -> int:
             "tree_keys": tree_keys, "tree_bits": tree_bits,
             "parse_keys": parse_keys, "parse_bits": parse_bits,
             "submit_keys": submit_keys, "div_bits": list(div_bits),
+            "bulk_word_pairs": bulk_word_pairs,
             "repeat": repeat, "seed": args.seed,
         },
         "environment": {
@@ -502,6 +572,9 @@ def test_bench_micro_quick(tmp_path, report):
     assert s["parse"]["speedup"] > 1.0
     assert s["parse"]["wire"]["body_bytes"] < s["parse"]["json"]["body_bytes"]
     assert s["submit"]["hit_digest_parity"] is True
+    assert s["bulk"]["lanes"] == 2016
+    # lock-step execution beats the same kernel run serially, by a lot
+    assert s["bulk"]["speedup"] > 3
     for fmt in ("json", "wire"):
         assert s["submit"][fmt]["registered"] == s["submit"][fmt]["keys"]
     report(
@@ -514,6 +587,8 @@ def test_bench_micro_quick(tmp_path, report):
         f"({s['parse']['speedup']}x)",
         f"  submit: json {s['submit']['json']['submissions_per_second']:.0f}, "
         f"wire {s['submit']['wire']['submissions_per_second']:.0f} subs/s",
+        f"  bulk: {s['bulk']['pairs_per_second']:.0f} pairs/s, "
+        f"{s['bulk']['speedup']:.1f}x the word tier",
     )
 
 

@@ -4,7 +4,8 @@
 paper's CUDA grid: every pair is a lane, lanes advance in lock step under an
 active mask, and one Python-level loop trip corresponds to one warp-wide
 iteration of the do-while loop.  The iteration bodies are the vector
-kernels of :mod:`repro.bulk.kernels`; the rare paths the paper also treats
+kernels of :mod:`repro.bulk.kernels`, which update X in place (lanes that
+sit a step out get α = 0, the identity); the rare paths the paper also treats
 as negligible-divergence branches — ``β > 0`` and the ≤ 2-word Case 1
 endgame — serialize onto a scalar per-lane step, and are counted.
 
@@ -31,11 +32,10 @@ from repro.bulk.kernels import (
     approx_bulk,
     compare_bulk,
     halve_columns,
-    lengths_from_words,
     rshift_strip_bulk,
-    shift_right_one_bulk,
     subtract_mul_bulk,
     swap_columns,
+    trailing_zeros_u64,
 )
 from repro.bulk.layout import BulkOperands
 from repro.gcd.approx import approx
@@ -283,7 +283,6 @@ class BulkGcdEngine:
     def _step_approx(
         self, x: BulkOperands, y: BulkOperands, active: np.ndarray, result: BulkResult
     ) -> None:
-        d = self.d
         alpha, beta, code = approx_bulk(x, y)
         counts = np.bincount(code[active], minlength=8)
         for c, cnt in enumerate(counts):
@@ -294,20 +293,26 @@ class BulkGcdEngine:
         scalar = active & ~case1 & (beta > 0)
         vec = active & ~case1 & ~scalar
         if vec.any():
-            hi = self._live_words(x, y)
-            # force alpha odd on the vector lanes (paper: Q even -> Q - 1)
+            # α = 0 off the vector path makes the step the identity there;
+            # on it, α is forced odd (paper: Q even -> Q - 1)
             a = np.where(vec, alpha, np.uint64(0))
-            a = np.where(vec & ((a & np.uint64(1)) == 0), a - np.uint64(1), a)
-            t, borrow = subtract_mul_bulk(x.words[:hi], y.words[:hi], a, d)
-            if (borrow[vec] != 0).any():
-                raise AssertionError("bulk sub-mul underflow on an active lane")
-            out, new_len = rshift_strip_bulk(t, d)
-            x.words[:hi] = np.where(vec[None, :], out, x.words[:hi])
-            x.lengths = np.where(vec, new_len, x.lengths)
+            a -= vec & ((a & np.uint64(1)) == 0)
+            self._subtract_strip(x, y, a, vec)
         if case1.any():
             self._step_case1(x, y, case1, result)
         if scalar.any():
             self._scalar_approx_step(x, y, np.where(scalar)[0], result)
+
+    def _subtract_strip(
+        self, x: BulkOperands, y: BulkOperands, alpha: np.ndarray, moved: np.ndarray
+    ) -> None:
+        """``X ← rshift_to_odd(X − α·Y)`` in place; α = 0 lanes are untouched."""
+        hi = self._live_words(x, y)
+        xs = x.words[:hi]
+        _, borrow = subtract_mul_bulk(xs, y.words[:hi], alpha, self.d, out=xs)
+        if (borrow[moved] != 0).any():
+            raise AssertionError("bulk sub-mul underflow on an active lane")
+        _, x.lengths = rshift_strip_bulk(xs, self.d, out=xs, lengths=x.lengths)
 
     def _step_case1(
         self, x: BulkOperands, y: BulkOperands, mask: np.ndarray, result: BulkResult
@@ -319,8 +324,6 @@ class BulkGcdEngine:
         kept the non-terminate descent (the RSA kernel early-terminates long
         before reaching here).
         """
-        from repro.bulk.kernels import trailing_zeros_u64
-
         d = self.d
         du = np.uint64(d)
         word_mask = (np.uint64(1) << du) - np.uint64(1)
@@ -333,7 +336,7 @@ class BulkGcdEngine:
         q = xv // np.maximum(yv, np.uint64(1))
         q = np.where((q & np.uint64(1)) == 0, q - np.uint64(1), q)  # force odd
         t = xv - q * yv
-        tz = trailing_zeros_u64(np.where(t == 0, np.uint64(1), t)).astype(np.uint64)
+        tz = trailing_zeros_u64(t).astype(np.uint64)
         t = t >> tz
         new_w0 = t & word_mask
         new_w1 = t >> du
@@ -370,15 +373,7 @@ class BulkGcdEngine:
     def _step_fast_binary(
         self, x: BulkOperands, y: BulkOperands, active: np.ndarray, result: BulkResult
     ) -> None:
-        d = self.d
-        hi = self._live_words(x, y)
-        alpha = np.where(active, np.uint64(1), np.uint64(0))
-        t, borrow = subtract_mul_bulk(x.words[:hi], y.words[:hi], alpha, d)
-        if (borrow[active] != 0).any():
-            raise AssertionError("bulk subtract underflow on an active lane")
-        out, new_len = rshift_strip_bulk(t, d)
-        x.words[:hi] = np.where(active[None, :], out, x.words[:hi])
-        x.lengths = np.where(active, new_len, x.lengths)
+        self._subtract_strip(x, y, active.astype(np.uint64), active)
 
     def _step_binary(
         self, x: BulkOperands, y: BulkOperands, active: np.ndarray, result: BulkResult
@@ -397,10 +392,9 @@ class BulkGcdEngine:
             halve_columns(y, b_halve_y)
         if b_sub.any():
             hi = self._live_words(x, y)
-            alpha = np.where(b_sub, np.uint64(1), np.uint64(0))
-            t, borrow = subtract_mul_bulk(x.words[:hi], y.words[:hi], alpha, d)
+            xs = x.words[:hi]
+            one = b_sub.astype(np.uint64)
+            _, borrow = subtract_mul_bulk(xs, y.words[:hi], one, d, out=xs)
             if (borrow[b_sub] != 0).any():
                 raise AssertionError("bulk subtract underflow on an active lane")
-            out = shift_right_one_bulk(t, d)
-            x.words[:hi] = np.where(b_sub[None, :], out, x.words[:hi])
-            x.lengths = np.where(b_sub, lengths_from_words(x.words[:hi]), x.lengths)
+            halve_columns(x, b_sub)

@@ -1,17 +1,25 @@
 """Vectorised word kernels for the bulk SIMT engine.
 
 Every function here is an array expression over the *pair* (column) axis;
-loops run only over word indices (``capacity`` iterations) or bit widths
-(6 iterations), never over pairs.  Words are ``d``-bit values in uint64
-lanes with ``d ≤ 32``, so a multiply-accumulate ``α·y + carry`` can never
-overflow 64 bits — the same headroom argument the paper uses for its 64-bit
-``z`` register in Section IV.
+loops run only over word indices (``capacity`` iterations), never over
+pairs.  Words are ``d``-bit values in uint64 lanes with ``d ≤ 32``, so a
+multiply-accumulate ``α·y + borrow`` can never overflow 64 bits — the same
+headroom argument the paper uses for its 64-bit ``z`` register in
+Section IV.
 
-Masking convention: kernels compute candidate results for *all* columns
-(garbage in lanes whose preconditions do not hold is fine — zero-tailed
-storage keeps the arithmetic from trapping) and the engine commits them
-per-lane with ``np.where``.  That is exactly the cost model of a SIMT
-machine: inactive lanes ride along for free but are never written back.
+The word-matrix kernels work **in place**, the way the paper's kernel
+streams its operands: ``X ← X − α·Y`` reads a row of X and a row of Y and
+writes the row of X back; the right shift that follows rewrites X row by
+row in ascending order.  Scratch is per-lane (one word per column), never
+a second matrix.  Each takes a numpy-style ``out=``; without it the kernel
+works on a copy and leaves its input alone.
+
+Masking convention: there is no commit step.  A lane that must not move
+gets the identity operation — α = 0 in the subtract-multiply, a shift of 0
+bits in the right shift — so every column runs the same instruction
+stream and inactive lanes ride along unchanged.  That is exactly the cost
+model of a SIMT machine: inactive lanes ride along for free but are never
+written back.
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ from repro.bulk.layout import BulkOperands
 
 __all__ = [
     "bit_length_u64",
+    "word_bit_length",
     "trailing_zeros_u64",
     "lengths_from_words",
+    "trim_lengths",
     "compare_bulk",
     "swap_columns",
     "subtract_mul_bulk",
@@ -34,32 +44,36 @@ __all__ = [
 ]
 
 _ONE = np.uint64(1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def word_bit_length(v: np.ndarray) -> np.ndarray:
+    """Per-element bit length of values below ``2^53`` (0 for 0).
+
+    ``frexp`` writes ``v = m·2^e`` with ``½ ≤ m < 1``, so ``e`` is the bit
+    length — exact while ``v`` converts to float64 without rounding, which
+    covers every ``d ≤ 32``-bit word.
+    """
+    return np.frexp(v.astype(np.float64))[1].astype(np.int64)
 
 
 def bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Per-element bit length of a uint64 array (0 for 0)."""
-    x = v.astype(np.uint64, copy=True)
-    bl = np.zeros(v.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        s = np.uint64(shift)
-        m = x >= (_ONE << s)
-        bl += m * shift
-        x = np.where(m, x >> s, x)
-    return bl + (x > 0)
+    """Per-element bit length of a uint64 array (0 for 0), exact to 64 bits."""
+    v = np.asarray(v, dtype=np.uint64)
+    hi = v >> _32
+    return np.where(hi != 0, word_bit_length(hi) + 32, word_bit_length(v & _LOW32))
 
 
 def trailing_zeros_u64(v: np.ndarray) -> np.ndarray:
-    """Per-element count of trailing zero bits (0 for 0, by convention)."""
-    x = v.astype(np.uint64, copy=True)
-    tz = np.zeros(v.shape, dtype=np.int64)
-    nonzero = x != 0
-    for shift in (32, 16, 8, 4, 2, 1):
-        s = np.uint64(shift)
-        low_mask = (_ONE << s) - _ONE
-        m = nonzero & ((x & low_mask) == 0)
-        tz += m * shift
-        x = np.where(m, x >> s, x)
-    return tz
+    """Per-element count of trailing zero bits (0 for 0, by convention).
+
+    The lowest set bit ``v & −v`` is a power of two, which float64 holds
+    exactly for any 64-bit input, so its ``frexp`` exponent is exact too.
+    """
+    v = np.asarray(v, dtype=np.uint64)
+    low = v & (~v + _ONE)
+    return np.maximum(word_bit_length(low) - 1, 0)
 
 
 def lengths_from_words(words: np.ndarray) -> np.ndarray:
@@ -68,6 +82,25 @@ def lengths_from_words(words: np.ndarray) -> np.ndarray:
     nz = words != 0
     any_nz = nz.any(axis=0)
     return np.where(any_nz, cap - np.argmax(nz[::-1, :], axis=0), 0).astype(np.int64)
+
+
+def trim_lengths(words: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Significant word counts, given a per-column upper bound.
+
+    Lengths only shrink under subtraction and right shifts, so the engine
+    passes the lengths from before the step and this drops zero top words
+    until every column's top word is nonzero — a handful of per-lane
+    gathers instead of a rescan of the whole matrix.  Equals
+    :func:`lengths_from_words` whenever ``bound`` is a valid upper bound.
+    """
+    lengths = np.array(bound, dtype=np.int64)
+    lanes = np.arange(words.shape[1])
+    while True:
+        top = words[np.maximum(lengths - 1, 0), lanes]
+        drop = (top == 0) & (lengths > 0)
+        if not drop.any():
+            return lengths
+        lengths -= drop
 
 
 def compare_bulk(x: BulkOperands, y: BulkOperands) -> np.ndarray:
@@ -96,102 +129,167 @@ def compare_bulk(x: BulkOperands, y: BulkOperands) -> np.ndarray:
 def swap_columns(x: BulkOperands, y: BulkOperands, mask: np.ndarray) -> None:
     """Exchange X and Y in the masked columns.
 
-    The scalar implementation swaps pointers for free; a structure-of-arrays
-    store must move the data, at the cost of one extra pass over the live
-    words — an explicit, measured difference from the paper's layout.  Only
-    rows below the highest significant word are touched (the tails are zero
-    in both operands, so swapping them would be a no-op).
+    The scalar implementation swaps pointers; so does this one when most
+    columns swap (after an approx step nearly all of them do): the two
+    word matrices trade places, which moves no data, and the columns that
+    must *not* swap are then swapped back.  The remaining columns exchange
+    in place with three masked XOR passes — no copy of either matrix.  Only
+    rows below the highest significant word are touched (the tails are
+    zero in both operands, so swapping them would be a no-op).
     """
-    if not mask.any():
+    count = int(np.count_nonzero(mask))
+    if count == 0:
         return
+    if 2 * count > mask.size and x.words.shape == y.words.shape:
+        x.words, y.words = y.words, x.words
+        x.lengths, y.lengths = y.lengths, x.lengths
+        mask = ~mask
+        if count == mask.size:
+            return
     hi = max(int(x.lengths.max(initial=0)), int(y.lengths.max(initial=0)), 1)
     xs = x.words[:hi]
     ys = y.words[:hi]
-    new_x = np.where(mask[None, :], ys, xs)
-    ys[...] = np.where(mask[None, :], xs, ys)
-    xs[...] = new_x
-    new_lx = np.where(mask, y.lengths, x.lengths)
-    y.lengths = np.where(mask, x.lengths, y.lengths)
-    x.lengths = new_lx
+    np.bitwise_xor(xs, ys, out=xs, where=mask)
+    np.bitwise_xor(ys, xs, out=ys, where=mask)
+    np.bitwise_xor(xs, ys, out=xs, where=mask)
+    lx = x.lengths
+    x.lengths = np.where(mask, y.lengths, lx)
+    y.lengths = np.where(mask, lx, y.lengths)
+
+
+def _working_copy(words: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out`` holding ``words`` (a fresh copy when ``out`` is None)."""
+    if out is None:
+        return words.copy()
+    if out is not words:
+        np.copyto(out, words)
+    return out
 
 
 def subtract_mul_bulk(
-    xw: np.ndarray, yw: np.ndarray, alpha: np.ndarray, d: int
+    xw: np.ndarray,
+    yw: np.ndarray,
+    alpha: np.ndarray,
+    d: int,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``T = X − α·Y`` column-wise with a fused multiply-borrow chain.
+    """``X − α·Y`` column-wise with a fused multiply-borrow chain.
 
-    ``alpha`` is per-column (uint64, ``< 2^d``; 0 turns a lane into the
-    identity).  Returns ``(T, final_borrow)``; a nonzero final borrow marks
-    a lane whose precondition ``X ≥ α·Y`` did not hold (the engine asserts
-    it is zero on every committed lane).
+    ``alpha`` is per-column (uint64, ``< 2^d``; 0 leaves a lane
+    bit-identical).  Pass ``out=xw`` to update X in place, one row at a
+    time as the borrow climbs.  Returns ``(out, final_borrow)``; a nonzero
+    final borrow marks a lane whose precondition ``X ≥ α·Y`` did not hold
+    (the engine asserts it is zero on every lane it moves).
     """
-    cap, n = xw.shape
+    t = _working_copy(xw, out)
     du = np.uint64(d)
-    big = _ONE << du
-    mask = big - _ONE
-    t = np.empty_like(xw)
+    mask = (_ONE << du) - _ONE
+    n = t.shape[1]
     borrow = np.zeros(n, dtype=np.uint64)
-    for i in range(cap):
-        m = alpha * yw[i] + borrow
-        m_low = m & mask
-        carry = m >> du
-        xi = xw[i]
-        under = xi < m_low
-        t[i] = np.where(under, xi + big - m_low, xi - m_low)
-        borrow = carry + under
+    m = np.empty(n, dtype=np.uint64)
+    for i in range(t.shape[0]):
+        ti = t[i]
+        # ti − (α·y + borrow) wraps mod 2^64; its low d bits are the digit
+        # and the borrow out is ⌈(α·y + borrow − x)/2^d⌉, which is
+        # (mask − wrapped difference) >> d with no overflow (see Section IV
+        # headroom: α·y + borrow < 2^(2d))
+        np.multiply(alpha, yw[i], out=m)
+        m += borrow
+        ti -= m
+        np.subtract(mask, ti, out=borrow)
+        borrow >>= du
+    t &= mask
     return t, borrow
 
 
-def rshift_strip_bulk(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strip all trailing zero bits from each column of ``T``.
+def _shift_right_columns(t: np.ndarray, shift: np.ndarray, d: int) -> None:
+    """``T >> shift`` per column, in place, for shifts in ``[0, d)``.
 
-    The per-column shift is ``k·d + tz``: ``k`` whole zero words (found with
-    one argmax) plus ``tz`` bits inside the first nonzero word.  Words are
-    then recombined from the gathered rows ``i+k`` and ``i+k+1`` — the
-    vector form of the paper's streamed ``z``/``r`` shift.  Returns the new
-    word matrix and lengths; all-zero columns stay zero.
+    Rows are rewritten in ascending order, so row ``i`` reads row ``i+1``
+    before row ``i+1`` is itself rewritten — the vector form of the
+    paper's streamed ``z``/``r`` shift.  A shift of 0 is the identity.
     """
-    cap, n = t.shape
+    du = np.uint64(d)
+    rows = t.shape[0]
+    carry = np.empty(t.shape[1], dtype=np.uint64)
+    for i in range(rows - 1):
+        ti = t[i]
+        np.left_shift(t[i + 1], du, out=carry)
+        ti |= carry
+        ti >>= shift
+    t[rows - 1] >>= shift
+    t &= (_ONE << du) - _ONE
+
+
+def _strip_zero_low_words(t: np.ndarray, lanes: np.ndarray, d: int) -> None:
+    """Strip trailing zeros of columns whose low word is entirely zero.
+
+    The per-column shift is ``k·d + tz``: ``k`` whole zero words (found
+    with one argmax) plus ``tz`` bits inside the first nonzero word, built
+    from gathered rows ``i+k`` and ``i+k+1`` of a copy of those columns.
+    Such columns are rare (about ``2^-d`` per lane-trip), so the copy is
+    small.  All-zero columns stay zero.
+    """
+    cap = t.shape[0]
     du = np.uint64(d)
     mask = (_ONE << du) - _ONE
-    low_zero = t[0] == 0
-    if not low_zero.any():
-        # fast path (overwhelmingly common for d = 32: the low difference
-        # word is all-zero with probability ~2^-d): no whole-word shift
-        a = t
-        b = np.empty_like(t)
-        b[:-1] = t[1:]
-        b[-1] = 0
-        tz = trailing_zeros_u64(t[0]).astype(np.uint64)
-        out = ((a >> tz) | ((b << (du - tz)) & mask)) & mask
-        return out, lengths_from_words(out)
-    nz = t != 0
+    sub = t[:, lanes]
+    n = sub.shape[1]
+    nz = sub != 0
     any_nz = nz.any(axis=0)
     k = np.argmax(nz, axis=0)  # index of first nonzero word (0 if none)
-    first = t[k, np.arange(n)]
+    first = sub[k, np.arange(n)]
     tz = trailing_zeros_u64(np.where(any_nz, first, _ONE)).astype(np.uint64)
-    tpad = np.vstack([t, np.zeros((1, n), dtype=np.uint64)])
+    pad = np.vstack([sub, np.zeros((1, n), dtype=np.uint64)])
     rows = np.arange(cap)[:, None] + k[None, :]
     np.minimum(rows, cap, out=rows)
-    a = np.take_along_axis(tpad, rows, axis=0)
-    b = np.take_along_axis(tpad, np.minimum(rows + 1, cap), axis=0)
-    out = ((a >> tz) | ((b << (du - tz)) & mask)) & mask
-    out = np.where(any_nz[None, :], out, np.uint64(0))
-    return out, lengths_from_words(out)
+    a = np.take_along_axis(pad, rows, axis=0)
+    b = np.take_along_axis(pad, np.minimum(rows + 1, cap), axis=0)
+    res = ((a >> tz) | ((b << (du - tz)) & mask)) & mask
+    t[:, lanes] = np.where(any_nz[None, :], res, np.uint64(0))
 
 
-def shift_right_one_bulk(t: np.ndarray, d: int) -> np.ndarray:
+def rshift_strip_bulk(
+    t: np.ndarray,
+    d: int,
+    *,
+    out: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strip all trailing zero bits from each column of ``T``.
+
+    Odd and all-zero columns are left as they are.  Pass ``out=t`` to shift
+    in place; ``lengths`` is a per-column upper bound on the significant
+    words of ``T`` (default: the full height), from which the new lengths
+    are trimmed.  Returns ``(out, new_lengths)``.
+    """
+    out = _working_copy(t, out)
+    zero_low = np.flatnonzero(out[0] == 0)
+    _shift_right_columns(out, trailing_zeros_u64(out[0]).astype(np.uint64), d)
+    if zero_low.size:
+        # only reached when some difference is ≡ 0 mod 2^d: the in-place
+        # pass left those columns alone (their shift was 0)
+        _strip_zero_low_words(out, zero_low, d)
+    if lengths is None:
+        lengths = np.full(out.shape[1], out.shape[0], dtype=np.int64)
+    return out, trim_lengths(out, lengths)
+
+
+def shift_right_one_bulk(
+    t: np.ndarray, d: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Column-wise exact halving of even values: ``T >> 1`` across words."""
-    du = np.uint64(d)
-    high = np.vstack([t[1:], np.zeros((1, t.shape[1]), dtype=np.uint64)])
-    return (t >> _ONE) | ((high & _ONE) << (du - _ONE))
+    out = _working_copy(t, out)
+    _shift_right_columns(out, np.ones(out.shape[1], dtype=np.uint64), d)
+    return out
 
 
 def halve_columns(x: BulkOperands, mask: np.ndarray) -> None:
     """``X ← X/2`` in the masked columns (values there must be even)."""
-    out = shift_right_one_bulk(x.words, x.d)
-    x.words = np.where(mask[None, :], out, x.words)
-    x.lengths = np.where(mask, lengths_from_words(x.words), x.lengths)
+    hi = max(int(x.lengths.max(initial=0)), 1)
+    _shift_right_columns(x.words[:hi], mask.astype(np.uint64), x.d)
+    x.lengths = trim_lengths(x.words, x.lengths)
 
 
 #: integer codes for the approx cases, indexable by the engine's stats
@@ -215,7 +313,7 @@ def approx_bulk(
     Returns ``(alpha, beta, case_code)``.  Columns where ``l_X ≤ 2``
     (Case 1) get code 0 and placeholder α/β — the engine finishes those in
     its scalar endgame, as the paper's RSA kernel simply omits them.  Lanes
-    with ``l_Y = 0`` produce garbage; the engine never commits them.
+    with ``l_Y = 0`` produce garbage; the engine gives them α = 0.
     """
     d = x.d
     du = np.uint64(d)
@@ -237,38 +335,34 @@ def approx_bulk(
     def div(num, den):
         return num // np.maximum(den, one)
 
-    # Case 2 (l_Y == 1): y1 is Y itself
-    c2a = x1 >= y1
-    alpha2 = np.where(c2a, div(x1, y1), div(x12, y1))
-    beta2 = np.where(c2a, lx - 1, lx - 2)
-    code2 = np.where(c2a, 1, 2)
-
-    # Case 3 (l_Y == 2): y12 is Y itself
-    c3a = x12 >= y12
-    alpha3 = np.where(c3a, div(x12, y12), div(x12, y1 + one))
-    beta3 = np.where(c3a, lx - 2, lx - 3)
-    code3 = np.where(c3a, 3, 4)
-
-    # Case 4 (both ≥ 3 words); y12+1 can only wrap when 4-A is impossible
+    # Case 4 (both ≥ 3 words) is the RSA common case: compute it for every
+    # column, then overlay the rarer cases where they occur
+    # y12+1 can only wrap when 4-A is impossible
     c4a = x12 > y12
     c4b = ~c4a & (lx > ly)
-    alpha4 = np.where(
+    alpha = np.where(
         c4a, div(x12, y12 + one), np.where(c4b, div(x12, y1 + one), one)
     )
-    beta4 = np.where(c4a, lx - ly, np.where(c4b, lx - ly - 1, 0))
-    code4 = np.where(c4a, 5, np.where(c4b, 6, 7))
+    beta = np.where(c4a, lx - ly, np.where(c4b, lx - ly - 1, 0)).astype(np.int64)
+    code = np.where(c4a, 5, np.where(c4b, 6, 7)).astype(np.int8)
 
     is_case1 = lx <= 2
     is_case2 = ~is_case1 & (ly == 1)
+    if is_case2.any():
+        # Case 2 (l_Y == 1): y1 is Y itself
+        c2a = x1 >= y1
+        np.copyto(alpha, np.where(c2a, div(x1, y1), div(x12, y1)), where=is_case2)
+        np.copyto(beta, np.where(c2a, lx - 1, lx - 2), where=is_case2)
+        np.copyto(code, np.where(c2a, 1, 2), where=is_case2, casting="unsafe")
     is_case3 = ~is_case1 & (ly == 2)
-
-    alpha = np.where(
-        is_case1, one, np.where(is_case2, alpha2, np.where(is_case3, alpha3, alpha4))
-    )
-    beta = np.where(
-        is_case1, 0, np.where(is_case2, beta2, np.where(is_case3, beta3, beta4))
-    ).astype(np.int64)
-    code = np.where(
-        is_case1, 0, np.where(is_case2, code2, np.where(is_case3, code3, code4))
-    ).astype(np.int8)
+    if is_case3.any():
+        # Case 3 (l_Y == 2): y12 is Y itself
+        c3a = x12 >= y12
+        np.copyto(alpha, np.where(c3a, div(x12, y12), div(x12, y1 + one)), where=is_case3)
+        np.copyto(beta, np.where(c3a, lx - 2, lx - 3), where=is_case3)
+        np.copyto(code, np.where(c3a, 3, 4), where=is_case3, casting="unsafe")
+    if is_case1.any():
+        alpha[is_case1] = one
+        beta[is_case1] = 0
+        code[is_case1] = 0
     return alpha, beta, code

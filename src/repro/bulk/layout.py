@@ -47,23 +47,38 @@ class BulkOperands:
     def from_ints(
         cls, values: Sequence[int], d: int, capacity: int | None = None
     ) -> BulkOperands:
-        """Pack integers into columns; capacity defaults to the widest value."""
-        if any(v < 0 for v in values):
+        """Pack integers into columns; capacity defaults to the widest value.
+
+        Each distinct value is split into words once and its column is then
+        gathered wherever it repeats — a block of all pairs over ``r``
+        moduli holds only ``r`` distinct values per operand.
+        """
+        slot: dict[int, int] = {}
+        index = np.fromiter(
+            (slot.setdefault(v, len(slot)) for v in values),
+            dtype=np.intp,
+            count=len(values),
+        )
+        distinct = list(slot)
+        if any(v < 0 for v in distinct):
             raise ValueError("BulkOperands holds non-negative integers")
         mask = (1 << d) - 1
-        need = max((max(1, -(-v.bit_length() // d)) for v in values), default=1)
+        need = max((max(1, -(-v.bit_length() // d)) for v in distinct), default=1)
         if capacity is None:
             capacity = need
         elif capacity < need:
             raise ValueError(f"values need {need} words, capacity={capacity}")
-        out = cls(d, capacity, len(values))
-        for j, v in enumerate(values):
+        packed = cls(d, capacity, len(distinct))
+        for j, v in enumerate(distinct):
             i = 0
             while v:
-                out.words[i, j] = v & mask
+                packed.words[i, j] = v & mask
                 v >>= d
                 i += 1
-            out.lengths[j] = i
+            packed.lengths[j] = i
+        out = cls(d, capacity, len(values))
+        np.take(packed.words, index, axis=1, out=out.words)
+        np.take(packed.lengths, index, out=out.lengths)
         return out
 
     def to_ints(self) -> list[int]:
@@ -110,9 +125,9 @@ class BulkOperands:
 
     def bit_lengths(self) -> np.ndarray:
         """Per-column bit length (0 for zero columns)."""
-        from repro.bulk.kernels import bit_length_u64
+        from repro.bulk.kernels import word_bit_length
 
         n = self.n
         top = self.words[np.maximum(self.lengths - 1, 0), np.arange(n)]
-        bl = bit_length_u64(top)
+        bl = word_bit_length(top)
         return np.where(self.lengths > 0, (self.lengths - 1) * self.d + bl, 0)
