@@ -56,7 +56,7 @@ SCHEMA = "repro.bench_e2e/2"
 MODES = ("pairwise", "batch", "batchscan")
 
 #: incremental-flush sweep: engines raced on identical seeded registries
-INCR_ENGINES = ("native", "ptree", "all2all")
+INCR_ENGINES = ("native", "ptree")
 QUICK_INCR_REGISTRY = (192,)
 QUICK_INCR_FLUSH = (24,)
 FULL_INCR_REGISTRY = (1_000, 10_000)
@@ -222,9 +222,7 @@ def _seeded_scanner(seed_moduli: list[int], bits: int, engine: str) -> Increment
     m = len(seed_moduli)
     return IncrementalScanner.restore({
         "version": SNAPSHOT_VERSION, "bits": bits, "engine": engine,
-        "int_backend": None, "algorithm": "approx", "d": 32,
-        "chunk_pairs": 4096, "early_terminate": True,
-        "moduli": seed_moduli, "hits": [],
+        "int_backend": None, "moduli": seed_moduli, "hits": [],
         "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
     })
 
@@ -302,8 +300,9 @@ def _incremental_speedups(runs: list[IncrementalResult]) -> list[dict]:
 
 
 def _measured_crossover(speedups: list[dict]) -> int | None:
-    """Smallest cross-pair count at which ``ptree`` beat ``native`` — the
-    value ``AUTO_MIN_CROSS_PAIRS`` / ``REPRO_INCR_AUTO_MIN_PAIRS`` encode."""
+    """Smallest measured cross-pair count at which ``ptree`` beat
+    ``native`` — an upper bound on the crossover ``AUTO_MIN_CROSS_PAIRS``
+    should encode."""
     winning = [
         s["cross_pairs"]
         for s in speedups

@@ -24,7 +24,7 @@ def main() -> None:
     print(f"{n_keys} keys arriving in batches of {batch_size}; "
           f"{len(expected)} weak pairs hidden among them\n")
 
-    scanner = IncrementalScanner(bits=bits, chunk_pairs=2048)
+    scanner = IncrementalScanner(bits=bits)
     for day, start in enumerate(range(0, n_keys, batch_size), start=1):
         batch = corpus.moduli[start : start + batch_size]
         report = scanner.add_batch(batch)

@@ -160,13 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", type=int, default=0, metavar="N",
         help="feed the corpus through the incremental scanner in batches "
         "of N keys instead of one all-pairs pass (exercises the serving "
-        "path; 0 = off)",
-    )
-    sc.add_argument(
-        "--stream-engine",
-        choices=("auto", "native", "bulk", "ptree", "all2all"),
-        default="auto",
-        help="engine tier for --stream batches (see 'serve --scan-engine')",
+        "path with its 'auto' engine; 0 = off). --algorithm and "
+        "--no-early-terminate apply only to the all-pairs backends",
     )
 
     bs = sub.add_parser(
@@ -269,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--scan-engine",
-        choices=("auto", "native", "bulk", "ptree", "all2all"),
+        choices=("auto", "native", "ptree"),
         default="auto",
-        help="scan engine tier: 'auto' (serving default; per-batch pick of "
-        "'native' vs 'ptree' from the measured crossover), 'native' "
-        "(one int-backend GCD per pair), 'bulk' (the paper's SIMT "
-        "simulation), 'ptree' (persistent product tree, one remainder "
-        "descent per flush), or 'all2all' (Pelofske-style running product)",
+        help="scan engine tier: 'auto' (default; per-batch pick of "
+        "'native' vs 'ptree' by cross pairs), 'native' (one int-backend "
+        "GCD per pair), or 'ptree' (persistent product tree, one "
+        "remainder descent per flush)",
     )
     sv.add_argument(
         "--max-batch", type=int, default=256,
@@ -697,9 +691,6 @@ def _cmd_scan_stream(
         )
         scanner = IncrementalScanner(
             bits=moduli[0].bit_length(),
-            algorithm=args.algorithm,
-            early_terminate=not args.no_early_terminate,
-            engine=args.stream_engine,
             int_backend=args.int_backend,
             telemetry=telemetry,
         )
@@ -719,9 +710,8 @@ def _cmd_scan_stream(
         "source": source,
         "moduli": scanner.n_keys,
         "pairs_tested": scanner.total_pairs_tested,
-        "backend": f"stream/{args.stream_engine}",
-        "algorithm": args.algorithm,
-        "int_backend": resolve_backend(args.int_backend).name,
+        "backend": "stream/auto",
+        "int_backend": scanner.backend.name,
         "batches": batches,
         "batch_size": args.stream,
         "coverage_complete": scanner.coverage_is_complete(),

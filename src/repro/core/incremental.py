@@ -7,42 +7,32 @@ cross pairs plus ``k(k−1)/2`` internal ones.  :class:`IncrementalScanner`
 maintains the corpus and covers exactly those new pairs, reporting hits in
 *global* key indices.
 
-Four engine tiers cover the new pairs (hit sets are identical across all
-of them — property-tested in ``tests/core/test_incremental_stateful.py``):
+Two engine tiers cover the new pairs (hit sets are identical across both
+— property-tested against a brute-force oracle in
+``tests/core/test_incremental_stateful.py``):
 
-``bulk``
-    the paper's SIMT simulation, one word-level GCD per pair — the
-    measurement subject;
 ``native``
-    one big-integer GCD per pair via :mod:`repro.util.intops` — the
-    simple serving path;
+    one big-integer GCD per cross pair via :mod:`repro.util.intops` — the
+    simple pairwise path;
 ``ptree``
     a :class:`~repro.core.ptree.PersistentProductTree` over the old
     corpus: the batch is tested against *all* old keys with a single
     remainder descent of ``Π new`` (no squaring needed — new keys are
-    never in the tree), plus a direct ``k(k−1)/2`` internal pass.
-    Amortizes the flush to roughly O(m·log k) big-integer work instead of
-    ``k·m`` independent GCDs;
-``all2all``
-    the low-entropy all-to-all approach of Pelofske 2024 (arXiv
-    2405.03166): a single running product ``P = Π old`` is kept, each new
-    key is flagged by ``gcd(n_k, P mod n_k)``, and only flagged keys —
-    rare when weak keys are rare — pay a partner-attribution pass over
-    the old corpus (cheap: the flag value is modulus-sized, so candidate
-    filtering uses small GCDs).
+    never in the tree).  Amortizes the flush to roughly O(m·log k)
+    big-integer work instead of ``k·m`` independent GCDs.
 
-``auto`` picks ``native`` or ``ptree`` per batch from the measured
-crossover in ``BENCH_e2e.json`` (see :data:`AUTO_MIN_CROSS_PAIRS`), while
-always keeping the tree maintained so either choice stays available.
+Both tiers share one direct ``k(k−1)/2`` pass for the internal pairs.
+``auto`` (the default) picks ``native`` or ``ptree`` per batch by cross
+pairs (see :data:`AUTO_MIN_CROSS_PAIRS`), while always keeping the tree
+maintained so either choice stays available.  The paper's SIMT engine is
+not a tier here: it is the subject of ``repro scan --backend bulk``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.bulk.engine import BulkGcdEngine
 from repro.core.attack import WeakHit
 from repro.core.ptree import PersistentProductTree
 from repro.telemetry import Telemetry
@@ -56,24 +46,20 @@ __all__ = [
 ]
 
 #: bump when the :meth:`IncrementalScanner.snapshot` payload changes shape
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
-_ENGINES = ("bulk", "native", "ptree", "all2all", "auto")
-#: engines that route per-pair work through the big-integer backend
-_BACKEND_ENGINES = ("native", "ptree", "all2all", "auto")
+_ENGINES = ("native", "ptree", "auto")
 
 #: ``auto`` switches from pairwise ``native`` to the ``ptree`` descent when
-#: a batch creates at least this many cross pairs (``k·m_old``).  The value
-#: is the measured crossover from ``benchmarks/bench_e2e_scaling.py
-#: --incremental`` (see BENCH_e2e.json and docs/PERFORMANCE.md): below it
+#: a batch creates at least this many cross pairs (``k·m_old``): below it
 #: — essentially only single-key flushes against small corpora — the
 #: descent's fixed costs (batch product, per-leaf flag GCDs) exceed the
-#: pairwise GCDs it saves.  Override with ``REPRO_INCR_AUTO_MIN_PAIRS``.
+#: pairwise GCDs it saves.  It is not a measured crossover: the smallest
+#: cell of ``benchmarks/bench_e2e_scaling.py --incremental``
+#: (``crossover_pairs`` in BENCH_e2e.json) is 10 000 cross pairs, and
+#: ``ptree`` already wins there; the re-measure at realistic key sizes is
+#: ROADMAP item 4.
 AUTO_MIN_CROSS_PAIRS = 256
-
-
-def _auto_threshold() -> int:
-    return int(os.environ.get("REPRO_INCR_AUTO_MIN_PAIRS", AUTO_MIN_CROSS_PAIRS))
 
 
 @dataclass
@@ -140,44 +126,29 @@ class IncrementalScanner:
         self,
         *,
         bits: int,
-        algorithm: str = "approx",
-        d: int = 32,
-        chunk_pairs: int = 4096,
-        early_terminate: bool = True,
-        engine: str = "bulk",
+        engine: str = "auto",
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        """``bits`` fixes the modulus size up front (the early-terminate
-        threshold must be corpus-wide); ``chunk_pairs`` caps bulk batch
-        sizes so memory stays bounded as the corpus grows.  ``telemetry``
+        """``bits`` fixes the modulus size up front.  ``telemetry``
         persists across batches — the scanner is long-lived, so its
         counters tell the stream's whole story.
 
         ``engine`` picks the coverage tier (see the module docstring);
-        ``int_backend`` selects the big-integer implementation for every
-        tier except ``bulk``.  ``spool_dir`` checkpoints the ``ptree``
-        tier's product tree on disk (RGSPOOL1 blobs + pinned manifest),
-        so a restarted scanner reloads it instead of re-multiplying the
-        corpus; without it the tree lives in memory only."""
+        ``int_backend`` selects the big-integer implementation.
+        ``spool_dir`` checkpoints the ``ptree``/``auto`` tiers' product
+        tree on disk (RGSPOOL1 blobs + pinned manifest), so a restarted
+        scanner reloads it instead of re-multiplying the corpus; without
+        it the tree lives in memory only."""
         if bits < 16 or bits % 2:
             raise ValueError(f"bits must be an even size >= 16, got {bits}")
-        if chunk_pairs < 1:
-            raise ValueError("chunk_pairs must be >= 1")
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
         self.bits = bits
-        self.stop_bits = bits // 2 if early_terminate else None
-        self.chunk_pairs = chunk_pairs
-        self.algorithm = algorithm
-        self.d = d
         self.engine_name = engine
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        self.engine = BulkGcdEngine(d=d, algorithm=algorithm) if engine == "bulk" else None
-        self.backend = (
-            resolve_backend(int_backend) if engine in _BACKEND_ENGINES else None
-        )
+        self.backend = resolve_backend(int_backend)
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
         self.moduli: list[int] = []
         self.all_hits: list[WeakHit] = []
@@ -185,8 +156,6 @@ class IncrementalScanner:
         self._batches = 0
         #: ptree tier state, built lazily (restore swaps the corpus in first)
         self._ptree: PersistentProductTree | None = None
-        #: all2all tier state: backend-native ``Π moduli`` (None = unbuilt)
-        self._product = None
 
     # -- engine state ----------------------------------------------------------
 
@@ -194,7 +163,7 @@ class IncrementalScanner:
         return self.engine_name in ("ptree", "auto")
 
     def _ensure_engine_state(self) -> None:
-        """Build the lazy per-engine structures for the current corpus."""
+        """Build the lazy product tree for the current corpus."""
         if self._uses_ptree() and self._ptree is None:
             tree = PersistentProductTree(
                 backend=self.backend, spool_dir=self.spool_dir,
@@ -202,25 +171,15 @@ class IncrementalScanner:
             )
             tree.load_or_rebuild(self.moduli)
             self._ptree = tree
-        if self.engine_name == "all2all" and self._product is None:
-            B = self.backend
-            self._product = (
-                B.prod([B.from_int(n) for n in self.moduli])
-                if self.moduli
-                else B.from_int(1)
-            )
 
     def _pick_engine(self, base: int, new: int) -> str:
-        """Resolve ``auto`` for one batch: pairwise below the measured
-        crossover in cross pairs, tree descent above it."""
+        """Resolve ``auto`` for one batch: pairwise below
+        :data:`AUTO_MIN_CROSS_PAIRS` cross pairs, tree descent above."""
         if self.engine_name != "auto":
             return self.engine_name
-        return "ptree" if base * new >= _auto_threshold() else "native"
+        return "ptree" if base * new >= AUTO_MIN_CROSS_PAIRS else "native"
 
-    # -- scanning --------------------------------------------------------------
-
-    def add_batch(self, new_moduli: list[int]) -> BatchReport:
-        """Ingest a batch, covering only the pairs it creates."""
+    def _check(self, new_moduli: list[int]) -> None:
         for n in new_moduli:
             if n <= 1 or n % 2 == 0:
                 raise ValueError("RSA moduli must be odd and > 1")
@@ -228,6 +187,12 @@ class IncrementalScanner:
                 raise ValueError(
                     f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
                 )
+
+    # -- scanning --------------------------------------------------------------
+
+    def add_batch(self, new_moduli: list[int]) -> BatchReport:
+        """Ingest a batch, covering only the pairs it creates."""
+        self._check(new_moduli)
         tel = self.telemetry
         self._ensure_engine_state()
         base = len(self.moduli)
@@ -247,12 +212,7 @@ class IncrementalScanner:
         clock = tel.timer.clock
         started = clock()
         with tel.timer.span("batch"):
-            if engine in ("bulk", "native"):
-                self._scan_pairwise(engine, new_moduli, base, report)
-            elif engine == "ptree":
-                self._scan_ptree(new_moduli, base, report)
-            else:
-                self._scan_all2all(new_moduli, base, report)
+            self._cover(engine, new_moduli, base, report, include_internal=True)
             if self._uses_ptree():
                 # auto maintains the tree even on pairwise batches, so the
                 # next flush can still choose the descent
@@ -299,13 +259,7 @@ class IncrementalScanner:
         >>> ([(h.i, h.j, h.prime) for h in r.hits], r.pairs_tested, s.n_keys)
         ([(0, 1, 193)], 3, 1)
         """
-        for n in new_moduli:
-            if n <= 1 or n % 2 == 0:
-                raise ValueError("RSA moduli must be odd and > 1")
-            if n.bit_length() != self.bits:
-                raise ValueError(
-                    f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
-                )
+        self._check(new_moduli)
         tel = self.telemetry
         self._ensure_engine_state()
         base = len(self.moduli)
@@ -317,19 +271,9 @@ class IncrementalScanner:
         clock = tel.timer.clock
         started = clock()
         with tel.timer.span("cross"):
-            if engine in ("bulk", "native"):
-                self._scan_pairwise(
-                    engine, new_moduli, base, report,
-                    include_internal=include_internal,
-                )
-            elif engine == "ptree":
-                self._cross_ptree(new_moduli, base, report)
-                if include_internal:
-                    self._scan_internal(new_moduli, base, report)
-            else:
-                self._cross_all2all(new_moduli, base, report)
-                if include_internal:
-                    self._scan_internal(new_moduli, base, report)
+            self._cover(
+                engine, new_moduli, base, report, include_internal=include_internal
+            )
         report.elapsed_seconds = clock() - started
         report.hits.sort(key=lambda h: (h.i, h.j))
         report.pairs_tested = base * k + (k * (k - 1) // 2 if include_internal else 0)
@@ -346,62 +290,47 @@ class IncrementalScanner:
         The dual of :meth:`cross_scan`: pairs involving these keys were
         covered elsewhere (by this scanner's own cross-scan against them,
         or by a sibling shard), so only membership changes — the ptree
-        carry-merges the new leaves, the all2all running product absorbs
-        them, and ``total_pairs_tested`` is untouched.
+        carry-merges the new leaves and ``total_pairs_tested`` is
+        untouched.
 
         >>> s = IncrementalScanner(bits=16)
         >>> s.adopt([193 * 197, 193 * 199])
         >>> (s.n_keys, s.total_pairs_tested)
         (2, 0)
         """
-        for n in new_moduli:
-            if n <= 1 or n % 2 == 0:
-                raise ValueError("RSA moduli must be odd and > 1")
-            if n.bit_length() != self.bits:
-                raise ValueError(
-                    f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
-                )
+        self._check(new_moduli)
         if not new_moduli:
             return
         self._ensure_engine_state()
         if self._uses_ptree():
             self._ptree.append(new_moduli)
-        if self.engine_name == "all2all":
-            B = self.backend
-            prod_new = B.prod([B.from_int(n) for n in new_moduli])
-            self._product = B.mul(self._product, prod_new)
         self.moduli.extend(new_moduli)
         self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
 
-    def _scan_pairwise(
+    def _cover(
         self, engine: str, new_moduli: list[int], base: int, report: BatchReport,
-        *, include_internal: bool = True,
+        *, include_internal: bool,
     ) -> None:
-        """One GCD per new pair: every new key against every old key, plus
-        new-new pairs — chunked so memory stays bounded."""
+        """One cross pass with the chosen tier, then the internal pairs.
+        Progress advances by pairs covered, whichever tier runs."""
+        if engine == "native":
+            self._cross_native(new_moduli, base, report)
+        else:
+            self._cross_ptree(new_moduli, base, report)
+        if include_internal:
+            self._scan_internal(new_moduli, base, report)
+
+    def _cross_native(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
+        """One GCD per cross pair: every new key against every old key."""
         tel = self.telemetry
-        index_pairs: list[tuple[int, int]] = []
-        for t, _ in enumerate(new_moduli):
-            gk = base + t
-            index_pairs.extend((old, gk) for old in range(base))
-            if include_internal:
-                index_pairs.extend((base + u, gk) for u in range(t))
-        corpus = self.moduli + new_moduli
-        for start in range(0, len(index_pairs), self.chunk_pairs):
-            chunk = index_pairs[start : start + self.chunk_pairs]
-            values = [(corpus[a], corpus[b]) for a, b in chunk]
-            if engine == "bulk":
-                result = self.engine.run_pairs(
-                    values, stop_bits=self.stop_bits, compact=True, telemetry=tel
-                )
-                gcds = result.gcds
-            else:
-                gcd, to_int = self.backend.gcd, self.backend.to_int
-                gcds = [to_int(gcd(a, b)) for a, b in values]
-            for (a, b), g in zip(chunk, gcds):
+        gcd, to_int = self.backend.gcd, self.backend.to_int
+        old = self.moduli
+        for t, nk in enumerate(new_moduli):
+            for i, n in enumerate(old):
+                g = to_int(gcd(n, nk))
                 if g > 1:
-                    report.hits.append(WeakHit(a, b, g))
-            tel.advance(len(chunk))
+                    report.hits.append(WeakHit(i, base + t, g))
+            tel.advance(base)
 
     def _scan_internal(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
         """The ``k(k−1)/2`` new-new pairs, directly (batches are small)."""
@@ -413,6 +342,8 @@ class IncrementalScanner:
                 g = to_int(gcd(native[u], native[t]))
                 if g > 1:
                     report.hits.append(WeakHit(base + u, base + t, g))
+        k = len(native)
+        self.telemetry.advance(k * (k - 1) // 2)
 
     def _cross_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
         """Cross pairs via one remainder descent of ``Π new`` down the
@@ -439,41 +370,7 @@ class IncrementalScanner:
                         report.hits.append(
                             WeakHit(i, base + t, to_int(gcd(leaf, nk)))
                         )
-            tel.advance(base)
-
-    def _scan_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        self._cross_ptree(new_moduli, base, report)
-        self._scan_internal(new_moduli, base, report)
-
-    def _cross_all2all(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """Pelofske-style all-to-all: flag each new key against the running
-        product of the old corpus, attribute only the flagged ones."""
-        tel = self.telemetry
-        B = self.backend
-        gcd, mod, to_int, from_int = B.gcd, B.mod, B.to_int, B.from_int
-        one = B.from_int(1)
-        native_new = [from_int(n) for n in new_moduli]
-        if base:
-            for t, nk in enumerate(native_new):
-                g = gcd(nk, mod(self._product, nk))
-                if g <= one:
-                    continue
-                # g holds every prime this key shares with the old corpus;
-                # candidates are the old keys sharing part of g (small GCDs)
-                for i, n_old in enumerate(self.moduli):
-                    cand = from_int(n_old)
-                    if to_int(gcd(cand, g)) > 1:
-                        report.hits.append(
-                            WeakHit(i, base + t, to_int(gcd(cand, nk)))
-                        )
-            tel.advance(base)
-
-    def _scan_all2all(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        self._cross_all2all(new_moduli, base, report)
-        self._scan_internal(new_moduli, base, report)
-        B = self.backend
-        prod_new = B.prod([B.from_int(n) for n in new_moduli]) if new_moduli else B.from_int(1)
-        self._product = B.mul(self._product, prod_new)
+            tel.advance(base * len(new_moduli))
 
     # -- accounting ------------------------------------------------------------
 
@@ -508,11 +405,7 @@ class IncrementalScanner:
             "version": SNAPSHOT_VERSION,
             "bits": self.bits,
             "engine": self.engine_name,
-            "int_backend": self.backend.name if self.backend is not None else None,
-            "algorithm": self.algorithm,
-            "d": self.d,
-            "chunk_pairs": self.chunk_pairs,
-            "early_terminate": self.stop_bits is not None,
+            "int_backend": self.backend.name,
             "moduli": list(self.moduli),
             "hits": [[h.i, h.j, h.prime] for h in self.all_hits],
             "total_pairs_tested": self.total_pairs_tested,
@@ -526,50 +419,43 @@ class IncrementalScanner:
         *,
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
+        engine: str | None = None,
         telemetry: Telemetry | None = None,
-        **overrides,
     ) -> IncrementalScanner:
         """Rebuild a scanner from a :meth:`snapshot` payload.
 
         The restored scanner picks up exactly where the snapshot left off:
         the next :meth:`add_batch` scans only new-vs-old and new-vs-new
         pairs, and no hit already in the snapshot is ever re-reported.
-        ``overrides`` may replace any scan-configuration field recorded in
-        the snapshot (``algorithm``, ``d``, ``chunk_pairs``,
-        ``early_terminate``, ``engine``) — the corpus facts cannot change.
+        ``engine`` may override the tier recorded in the snapshot — the
+        corpus facts cannot change.
 
-        Version-2 snapshots record the resolved ``int_backend``; restoring
-        one resolves the *same* backend unless the caller overrides it
-        explicitly, and raises if that backend is not importable here.
-        Version-1 payloads (no backend record, no tree) still restore —
-        the ``ptree`` tier rebuilds its tree from the moduli.
+        Snapshots from version 2 on record the resolved ``int_backend``;
+        restoring one resolves the *same* backend unless the caller
+        overrides it explicitly, and raises if that backend is not
+        importable here.  Version-1 payloads (no backend record, no tree)
+        still restore — the ``ptree`` tier rebuilds its tree from the
+        moduli.  Versions 1 and 2 also recorded the scan knobs of tiers
+        since retired, which are ignored; a snapshot that records a
+        retired tier as its ``engine`` restores with an ``engine``
+        override (hit sets are identical across tiers).
         """
         if not isinstance(state, dict):
             raise ValueError("snapshot must be a dict")
         version = state.get("version")
-        if version not in (1, SNAPSHOT_VERSION):
+        if version not in (1, 2, SNAPSHOT_VERSION):
             raise ValueError(
                 f"unsupported scanner snapshot version {version!r}"
             )
-        config = {
-            "bits": int(state["bits"]),
-            "algorithm": state["algorithm"],
-            "d": int(state["d"]),
-            "chunk_pairs": int(state["chunk_pairs"]),
-            "early_terminate": bool(state["early_terminate"]),
-            "engine": state["engine"],
-        }
-        unknown = set(overrides) - (set(config) - {"bits"})
-        if unknown:
-            raise ValueError(f"unknown restore overrides: {sorted(unknown)}")
-        config.update(overrides)
+        if engine is None:
+            engine = state["engine"]
         if int_backend is None:
             # pin to the snapshot's resolved backend: a missing gmpy2 here
             # raises from resolve_backend instead of silently downgrading
             int_backend = state.get("int_backend")
         scanner = cls(
-            int_backend=int_backend, spool_dir=spool_dir,
-            telemetry=telemetry, **config,
+            bits=int(state["bits"]), engine=engine, int_backend=int_backend,
+            spool_dir=spool_dir, telemetry=telemetry,
         )
         moduli = [int(n) for n in state["moduli"]]
         for n in moduli:

@@ -78,16 +78,11 @@ class ServiceConfig:
     state_dir: Path
     #: modulus size; ``None`` pins to the first key's size (persisted)
     bits: int | None = None
-    #: scan engine tier: ``auto`` (serving default; picks ``native`` or
-    #: ``ptree`` per batch from the measured crossover), ``native``,
-    #: ``bulk``, ``ptree``, or ``all2all``
+    #: scan engine tier: ``auto`` (picks ``native`` or ``ptree`` per batch
+    #: by cross pairs), ``native``, or ``ptree``
     engine: str = "auto"
-    #: big-integer backend for the non-bulk engines (auto/python/gmpy2)
+    #: big-integer backend for the scan engines (auto/python/gmpy2)
     int_backend: str | None = None
-    algorithm: str = "approx"
-    d: int = 32
-    chunk_pairs: int = 4096
-    early_terminate: bool = True
     #: micro-batching: flush at ``max_batch`` keys or after ``linger_ms``
     max_batch: int = 256
     linger_ms: float = 20.0
@@ -235,11 +230,7 @@ class WeakKeyService:
         )
 
     def _scan_config(self) -> dict:
-        c = self.config
-        return {
-            "algorithm": c.algorithm, "d": c.d, "chunk_pairs": c.chunk_pairs,
-            "early_terminate": c.early_terminate, "engine": c.engine,
-        }
+        return {"engine": self.config.engine}
 
     def _ptree_dir(self) -> Path:
         """Where the ``ptree``/``auto`` tiers checkpoint the product tree —
@@ -375,10 +366,10 @@ class WeakKeyService:
             try:
                 report = self.scanner.add_batch(fresh)
             except Exception:
-                # a failed flush can leave the scanner's engine state
-                # (product tree, running product) half-updated; rebuild it
-                # from the registry — the durable truth — so the retried
-                # batch scans against a consistent corpus
+                # a failed flush can leave the scanner's product tree
+                # half-updated; rebuild it from the registry — the durable
+                # truth — so the retried batch scans against a consistent
+                # corpus
                 self.scanner = (
                     IncrementalScanner.restore(
                         self.registry.scanner_snapshot(**self._scan_config()),

@@ -476,17 +476,14 @@ class WeakKeyRegistry:
         Valid because of the commit contract: every committed batch was
         fully scanned against all keys registered before it, so coverage is
         exactly complete — restart never rescans an old-vs-old pair.
-        ``scan_config`` supplies the scan parameters (``algorithm``, ``d``,
-        ``chunk_pairs``, ``early_terminate``, ``engine``, ``int_backend``).
+        ``scan_config`` supplies the scan parameters (``engine``,
+        ``int_backend``).
         """
         if self.bits is None:
             raise RegistryError("registry holds no keys yet; nothing to snapshot")
         with self._lock:
             m = len(self.moduli)
-            config = {
-                "algorithm": "approx", "d": 32, "chunk_pairs": 4096,
-                "early_terminate": True, "engine": "auto", "int_backend": None,
-            }
+            config = {"engine": "auto", "int_backend": None}
             unknown = set(scan_config) - set(config)
             if unknown:
                 raise RegistryError(f"unknown scan config: {sorted(unknown)}")

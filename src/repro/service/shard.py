@@ -78,7 +78,7 @@ SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/1"
 #: balance spread at single-digit shard counts without bloating lookups
 DEFAULT_RING_REPLICAS = 32
 
-_SCAN_CONFIG_KEYS = ("algorithm", "d", "chunk_pairs", "early_terminate", "engine")
+_SCAN_CONFIG_KEYS = ("engine",)
 
 
 class ShardJobFailed(FatalError):

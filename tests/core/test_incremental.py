@@ -1,14 +1,27 @@
 """Tests for the incremental (streamed) weak-key scanner."""
 
+import json
 import math
 
 import pytest
 
+from repro.core import incremental
 from repro.core.attack import find_shared_primes
 from repro.core.incremental import IncrementalScanner
 from repro.rsa.corpus import generate_weak_corpus
+from repro.telemetry import Telemetry
 
 BITS = 64
+
+#: a version-2 snapshot exactly as the five-tier scanner wrote it (engine
+#: ``all2all``, 32-bit products of 16-bit primes, two batches of three)
+LEGACY_V2_SNAPSHOT = (
+    '{"version": 2, "bits": 32, "engine": "all2all", "int_backend": "python",'
+    ' "algorithm": "approx", "d": 32, "chunk_pairs": 4096, "early_terminate": true,'
+    ' "moduli": [2417000533, 2417098847, 2419164161, 2420639999, 2419852639,'
+    ' 2422313053], "hits": [[0, 1, 49157], [2, 4, 49177]],'
+    ' "total_pairs_tested": 15, "batches": 2}'
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +60,6 @@ class TestIncrementalScanner:
         m = corpus.n_keys
         assert total == m * (m - 1) // 2
 
-    def test_chunking_does_not_change_results(self, corpus):
-        a = IncrementalScanner(bits=BITS, chunk_pairs=3)
-        b = IncrementalScanner(bits=BITS, chunk_pairs=10_000)
-        a.add_batch(corpus.moduli)
-        b.add_batch(corpus.moduli)
-        assert {(h.i, h.j) for h in a.all_hits} == {(h.i, h.j) for h in b.all_hits}
-
     def test_hit_primes_divide_moduli(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli)
@@ -88,16 +94,8 @@ class TestIncrementalScanner:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             IncrementalScanner(bits=15)
-        with pytest.raises(ValueError):
-            IncrementalScanner(bits=64, chunk_pairs=0)
-
-    def test_no_early_terminate_mode(self, corpus):
-        scanner = IncrementalScanner(bits=BITS, early_terminate=False)
-        scanner.add_batch(corpus.moduli[:8])
-        expected = {
-            (i, j) for (i, j) in corpus.weak_pair_set() if i < 8 and j < 8
-        }
-        assert {(h.i, h.j) for h in scanner.all_hits} == expected
+        with pytest.raises(ValueError, match="unknown engine"):
+            IncrementalScanner(bits=64, engine="bulk")
 
 
 class TestSnapshotRestore:
@@ -130,21 +128,18 @@ class TestSnapshotRestore:
         assert not old_hits & set(rep.hits)
 
     def test_snapshot_is_json_ready(self, corpus):
-        import json
-
         scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:5])
         back = IncrementalScanner.restore(json.loads(json.dumps(scanner.snapshot())))
         assert back.moduli == scanner.moduli
 
     def test_restore_config_overrides(self, corpus):
-        scanner = IncrementalScanner(bits=BITS, chunk_pairs=7)
+        scanner = IncrementalScanner(bits=BITS, engine="ptree")
         scanner.add_batch(corpus.moduli[:5])
-        resumed = IncrementalScanner.restore(
-            scanner.snapshot(), engine="native", chunk_pairs=100
-        )
-        assert resumed.engine_name == "native" and resumed.chunk_pairs == 100
-        with pytest.raises(ValueError, match="unknown restore overrides"):
+        resumed = IncrementalScanner.restore(scanner.snapshot(), engine="native")
+        assert resumed.engine_name == "native"
+        # the engine is the only override; corpus facts cannot change
+        with pytest.raises(TypeError):
             IncrementalScanner.restore(scanner.snapshot(), bits=128)
 
     def test_restore_rejects_corrupt_snapshots(self, corpus):
@@ -162,14 +157,6 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="dict"):
             IncrementalScanner.restore("nope")
 
-    def test_native_engine_matches_bulk(self, corpus):
-        bulk = IncrementalScanner(bits=BITS, engine="bulk")
-        native = IncrementalScanner(bits=BITS, engine="native")
-        for start in range(0, corpus.n_keys, 5):
-            bulk.add_batch(corpus.moduli[start : start + 5])
-            native.add_batch(corpus.moduli[start : start + 5])
-        assert bulk.all_hits == native.all_hits
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             IncrementalScanner(bits=BITS, engine="quantum")
@@ -178,26 +165,25 @@ class TestSnapshotRestore:
 class TestEngineTiers:
     def test_all_engines_report_identical_streams(self, corpus, tmp_path):
         scanners = {
-            "bulk": IncrementalScanner(bits=BITS, engine="bulk"),
             "native": IncrementalScanner(bits=BITS, engine="native"),
             "ptree": IncrementalScanner(
                 bits=BITS, engine="ptree", spool_dir=tmp_path / "pt"
             ),
-            "all2all": IncrementalScanner(bits=BITS, engine="all2all"),
+            "auto": IncrementalScanner(bits=BITS, engine="auto"),
         }
         for start in range(0, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             reports = {k: s.add_batch(list(batch)) for k, s in scanners.items()}
             hit_sets = {k: [(h.i, h.j, h.prime) for h in r.hits] for k, r in reports.items()}
             assert len({str(v) for v in hit_sets.values()}) == 1, hit_sets
-        reference = scanners["bulk"]
+        reference = scanners["native"]
         for scanner in scanners.values():
             assert scanner.all_hits == reference.all_hits
             assert scanner.total_pairs_tested == reference.total_pairs_tested
             assert scanner.coverage_is_complete()
 
     def test_auto_picks_by_measured_crossover(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_AUTO_MIN_PAIRS", "20")
+        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 20)
         scanner = IncrementalScanner(bits=BITS, engine="auto")
         small = scanner.add_batch(corpus.moduli[:4])  # 6 pairs < 20
         assert small.engine == "native"
@@ -206,8 +192,8 @@ class TestEngineTiers:
         expected = {(h.i, h.j) for h in IncrementalScanner(bits=BITS).add_batch(corpus.moduli).hits}
         assert {(h.i, h.j) for h in scanner.all_hits} == expected
 
-    def test_auto_threshold_env_flips_the_choice(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_AUTO_MIN_PAIRS", "1000000")
+    def test_auto_threshold_flips_the_choice(self, corpus, monkeypatch):
+        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 1_000_000)
         scanner = IncrementalScanner(bits=BITS, engine="auto")
         scanner.add_batch(corpus.moduli[:9])
         rep = scanner.add_batch(corpus.moduli[9:])
@@ -220,6 +206,19 @@ class TestEngineTiers:
         keys = [(h.i, h.j) for h in scanner.all_hits]
         assert keys == sorted(keys)
         assert len(scanner.all_hits) >= 2  # the merge path actually merged
+
+    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
+    def test_progress_counts_pairs_covered(self, engine, monkeypatch):
+        # a low threshold makes auto mix tiers: native for the first
+        # batch (no cross pairs), ptree for the rest
+        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 20)
+        corpus = generate_weak_corpus(40, 64, shared_groups=(2, 3), seed="progress")
+        telemetry = Telemetry.create(progress_callback=lambda update: None)
+        scanner = IncrementalScanner(bits=64, engine=engine, telemetry=telemetry)
+        for start in range(0, 40, 10):
+            scanner.add_batch(corpus.moduli[start : start + 10])
+        assert scanner.total_pairs_tested == 40 * 39 // 2
+        assert telemetry.progress.completed == scanner.total_pairs_tested
 
 
 class TestSnapshotVersioning:
@@ -260,9 +259,31 @@ class TestSnapshotVersioning:
         assert resumed.all_hits == straight.all_hits
         assert rep.engine == "ptree"
 
-    def test_restored_ptree_loads_from_spool(self, corpus, tmp_path):
-        from repro.telemetry import Telemetry
+    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
+    def test_v2_snapshot_of_a_retired_engine_restores(self, engine, tmp_path):
+        # written by the five-tier scanner: a v2 payload recording the
+        # all2all tier and the bulk-only knobs, which restore ignores
+        v2 = json.loads(LEGACY_V2_SNAPSHOT)
+        resumed = IncrementalScanner.restore(
+            v2, engine=engine, spool_dir=tmp_path / "pt"
+        )
+        assert resumed.engine_name == engine
+        assert [(h.i, h.j, h.prime) for h in resumed.all_hits] == [
+            tuple(h) for h in v2["hits"]
+        ]
+        assert resumed.coverage_is_complete()
+        assert "chunk_pairs" not in resumed.snapshot()
+        assert resumed.snapshot()["version"] == incremental.SNAPSHOT_VERSION
+        # the stream carries on from the old state
+        fresh = 49157 * 49223
+        rep = resumed.add_batch([fresh])
+        assert [(h.i, h.j) for h in rep.hits] == [
+            (i, 6) for i, n in enumerate(v2["moduli"]) if math.gcd(n, fresh) > 1
+        ]
+        assert len(rep.hits) == 3
+        assert resumed.coverage_is_complete()
 
+    def test_restored_ptree_loads_from_spool(self, corpus, tmp_path):
         scanner = IncrementalScanner(
             bits=BITS, engine="ptree", spool_dir=tmp_path / "pt"
         )
@@ -279,8 +300,6 @@ class TestSnapshotVersioning:
 
 class TestIncrementalTelemetry:
     def test_batch_reports_carry_metrics(self):
-        from repro.rsa.corpus import generate_weak_corpus
-
         corpus = generate_weak_corpus(20, 64, shared_groups=(2,), seed="inc-tel")
         scanner = IncrementalScanner(bits=64)
         first = scanner.add_batch(corpus.moduli[:10])
@@ -296,8 +315,6 @@ class TestIncrementalTelemetry:
         assert first.elapsed_seconds > 0 and second.elapsed_seconds > 0
 
     def test_elapsed_is_per_batch_even_under_enclosing_spans(self):
-        from repro.telemetry import Telemetry
-
         corpus = generate_weak_corpus(12, 64, shared_groups=(2,), seed="inc-span")
         telemetry = Telemetry.create()
         scanner = IncrementalScanner(bits=64, telemetry=telemetry)
@@ -313,7 +330,7 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    ENGINES = ("bulk", "native", "ptree", "all2all", "auto")
+    ENGINES = ("native", "ptree", "auto")
 
     def _scanner(self, engine, tmp_path):
         kwargs = {"spool_dir": tmp_path / f"pt-{engine}"} if engine == "ptree" else {}

@@ -1,14 +1,15 @@
 """Stateful property tests: engine tiers differentially, and vs an oracle.
 
 Hypothesis drives an arbitrary interleaving of key-batch arrivals (weak
-and healthy keys mixed) and snapshot/restore round-trips across *all four*
-engine tiers at once — ``bulk``, ``native``, ``ptree`` (spool-backed), and
-``all2all``.  After every step the tiers must agree on everything
-observable: identical hit triples ``(i, j, prime)``, identical
-``pairs_tested`` accounting, and ``coverage_is_complete()`` — and the
-shared hit set must equal the brute-force all-pairs oracle over
-everything ingested so far.  This is the proof that the amortized engines
-are drop-in replacements for the paper's pairwise scan.
+and healthy keys mixed) and snapshot/restore round-trips across *every*
+engine tier at once — ``native``, ``ptree`` (spool-backed), and ``auto``
+(with its threshold lowered so it really mixes the two).  After every
+step the tiers must agree on everything observable: identical hit
+triples ``(i, j, prime)``, identical ``pairs_tested`` accounting, and
+``coverage_is_complete()`` — and the shared hit set must equal the
+brute-force all-pairs oracle over everything ingested so far.  This is
+the proof that the amortized engine is a drop-in replacement for the
+paper's pairwise scan.
 """
 
 import math
@@ -20,11 +21,15 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core import incremental
 from repro.core.incremental import IncrementalScanner
 
 BITS = 32  # tiny "moduli" keep the oracle cheap; scanner logic is size-blind
 
-ENGINES = ("bulk", "native", "ptree", "all2all")
+ENGINES = ("native", "ptree", "auto")
+#: cross pairs at which ``auto`` switches to ``ptree`` inside the machine:
+#: low enough that the machine's small batches land on both sides
+AUTO_THRESHOLD = 6
 
 # 16-bit primes with the top two bits set, so every product has 32 bits
 _PRIMES = [49157, 49169, 49171, 49177, 49193, 49199, 49201, 49207, 49211, 49223]
@@ -46,14 +51,16 @@ def _picks():
 
 
 class EngineDifferentialMachine(RuleBasedStateMachine):
-    """All four engines fed the same stream must stay indistinguishable."""
+    """Every engine fed the same stream must stay indistinguishable."""
 
     def __init__(self):
         super().__init__()
         self.tmp = Path(tempfile.mkdtemp(prefix="ptree-stateful-"))
+        self.saved_threshold = incremental.AUTO_MIN_CROSS_PAIRS
+        incremental.AUTO_MIN_CROSS_PAIRS = AUTO_THRESHOLD
         self.scanners = {
             engine: IncrementalScanner(
-                bits=BITS, d=8, chunk_pairs=7, engine=engine,
+                bits=BITS, engine=engine,
                 spool_dir=self.tmp / "ptree" if engine == "ptree" else None,
             )
             for engine in ENGINES
@@ -61,6 +68,7 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
         self.ingested: list[int] = []
 
     def teardown(self):
+        incremental.AUTO_MIN_CROSS_PAIRS = self.saved_threshold
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     @rule(picks=_picks())
@@ -82,7 +90,7 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
             for engine, r in reports.items()
         }
         assert len(set(map(str, observable.values()))) == 1, observable
-        for h in reports["bulk"].hits:
+        for h in reports["native"].hits:
             assert h.j >= base  # every hit involves at least one new key
             assert math.gcd(self.ingested[h.i], self.ingested[h.j]) % h.prime == 0
             assert h.prime > 1

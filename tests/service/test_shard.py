@@ -22,7 +22,7 @@ import pytest
 from repro.resilience import faults
 from repro.rsa.corpus import generate_weak_corpus
 from repro.service.http import ServiceConfig, WeakKeyService
-from repro.service.shard import ShardRing, simulate_watermarks
+from repro.service.shard import ShardRing, _ShardWorker, simulate_watermarks
 from repro.telemetry import Telemetry
 
 BITS = 64
@@ -211,3 +211,34 @@ class TestDrainOrdering:
         assert events.index("service.stop") > committed
         if shards > 1:
             assert events.index("shard.synced") < final_sync
+
+
+#: a shard snapshot exactly as the five-tier scanner wrote it: its scanner
+#: payload is version 2, records the ``bulk`` tier (which resolved no int
+#: backend) and carries the four bulk-only knobs
+LEGACY_SHARD_JSON = (
+    '{"format": "repro.shard-snapshot/1", "shard": 0, "shards": 1, "replicas": 32,'
+    ' "scanner": {"version": 2, "bits": 32, "engine": "bulk", "int_backend": null,'
+    ' "algorithm": "approx", "d": 32, "chunk_pairs": 4096, "early_terminate": true,'
+    ' "moduli": [2417000533, 2417098847, 2419164161, 2420639999, 2419852639,'
+    ' 2422313053], "hits": [[0, 1, 49157], [2, 4, 49177]],'
+    ' "total_pairs_tested": 15, "batches": 2},'
+    ' "indices": [0, 1, 2, 3, 4, 5], "pairs_tested": 15, "job": 2,'
+    ' "job_fp": null, "job_hits": [], "job_pairs": 0}'
+)
+
+
+class TestLegacyShardState:
+    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
+    def test_retired_engine_snapshot_loads_with_service_engine(self, tmp_path, engine):
+        worker = _ShardWorker(0, 1, 32, str(tmp_path), {"engine": engine}, None)
+        worker.snapshot_path.parent.mkdir(parents=True)
+        worker.snapshot_path.write_text(LEGACY_SHARD_JSON)
+        assert worker._load()
+        scanner = worker.scanner
+        assert scanner.engine_name == engine
+        legacy = json.loads(LEGACY_SHARD_JSON)["scanner"]
+        assert [[h.i, h.j, h.prime] for h in scanner.all_hits] == legacy["hits"]
+        assert scanner.moduli == legacy["moduli"]
+        assert scanner.coverage_is_complete()
+        assert worker.pairs_tested == 15 and worker.applied_job == 2

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.rsa.corpus import WeakCorpus
 from repro.rsa.pem import load_public_moduli
 from repro.util.intops import available_backends
 
@@ -116,6 +117,22 @@ class TestCorpusAndScan:
         assert len(payload["hits"]) == 4
         for hit in payload["hits"]:
             assert int(hit["prime"]) > 1
+
+    def test_scan_stream_matches_ground_truth(self, corpus_file, tmp_path, capsys):
+        stats = tmp_path / "stream.json"
+        rc = main(
+            ["scan", "--corpus", str(corpus_file), "--stream", "5",
+             "--stats-json", str(stats)]
+        )
+        assert rc == 0
+        assert "all 4 planted pair(s) found" in capsys.readouterr().out
+        payload = json.loads(stats.read_text())
+        truth = WeakCorpus.from_json(corpus_file.read_text()).weak_pair_set()
+        assert {(h["i"], h["j"]) for h in payload["hits"]} == truth
+        assert payload["ground_truth_matched"] is True
+        assert payload["coverage_complete"] is True
+        assert payload["batches"] == 3
+        assert payload["pairs_tested"] == 12 * 11 // 2
 
     def test_scan_too_few_keys(self, tmp_path, capsys):
         pem = tmp_path / "one.pem"
