@@ -133,7 +133,6 @@ def run_case(
     *,
     synthetic: bool,
     repeat: int,
-    workers: int,
     spool_root: Path,
 ) -> CaseResult:
     """Execute one cell of the sweep and package its measurement."""
@@ -164,10 +163,7 @@ def run_case(
         def fn():
             with tempfile.TemporaryDirectory(dir=spool_root) as d:
                 return run_pipeline(
-                    moduli,
-                    PipelineConfig(
-                        spool_dir=d, backend=backend_name, workers=workers
-                    ),
+                    moduli, PipelineConfig(spool_dir=d, backend=backend_name)
                 )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown mode {mode!r}")
@@ -369,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(every importable one)")
     p.add_argument("--repeat", type=int, default=1,
                    help="timing repeats per cell (best-of-k is reported)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="batchscan worker processes (0 = inline)")
     p.add_argument("--pairwise-max", type=int, default=DEFAULT_PAIRWISE_MAX,
                    help="skip pairwise mode above this many moduli "
                         f"(default {DEFAULT_PAIRWISE_MAX}; it is O(m^2))")
@@ -460,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                     r = run_case(
                         mode, backend_name, moduli, bits,
                         synthetic=args.synthetic, repeat=args.repeat,
-                        workers=args.workers, spool_root=spool_root,
+                        spool_root=spool_root,
                     )
                     runs.append(r)
                     hits = "-" if r.hits is None else r.hits
@@ -526,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick, "synthetic": args.synthetic,
             "sizes": list(sizes), "bits": list(bits_list),
             "modes": list(args.modes), "backends": backends,
-            "repeat": args.repeat, "workers": args.workers,
+            "repeat": args.repeat,
             "pairwise_max": args.pairwise_max, "seed": args.seed,
             "incremental": args.incremental,
         },

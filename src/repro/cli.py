@@ -6,7 +6,7 @@ Subcommands (``python -m repro <cmd> --help`` for details):
 keygen     generate RSA keys as a PEM bundle (optionally private)
 corpus     build a weak-key corpus (JSON ground truth + optional PEM bundle)
 scan       all-pairs shared-prime scan over a PEM bundle or corpus JSON
-batchscan  sharded, checkpointed batch-GCD pipeline (resumable, disk-spooled)
+batchscan  disk-streamed, checkpointed batch-GCD pipeline (resumable)
 serve      long-running weak-key registry service (HTTP, durable state dir)
 submit     client for a running registry service (submit keys, fetch hits)
 fsck       deep-verify / repair a state directory offline (docs/INTEGRITY.md)
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bs = sub.add_parser(
         "batchscan",
-        help="sharded batch-GCD pipeline: disk-spooled trees, resumable checkpoints",
+        help="disk-streamed batch-GCD pipeline: spooled trees, resumable checkpoints",
     )
     bsrc = bs.add_mutually_exclusive_group(required=True)
     bsrc.add_argument("--corpus", type=Path, help="corpus JSON (scored against ground truth)")
@@ -178,20 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument(
         "--spool-dir", type=Path, required=True,
         help="directory for spilled tree levels and the checkpoint manifest",
-    )
-    bs.add_argument(
-        "--shard-size", type=int, default=1024,
-        help="moduli ingested per shard (default 1024)",
-    )
-    bs.add_argument(
-        "--memory-budget", default="256m", metavar="BYTES",
-        help="bytes of tree nodes held in RAM at once; suffixes k/m/g "
-        "(default 256m) — smaller budgets mean more, smaller chunks",
-    )
-    bs.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for tree levels and the leaf pass "
-        "(default 0 = in-process)",
     )
     bs.add_argument(
         "--resume", action="store_true",
@@ -206,13 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage-deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per stage across all of its attempts "
         "(default: unbounded)",
-    )
-    bs.add_argument(
-        "--chunk-attempts", type=int, default=6,
-        help="total tries a chunk gets when its pool worker keeps dying "
-        "(default 6 — under sustained crashes a healthy chunk's execution "
-        "can be aborted by a sibling worker's death, so the budget carries "
-        "headroom above the poison threshold)",
     )
     bs.add_argument(
         "--backend", choices=BACKEND_CHOICES, default=None, metavar="NAME",
@@ -762,20 +741,6 @@ def _cmd_scan_stream(
     return 0
 
 
-def _parse_bytes(text: str) -> int:
-    """``"65536"``, ``"64k"``, ``"256m"``, ``"2g"`` → bytes."""
-    text = str(text).strip().lower()
-    factor = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}.get(text[-1:], 1)
-    digits = text[:-1] if factor != 1 else text
-    try:
-        value = int(digits) * factor
-    except ValueError:
-        raise ValueError(f"not a byte size: {text!r} (use e.g. 65536, 64k, 256m)") from None
-    if value < 1:
-        raise ValueError("memory budget must be positive")
-    return value
-
-
 def _cmd_batchscan(args: argparse.Namespace) -> int:
     expected = None
     if args.corpus:
@@ -795,14 +760,10 @@ def _cmd_batchscan(args: argparse.Namespace) -> int:
 
     config = PipelineConfig(
         spool_dir=args.spool_dir,
-        shard_size=args.shard_size,
-        memory_budget=_parse_bytes(args.memory_budget),
-        workers=args.workers,
         resume=args.resume,
         retries=args.retries,
         backend=args.backend,
         stage_deadline=args.stage_deadline,
-        chunk_attempts=args.chunk_attempts,
     )
     progress_cb = _stderr_progress if args.progress else None
     event_stream = None

@@ -24,7 +24,7 @@ from repro.core.attack import (
 from repro.core.batch_gcd import batch_gcd, product_tree, remainder_tree
 from repro.core.incremental import BatchReport, IncrementalScanner
 from repro.core.pairing import BlockTask, all_pair_count, block_schedule, block_pairs
-from repro.core.parallel import find_shared_primes_parallel, run_chunked
+from repro.core.parallel import find_shared_primes_parallel
 from repro.core.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -51,6 +51,5 @@ __all__ = [
     "product_tree",
     "quick_check",
     "remainder_tree",
-    "run_chunked",
     "run_pipeline",
 ]

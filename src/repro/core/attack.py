@@ -287,7 +287,7 @@ def group_batch_hits(
 
     ``flagged`` holds ``(index, modulus, gcd)`` triples for every modulus
     whose batch GCD came back non-trivial — the only moduli a pairing pass
-    needs, which is why the sharded pipeline can stream everything else
+    needs, which is why the disk-streamed pipeline can stream everything else
     straight to disk.  A gcd equal to the full modulus (both primes shared
     elsewhere, e.g. a duplicated key) is split by pairwise GCD against the
     other flagged moduli; everything else groups by the shared prime, and

@@ -11,8 +11,11 @@ Resume semantics (see ``docs/BATCH_PIPELINE.md``):
 
 * a missing or unparsable manifest means "start from scratch";
 * the stored config is *not* compared on resume: no current config field
-  (``shard_size``, ``memory_budget``, ``workers``) affects blob contents,
-  so resuming with different parameters is safe and keeps the checkpoint.
+  (``resume``, ``retries``, ``stage_deadline``) affects blob contents,
+  and ``backend`` changes only how the same integers are computed, so
+  resuming with different parameters is safe and keeps the checkpoint.
+  Keys an older run wrote for since-deleted knobs (its ingest shard size,
+  chunking budget and pool size) are carried along unread.
   What pins the checkpoint to its input is the ingest blob's SHA-256, and
   the stage plan is rederived from the ingest record's count alone.  If a
   future config field ever changes blob contents, resume must start
@@ -61,7 +64,7 @@ class StageRecord:
 class Manifest:
     """The run's durable state: configuration plus completed stages.
 
-    >>> m = Manifest(config={"n_moduli": 8, "shard_size": 4})
+    >>> m = Manifest(config={"n_moduli": 8, "backend": "python"})
     >>> m.stage("ingest") is None
     True
     """

@@ -1,4 +1,4 @@
-"""Multi-process execution: the all-pairs comparator and chunked maps.
+"""Multi-process execution: the all-pairs comparator over a process pool.
 
 The paper's introduction contrasts GPUs with multicore processors; this
 backend is that other branch — the Section VI block schedule fanned out
@@ -16,24 +16,20 @@ the worker's pid, and the workers' registries are merged into the parent's
 at join — counters add, histograms pool, so ``kernel.*`` statistics span
 the whole fleet.
 
-The second half of this module is the sharded batch-GCD pipeline's
-execution layer: :func:`run_chunked` maps picklable chunk functions
-(:func:`product_chunk`, :func:`remainder_chunk`, :func:`leaf_gcd_chunk`)
-over a lazy chunk stream through a *supervised* process pool
-(:func:`repro.resilience.supervisor.supervised_map`), preserving order
-with a bounded number of chunks in flight so memory stays inside the
-pipeline's budget no matter how long the stream runs.  Supervision is
-what makes both halves survive worker death: each in-flight block/chunk
-spec is retained next to its future, a broken pool is respawned, and the
-lost units are resubmitted — a ``kill -9``'d worker costs one chunk's
-latency, not the run (see ``docs/RESILIENCE.md``).
+The pool is *supervised*
+(:func:`repro.resilience.supervisor.supervised_map`), which is what lets
+a scan survive worker death: each in-flight block spec is retained next
+to its future, a broken pool is respawned, and the lost blocks are
+resubmitted — a ``kill -9``'d worker costs one block's latency, not the
+run (see ``docs/RESILIENCE.md``).  The disk-streamed batch-GCD pipeline
+(:mod:`repro.core.pipeline`) runs in one process and uses none of this.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable
 
 from repro.bulk.engine import BulkGcdEngine
 from repro.core.attack import AttackReport, WeakHit
@@ -42,16 +38,7 @@ from repro.resilience.supervisor import supervised_map
 from repro.telemetry import MetricsRegistry, StageTimer, Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = [
-    "find_shared_primes_parallel",
-    "run_chunked",
-    "product_chunk",
-    "remainder_chunk",
-    "leaf_gcd_chunk",
-]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["find_shared_primes_parallel"]
 
 # worker-process globals, set once by _init_worker
 _WORKER_MODULI: list[int] = []
@@ -215,101 +202,3 @@ def find_shared_primes_parallel(
     tel.emit("scan.done", pairs_tested=report.pairs_tested,
              hits=len(report.hits), elapsed_seconds=report.elapsed_seconds)
     return report
-
-
-# -- chunked work units for the sharded batch-GCD pipeline ---------------------
-#
-# These are module-level so ProcessPoolExecutor can pickle them by reference
-# (the pipeline binds the resolved backend name with functools.partial, which
-# pickles too); each takes one self-contained chunk and returns backend-native
-# integers, so a work unit crosses the process boundary exactly twice
-# (arguments out, results back) and never pays an int↔mpz conversion inside
-# the worker — blob readers already hand the chunks over backend-native.
-
-
-def product_chunk(
-    groups: Sequence[tuple[int, ...]], backend: str = "python"
-) -> list[int]:
-    """One product-tree work unit: multiply each tuple of siblings.
-
-    A one-element tuple is an odd level's carried node and passes through
-    unchanged (the product of a singleton).
-
-    >>> product_chunk([(3, 5), (7,)])
-    [15, 7]
-    """
-    prod = resolve_backend(backend).prod
-    return [prod(group) for group in groups]
-
-
-def remainder_chunk(
-    items: Sequence[tuple[int, int]], backend: str = "python"
-) -> list[int]:
-    """One remainder-tree work unit: ``parent mod value²`` per child.
-
-    ``items`` holds ``(parent_remainder, node_value)`` pairs; the squared
-    modulus is what lets the cofactor survive down to the leaves.
-
-    >>> remainder_chunk([(1000, 7), (1000, 11)])
-    [20, 32]
-    """
-    B = resolve_backend(backend)
-    sqr, mod = B.sqr, B.mod
-    return [mod(parent, sqr(value)) for parent, value in items]
-
-
-def leaf_gcd_chunk(
-    items: Sequence[tuple[int, int]], backend: str = "python"
-) -> list[int]:
-    """One final-pass work unit: ``gcd(n, (N/n) mod n)`` from ``N mod n²``.
-
-    ``items`` holds ``(modulus, leaf_remainder)`` pairs; the division is
-    exact because ``n`` divides ``N`` (see
-    :meth:`repro.util.intops.IntBackend.leaf_gcd` — the one home of the
-    leaf formula).
-
-    >>> n, m = 15, 21  # N = 315; leaf remainder for 15 is 315 % 225 = 90
-    >>> leaf_gcd_chunk([(15, 90)])
-    [3]
-    """
-    leaf_gcd = resolve_backend(backend).leaf_gcd
-    return [leaf_gcd(n, r) for n, r in items]
-
-
-def run_chunked(
-    fn: Callable[[_T], _R],
-    chunks: Iterable[_T],
-    *,
-    workers: int = 0,
-    max_in_flight: int | None = None,
-    telemetry: Telemetry | None = None,
-    max_attempts: int = 6,
-) -> Iterator[_R]:
-    """Map ``fn`` over a lazy stream of chunks, in order, optionally parallel.
-
-    ``workers <= 1`` runs inline (deterministic, zero-overhead — the mode
-    tests and small corpora use).  Otherwise a supervised process pool
-    with ``workers`` processes consumes the stream with at most
-    ``max_in_flight`` (default ``workers + 2``) chunks submitted at once,
-    yielding results in submission order — the bounded window is what keeps
-    a disk-backed pipeline stage's working set proportional to the worker
-    count rather than the level size.
-
-    Two resilience guarantees (``docs/RESILIENCE.md``): a killed worker is
-    survived — the pool respawns and lost chunks resubmit, up to
-    ``max_attempts`` tries per chunk, counted in the ``resilience.*``
-    counters of ``telemetry`` — and the executor is *always* released,
-    even when the consumer abandons the generator before exhaustion
-    (``shutdown(wait=False, cancel_futures=True)`` on the way out).
-
-    >>> list(run_chunked(sum, iter([[1, 2], [3, 4]])))
-    [3, 7]
-    """
-    return supervised_map(
-        fn,
-        chunks,
-        workers=workers,
-        max_in_flight=max_in_flight,
-        max_attempts=max_attempts,
-        registry=telemetry.registry if telemetry is not None else None,
-    )

@@ -1,12 +1,12 @@
-"""Sharded, checkpointed batch GCD: the memory-bounded scaling path.
+"""Disk-streamed, checkpointed batch GCD: the memory-bounded scaling path.
 
 :func:`repro.core.batch_gcd.batch_gcd` is subquadratic (quasi-linear
 with GMP) but builds the whole product and remainder tree in RAM — at millions of moduli the tree
 is many times the corpus size and a crash loses everything.  This module
 runs the same mathematics as a sequence of *stages*, each of which streams
-records from disk blobs (:mod:`repro.core.spool`) through a bounded
-working set and commits its output to a checkpoint manifest
-(:mod:`repro.core.checkpoint`) before the next stage starts:
+records from disk blobs (:mod:`repro.core.spool`) one at a time and
+commits its output to a checkpoint manifest (:mod:`repro.core.checkpoint`)
+before the next stage starts:
 
 ========================  ====================================================
 ``ingest``                moduli stream → validated ``product-000.bin``
@@ -17,10 +17,9 @@ working set and commits its output to a checkpoint manifest
 ``pairing``               flagged moduli → explicit weak pairs (``hits.json``)
 ========================  ====================================================
 
-Memory is governed by an explicit byte budget: stages cut their streams
-into chunks whose on-disk size fits the budget, and
-:func:`repro.core.parallel.run_chunked` keeps only a bounded window of
-chunks in flight across the ``ProcessPoolExecutor``.  A killed run resumes
+Everything runs in one process, and a stage holds at most one input
+record pair (a parent and its child) plus its output at a time, so peak
+memory is the largest such pair, not a level.  A killed run resumes
 from the last committed stage (``resume=True``); corrupted blobs or an
 unreadable manifest fall back to re-running the affected stages.  See
 ``docs/BATCH_PIPELINE.md`` for the full architecture walkthrough.
@@ -31,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -39,8 +38,7 @@ from repro.core import durable
 from repro.core.attack import WeakHit, group_batch_hits
 from repro.core.batch_gcd import product_tree
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
-from repro.core.parallel import leaf_gcd_chunk, product_chunk, remainder_chunk, run_chunked
-from repro.core.spool import BlobInfo, iter_blob, read_blob, record_nbytes, write_blob
+from repro.core.spool import BlobInfo, iter_blob, write_blob
 from repro.resilience import RetryPolicy, classify_error
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
@@ -54,43 +52,31 @@ __all__ = [
     "stage_plan",
 ]
 
-DEFAULT_MEMORY_BUDGET = 256 * 2**20  # 256 MiB of in-flight tree nodes
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a ``batchscan`` run is parameterised by.
 
-    ``memory_budget`` bounds the bytes of tree nodes held in RAM at once
-    (chunking math in ``docs/BATCH_PIPELINE.md``); ``workers <= 1`` runs
-    stages inline, larger values fan chunks across a *supervised* process
-    pool (worker death respawns the pool and resubmits lost chunks, up to
-    ``chunk_attempts`` tries each — see ``docs/RESILIENCE.md``).
-    ``retries`` is the number of *re*-attempts per failed stage before the
-    run gives up; only transiently-classified failures are retried
-    (:func:`repro.resilience.classify_error`), with exponential backoff,
-    and ``stage_deadline`` caps each stage's wall-clock budget across all
-    of its attempts.  ``backend`` names the big-integer implementation
+    ``resume`` keeps the verified stages of a previous run in
+    ``spool_dir``.  ``retries`` is the number of *re*-attempts per failed
+    stage before the run gives up; only transiently-classified failures
+    are retried (:func:`repro.resilience.classify_error`), with
+    exponential backoff, and ``stage_deadline`` caps each stage's
+    wall-clock budget across all of its attempts.  ``backend`` names the big-integer implementation
     (``auto``/``python``/``gmpy2``, see :mod:`repro.util.intops`;
     ``None`` defers to ``REPRO_INT_BACKEND``, then ``auto``); the resolved
-    name is pinned into every chunk work unit, so all workers compute with
-    the same arithmetic no matter what is importable where.
+    name is recorded in the manifest.
 
-    >>> PipelineConfig(spool_dir="/tmp/spool").shard_size
-    1024
+    >>> PipelineConfig(spool_dir="/tmp/spool").retries
+    1
     """
 
     spool_dir: str | Path
-    shard_size: int = 1024
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
-    workers: int = 0
     resume: bool = False
     retries: int = 1
     backend: str | None = None
     #: wall-clock budget per stage across all attempts, seconds (None = off)
     stage_deadline: float | None = None
-    #: total tries a chunk gets when its worker keeps dying
-    chunk_attempts: int = 6
 
     def retry_policy(self, retries: int | None = None) -> RetryPolicy:
         """The stage-level policy (``retries`` overrides ``self.retries``).
@@ -106,18 +92,6 @@ class PipelineConfig:
             seed=0,
             deadline=self.stage_deadline,
         )
-
-    def chunk_bytes(self) -> int:
-        """Per-chunk byte target: budget spread over the in-flight window.
-
-        ``run_chunked`` keeps up to ``workers + 2`` chunks submitted plus
-        one being assembled and one result in hand — call it four windows
-        of ``max(workers, 1)`` — so each chunk gets ``budget / (4·W)``.
-
-        >>> PipelineConfig(spool_dir="x", memory_budget=1 << 20, workers=4).chunk_bytes()
-        65536
-        """
-        return max(256, self.memory_budget // (4 * max(self.workers, 1)))
 
 
 @dataclass
@@ -185,23 +159,10 @@ def stage_plan(n_moduli: int) -> list[tuple[str, str]]:
 
 
 # -- stage bodies --------------------------------------------------------------
-
-
-def _chunks_by_bytes(
-    records: Iterator[tuple], chunk_bytes: int, nbytes_of: Callable[[tuple], int]
-) -> Iterator[list]:
-    """Greedy byte-budgeted chunking: cut when the next record would overflow."""
-    chunk: list = []
-    size = 0
-    for record in records:
-        chunk.append(record)
-        size += nbytes_of(record)
-        if size >= chunk_bytes:
-            yield chunk
-            chunk = []
-            size = 0
-    if chunk:
-        yield chunk
+#
+# Each stage streams one record at a time from its input blob(s) into
+# ``write_blob``: a product stage holds one sibling pair, a remainder stage
+# one parent/child pair, the leaf stage one modulus/remainder pair.
 
 
 def _validated(moduli: Iterable[int]) -> Iterator[int]:
@@ -211,105 +172,49 @@ def _validated(moduli: Iterable[int]) -> Iterator[int]:
         yield n
 
 
-def _ingest_stage(
-    source: Iterable[int], path: Path, config: PipelineConfig, tel: Telemetry
-) -> BlobInfo:
-    from repro.rsa.corpus import shard_moduli
-
-    def records() -> Iterator[int]:
-        for shard in shard_moduli(_validated(source), config.shard_size):
-            tel.registry.counter("pipeline.shards").inc()
-            tel.registry.counter("pipeline.moduli").inc(len(shard))
-            yield from shard
-
-    info = write_blob(path, records())
+def _ingest_stage(source: Iterable[int], path: Path, tel: Telemetry) -> BlobInfo:
+    info = write_blob(path, _validated(source))
     if info.count < 2:
         raise ValueError(f"batch GCD needs at least two moduli, got {info.count}")
+    # counted once the blob is whole, so a failed attempt counts nothing
+    tel.registry.counter("pipeline.moduli").inc(info.count)
     return info
 
 
-def _product_stage(
-    src: Path, dst: Path, config: PipelineConfig, tel: Telemetry, B: IntBackend
-) -> BlobInfo:
-    def groups() -> Iterator[tuple[int, ...]]:
+def _product_stage(src: Path, dst: Path, B: IntBackend) -> BlobInfo:
+    """Multiply siblings pairwise; an odd level's last node is carried up."""
+    prod = B.prod
+
+    def products() -> Iterator[int]:
         it = iter_blob(src, backend=B)
         for a in it:
             b = next(it, None)
-            yield (a,) if b is None else (a, b)
+            yield a if b is None else prod((a, b))
 
-    chunks = _chunks_by_bytes(
-        groups(), config.chunk_bytes(), lambda g: sum(record_nbytes(v) for v in g)
-    )
-    return _write_chunked(partial(product_chunk, backend=B.name), chunks, dst, config, tel)
+    return write_blob(dst, products())
 
 
 def _remainder_stage(
-    parent_blob: Path,
-    value_blob: Path,
-    dst: Path,
-    config: PipelineConfig,
-    tel: Telemetry,
-    B: IntBackend,
+    parent_blob: Path, value_blob: Path, dst: Path, B: IntBackend
 ) -> BlobInfo:
-    def items() -> Iterator[tuple[int, int]]:
-        parents = iter_blob(parent_blob, backend=B)
-        parent = next(parents)
-        parent_idx = 0
-        for child_idx, value in enumerate(iter_blob(value_blob, backend=B)):
-            while child_idx // 2 > parent_idx:
-                parent = next(parents)
-                parent_idx += 1
-            yield parent, value
+    """``parent mod value²`` per child: the square lets the cofactor survive
+    down to the leaves."""
+    sqr, mod = B.sqr, B.mod
 
-    chunks = _chunks_by_bytes(
-        items(),
-        config.chunk_bytes(),
-        lambda item: record_nbytes(item[0]) + record_nbytes(item[1]),
-    )
-    return _write_chunked(
-        partial(remainder_chunk, backend=B.name), chunks, dst, config, tel
-    )
+    def remainders() -> Iterator[int]:
+        values = iter_blob(value_blob, backend=B)
+        for parent in iter_blob(parent_blob, backend=B):
+            for value in islice(values, 2):
+                yield mod(parent, sqr(value))
+
+    return write_blob(dst, remainders())
 
 
-def _leaf_stage(
-    moduli_blob: Path,
-    rem_blob: Path,
-    dst: Path,
-    config: PipelineConfig,
-    tel: Telemetry,
-    B: IntBackend,
-) -> BlobInfo:
+def _leaf_stage(moduli_blob: Path, rem_blob: Path, dst: Path, B: IntBackend) -> BlobInfo:
+    """``gcd(n, (N/n) mod n)`` per modulus from its leaf remainder ``N mod n²``."""
+    leaf_gcd = B.leaf_gcd
     items = zip(iter_blob(moduli_blob, backend=B), iter_blob(rem_blob, backend=B))
-    chunks = _chunks_by_bytes(
-        items,
-        config.chunk_bytes(),
-        lambda item: record_nbytes(item[0]) + record_nbytes(item[1]),
-    )
-    return _write_chunked(
-        partial(leaf_gcd_chunk, backend=B.name), chunks, dst, config, tel
-    )
-
-
-def _write_chunked(fn, chunks, dst: Path, config: PipelineConfig, tel: Telemetry) -> BlobInfo:
-    def results() -> Iterator[int]:
-        outs = run_chunked(
-            fn,
-            _counted(chunks, tel),
-            workers=config.workers,
-            telemetry=tel,
-            max_attempts=config.chunk_attempts,
-        )
-        for out in outs:
-            yield from out
-
-    return write_blob(dst, results())
-
-
-def _counted(chunks: Iterator[list], tel: Telemetry) -> Iterator[list]:
-    for chunk in chunks:
-        tel.registry.counter("pipeline.chunks").inc()
-        tel.registry.histogram("pipeline.chunk_items").observe(len(chunk))
-        yield chunk
+    return write_blob(dst, (leaf_gcd(n, r) for n, r in items))
 
 
 def _pairing_stage(
@@ -348,7 +253,7 @@ def run_pipeline(
     telemetry: Telemetry | None = None,
     _stage_hook: Callable[[str], None] | None = None,
 ) -> PipelineResult:
-    """Run (or resume) the sharded batch-GCD pipeline over ``source``.
+    """Run (or resume) the disk-streamed batch-GCD pipeline over ``source``.
 
     ``source`` is any iterable of moduli — typically a
     :class:`repro.rsa.corpus.ModulusStream` so nothing is materialised.  It
@@ -377,8 +282,6 @@ def run_pipeline(
     B = resolve_backend(config.backend)
     tel = telemetry if telemetry is not None else Telemetry.create()
     reg = tel.registry
-    reg.gauge("pipeline.workers").set(max(config.workers, 1))
-    reg.gauge("pipeline.memory_budget").set(config.memory_budget)
     reg.gauge("backend.name").set(B.name)
 
     manifest, completed = _resume_state(store, config, tel)
@@ -399,9 +302,7 @@ def run_pipeline(
             ingest_retries = 0 if hasattr(source, "__next__") else config.retries
             info, seconds = _attempt(
                 "ingest",
-                lambda: _ingest_stage(
-                    source, spool_dir / "product-000.bin", config, tel
-                ),
+                lambda: _ingest_stage(source, spool_dir / "product-000.bin", tel),
                 config,
                 tel,
                 retries=ingest_retries,
@@ -427,9 +328,6 @@ def run_pipeline(
             levels=top,
             stages=len(plan),
             resumed=result.resumed,
-            shard_size=config.shard_size,
-            memory_budget=config.memory_budget,
-            workers=config.workers,
             int_backend=B.name,
         )
 
@@ -452,7 +350,7 @@ def run_pipeline(
                 )
                 result.hits = hits
             else:
-                stage_fn = _stage_body(name, spool_dir, dst, top, config, tel, B)
+                stage_fn = _stage_body(name, spool_dir, dst, top, tel, B)
                 info, seconds = _attempt(name, stage_fn, config, tel)
                 _check_count(name, info, sizes, n)
             _commit(store, manifest, name, info, seconds, config, tel)
@@ -482,7 +380,6 @@ def _stage_body(
     spool_dir: Path,
     dst: Path,
     top: int,
-    config: PipelineConfig,
     tel: Telemetry,
     B: IntBackend,
 ) -> Callable[[], BlobInfo]:
@@ -492,7 +389,7 @@ def _stage_body(
         src = spool_dir / f"product-{k - 1:03d}.bin"
         return lambda: _observed(
             "pipeline.product_level_seconds",
-            lambda: _product_stage(src, dst, config, tel, B),
+            lambda: _product_stage(src, dst, B),
             tel,
         )
     if kind == "remainder":
@@ -505,17 +402,12 @@ def _stage_body(
         values = spool_dir / f"product-{k:03d}.bin"
         return lambda: _observed(
             "pipeline.remainder_level_seconds",
-            lambda: _remainder_stage(parent, values, dst, config, tel, B),
+            lambda: _remainder_stage(parent, values, dst, B),
             tel,
         )
     if kind == "leaf":
         return lambda: _leaf_stage(
-            spool_dir / "product-000.bin",
-            spool_dir / "remainder-000.bin",
-            dst,
-            config,
-            tel,
-            B,
+            spool_dir / "product-000.bin", spool_dir / "remainder-000.bin", dst, B
         )
     raise ValueError(f"unknown stage {name!r}")
 
@@ -536,12 +428,6 @@ def _check_count(name: str, info: BlobInfo, sizes: list[int], n: int) -> None:
         )
 
 
-#: metrics incremented *inside* stage bodies — rolled back when an attempt
-#: fails so a retried stage doesn't double-count its records
-_STAGE_COUNTERS = ("pipeline.shards", "pipeline.moduli", "pipeline.chunks")
-_STAGE_HISTOGRAMS = ("pipeline.chunk_items",)
-
-
 def _attempt(
     name: str,
     fn: Callable,
@@ -555,10 +441,10 @@ def _attempt(
     Spans use the stage *kind* (``product``, not ``product.3``) so the
     ``stage.pipeline/<kind>.seconds`` histogram cardinality stays bounded;
     per-level skew lands in the ``pipeline.*_level_seconds`` histograms.
-    A failed attempt rolls its in-stage record counters back to the
-    pre-attempt marks, so only the successful attempt's records survive in
-    the metrics snapshot.  ``retries`` overrides ``config.retries`` (the
-    ingest stage uses it to disable retries for one-shot sources).
+    Stage bodies record their metrics only once their blob is whole, so a
+    failed attempt leaves none behind.  ``retries`` overrides
+    ``config.retries`` (the ingest stage uses it to disable retries for
+    one-shot sources).
 
     Retries ride :class:`repro.resilience.RetryPolicy`: only transiently
     classified failures re-attempt (a ``ValueError`` from a malformed
@@ -570,27 +456,10 @@ def _attempt(
     policy = config.retry_policy(retries)
 
     def body():
-        counter_marks = {
-            n: reg.counters[n].value for n in _STAGE_COUNTERS if n in reg.counters
-        }
-        hist_marks = {
-            n: len(reg.histograms[n].samples)
-            for n in _STAGE_HISTOGRAMS
-            if n in reg.histograms
-        }
         t0 = tel.timer.clock()
-        try:
-            with tel.timer.span(kind):
-                out = fn()
-            return out, tel.timer.clock() - t0
-        except Exception:
-            for n in _STAGE_COUNTERS:
-                if n in reg.counters:
-                    reg.counters[n].value = counter_marks.get(n, 0)
-            for n in _STAGE_HISTOGRAMS:
-                if n in reg.histograms:
-                    del reg.histograms[n].samples[hist_marks.get(n, 0):]
-            raise
+        with tel.timer.span(kind):
+            out = fn()
+        return out, tel.timer.clock() - t0
 
     def on_retry(attempt: int, delay: float, exc: BaseException) -> None:
         reg.counter("pipeline.stage_retries").inc()
@@ -627,9 +496,6 @@ def _commit(
     if name == "ingest":
         manifest.config = {
             "n_moduli": info.count,
-            "shard_size": config.shard_size,
-            "memory_budget": config.memory_budget,
-            "workers": config.workers,
             "backend": resolve_backend(config.backend).name,
         }
     # the blob is already durable and the rewrite is atomic + idempotent,

@@ -1,9 +1,9 @@
 """On-disk spill storage for tree levels: length-prefixed integer blobs.
 
-The sharded batch-GCD pipeline (:mod:`repro.core.pipeline`) never holds a
-whole product- or remainder-tree level in RAM; each level lives on disk as
-a *blob* — a flat file of big integers — and stages stream records through
-a bounded working set.  The format is deliberately primitive so a partial
+The disk-streamed batch-GCD pipeline (:mod:`repro.core.pipeline`) never
+holds a whole product- or remainder-tree level in RAM; each level lives on
+disk as a *blob* — a flat file of big integers — and stages stream records
+one at a time.  The format is deliberately primitive so a partial
 write is detectable and a reader needs no index:
 
 * 8-byte magic ``b"RGSPOOL1"``;
@@ -76,7 +76,7 @@ def _encode_record(value: int) -> bytes:
 
 
 def record_nbytes(value: int) -> int:
-    """On-disk size of one record — the pipeline's memory-budget unit.
+    """On-disk size of one record: its length prefix plus its bytes.
 
     >>> record_nbytes(0), record_nbytes(255), record_nbytes(256)
     (4, 5, 6)
@@ -126,9 +126,9 @@ def iter_blob(path: str | Path, *, backend=None) -> Iterator[int]:
     record — the signal the checkpoint layer treats as a corrupt stage.
 
     ``backend`` (an :class:`repro.util.intops.IntBackend`) decodes records
-    straight to backend-native values — under gmpy2 the pipeline's chunk
-    payloads are born as ``mpz`` at deserialisation, so workers never pay
-    a per-record ``int → mpz`` conversion.  ``None`` keeps plain ``int``.
+    straight to backend-native values — under gmpy2 the pipeline's stage
+    inputs are born as ``mpz`` at deserialisation, so no stage pays a
+    per-record ``int → mpz`` conversion.  ``None`` keeps plain ``int``.
 
     >>> import tempfile, pathlib
     >>> with tempfile.TemporaryDirectory() as d:

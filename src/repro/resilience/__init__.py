@@ -14,10 +14,10 @@ one home for how the reproduction survives all of that:
   backoff, seeded jitter, deadline budget) replacing every ad-hoc retry
   loop, plus :class:`Deadline`;
 * :mod:`repro.resilience.supervisor` — :func:`supervised_map`, the
-  process-pool execution primitive that keeps each in-flight work unit's
-  spec next to its future, catches worker death, respawns the pool and
-  resubmits lost units (a ``kill -9``'d worker costs one chunk's latency,
-  not the run);
+  process-pool execution primitive behind ``scan --backend parallel``
+  that keeps each in-flight work unit's spec next to its future, catches
+  worker death, respawns the pool and resubmits lost units (a
+  ``kill -9``'d worker costs one block's latency, not the run);
 * :mod:`repro.resilience.faults` — deterministic fault injection: named
   points at every IO/process boundary, armed via the ``REPRO_FAULTS``
   environment spec or a programmatic :class:`FaultPlan`, powering the

@@ -3,7 +3,7 @@
 ``ProcessPoolExecutor`` has a brutal failure mode: one worker dying (OOM
 kill, ``kill -9``, a crash in a C extension) marks the whole pool broken
 and every pending future raises ``BrokenProcessPool`` — under the naive
-mapping loop, hours of a batch-GCD run die with one process.  The
+mapping loop, hours of an all-pairs scan die with one process.  The
 supervisor here keeps each in-flight work unit's *spec* alongside its
 future (the design Fujita et al.'s Section VI block decomposition makes
 cheap — a block/chunk is self-contained, so recovery is resubmission):
@@ -38,7 +38,6 @@ Telemetry (when a registry is supplied): ``resilience.worker_crashes``,
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -213,7 +212,7 @@ def supervised_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
     *,
-    workers: int | None,
+    workers: int,
     max_in_flight: int | None = None,
     initializer: Callable | None = None,
     initargs: tuple = (),
@@ -224,23 +223,16 @@ def supervised_map(
 ) -> Iterator[_R]:
     """Map ``fn`` over a lazy stream, in order, under worker supervision.
 
-    ``workers <= 1`` (or ``None`` resolving to one core) runs inline —
-    deterministic, zero-overhead, and immune to pool failure by
-    construction.  Otherwise at most ``max_in_flight`` (default
-    ``workers + 2``) units are submitted at once and results yield in
-    submission order; worker death is healed per the module story.  The
-    executor is *always* released — abandoning the generator early tears
-    the pool down via ``shutdown(wait=False, cancel_futures=True)``.
+    At most ``max_in_flight`` (default ``workers + 2``) units are submitted
+    at once and results yield in submission order; worker death is healed
+    per the module story.  The executor is *always* released — abandoning
+    the generator early tears the pool down via
+    ``shutdown(wait=False, cancel_futures=True)``.  A caller that wants one
+    process runs ``fn`` itself: there is no inline mode here.
 
-    >>> list(supervised_map(sum, iter([[1, 2], [3, 4]]), workers=1))
+    >>> list(supervised_map(sum, iter([[1, 2], [3, 4]]), workers=2))
     [3, 7]
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
     window = max_in_flight if max_in_flight is not None else workers + 2
     if window < 1:
         raise ValueError("max_in_flight must be >= 1")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -31,7 +31,6 @@ __all__ = [
     "generate_weak_corpus",
     "ModulusStream",
     "stream_moduli",
-    "shard_moduli",
     "write_moduli_text",
 ]
 
@@ -199,9 +198,9 @@ def generate_weak_corpus(
 
 # -- streaming modulus sources -------------------------------------------------
 #
-# The sharded pipeline's scaling story starts here: its input is an
+# The batch pipeline's scaling story starts here: its input is an
 # *iterator* of moduli, never a materialised ``list[int]``, so a corpus
-# bigger than RAM flows through ingest one shard at a time.
+# bigger than RAM flows through ingest one modulus at a time.
 
 
 @dataclass(frozen=True)
@@ -326,23 +325,6 @@ def stream_moduli(path: str | Path, *, format: str = "auto") -> ModulusStream:
         raise ValueError(f"unknown modulus source format {format!r}")
     factory = factories[format]
     return ModulusStream(source=str(path), _factory=lambda: factory(path))
-
-
-def shard_moduli(moduli: Iterable[int], shard_size: int) -> Iterator[list[int]]:
-    """Chop a modulus stream into lists of at most ``shard_size``.
-
-    This is the pipeline's ingest granularity: one shard is read, validated
-    and spilled at a time, so peak ingest memory is one shard regardless of
-    corpus size.
-
-    >>> [shard for shard in shard_moduli(iter(range(5)), 2)]
-    [[0, 1], [2, 3], [4]]
-    """
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
-    iterator = iter(moduli)
-    while shard := list(islice(iterator, shard_size)):
-        yield shard
 
 
 def write_moduli_text(

@@ -1,8 +1,8 @@
 """Pluggable big-integer operation backends for every GCD hot path.
 
 The reproduction's asymptotically fast paths — the Bernstein
-product/remainder trees (:mod:`repro.core.batch_gcd`), the sharded
-pipeline's chunk functions (:mod:`repro.core.parallel`), and Miller–Rabin
+product/remainder trees (:mod:`repro.core.batch_gcd`), the disk-streamed
+pipeline's stages (:mod:`repro.core.pipeline`), and Miller–Rabin
 prime generation (:mod:`repro.rsa.primes`) — all reduce to a handful of
 arbitrary-precision operations: multiply, square, reduce, exact-divide,
 GCD, modular exponentiation.  CPython's generic ``int`` implements them
@@ -176,8 +176,8 @@ class IntBackend:
         floor division of an exact multiple *is* exact division.  Exact
         division is the form GMP can do without computing a remainder.
 
-        Every leaf-stage call site (in-memory tree, pipeline chunk
-        function, parity tests) routes through here so the hot formula
+        Every leaf-stage call site (in-memory tree, pipeline leaf stage,
+        parity tests) routes through here so the hot formula
         lives in exactly one place.
 
         >>> resolve_backend("python").leaf_gcd(15, 315 % (15 * 15))
@@ -229,9 +229,7 @@ class Gmpy2Backend(IntBackend):
     """GMP arithmetic through ``gmpy2`` — the accelerated path.
 
     Instantiation imports ``gmpy2`` and raises ``ImportError`` when it is
-    absent; use :func:`resolve_backend` for graceful detection.  ``mpz``
-    values pickle (gmpy2 registers a ``__reduce__``), so chunk payloads
-    cross the pipeline's ``ProcessPoolExecutor`` boundary natively.
+    absent; use :func:`resolve_backend` for graceful detection.
     """
 
     name = "gmpy2"

@@ -93,7 +93,7 @@ def test_pipeline_spools_byte_identical(corpus, tmp_path):
     for name in ("python", "gmpy2"):
         d = tmp_path / name
         run_pipeline(
-            corpus.moduli, PipelineConfig(spool_dir=d, shard_size=4, backend=name)
+            corpus.moduli, PipelineConfig(spool_dir=d, backend=name)
         )
         dirs[name] = d
     for _, blob in stage_plan(len(corpus.moduli)):

@@ -1,12 +1,13 @@
-"""Tests for the sharded, checkpointed batch-GCD pipeline.
+"""Tests for the disk-streamed, checkpointed batch-GCD pipeline.
 
-The load-bearing property: however a run is interrupted, resumed, chunked
-or parallelised, the final hit set equals the in-memory ``batch_gcd``
-oracle on the same moduli — and, for planted corpora, the ground truth.
+The load-bearing property: however a run is interrupted or resumed, the
+final hit set equals the in-memory ``batch_gcd`` oracle on the same
+moduli — and, for planted corpora, the ground truth.
 """
 
 import io
 import json
+import math
 
 import pytest
 
@@ -14,12 +15,16 @@ from repro.core.attack import find_shared_primes
 from repro.core.checkpoint import MANIFEST_NAME, CheckpointStore
 from repro.core.pipeline import (
     PipelineConfig,
+    _leaf_stage,
+    _product_stage,
+    _remainder_stage,
     level_sizes,
     quick_check,
     run_pipeline,
     stage_plan,
 )
-from repro.core.spool import read_blob
+from repro.core.spool import read_blob, write_blob
+from repro.util.intops import resolve_backend
 from repro.rsa.corpus import generate_weak_corpus
 from repro.telemetry import Telemetry
 
@@ -79,7 +84,7 @@ class TestPlan:
 class TestFullRun:
     def test_matches_oracle_and_ground_truth(self, corpus, oracle_hits, tmp_path):
         result = run_pipeline(
-            corpus.moduli, PipelineConfig(spool_dir=tmp_path, shard_size=5)
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path)
         )
         assert _hit_triples(result) == oracle_hits
         assert result.hit_pairs == corpus.weak_pair_set()
@@ -96,23 +101,15 @@ class TestFullRun:
         assert [r.name for r in manifest.stages] == ALL_STAGES
         assert manifest.config["n_moduli"] == 12
 
-    def test_workers_equivalent_to_inline(self, corpus, oracle_hits, tmp_path):
-        result = run_pipeline(
-            corpus.moduli,
-            PipelineConfig(spool_dir=tmp_path, workers=2, memory_budget=4096),
-        )
-        assert _hit_triples(result) == oracle_hits
-
-    def test_tiny_budget_forces_chunking(self, corpus, oracle_hits, tmp_path):
-        result = run_pipeline(
-            corpus.moduli,
-            PipelineConfig(spool_dir=tmp_path, shard_size=3, memory_budget=1),
-        )
+    def test_counters_match_manifest(self, corpus, oracle_hits, tmp_path):
+        result = run_pipeline(corpus.moduli, PipelineConfig(spool_dir=tmp_path))
         assert _hit_triples(result) == oracle_hits
         counters = result.metrics["counters"]
-        assert counters["pipeline.chunks"] > len(ALL_STAGES)  # min chunk = 256 B
-        assert counters["pipeline.shards"] == 4
-        assert counters["pipeline.bytes_spilled"] > 0
+        assert counters["pipeline.moduli"] == 12
+        manifest = CheckpointStore(tmp_path).load()
+        assert counters["pipeline.bytes_spilled"] == sum(
+            record.nbytes for record in manifest.stages
+        )
 
     def test_clean_corpus_has_no_hits(self, tmp_path):
         clean = generate_weak_corpus(6, 64, shared_groups=(2,), seed=9)
@@ -135,18 +132,47 @@ class TestFullRun:
             run_pipeline([33], PipelineConfig(spool_dir=tmp_path, retries=0))
 
 
+class TestStageBodies:
+    """Each stage streams its input blobs record by record into one output."""
+
+    B = resolve_backend("python")
+
+    def test_product_stage_pairs_and_carries_odd_node(self, tmp_path):
+        write_blob(tmp_path / "level.bin", [3, 5, 7])
+        info = _product_stage(tmp_path / "level.bin", tmp_path / "up.bin", self.B)
+        assert read_blob(tmp_path / "up.bin") == [15, 7]
+        assert info.count == 2
+
+    def test_remainder_stage_mod_square(self, tmp_path):
+        write_blob(tmp_path / "parents.bin", [1000, 500])
+        write_blob(tmp_path / "values.bin", [7, 11, 13])
+        _remainder_stage(
+            tmp_path / "parents.bin", tmp_path / "values.bin", tmp_path / "rem.bin", self.B
+        )
+        assert read_blob(tmp_path / "rem.bin") == [1000 % 49, 1000 % 121, 500 % 169]
+
+    def test_leaf_stage_recovers_shared_prime(self, tmp_path):
+        moduli = [7 * 11, 7 * 13, 17 * 19]
+        n_total = math.prod(moduli)
+        write_blob(tmp_path / "moduli.bin", moduli)
+        write_blob(tmp_path / "rem.bin", [n_total % (n * n) for n in moduli])
+        _leaf_stage(
+            tmp_path / "moduli.bin", tmp_path / "rem.bin", tmp_path / "gcds.bin", self.B
+        )
+        assert read_blob(tmp_path / "gcds.bin") == [7, 7, 1]
+
+
 class TestCrashResume:
     @pytest.mark.parametrize("killed_at", ALL_STAGES[:-1])
     def test_resume_after_kill_matches_uninterrupted(
         self, corpus, oracle_hits, tmp_path, killed_at
     ):
-        config = PipelineConfig(spool_dir=tmp_path, shard_size=4)
+        config = PipelineConfig(spool_dir=tmp_path)
         with pytest.raises(_Kill):
             run_pipeline(corpus.moduli, config, _stage_hook=_kill_after(killed_at))
 
         resumed = run_pipeline(
-            corpus.moduli,
-            PipelineConfig(spool_dir=tmp_path, shard_size=4, resume=True),
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path, resume=True)
         )
         assert _hit_triples(resumed) == oracle_hits
         assert resumed.resumed
@@ -165,6 +191,32 @@ class TestCrashResume:
         assert resumed.stages_skipped == ALL_STAGES
         # hits come back from hits.json, not recomputation
         assert _hit_triples(resumed) == oracle_hits
+
+    def test_manifest_with_deleted_pool_knobs_resumes(
+        self, corpus, oracle_hits, tmp_path
+    ):
+        """Older runs recorded their shard size, chunking budget and pool size
+        in the manifest; none of them shaped a blob, so such a spool resumes
+        with every stage skipped and the old keys are kept, unread."""
+        run_pipeline(corpus.moduli, PipelineConfig(spool_dir=tmp_path))
+        store = CheckpointStore(tmp_path)
+        manifest = store.load()
+        manifest.config = {
+            "n_moduli": 12,
+            "shard_size": 4,
+            "memory_budget": 4096,
+            "workers": 2,
+            "backend": manifest.config["backend"],
+        }
+        store.save(manifest)
+
+        resumed = run_pipeline(
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path, resume=True)
+        )
+        assert resumed.stages_run == []
+        assert resumed.stages_skipped == ALL_STAGES
+        assert _hit_triples(resumed) == oracle_hits
+        assert store.load().config == manifest.config
 
     def test_resume_without_flag_restarts(self, corpus, tmp_path):
         config = PipelineConfig(spool_dir=tmp_path)
@@ -280,7 +332,7 @@ class TestCrashResume:
                 calls["n"] += 1
                 if calls["n"] == 1:
                     def gen():
-                        yield from real_moduli[:7]  # > one shard, then die
+                        yield from real_moduli[:7]  # part of the corpus, then die
                         raise OSError("transient read failure")
 
                     return gen()
@@ -288,13 +340,12 @@ class TestCrashResume:
 
         result = run_pipeline(
             FlakyMidway(),
-            PipelineConfig(spool_dir=tmp_path, shard_size=4, retries=1),
+            PipelineConfig(spool_dir=tmp_path, retries=1),
         )
         counters = result.metrics["counters"]
         assert counters["pipeline.stage_retries"] == 1
         # only the successful attempt's records are counted
         assert counters["pipeline.moduli"] == 12
-        assert counters["pipeline.shards"] == 3
 
 
 class TestTelemetry:

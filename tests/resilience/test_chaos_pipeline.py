@@ -1,4 +1,5 @@
-"""Chaos tests: the batch pipeline under injected worker death and disk faults.
+"""Chaos tests: the parallel scan under injected worker death, the batch
+pipeline under disk faults.
 
 Worker-side faults arm through the ``REPRO_FAULTS`` environment variable
 (inherited by pool workers); parent-side IO faults arm programmatically
@@ -11,6 +12,7 @@ import errno
 import pytest
 
 from repro.core.checkpoint import CheckpointStore
+from repro.core.parallel import find_shared_primes_parallel
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.resilience.faults import ENV_VAR, install_plan, parse_spec, reset_plan
 from repro.rsa.corpus import generate_weak_corpus
@@ -31,31 +33,31 @@ def corpus():
     return generate_weak_corpus(24, BITS, shared_groups=(2, 3), seed=9)
 
 
-def _run(corpus, spool_dir, *, workers=0, telemetry=None, **overrides):
-    config = PipelineConfig(
-        spool_dir=spool_dir,
-        shard_size=8,
-        memory_budget=2048,
-        workers=workers,
-        **overrides,
-    )
+def _run(corpus, spool_dir, *, telemetry=None, **overrides):
+    config = PipelineConfig(spool_dir=spool_dir, **overrides)
     return run_pipeline(list(corpus.moduli), config, telemetry=telemetry)
 
 
+def _scan(corpus, *, telemetry=None):
+    return find_shared_primes_parallel(
+        list(corpus.moduli), processes=2, group_size=4, telemetry=telemetry
+    )
+
+
 class TestWorkerKillEquivalence:
-    def test_killed_workers_leave_hits_identical(self, corpus, tmp_path, monkeypatch):
-        baseline = _run(corpus, tmp_path / "clean", workers=2)
+    def test_killed_workers_leave_hits_identical(self, corpus, monkeypatch):
+        baseline = _scan(corpus)
         assert baseline.hit_pairs == corpus.weak_pair_set()
 
-        # every pool worker dies at its 2nd chunk; the supervisor respawns
+        # every pool worker dies at its 2nd block; the supervisor respawns
         # and resubmits, so the output is identical by construction.  The
-        # default chunk-attempt budget must survive this: a crash is only
-        # charged to chunks that can have been executing, so innocent
-        # chunks sharing the window never reach the poison threshold.
+        # default attempt budget must survive this: a crash is only charged
+        # to blocks that can have been executing, so innocent blocks
+        # sharing the window never reach the poison threshold.
         monkeypatch.setenv(ENV_VAR, "chunk.execute#2=exit")
         reset_plan()  # drop the plan the baseline run cached from the empty env
         tel = Telemetry.create()
-        chaotic = _run(corpus, tmp_path / "chaos", workers=2, telemetry=tel)
+        chaotic = _scan(corpus, telemetry=tel)
 
         assert chaotic.hit_pairs == baseline.hit_pairs == corpus.weak_pair_set()
         assert [(h.i, h.j, h.prime) for h in chaotic.hits] == [

@@ -115,12 +115,6 @@ class TestApplicationErrors:
         with pytest.raises(ValueError, match="boom"):
             list(supervised_map(_explode, iter([[1]]), workers=2))
 
-    def test_inline_mode_needs_no_pickling(self):
-        calls = []
-        fn = lambda chunk: (calls.append(1), chunk)[1]  # noqa: E731
-        assert list(supervised_map(fn, iter([[1], [2]]), workers=1)) == [[1], [2]]
-        assert calls == [1, 1]
-
 
 class TestExecutorHygiene:
     def test_abandoned_generator_shuts_pool_down(self, monkeypatch):
@@ -145,6 +139,21 @@ class TestExecutorHygiene:
         sup.shutdown()
         sup.shutdown()
 
+    def test_lazy_input_consumption(self):
+        consumed = []
+
+        def chunks():
+            for i in range(100):
+                consumed.append(i)
+                yield [i]
+
+        out = supervised_map(_double, chunks(), workers=2, max_in_flight=2)
+        assert next(out) == [0]
+        # bounded window: far fewer than all 100 chunks were pulled to
+        # produce the first result
+        assert len(consumed) < 20
+        assert len(list(out)) == 99
+
     def test_exhausted_stream_still_shuts_down(self, monkeypatch):
         shutdowns = []
         original = ChunkSupervisor.shutdown
@@ -166,6 +175,5 @@ class TestValidation:
 
     def test_order_preserved_under_load(self):
         chunks = [[i, i + 1] for i in range(0, 60, 2)]
-        inline = list(supervised_map(_double, iter(chunks), workers=1))
         pooled = list(supervised_map(_double, iter(chunks), workers=3))
-        assert pooled == inline
+        assert pooled == [_double(chunk) for chunk in chunks]
