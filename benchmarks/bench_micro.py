@@ -5,15 +5,16 @@ service under concurrent load; this harness isolates the five innermost
 costs those numbers are made of, so a regression shows up *named* instead
 of as a vague end-to-end slowdown:
 
-* ``leaf_gcd``       — the one batch-GCD leaf formula
-  (:meth:`repro.util.intops.IntBackend.leaf_gcd`) over honest tree
-  remainders, in operations/second;
-* ``remainder_tree`` — one full remainder-tree descent over a prebuilt
-  product tree (the dominant cost of a batch scan), in keys/second;
+* ``leaf_gcd``       — the batch-GCD leaf ``gcd(n, u)``
+  (:meth:`repro.util.intops.IntBackend.leaf_gcd`) over honest cofactor
+  residues ``u = (N/n) mod n``, in operations/second;
+* ``remainder_tree`` — one full cofactor descent
+  (:func:`repro.core.batch_gcd.cofactor_tree`) over a prebuilt product
+  tree (the dominant cost of a batch scan), in keys/second;
 * ``division``       — builtin ``%`` against the python backend's
   recursive ``mod`` on ``2k``-bit / ``k``-bit operands, at divisor sizes
-  from 16K to 512K bits (to 256K with ``--quick``; the remainder tree's
-  shape); ``speedup`` is the ratio at the largest size.  Always the python backend: its division is
+  from 16K to 512K bits (to 256K with ``--quick``; the cofactor
+  descent's shape); ``speedup`` is the ratio at the largest size.  Always the python backend: its division is
   the subject, whatever ``--int-backend`` says;
 * ``parse``          — decoding a bulk ``POST /submit`` body: the JSON
   path (``json.loads`` + ``parse_submission``) against the ``RGWIRE1``
@@ -62,7 +63,7 @@ import time
 from pathlib import Path
 
 from repro.bulk.engine import BulkGcdEngine
-from repro.core.batch_gcd import product_tree, remainder_tree
+from repro.core.batch_gcd import cofactor_tree, product_tree
 from repro.gcd.word import gcd_approx_words
 from repro.mp.wordint import WordInt
 from repro.service import wire
@@ -138,15 +139,15 @@ def _best_of(fn, repeat: int) -> tuple[float, object]:
 
 
 def bench_leaf_gcd(backend, moduli: list[int], bits: int, repeat: int) -> dict:
-    """Time the leaf formula over honest ``N mod n_i²`` remainders."""
+    """Time the leaf formula over honest ``(N/n_i) mod n_i`` residues."""
     levels = product_tree(moduli, backend=backend, native=True)
-    rems = remainder_tree(levels, backend=backend, native=True)
-    pairs = list(zip(levels[0], rems))
+    us = cofactor_tree(levels, backend=backend, native=True)
+    pairs = list(zip(levels[0], us))
     leaf = backend.leaf_gcd
 
     def run():
-        for n, r in pairs:
-            leaf(n, r)
+        for n, u in pairs:
+            leaf(n, u)
 
     seconds, _ = _best_of(run, repeat)
     return {
@@ -158,10 +159,10 @@ def bench_leaf_gcd(backend, moduli: list[int], bits: int, repeat: int) -> dict:
 
 
 def bench_remainder_tree(backend, moduli: list[int], bits: int, repeat: int) -> dict:
-    """Time one remainder-tree descent over a prebuilt product tree."""
+    """Time one cofactor descent over a prebuilt product tree."""
     levels = product_tree(moduli, backend=backend, native=True)
     seconds, _ = _best_of(
-        lambda: remainder_tree(levels, backend=backend, native=True), repeat
+        lambda: cofactor_tree(levels, backend=backend, native=True), repeat
     )
     return {
         "n_moduli": len(moduli),
@@ -172,11 +173,11 @@ def bench_remainder_tree(backend, moduli: list[int], bits: int, repeat: int) -> 
 
 
 def bench_division(divisor_bits: tuple[int, ...], seed: str, repeat: int) -> dict:
-    """Builtin ``%`` against ``PythonBackend.mod`` on remainder-tree shapes.
+    """Builtin ``%`` against ``PythonBackend.mod`` on cofactor-descent shapes.
 
     Each row divides a ``2k``-bit dividend by a ``k``-bit divisor, the
-    shape of every remainder-tree step below the root, and checks the two
-    remainders agree before timing.
+    shape of a node's residue (or its children's product) reduced by a
+    child, and checks the two remainders agree before timing.
     """
     mod = PythonBackend.mod
     rng = random.Random(seed)

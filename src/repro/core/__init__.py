@@ -21,7 +21,7 @@ from repro.core.attack import (
     find_shared_primes,
     group_batch_hits,
 )
-from repro.core.batch_gcd import batch_gcd, product_tree, remainder_tree
+from repro.core.batch_gcd import batch_gcd, product_tree
 from repro.core.incremental import BatchReport, IncrementalScanner
 from repro.core.pairing import BlockTask, all_pair_count, block_schedule, block_pairs
 from repro.core.parallel import find_shared_primes_parallel
@@ -50,6 +50,5 @@ __all__ = [
     "group_batch_hits",
     "product_tree",
     "quick_check",
-    "remainder_tree",
     "run_pipeline",
 ]

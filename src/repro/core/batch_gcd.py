@@ -1,4 +1,4 @@
-"""Bernstein-style batch GCD: product tree + remainder tree.
+"""Bernstein-style batch GCD: product tree + cofactor descent.
 
 The modern way to scan ``m`` moduli for shared primes (used by Heninger et
 al.'s "Mining your Ps and Qs" and the ``fastgcd`` tool the paper competes
@@ -14,18 +14,21 @@ GMP's FFT multiply; the python backend is bound by CPython's Karatsuba,
 recursion rather than schoolbook (:mod:`repro.util.intops`):
 
 1. a *product tree* over the moduli gives ``N`` and all subtree products;
-2. a *remainder tree* pushes ``N`` down: each node holds
-   ``N mod (subtree product)²``; at a leaf that is ``N mod n_i²``;
-3. then ``(N/n_i) mod n_i = (N mod n_i²) / n_i`` (exact division), and one
-   final GCD per modulus.
+2. a *cofactor descent* pushes ``N`` down: each node ``v`` holds
+   ``u_v = (N/v) mod v``, from ``u = 1`` at the root (:func:`cofactor_step`);
+3. a leaf then holds ``(N/n_i) mod n_i``: one final GCD per modulus.
+
+Unlike the textbook remainder tree (``N mod v²`` per node, then an exact
+division by ``n_i`` at the leaf), the descent never squares, and it
+divides ``|v|``-bit values by ``|v|/2``-bit children, half the size.
 
 All big-integer arithmetic routes through a pluggable backend
 (:mod:`repro.util.intops`): plain Python ints by default, GMP via gmpy2
 when installed (``pip install -e .[fast]``).  Tree nodes stay
 backend-native *between* levels — the product tree hands ``mpz`` values
-straight to the remainder tree, which hands leaf remainders straight to
-the exact-division leaf formula — so an accelerated run never round-trips
-through ``int`` mid-tree.  The trade-off against the paper's all-pairs
+straight to the cofactor descent, which hands leaf residues straight to
+the final GCDs — so an accelerated run never round-trips through ``int``
+mid-tree.  The trade-off against the paper's all-pairs
 approach (giant multiplications and memory vs embarrassing parallelism) is
 measured in ``benchmarks/bench_ablation_batch_vs_pairwise.py`` and
 ``benchmarks/bench_e2e_scaling.py``.
@@ -38,7 +41,7 @@ from contextlib import nullcontext
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = ["product_tree", "remainder_tree", "batch_gcd"]
+__all__ = ["product_tree", "cofactor_step", "cofactor_tree", "batch_gcd"]
 
 
 def product_tree(
@@ -63,7 +66,7 @@ def product_tree(
     ``~1.5·m`` instead of the full tree's ``2·m − 1`` (every level's bytes
     roughly equal the input's, so the full tree costs ``height ×`` the
     input in RAM).  The return value is then a single-level list holding
-    only the root.  Callers that need the remainder-tree descent (i.e.
+    only the root.  Callers that need the cofactor descent (i.e.
     :func:`batch_gcd`) must keep the levels; callers that only need
     ``N = Π n_i`` — e.g. the pipeline's single-modulus
     :func:`repro.core.pipeline.quick_check` — should not pay for them.
@@ -115,66 +118,64 @@ def product_tree(
     return [[to_int(v) for v in level] for level in levels]
 
 
-def remainder_tree(
+def cofactor_step(u, a, b, backend: IntBackend) -> tuple:
+    """Both children's cofactor residues from their parent's.
+
+    For a node ``v = a·b`` holding ``u = (N/v) mod v``, returns
+    ``((N/a) mod a, (N/b) mod b)``: ``N/a = (N/v)·b`` and ``a | v``, so
+    ``(N/a) mod a = (u mod a)·(b mod a) mod a``.  Used by
+    :func:`cofactor_tree` and the pipeline's ``remainder.k`` stages.
+
+    >>> from repro.util.intops import resolve_backend
+    >>> cofactor_step(1, 15, 7, resolve_backend("python"))  # root 105 = 15 * 7
+    (7, 1)
+    """
+    mul, mod = backend.mul, backend.mod
+    return mod(mul(mod(u, a), mod(b, a)), a), mod(mul(mod(u, b), mod(a, b)), b)
+
+
+def cofactor_tree(
     levels: list[list[int]],
     *,
-    square: bool = True,
     telemetry: Telemetry | None = None,
     backend: str | IntBackend | None = None,
     native: bool = False,
 ) -> list[int]:
-    """Push the root product down: leaf ``i`` receives ``N mod n_i²``.
+    """Push the root product down: leaf ``n_i`` receives ``(N/n_i) mod n_i``.
 
-    ``square=False`` yields plain ``N mod n_i`` (useful for divisibility
-    scans); batch GCD needs the squared form so the cofactor survives the
-    reduction.  With ``telemetry``, per-level descent times land in the
-    ``batch.remainder_level_seconds`` histogram.  ``backend``/``native``
-    behave as in :func:`product_tree`; levels may hold plain ints or
-    backend-native nodes (a native tree from ``product_tree(...,
-    native=True)`` descends without any conversion).
+    The descent starts from ``u = 1`` at the root (``N/N``) and applies
+    :func:`cofactor_step` at every multiplied node; an odd level's carried
+    node keeps its parent's residue.  With ``telemetry``, per-level
+    descent times land in the ``batch.remainder_level_seconds``
+    histogram.  ``backend``/``native`` behave as in :func:`product_tree`;
+    levels may hold plain ints or backend-native nodes (a native tree from
+    ``product_tree(..., native=True)`` descends without any conversion).
 
-    The first descent step is special-cased: the root's children ``a, b``
-    satisfy ``N = a·b``, so ``N mod a² = a·(b mod a)`` — one half-size
-    ``mod`` and one half-size ``mul`` reusing the already-computed sibling
-    from the kept product-tree level, instead of squaring the child and
-    reducing the full product by it (the single most expensive operation
-    of the naive descent).  Deeper levels cannot use the identity (their
-    parent value is already a reduced remainder, not a multiple of the
-    child), so they square via the backend's ``sqr``.
-
-    >>> remainder_tree(product_tree([3, 5, 7]))  # 105 mod {9, 25, 49}
-    [6, 5, 7]
+    >>> cofactor_tree(product_tree([3, 5, 7]))  # 105 / {3, 5, 7} mod itself
+    [2, 1, 1]
     """
     B = resolve_backend(backend)
-    mul, sqr, mod, from_int = B.mul, B.sqr, B.mod, B.from_int
+    from_int = B.from_int
     clock = telemetry.timer.clock if telemetry else None
-    rems = [from_int(levels[-1][0])]
-    at_root = True
+    us = [from_int(1)]
     for level in reversed(levels[:-1]):
         t0 = clock() if clock else 0.0
-        if square and at_root and len(level) == 2:
-            # N = a·b  ⇒  N mod a² = a·(b mod a), and symmetrically for b:
-            # the sibling product from the tree replaces square-and-reduce
-            a, b = from_int(level[0]), from_int(level[1])
-            nxt = [mul(a, mod(b, a)), mul(b, mod(a, b))]
-        else:
-            nxt = []
-            for k, value in enumerate(level):
-                parent = rems[k // 2]
-                value = from_int(value)
-                m = sqr(value) if square else value
-                nxt.append(mod(parent, m))
-        rems = nxt
-        at_root = False
+        nxt = []
+        for k in range(0, len(level) - 1, 2):
+            a, b = from_int(level[k]), from_int(level[k + 1])
+            nxt.extend(cofactor_step(us[k // 2], a, b, B))
+        if len(level) % 2:
+            nxt.append(us[-1])
+        us = nxt
         if telemetry is not None:
             telemetry.registry.histogram("batch.remainder_level_seconds").observe(
                 clock() - t0
             )
             telemetry.advance(1)
     if native:
-        return rems
+        return us
     to_int = B.to_int
-    return [to_int(r) for r in rems]
+    return [to_int(u) for u in us]
 
 
 def batch_gcd(
@@ -194,8 +195,8 @@ def batch_gcd(
     ``backend`` selects the big-integer implementation; results are plain
     ``int`` and identical across backends (property-tested in
     ``tests/core/test_backend_parity.py``).  With ``telemetry``, the three
-    phases are timed as ``product_tree``, ``remainder_tree`` and
-    ``final_gcds`` stage spans, with per-tree-level histograms recorded by
+    phases are timed as ``product_tree``, ``remainder_tree`` (the cofactor
+    descent) and ``final_gcds`` stage spans, with per-tree-level histograms recorded by
     the tree builders themselves.
 
     >>> batch_gcd([33, 35, 55])  # 55 = 5 * 11 shares both its primes
@@ -210,12 +211,12 @@ def batch_gcd(
     with span("product_tree"):
         levels = product_tree(moduli, telemetry=telemetry, backend=B, native=True)
     with span("remainder_tree"):
-        rems = remainder_tree(levels, telemetry=telemetry, backend=B, native=True)
+        us = cofactor_tree(levels, telemetry=telemetry, backend=B, native=True)
     with span("final_gcds"):
         leaf_gcd, to_int = B.leaf_gcd, B.to_int
         # levels[0] holds the backend-native moduli — reuse them so the
         # leaf pass converts each result exactly once, on the way out
-        out = [to_int(leaf_gcd(n, r)) for n, r in zip(levels[0], rems)]
+        out = [to_int(leaf_gcd(n, u)) for n, u in zip(levels[0], us)]
     if telemetry is not None:
         telemetry.registry.counter("batch.moduli").inc(len(moduli))
         telemetry.advance(1)

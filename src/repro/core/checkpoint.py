@@ -17,9 +17,11 @@ Resume semantics (see ``docs/BATCH_PIPELINE.md``):
   Keys an older run wrote for since-deleted knobs (its ingest shard size,
   chunking budget and pool size) are carried along unread.
   What pins the checkpoint to its input is the ingest blob's SHA-256, and
-  the stage plan is rederived from the ingest record's count alone.  If a
-  future config field ever changes blob contents, resume must start
-  comparing it here;
+  the stage plan is rederived from the ingest record's count alone.  The
+  one key resume reads is the fixed format marker ``"remainder":
+  "cofactor"`` (the blobs hold ``(N/v) mod v``).  A spool without it was
+  written by the squared descent (``N mod v²``): its blobs still hash
+  clean, so the pipeline keeps only its ingest and product stages;
 * completed stages are re-verified by re-hashing their blobs; the first
   corrupt or missing blob truncates the completed prefix there, so the
   affected stage (and everything after it) re-runs cleanly.

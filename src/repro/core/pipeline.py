@@ -11,9 +11,9 @@ before the next stage starts:
 ========================  ====================================================
 ``ingest``                moduli stream → validated ``product-000.bin``
 ``product.k`` (k=1…L)     level ``k−1`` blob → pairwise products, level ``k``
-``remainder.k`` (k=L−1…0) parent remainders + level ``k`` values →
-                          ``N mod value²`` per node
-``leaf``                  leaf remainders → one GCD per modulus (``gcds.bin``)
+``remainder.k`` (k=L−1…0) parent residues + level ``k`` values →
+                          ``(N/value) mod value`` per node (cofactor descent)
+``leaf``                  leaf residues → one GCD per modulus (``gcds.bin``)
 ``pairing``               flagged moduli → explicit weak pairs (``hits.json``)
 ========================  ====================================================
 
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core import durable
 from repro.core.attack import WeakHit, group_batch_hits
-from repro.core.batch_gcd import product_tree
+from repro.core.batch_gcd import cofactor_step, product_tree
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.spool import BlobInfo, iter_blob, write_blob
 from repro.resilience import RetryPolicy, classify_error
@@ -158,6 +158,10 @@ def stage_plan(n_moduli: int) -> list[tuple[str, str]]:
     return plan
 
 
+#: manifest ``config["remainder"]``: the remainder blobs hold ``(N/v) mod v``
+#: (see :mod:`repro.core.checkpoint` for unmarked, squared-descent spools)
+_REMAINDER_FORMAT = "cofactor"
+
 # -- stage bodies --------------------------------------------------------------
 #
 # Each stage streams one record at a time from its input blob(s) into
@@ -195,26 +199,30 @@ def _product_stage(src: Path, dst: Path, B: IntBackend) -> BlobInfo:
 
 
 def _remainder_stage(
-    parent_blob: Path, value_blob: Path, dst: Path, B: IntBackend
+    parent_blob: Path | None, value_blob: Path, dst: Path, B: IntBackend
 ) -> BlobInfo:
-    """``parent mod value²`` per child: the square lets the cofactor survive
-    down to the leaves."""
-    sqr, mod = B.sqr, B.mod
+    """``(N/value) mod value`` per child, from its parent's residue by
+    :func:`~repro.core.batch_gcd.cofactor_step`; a carried node keeps its
+    parent's.  ``parent_blob=None`` is the root, whose residue is 1."""
+    parents = iter_blob(parent_blob, backend=B) if parent_blob else [B.from_int(1)]
 
-    def remainders() -> Iterator[int]:
+    def residues() -> Iterator[int]:
         values = iter_blob(value_blob, backend=B)
-        for parent in iter_blob(parent_blob, backend=B):
-            for value in islice(values, 2):
-                yield mod(parent, sqr(value))
+        for u in parents:
+            pair = list(islice(values, 2))
+            if len(pair) == 2:
+                yield from cofactor_step(u, *pair, B)
+            else:
+                yield u
 
-    return write_blob(dst, remainders())
+    return write_blob(dst, residues())
 
 
 def _leaf_stage(moduli_blob: Path, rem_blob: Path, dst: Path, B: IntBackend) -> BlobInfo:
-    """``gcd(n, (N/n) mod n)`` per modulus from its leaf remainder ``N mod n²``."""
+    """``gcd(n, u)`` per modulus from its cofactor residue ``u = (N/n) mod n``."""
     leaf_gcd = B.leaf_gcd
     items = zip(iter_blob(moduli_blob, backend=B), iter_blob(rem_blob, backend=B))
-    return write_blob(dst, (leaf_gcd(n, r) for n, r in items))
+    return write_blob(dst, (leaf_gcd(n, u) for n, u in items))
 
 
 def _pairing_stage(
@@ -394,11 +402,7 @@ def _stage_body(
         )
     if kind == "remainder":
         k = int(level)
-        parent = (
-            spool_dir / f"product-{top:03d}.bin"
-            if k == top - 1
-            else spool_dir / f"remainder-{k + 1:03d}.bin"
-        )
+        parent = None if k == top - 1 else spool_dir / f"remainder-{k + 1:03d}.bin"
         values = spool_dir / f"product-{k:03d}.bin"
         return lambda: _observed(
             "pipeline.remainder_level_seconds",
@@ -497,6 +501,7 @@ def _commit(
         manifest.config = {
             "n_moduli": info.count,
             "backend": resolve_backend(config.backend).name,
+            "remainder": _REMAINDER_FORMAT,
         }
     # the blob is already durable and the rewrite is atomic + idempotent,
     # so a transient manifest-write blip is safe to retry in place
@@ -542,6 +547,10 @@ def _resume_state(
         tel.registry.counter("pipeline.resume.stages_invalidated").inc(len(manifest.stages))
         return Manifest(), []
     expected = [name for name, _ in stage_plan(ingest.count)]
+    if manifest.config.get("remainder") != _REMAINDER_FORMAT:
+        # squared remainders: keep ingest and the product tree, rerun the rest
+        expected = [n for n in expected if n.partition(".")[0] in ("ingest", "product")]
+        manifest.config["remainder"] = _REMAINDER_FORMAT
     completed = store.verified_prefix(manifest, expected)
     invalidated = len(manifest.stages) - len(completed)
     if invalidated:
@@ -576,8 +585,8 @@ def quick_check(
     modulus already *in* the corpus returns ``n`` itself (``N mod n = 0``),
     flagging it like a duplicate key.  (This membership semantics is why
     the formula here is deliberately *not* the batch-GCD leaf formula
-    ``leaf_gcd(n, N mod n²)``: an arriving modulus need not divide ``N``,
-    so no exact division exists; ``gcd(n, N mod n) = gcd(n, N)`` is the
+    ``gcd(n, (N/n) mod n)``: an arriving modulus need not divide ``N``, so
+    no cofactor ``N/n`` exists; ``gcd(n, N mod n) = gcd(n, N)`` is the
     whole-corpus test.)
 
     The corpus product comes from a finished pipeline run's root blob

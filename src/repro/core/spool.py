@@ -75,15 +75,6 @@ def _encode_record(value: int) -> bytes:
     return len(body).to_bytes(_LEN_BYTES, "little") + body
 
 
-def record_nbytes(value: int) -> int:
-    """On-disk size of one record: its length prefix plus its bytes.
-
-    >>> record_nbytes(0), record_nbytes(255), record_nbytes(256)
-    (4, 5, 6)
-    """
-    return _LEN_BYTES + (value.bit_length() + 7) // 8
-
-
 def write_blob(path: str | Path, values: Iterable[int]) -> BlobInfo:
     """Stream ``values`` into a blob at ``path``; atomic rename on success.
 

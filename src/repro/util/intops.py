@@ -1,10 +1,10 @@
 """Pluggable big-integer operation backends for every GCD hot path.
 
-The reproduction's asymptotically fast paths — the Bernstein
-product/remainder trees (:mod:`repro.core.batch_gcd`), the disk-streamed
-pipeline's stages (:mod:`repro.core.pipeline`), and Miller–Rabin
-prime generation (:mod:`repro.rsa.primes`) — all reduce to a handful of
-arbitrary-precision operations: multiply, square, reduce, exact-divide,
+The reproduction's asymptotically fast paths — the Bernstein product
+tree and cofactor descent (:mod:`repro.core.batch_gcd`), the
+disk-streamed pipeline's stages (:mod:`repro.core.pipeline`), and
+Miller–Rabin prime generation (:mod:`repro.rsa.primes`) — all reduce to
+a handful of arbitrary-precision operations: multiply, square, reduce,
 GCD, modular exponentiation.  CPython's generic ``int`` implements them
 correctly but 5–20× slower than GMP at the 2048–65536-bit operand sizes
 the trees reach; ``fastgcd`` (the tool behind Heninger et al.'s "Mining
@@ -26,8 +26,8 @@ API boundaries with ``to_int`` so public results are always plain ``int``
 and therefore byte-identical across backends.
 
 CPython 3.11's ``%`` is schoolbook division, ``O(len(divisor) ·
-len(quotient))``, and the remainder tree's divisions have divisor and
-quotient of the same size, up to the whole corpus product.  Above
+len(quotient))``, and the cofactor descent's divisions have divisor and
+quotient of the same size, up to half the corpus product.  Above
 :data:`DIV_CUTOFF_BITS` the python backend's ``mod`` therefore divides by
 Burnikel–Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
 1998), which turns one big division into half-size divisions plus
@@ -149,7 +149,6 @@ class IntBackend:
     ``sqr``     ``a * a`` (GMP squares ~1.5× faster than a generic mul)
     ``mod``     ``a % m`` for non-negative operands
     ``gcd``     greatest common divisor
-    ``divexact`` ``a // b`` where ``b`` is known to divide ``a`` exactly
     ``powmod``  ``pow(b, e, m)``
     ``prod``    product of an iterable (empty → 1)
     ``from_int``/``to_int``  convert at API boundaries (both idempotent)
@@ -159,31 +158,21 @@ class IntBackend:
     ``from_bytes_be``  big-endian unsigned bytes → native value (the
                 RGWIRE1 wire codec, :mod:`repro.service.wire`; network
                 order is canonical on the wire, little-endian on disk)
-    ``leaf_gcd``  the batch-GCD leaf formula, see below
+    ``leaf_gcd``  the batch-GCD leaf ``gcd(n, u)``, see below
     ========== =========================================================
     """
 
     name: str
 
-    def leaf_gcd(self, n, r_mod_n2):
-        """The one batch-GCD leaf formula: ``gcd(n, (N/n) mod n)``.
+    def leaf_gcd(self, n, u):
+        """The batch-GCD leaf: ``gcd(n, u)`` for the cofactor residue
+        ``u = (N/n) mod n`` of :func:`repro.core.batch_gcd.cofactor_tree`,
+        ``N`` the product of all moduli.  Both leaf passes call it.
 
-        ``r_mod_n2`` is ``N mod n²`` from the remainder tree, where ``N``
-        is the product of all moduli.  Since ``n | N`` and ``N − r`` is a
-        multiple of ``n²``, ``n`` divides ``r`` too, so ``r / n`` is exact
-        — which is why the historical floor-division form
-        ``gcd(n, (r // n) % n)`` and this exact-division form agree:
-        floor division of an exact multiple *is* exact division.  Exact
-        division is the form GMP can do without computing a remainder.
-
-        Every leaf-stage call site (in-memory tree, pipeline leaf stage,
-        parity tests) routes through here so the hot formula
-        lives in exactly one place.
-
-        >>> resolve_backend("python").leaf_gcd(15, 315 % (15 * 15))
+        >>> resolve_backend("python").leaf_gcd(15, (315 // 15) % 15)
         3
         """
-        return self.gcd(n, self.mod(self.divexact(r_mod_n2, n), n))
+        return self.gcd(n, u)
 
 
 class PythonBackend(IntBackend):
@@ -201,9 +190,6 @@ class PythonBackend(IntBackend):
     mul = staticmethod(operator.mul)
     mod = staticmethod(_mod)
     gcd = staticmethod(math.gcd)
-    # exact by precondition (the caller guarantees b | a), so floor
-    # division returns the same value the true quotient would
-    divexact = staticmethod(operator.floordiv)
     powmod = staticmethod(pow)
     prod = staticmethod(math.prod)
     to_int = staticmethod(int)
@@ -241,7 +227,6 @@ class Gmpy2Backend(IntBackend):
         self._mpz = gmpy2.mpz
         self.mul = gmpy2.mul
         self.gcd = gmpy2.gcd
-        self.divexact = gmpy2.divexact
         self.powmod = gmpy2.powmod
         # f_mod == % for the non-negative operands every hot path uses
         self.mod = gmpy2.f_mod

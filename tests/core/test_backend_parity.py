@@ -8,10 +8,9 @@ and comparing outputs exactly.  They are skipped (not passed vacuously)
 when gmpy2 is absent; the CI matrix has a leg with gmpy2 installed so the
 comparisons really run somewhere.
 
-The telemetry-shape regression tests at the bottom are backend-independent
-and always run: the remainder tree's root-descent shortcut (reusing the
-sibling product instead of square-and-reduce) must not change how per-level
-timings land.
+The tests at the bottom are backend-independent and always run: the
+cofactor descent records one timing per level and reproduces the
+textbook squared descent's leaves.
 """
 
 import random
@@ -19,7 +18,7 @@ import random
 import pytest
 
 from repro.core.attack import find_shared_primes
-from repro.core.batch_gcd import batch_gcd, product_tree, remainder_tree
+from repro.core.batch_gcd import batch_gcd, cofactor_tree, product_tree
 from repro.core.pipeline import (
     PipelineConfig,
     quick_check,
@@ -59,11 +58,10 @@ def test_product_tree_levels_identical(corpus):
 
 
 @needs_gmpy2
-@pytest.mark.parametrize("square", [True, False])
-def test_remainder_tree_identical(corpus, square):
+def test_cofactor_tree_identical(corpus):
     levels_py = product_tree(corpus.moduli, backend="python")
-    assert remainder_tree(levels_py, square=square, backend="python") == \
-        remainder_tree(levels_py, square=square, backend="gmpy2")
+    assert cofactor_tree(levels_py, backend="python") == \
+        cofactor_tree(levels_py, backend="gmpy2")
 
 
 @needs_gmpy2
@@ -170,9 +168,7 @@ def test_generated_primes_identical_for_fixed_seed(monkeypatch):
     assert outs["python"] == outs["gmpy2"]
 
 
-# --------------------------------------- telemetry-shape regression tests
-# (backend-independent: they pin down that the remainder tree's sibling
-# shortcut still records one observation per level)
+# ------------------------------------- backend-independent descent tests
 
 
 def test_level_histograms_one_observation_per_level():
@@ -180,21 +176,19 @@ def test_level_histograms_one_observation_per_level():
     tel = Telemetry.create()
     batch_gcd(moduli, telemetry=tel)
     snap = tel.registry.snapshot()
-    # 8 leaves -> levels [8, 4, 2, 1]: 3 product builds, 3 descents (the
-    # root descent uses the sibling-product shortcut but still times its
-    # level)
+    # 8 leaves -> levels [8, 4, 2, 1]: 3 product builds, 3 descents
     assert snap["histograms"]["batch.product_level_seconds"]["count"] == 3
     assert snap["histograms"]["batch.remainder_level_seconds"]["count"] == 3
     assert snap["gauges"]["batch.levels"] == 4
 
 
-def test_root_shortcut_matches_naive_descent():
-    # square-and-reduce vs sibling-product must be value-identical; the
-    # shortcut only fires at the root, so compare against a hand descent
+def test_cofactor_tree_matches_squared_descent():
+    # the textbook descent carries N mod v² down the tree; its leaf value is
+    # n times the cofactor residue (N/n) mod n the cofactor descent carries
     moduli = generate_weak_corpus(9, 64, shared_groups=(2,), seed=6).moduli
     levels = product_tree(moduli)
     N = levels[-1][0]
     naive = [N]
     for level in reversed(levels[:-1]):
         naive = [naive[k // 2] % (v * v) for k, v in enumerate(level)]
-    assert remainder_tree(levels) == naive
+    assert cofactor_tree(levels) == [r // n for r, n in zip(naive, moduli)]

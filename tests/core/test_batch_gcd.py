@@ -1,13 +1,17 @@
-"""Tests for the product/remainder-tree batch GCD baseline."""
+"""Tests for the product-tree + cofactor-descent batch GCD baseline."""
 
 import math
+import operator
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_gcd import batch_gcd, product_tree, remainder_tree
+from repro.core.batch_gcd import batch_gcd, cofactor_tree, product_tree
+from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.spool import read_blob
 from repro.telemetry import Telemetry
 
 
@@ -53,20 +57,46 @@ class TestProductTree:
         assert peak(tel_lean) < peak(tel_full)
 
 
-class TestRemainderTree:
+class TestCofactorTree:
     @given(st.lists(st.integers(min_value=2, max_value=1 << 48), min_size=1, max_size=20))
     @settings(max_examples=100)
-    def test_leaves_are_root_mod_square(self, values):
+    def test_leaves_are_cofactor_residues(self, values):
         levels = product_tree(values)
         n = levels[-1][0]
-        rems = remainder_tree(levels)
-        assert rems == [n % (v * v) for v in values]
+        assert cofactor_tree(levels) == [(n // v) % v for v in values]
 
-    def test_unsquared_variant(self):
-        values = [7, 11, 13]
-        levels = product_tree(values)
-        rems = remainder_tree(levels, square=False)
-        assert rems == [0, 0, 0]  # every leaf divides the product
+
+#: small odd primes (so random draws collide: shared primes and duplicated
+#: moduli) plus two Mersenne primes for multi-word operands
+_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, (1 << 61) - 1, (1 << 89) - 1]
+_MODULI = st.builds(operator.mul, st.sampled_from(_PRIMES), st.sampled_from(_PRIMES))
+
+
+class TestCofactorDescentProperty:
+    """The cofactor descent gives the squared remainder tree's leaf GCDs,
+    in memory and through the disk-streamed pipeline alike."""
+
+    @given(st.lists(_MODULI, min_size=1, max_size=40))
+    @example([15])
+    @example([15, 21])  # two moduli: the root's children are the leaves
+    @example([33, 33])  # duplicated modulus: u = 0, so gcd = n
+    @example([15, 21, 35])  # odd level: the carried node keeps its residue
+    @example([3 * 5, 7 * 11, 13 * 17, 19 * 23, 29 * 31])  # odd twice, no shares
+    @settings(max_examples=100, deadline=None)
+    def test_batch_gcd_and_pipeline_match_squared_oracle(self, moduli):
+        with tempfile.TemporaryDirectory() as spool:
+            config = PipelineConfig(spool_dir=spool, retries=0)
+            if len(moduli) < 2:
+                with pytest.raises(ValueError):
+                    batch_gcd(moduli)
+                with pytest.raises(ValueError):
+                    run_pipeline(moduli, config)
+                return
+            n_total = math.prod(moduli)
+            oracle = [math.gcd(n, (n_total % (n * n)) // n) for n in moduli]
+            assert batch_gcd(moduli) == oracle
+            run_pipeline(moduli, config)
+            assert read_blob(f"{spool}/gcds.bin") == oracle
 
 
 class TestBatchGcd:

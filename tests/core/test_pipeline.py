@@ -5,6 +5,7 @@ final hit set equals the in-memory ``batch_gcd`` oracle on the same
 moduli — and, for planted corpora, the ground truth.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import math
 import pytest
 
 from repro.core.attack import find_shared_primes
+from repro.core.batch_gcd import product_tree
 from repro.core.checkpoint import MANIFEST_NAME, CheckpointStore
 from repro.core.pipeline import (
     PipelineConfig,
@@ -143,19 +145,25 @@ class TestStageBodies:
         assert read_blob(tmp_path / "up.bin") == [15, 7]
         assert info.count == 2
 
-    def test_remainder_stage_mod_square(self, tmp_path):
-        write_blob(tmp_path / "parents.bin", [1000, 500])
-        write_blob(tmp_path / "values.bin", [7, 11, 13])
+    def test_remainder_stage_cofactor_step(self, tmp_path):
+        # levels [7, 11, 13] -> [77, 13] -> [1001]: every node gets
+        # (N/v) mod v, the root's children from u = 1 (no parent blob) and
+        # the carried 13 keeps its parent's residue
+        n_total = 7 * 11 * 13
+        write_blob(tmp_path / "level1.bin", [77, 13])
+        write_blob(tmp_path / "level0.bin", [7, 11, 13])
+        _remainder_stage(None, tmp_path / "level1.bin", tmp_path / "rem1.bin", self.B)
+        assert read_blob(tmp_path / "rem1.bin") == [n_total // 77 % 77, n_total // 13 % 13]
         _remainder_stage(
-            tmp_path / "parents.bin", tmp_path / "values.bin", tmp_path / "rem.bin", self.B
+            tmp_path / "rem1.bin", tmp_path / "level0.bin", tmp_path / "rem0.bin", self.B
         )
-        assert read_blob(tmp_path / "rem.bin") == [1000 % 49, 1000 % 121, 500 % 169]
+        assert read_blob(tmp_path / "rem0.bin") == [n_total // v % v for v in (7, 11, 13)]
 
     def test_leaf_stage_recovers_shared_prime(self, tmp_path):
         moduli = [7 * 11, 7 * 13, 17 * 19]
         n_total = math.prod(moduli)
         write_blob(tmp_path / "moduli.bin", moduli)
-        write_blob(tmp_path / "rem.bin", [n_total % (n * n) for n in moduli])
+        write_blob(tmp_path / "rem.bin", [n_total // n % n for n in moduli])
         _leaf_stage(
             tmp_path / "moduli.bin", tmp_path / "rem.bin", tmp_path / "gcds.bin", self.B
         )
@@ -207,6 +215,7 @@ class TestCrashResume:
             "memory_budget": 4096,
             "workers": 2,
             "backend": manifest.config["backend"],
+            "remainder": "cofactor",
         }
         store.save(manifest)
 
@@ -217,6 +226,52 @@ class TestCrashResume:
         assert resumed.stages_skipped == ALL_STAGES
         assert _hit_triples(resumed) == oracle_hits
         assert store.load().config == manifest.config
+
+    def test_squared_remainder_spool_reruns_from_remainders(
+        self, corpus, tmp_path
+    ):
+        """A spool from the older squared descent (``N mod v²`` blobs, no
+        format marker) keeps its ingest and product stages; every
+        ``remainder.*`` stage and what follows reruns, since the old blobs
+        still hash clean but would make every leaf ``gcd(n, N mod n²) = n``."""
+        run_pipeline(corpus.moduli, PipelineConfig(spool_dir=tmp_path))
+        store = CheckpointStore(tmp_path)
+        manifest = store.load()
+        levels = product_tree(corpus.moduli)
+        rems = levels[-1]
+        squared = {}
+        for k in range(len(levels) - 2, -1, -1):
+            rems = [rems[i // 2] % (v * v) for i, v in enumerate(levels[k])]
+            squared[f"remainder.{k}"] = write_blob(tmp_path / f"remainder-{k:03d}.bin", rems)
+        manifest.stages = [
+            dataclasses.replace(r, nbytes=squared[r.name].nbytes, sha256=squared[r.name].sha256)
+            if r.name in squared else r
+            for r in manifest.stages
+        ]
+        manifest.config = {"n_moduli": 12, "backend": manifest.config["backend"]}
+        store.save(manifest)
+        old_bytes = sum(info.nbytes for info in squared.values())
+
+        resumed = run_pipeline(
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path, resume=True)
+        )
+        kept = [name for name in ALL_STAGES if name.startswith(("ingest", "product"))]
+        assert resumed.stages_skipped == kept
+        assert resumed.stages_run == ALL_STAGES[len(kept):]
+        assert resumed.hit_pairs == corpus.weak_pair_set()
+        after = store.load()
+        assert after.config["remainder"] == "cofactor"
+        assert read_blob(tmp_path / "remainder-000.bin") == [
+            levels[-1][0] // n % n for n in corpus.moduli
+        ]
+        new_bytes = sum(r.nbytes for r in after.stages if r.name in squared)
+        assert new_bytes < old_bytes
+
+        # and the rewritten spool now resumes with nothing to do
+        again = run_pipeline(
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path, resume=True)
+        )
+        assert again.stages_run == []
 
     def test_resume_without_flag_restarts(self, corpus, tmp_path):
         config = PipelineConfig(spool_dir=tmp_path)

@@ -11,7 +11,6 @@ from repro.core.spool import (
     blob_sha256,
     iter_blob,
     read_blob,
-    record_nbytes,
     write_blob,
 )
 
@@ -50,7 +49,8 @@ class TestAccounting:
     def test_record_nbytes_matches_disk(self, tmp_path_factory, value):
         path = tmp_path_factory.mktemp("spool") / "one.bin"
         info = write_blob(path, [value])
-        assert info.nbytes == len(MAGIC) + record_nbytes(value)
+        # a 4-byte length prefix, then the value's little-endian bytes
+        assert info.nbytes == len(MAGIC) + 4 + (value.bit_length() + 7) // 8
         assert path.stat().st_size == info.nbytes
 
     def test_info_hash_matches_file(self, tmp_path):

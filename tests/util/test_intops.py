@@ -113,7 +113,6 @@ def test_core_ops(backend):
     assert backend.sqr(a) == a * a
     assert backend.mod(a, b) == a % b
     assert backend.gcd(a * 15, b * 15) == math.gcd(a * 15, b * 15)
-    assert backend.divexact(a * b, b) == a
     assert backend.powmod(2, a, b) == pow(2, a, b)
     assert backend.prod([a, b, 7]) == a * b * 7
     assert backend.prod([]) == 1
@@ -136,8 +135,9 @@ def test_python_backend_is_zero_copy():
 
 
 def test_leaf_gcd_matches_historical_floor_division_form(backend):
-    # the three call sites this formula unified used gcd(n, (r//n) % n);
-    # exact division agrees because n | r whenever r = N mod n^2 with n | N
+    # the squared descent's leaf was gcd(n, (r//n) % n) with r = N mod n^2;
+    # the cofactor residue (N/n) mod n is that same (r//n) % n, because
+    # N mod n^2 = n * ((N/n) mod n) whenever n | N
     rng = random.Random(7)
     primes = [7919, 104729, 1299709, 15485863, 32452843]
     for _ in range(50):
@@ -147,13 +147,13 @@ def test_leaf_gcd_matches_historical_floor_division_form(backend):
         N = n * others
         r = N % (n * n)
         expected = math.gcd(n, (r // n) % n)
-        assert backend.to_int(backend.leaf_gcd(n, r)) == expected
+        assert backend.to_int(backend.leaf_gcd(n, (N // n) % n)) == expected
 
 
 def test_leaf_gcd_accepts_native_operands(backend):
     n, N = 15, 15 * 21
-    r = backend.from_int(N % (15 * 15))
-    assert backend.to_int(backend.leaf_gcd(backend.from_int(n), r)) == 3
+    u = backend.from_int((N // n) % n)
+    assert backend.to_int(backend.leaf_gcd(backend.from_int(n), u)) == 3
 
 
 # ------------------------------------------------------------ gmpy2 extras
