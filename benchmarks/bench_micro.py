@@ -1,7 +1,7 @@
-"""Hot-path micro benchmarks: GCD kernels and the submit wire formats.
+"""Hot-path micro benchmarks: GCD kernels, the ptree flush, wire formats.
 
 ``bench_e2e_scaling`` times whole attacks and ``bench_service`` times the
-service under concurrent load; this harness isolates the five innermost
+service under concurrent load; this harness isolates the innermost
 costs those numbers are made of, so a regression shows up *named* instead
 of as a vague end-to-end slowdown:
 
@@ -31,7 +31,15 @@ of as a vague end-to-end slowdown:
   moduli, in pairs/second and loop trips, against the same pairs run
   serially on the word-level tier (:func:`repro.gcd.word.gcd_approx_words`,
   timed on a prefix of the block); ``speedup`` is the per-pair ratio.
-  Independent of ``--int-backend``: the engine works on NumPy words.
+  Independent of ``--int-backend``: the engine works on NumPy words;
+* ``flush_scan``     — one incremental ``ptree`` flush
+  (:meth:`repro.core.incremental.IncrementalScanner.cross_scan`) of
+  ``k`` ∈ {1, 4, 16, 64} fresh keys against a prebuilt registry of
+  2,000 × 2048-bit keys (256 with ``--quick``) that shares nothing with
+  them: the screened scan (one GCD per segment root, descent only where
+  a segment is flagged) against an inlined unscreened reference (descent
+  of ``Π new`` plus a GCD at every leaf); ``speedup`` is the ratio at
+  ``k = 1``.
 
 Results land in ``BENCH_micro.json`` (schema ``repro.bench_micro/1``).
 Each ``REPRO_BENCH_MICRO_MIN_*`` environment variable (or the matching
@@ -64,8 +72,10 @@ from pathlib import Path
 
 from repro.bulk.engine import BulkGcdEngine
 from repro.core.batch_gcd import cofactor_tree, product_tree
+from repro.core.incremental import IncrementalScanner
 from repro.gcd.word import gcd_approx_words
 from repro.mp.wordint import WordInt
+from repro.rsa.primes import is_prime
 from repro.service import wire
 from repro.service.http import (
     HttpServer,
@@ -95,6 +105,10 @@ SUBMIT_BITS = 64
 BULK_MODULI, BULK_BITS = 64, 1024
 #: block prefix timed serially on the word tier (~8 ms a pair at 1024 bits)
 QUICK_BULK_WORD_PAIRS, FULL_BULK_WORD_PAIRS = 16, 64
+#: the flush_scan section: registry size, modulus size, flush sizes
+QUICK_FLUSH_KEYS, FULL_FLUSH_KEYS = 256, 2000
+FLUSH_BITS = 2048
+FLUSH_KS = (1, 4, 16, 64)
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
@@ -106,6 +120,7 @@ FLOORS = (
     ("wire_speedup", ("parse", "speedup")),
     ("submit_rps", ("submit", "wire", "submissions_per_second")),
     ("bulk_speedup", ("bulk", "speedup")),
+    ("flush_speedup", ("flush_scan", "speedup")),
 )
 
 
@@ -295,6 +310,110 @@ def bench_bulk(word_pairs: int, seed: str, repeat: int) -> dict:
     }
 
 
+def prime_power_halves(n: int, bits: int, seed: str) -> list[int]:
+    """``n`` pairwise coprime halves ``q**e``: any two multiply to a
+    modulus of exactly ``bits`` bits.
+
+    ``q`` is a fresh 64-bit prime and ``e = bits // 128``, drawn from the
+    range that lands every product of two halves on exactly ``bits``
+    bits.  A 64-bit prime costs microseconds where an honest
+    ``bits/2``-bit one costs a large fraction of a second, and the GCD
+    arithmetic does not care that a half is a power.  Random odd values
+    would not do: they share small factors, so every segment of the tree
+    would screen positive.
+    """
+    rng = random.Random((seed, n, bits).__repr__())
+    e = bits // 128
+    target = 1 << (bits - 1)
+    lo, hi = 1, 1 << 64  # least q with q**(2e) >= 2**(bits-1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** (2 * e) >= target else (mid + 1, hi)
+    seen: set[int] = set()
+    out = []
+    while len(out) < n:
+        q = rng.randrange(lo, 1 << 64) | 1
+        if q not in seen and is_prime(q):
+            seen.add(q)
+            out.append(q**e)
+    return out
+
+
+def _unscreened_cross(scanner: IncrementalScanner, batch: list[int]) -> list[tuple]:
+    """The flush before screening, inlined: descend ``Π new`` through every
+    segment of the scanner's tree and take a GCD at every leaf."""
+    B = scanner.backend
+    mod, gcd, to_int = B.mod, B.gcd, B.to_int
+    native_new = [B.from_int(n) for n in batch]
+    value = B.prod(native_new)
+    base = scanner.n_keys
+    hits = []
+    for seg in scanner._ptree.segments:
+        rems = [mod(value, seg.root)]
+        for level in reversed(seg.levels[:-1]):
+            rems = [mod(rems[k // 2], node) for k, node in enumerate(level)]
+        for i, (leaf, r) in enumerate(zip(seg.levels[0], rems), seg.start):
+            g = gcd(leaf, r)
+            if g == 1:
+                continue
+            for t, nk in enumerate(native_new):
+                if to_int(gcd(g, nk)) > 1:
+                    hits.append((i, base + t, to_int(gcd(leaf, nk))))
+    return sorted(hits)
+
+
+def bench_flush_scan(backend, n_keys: int, seed: str, repeat: int) -> dict:
+    """One ``cross_scan`` per flush size, screened vs the unscreened reference.
+
+    The registry and the timed batches are pairwise coprime, the shape of
+    nearly every real flush.  Before timing, one batch holding a key that
+    reuses a registry key's half checks that both paths report the same
+    hits.
+    """
+    halves = prime_power_halves(2 * (n_keys + sum(FLUSH_KS)) + 1, FLUSH_BITS, seed)
+    moduli = [a * b for a, b in zip(halves[0:-1:2], halves[1:-1:2])]
+    registry, fresh = moduli[:n_keys], moduli[n_keys:]
+    scanner = IncrementalScanner(bits=FLUSH_BITS, engine="ptree", int_backend=backend)
+    t0 = time.perf_counter()
+    scanner.adopt(registry)
+    build_s = time.perf_counter() - t0
+
+    planted = [fresh[0], halves[0] * halves[-1]]  # shares a half with key 0
+    report = scanner.cross_scan(planted)
+    screened_hits = sorted((h.i, h.j, h.prime) for h in report.hits)
+    assert screened_hits, "planted flush must hit"
+    assert screened_hits == _unscreened_cross(scanner, planted), "screen/reference hit parity"
+
+    counter = scanner.telemetry.registry.counter
+    rows = []
+    pos = 0
+    for k in FLUSH_KS:
+        batch = fresh[pos : pos + k]
+        pos += k
+        flagged = counter("ptree.segments_flagged").value
+        screened_s, report = _best_of(lambda: scanner.cross_scan(batch), repeat)
+        flagged = counter("ptree.segments_flagged").value - flagged
+        reference_s, reference = _best_of(
+            lambda: _unscreened_cross(scanner, batch), repeat
+        )
+        assert report.hits == [] and reference == [], "coprime flush must not hit"
+        rows.append({
+            "k": k,
+            "screened_seconds": round(screened_s, 6),
+            "unscreened_seconds": round(reference_s, 6),
+            "speedup": round(reference_s / screened_s, 3),
+            "segments_flagged": flagged,
+        })
+    return {
+        "registry_keys": n_keys,
+        "bits": FLUSH_BITS,
+        "segment_sizes": scanner._ptree.segment_sizes(),
+        "build_seconds": round(build_s, 4),
+        "rows": rows,
+        "speedup": rows[0]["speedup"],
+    }
+
+
 class _Client:
     """One keep-alive HTTP/1.1 connection that can post either format."""
 
@@ -458,6 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     submit_keys = args.submit_keys or (QUICK_SUBMIT_KEYS if args.quick else FULL_SUBMIT_KEYS)
     div_bits = QUICK_DIV_BITS if args.quick else FULL_DIV_BITS
     bulk_word_pairs = QUICK_BULK_WORD_PAIRS if args.quick else FULL_BULK_WORD_PAIRS
+    flush_keys = QUICK_FLUSH_KEYS if args.quick else FULL_FLUSH_KEYS
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -490,6 +610,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  bulk            {b['pairs_per_second']:>12.1f} pairs/s"
           f"  ({b['lanes']} lanes x {b['bits']}-bit, {b['loop_trips']} trips,"
           f" {b['speedup']:.1f}x the word tier)", file=sys.stderr)
+    sections["flush_scan"] = bench_flush_scan(
+        backend, flush_keys, args.seed + "-flush", repeat
+    )
+    for row in sections["flush_scan"]["rows"]:
+        print(f"  flush_scan k={row['k']:<3}  screened {row['screened_seconds'] * 1e3:8.2f} ms"
+              f"  unscreened {row['unscreened_seconds'] * 1e3:8.2f} ms  {row['speedup']:.2f}x"
+              f"  ({flush_keys} x {FLUSH_BITS}-bit registry)", file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -524,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
             "tree_keys": tree_keys, "tree_bits": tree_bits,
             "parse_keys": parse_keys, "parse_bits": parse_bits,
             "submit_keys": submit_keys, "div_bits": list(div_bits),
-            "bulk_word_pairs": bulk_word_pairs,
+            "bulk_word_pairs": bulk_word_pairs, "flush_keys": flush_keys,
             "repeat": repeat, "seed": args.seed,
         },
         "environment": {
@@ -576,6 +703,10 @@ def test_bench_micro_quick(tmp_path, report):
     assert s["bulk"]["lanes"] == 2016
     # lock-step execution beats the same kernel run serially, by a lot
     assert s["bulk"]["speedup"] > 3
+    assert [r["k"] for r in s["flush_scan"]["rows"]] == list(FLUSH_KS)
+    # a flush that shares nothing flags no segment, so it pays no leaf GCDs
+    assert all(r["segments_flagged"] == 0 for r in s["flush_scan"]["rows"])
+    assert s["flush_scan"]["speedup"] > 1
     for fmt in ("json", "wire"):
         assert s["submit"][fmt]["registered"] == s["submit"][fmt]["keys"]
     report(
@@ -590,6 +721,7 @@ def test_bench_micro_quick(tmp_path, report):
         f"wire {s['submit']['wire']['submissions_per_second']:.0f} subs/s",
         f"  bulk: {s['bulk']['pairs_per_second']:.0f} pairs/s, "
         f"{s['bulk']['speedup']:.1f}x the word tier",
+        f"  flush_scan: screened {s['flush_scan']['speedup']:.1f}x unscreened at k=1",
     )
 
 

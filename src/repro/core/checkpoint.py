@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core import durable
@@ -132,10 +132,18 @@ class CheckpointStore:
         """
         faults.fire("manifest.commit")
         durable.makedirs(self.spool_dir)
+        # explicit dicts, same keys and order as the dataclass fields:
+        # ``asdict`` deep-copies every record, which dominated the save
         payload = {
             "version": manifest.version,
             "config": manifest.config,
-            "stages": [asdict(record) for record in manifest.stages],
+            "stages": [
+                {
+                    "name": r.name, "blob": r.blob, "count": r.count,
+                    "nbytes": r.nbytes, "sha256": r.sha256, "seconds": r.seconds,
+                }
+                for r in manifest.stages
+            ],
         }
         body = (json.dumps(payload, indent=2) + "\n").encode()
         durable.replace_bytes(self.path, body)

@@ -16,10 +16,11 @@ Two engine tiers cover the new pairs (hit sets are identical across both
     simple pairwise path;
 ``ptree``
     a :class:`~repro.core.ptree.PersistentProductTree` over the old
-    corpus: the batch is tested against *all* old keys with a single
-    remainder descent of ``Π new`` (no squaring needed — new keys are
-    never in the tree).  Amortizes the flush to roughly O(m·log k)
-    big-integer work instead of ``k·m`` independent GCDs.
+    corpus: the batch is screened against *all* old keys with one GCD
+    per segment root against ``Π new``, and only the segments that share
+    a prime with the batch are descended (no squaring needed — new keys
+    are never in the tree).  A flush that shares nothing costs O(log m)
+    GCDs instead of ``k·m`` independent ones.
 
 Both tiers share one direct ``k(k−1)/2`` pass for the internal pairs.
 ``auto`` (the default) picks ``native`` or ``ptree`` per batch by cross
@@ -53,12 +54,12 @@ _ENGINES = ("native", "ptree", "auto")
 #: ``auto`` switches from pairwise ``native`` to the ``ptree`` descent when
 #: a batch creates at least this many cross pairs (``k·m_old``): below it
 #: — essentially only single-key flushes against small corpora — the
-#: descent's fixed costs (batch product, per-leaf flag GCDs) exceed the
-#: pairwise GCDs it saves.  It is not a measured crossover: the smallest
-#: cell of ``benchmarks/bench_e2e_scaling.py --incremental``
-#: (``crossover_pairs`` in BENCH_e2e.json) is 10 000 cross pairs, and
-#: ``ptree`` already wins there; the re-measure at realistic key sizes is
-#: ROADMAP item 4.
+#: tree's fixed costs (batch product, one screening GCD per segment, tree
+#: maintenance) are judged to exceed the pairwise GCDs it saves.  It is
+#: not a measured crossover: the smallest cell of
+#: ``benchmarks/bench_e2e_scaling.py --incremental`` (``crossover_pairs``
+#: in BENCH_e2e.json) is 10 000 cross pairs, and ``ptree`` already wins
+#: there; the re-measure at realistic key sizes is ROADMAP item 3.
 AUTO_MIN_CROSS_PAIRS = 256
 
 
@@ -346,30 +347,34 @@ class IncrementalScanner:
         self.telemetry.advance(k * (k - 1) // 2)
 
     def _cross_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """Cross pairs via one remainder descent of ``Π new`` down the
-        persistent tree; flagged old keys are attributed to their partners
-        with small GCDs against the flag value."""
+        """Cross pairs via the persistent tree: one screening GCD per
+        segment root against ``Π new``, then a descent and leaf GCDs in
+        the flagged segments only; flagged old keys are attributed to
+        their partners with small GCDs against the flag value."""
         tel = self.telemetry
         B = self.backend
         gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
-        one = B.from_int(1)
         native_new = [from_int(n) for n in new_moduli]
         if base and new_moduli:
             with tel.timer.span("descend"):
                 p_new = B.prod(native_new)
-                rems = self._ptree.batch_remainders(p_new)
-            for i, (leaf, r) in enumerate(zip(self._ptree.leaves(), rems)):
-                g = gcd(leaf, r)
-                if g <= one:
-                    continue
-                # g = gcd(n_i, Π new) holds every prime key i shares with
-                # the batch, so candidate partners filter on gcd(g, n_k)
-                # — and every candidate is a genuine hit
-                for t, nk in enumerate(native_new):
-                    if to_int(gcd(g, nk)) > 1:
-                        report.hits.append(
-                            WeakHit(i, base + t, to_int(gcd(leaf, nk)))
-                        )
+                flagged = self._ptree.batch_remainders(p_new)
+            old = self.moduli  # the tree's leaves, in the same order
+            for start, rems in flagged:
+                for i, r in enumerate(rems, start):
+                    leaf = from_int(old[i])
+                    g = gcd(leaf, r)
+                    if g == 1:
+                        continue
+                    # g has the prime set of gcd(n_i, Π new): every prime
+                    # key i shares with the batch, so candidate partners
+                    # filter on gcd(g, n_k) — and every candidate is a
+                    # genuine hit
+                    for t, nk in enumerate(native_new):
+                        if to_int(gcd(g, nk)) > 1:
+                            report.hits.append(
+                                WeakHit(i, base + t, to_int(gcd(leaf, nk)))
+                            )
             tel.advance(base * len(new_moduli))
 
     # -- accounting ------------------------------------------------------------

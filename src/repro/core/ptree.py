@@ -2,11 +2,19 @@
 
 The incremental scanner's hot path is "test a batch of ``k`` new moduli
 against all ``m`` old ones".  Done pairwise that is ``k·m`` GCDs per flush;
-done with a product tree it is one remainder descent: compute
-``P = Π new``, push it down a tree whose leaves are the *old* moduli, and
-flag every old key ``i`` with ``gcd(n_i, P mod n_i) > 1``.  Because no
-``n_i`` divides ``P`` (the tree holds only old keys), the descent needs no
-squaring — unlike classic batch GCD, plain ``mod`` at every node suffices.
+done with a product tree it is one GCD per segment root plus a remainder
+descent of the flagged segments only.  With ``P = Π new``, each segment
+is first *screened*: ``g = gcd(P, root mod P)``.  A prime that divides
+both some leaf ``n_i`` and ``P`` divides the root too, hence ``g``; so
+``g == 1`` proves no leaf of the segment shares a prime with the batch,
+and the segment is skipped without a single leaf GCD.  A flagged segment
+descends ``g`` (not ``P``): ``gcd(n_i, g mod n_i)`` has exactly the prime
+set of ``gcd(n_i, P)``, and since ``g`` divides the root, the descent
+costs no more than the segment's leaf GCDs whatever ``k`` is.  No
+squaring is needed anywhere — unlike classic batch GCD, plain ``mod``
+suffices, because ``P`` is built from moduli that are not in the tree.
+Shared primes are rare, so a typical flush pays one GCD per segment
+(O(log m) of them) instead of ``m``.
 
 Rebuilding the tree from scratch on every flush would cost ``m − 1``
 multiplications each time.  :class:`PersistentProductTree` instead keeps
@@ -120,8 +128,8 @@ class PersistentProductTree:
     >>> t.append([3, 5, 7])
     >>> t.n_leaves, t.segment_sizes()
     (3, [2, 1])
-    >>> [int(r) for r in t.batch_remainders(11 * 3)]
-    [0, 3, 5]
+    >>> [(start, [int(r) for r in rems]) for start, rems in t.batch_remainders(11 * 3)]
+    [(0, [0, 3])]
     """
 
     def __init__(
@@ -158,25 +166,39 @@ class PersistentProductTree:
         for seg in self.segments:
             yield from seg.levels[0]
 
-    def batch_remainders(self, value) -> list:
-        """``value mod n_i`` for every leaf ``n_i``, in global index order.
+    def batch_remainders(self, value) -> list[tuple[int, list]]:
+        """Screen every segment against ``value``; descend the flagged ones.
 
-        ``value`` is the product of an arriving batch; the result feeds
-        ``gcd(n_i, r_i)`` flagging.  No squaring anywhere: ``value`` is
-        built from moduli *not* in this tree, so ``gcd(n_i, value) =
-        gcd(n_i, value mod n_i)`` exactly.  Descending top-down means the
-        huge upper nodes absorb the reduction once per segment instead of
-        once per leaf.
+        ``value`` is the product of an arriving batch.  Each segment is
+        screened with one GCD, ``g = gcd(value, root mod value)`` (the
+        backend's ``mod``, so a large ``value`` reduces by recursive
+        division), and skipped when ``g == 1``: then no leaf shares a
+        prime with ``value``.  A flagged segment descends ``g``, giving
+        residues ``g mod n_i`` whose ``gcd(n_i, ·)`` has exactly the
+        prime set of ``gcd(n_i, value)``.  Returns ``(start, residues)``
+        per flagged segment, ``start`` its first global leaf index.
+
+        >>> t = PersistentProductTree()
+        >>> t.append([3 * 5, 7 * 11, 13 * 17])
+        >>> [(start, [int(r) for r in rems]) for start, rems in t.batch_remainders(11 * 19)]
+        [(0, [11, 11])]
         """
         B = self.backend
-        mod, from_int = B.mod, B.from_int
-        value = from_int(value)
-        out: list = []
+        mod, gcd = B.mod, B.gcd
+        value = B.from_int(value)
+        out: list[tuple[int, list]] = []
         for seg in self.segments:
-            rems = [mod(value, seg.root)]
+            g = gcd(value, mod(seg.root, value))
+            if g == 1:
+                continue
+            rems = [mod(g, seg.root)]
             for level in reversed(seg.levels[:-1]):
                 rems = [mod(rems[k // 2], node) for k, node in enumerate(level)]
-            out.extend(rems)
+            out.append((seg.start, rems))
+        if self.telemetry is not None:
+            reg = self.telemetry.registry
+            reg.counter("ptree.segments_screened").inc(len(self.segments))
+            reg.counter("ptree.segments_flagged").inc(len(out))
         return out
 
     # -- growth ----------------------------------------------------------------

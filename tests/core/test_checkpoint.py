@@ -1,5 +1,8 @@
 """Tests for the checkpoint manifest layer."""
 
+import json
+from dataclasses import asdict
+
 from repro.core.checkpoint import (
     MANIFEST_NAME,
     CheckpointStore,
@@ -41,6 +44,24 @@ class TestStore:
         loaded = store.load()
         assert loaded.config == {"n_moduli": 4}
         assert loaded.stages == m.stages
+
+    def test_save_bytes_match_the_asdict_form(self, tmp_path):
+        """``save`` writes exactly the ``asdict`` serialisation: same keys,
+        same order, same float and string rendering, byte for byte."""
+        store = CheckpointStore(tmp_path)
+        m = Manifest(config={"format": "product-tree/1", "n_leaves": 3, "note": "é"})
+        m.stages.append(_record(store, "seg.0.1", "seg-00000000-h01.bin", [33, 35]))
+        m.stages.append(StageRecord("seg.2.0", "seg-00000002-h00.bin", 1, 12, "ab" * 32, 1e-07))
+        store.save(m)
+        reference = json.dumps(
+            {
+                "version": m.version,
+                "config": m.config,
+                "stages": [asdict(r) for r in m.stages],
+            },
+            indent=2,
+        ) + "\n"
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == reference.encode()
 
     def test_load_missing_is_none(self, tmp_path):
         assert CheckpointStore(tmp_path).load() is None

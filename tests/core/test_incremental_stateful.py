@@ -17,7 +17,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -31,23 +31,33 @@ ENGINES = ("native", "ptree", "auto")
 #: low enough that the machine's small batches land on both sides
 AUTO_THRESHOLD = 6
 
-# 16-bit primes with the top two bits set, so every product has 32 bits
-_PRIMES = [49157, 49169, 49171, 49177, 49193, 49199, 49201, 49207, 49211, 49223]
+# 16-bit primes with the top two bits set, so every product has 32 bits.
+# Weak keys draw both halves from a small pool, so they often share one;
+# healthy keys draw from a disjoint, larger pool, so most segments of the
+# ptree screen negative against a batch and the screen's skip path runs.
+_WEAK = [49157, 49169, 49171, 49177, 49193, 49199, 49201, 49207, 49211, 49223]
+_HEALTHY = [
+    p for p in range(60001, 65536, 2)
+    if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
+][:60]
+_POOLS = (_WEAK, _HEALTHY)
 
 
-def _modulus(i: int, j: int) -> int:
-    return _PRIMES[i] * _PRIMES[j]
+def _modulus(pool: int, i: int, j: int) -> int:
+    return _POOLS[pool][i] * _POOLS[pool][j]
+
+
+def _pick(pool: int):
+    """``(pool, i, j)`` with ``i != j``: ``j`` is ``i`` plus a nonzero offset."""
+    size = len(_POOLS[pool])
+    return st.tuples(
+        st.integers(min_value=0, max_value=size - 1),
+        st.integers(min_value=1, max_value=size - 1),
+    ).map(lambda t: (pool, t[0], (t[0] + t[1]) % size))
 
 
 def _picks():
-    return st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=len(_PRIMES) - 1),
-            st.integers(min_value=0, max_value=len(_PRIMES) - 1),
-        ).filter(lambda t: t[0] != t[1] and _modulus(*t).bit_length() == BITS),
-        min_size=0,
-        max_size=4,
-    )
+    return st.lists(st.one_of(_pick(0), _pick(1)), min_size=0, max_size=4)
 
 
 class EngineDifferentialMachine(RuleBasedStateMachine):
@@ -73,12 +83,21 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
 
     @rule(picks=_picks())
     def add_batch(self, picks):
-        batch = [_modulus(i, j) for i, j in picks]
+        batch = [_modulus(*pick) for pick in picks]
         base = len(self.ingested)
+        counters = self.scanners["ptree"].telemetry.registry.counter
+        screened = counters("ptree.segments_screened").value
+        flagged = counters("ptree.segments_flagged").value
         reports = {
             engine: scanner.add_batch(list(batch))
             for engine, scanner in self.scanners.items()
         }
+        screened = counters("ptree.segments_screened").value - screened
+        flagged = counters("ptree.segments_flagged").value - flagged
+        if flagged:
+            event("ptree screen: segment flagged")
+        if screened > flagged:
+            event("ptree screen: segment skipped")
         self.ingested.extend(batch)
         observable = {
             engine: (

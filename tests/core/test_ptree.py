@@ -75,22 +75,74 @@ class TestShape:
         assert tree.n_leaves == 0 and tree.segment_sizes() == []
 
 
+def _screened(tree, value):
+    """``batch_remainders`` with plain-int residues."""
+    return [(start, _ints(rems)) for start, rems in tree.batch_remainders(value)]
+
+
+def _segments(tree):
+    """``(start, leaves)`` per live segment, plain ints."""
+    out, start = [], 0
+    for size in tree.segment_sizes():
+        out.append((start, MODULI[start : start + size]))
+        start += size
+    return out
+
+
 class TestRemainders:
     def test_remainders_match_direct_mod(self):
         tree = _tree()
         tree.append(MODULI)
         probe = 3 * 5 * 7 * 11 * 13 * 193 * 199
-        assert _ints(tree.batch_remainders(probe)) == [probe % n for n in MODULI]
+        expected = []
+        for start, leaves in _segments(tree):
+            g = math.gcd(probe, math.prod(leaves))
+            if g > 1:
+                expected.append((start, [g % n for n in leaves]))
+        assert expected  # the probe shares 193 and 199 with the corpus
+        assert _screened(tree, probe) == expected
 
     def test_flagging_via_remainders_matches_gcd(self):
         tree = _tree()
         tree.append(MODULI)
         batch = [193 * 251, 401 * 409]  # shares 193/251 with the corpus
         product = math.prod(batch)
-        rems = tree.batch_remainders(product)
-        flags = [math.gcd(n, r) for n, r in zip(MODULI, _ints(rems))]
+        flags = [1] * len(MODULI)
+        for start, rems in _screened(tree, product):
+            for i, r in enumerate(rems, start):
+                flags[i] = math.gcd(MODULI[i], r)
+        # squarefree leaves: the same prime set means the same gcd, and
+        # every leaf of an unflagged segment shares nothing
         assert flags == [math.gcd(n, product) for n in MODULI]
         assert any(g > 1 for g in flags)
+
+    def test_batch_sharing_nothing_flags_no_segment(self):
+        telemetry = Telemetry.create()
+        tree = _tree(telemetry=telemetry)
+        tree.append(MODULI)
+        assert tree.batch_remainders(401 * 409 * 419 * 421) == []
+        reg = telemetry.registry
+        assert reg.counter("ptree.segments_screened").value == len(tree.segments)
+        assert reg.counter("ptree.segments_flagged").value == 0
+
+    def test_batch_product_divisible_by_a_leaf_matches_native(self):
+        """``n_i = p·q`` against a batch holding ``p·r`` and ``q·s``: ``Π new ≡
+        0 (mod n_i)``, so the leaf's residue is 0 and its flag is ``n_i``."""
+        from repro.core.incremental import IncrementalScanner
+
+        p, q, r, s = 49157, 49169, 49201, 49207
+        corpus = [p * q, 49171 * 49177, 49193 * 49199]
+        batch = [p * r, 49211 * 49223, q * s]
+        tree = _tree()
+        tree.append(corpus)
+        assert [rems[0] for _, rems in _screened(tree, math.prod(batch))] == [0]
+        hits = {}
+        for engine in ("native", "ptree"):
+            scanner = IncrementalScanner(bits=32, engine=engine)
+            scanner.adopt(corpus)
+            report = scanner.cross_scan(batch, include_internal=True)
+            hits[engine] = [(h.i, h.j, h.prime) for h in report.hits]
+        assert hits["ptree"] == hits["native"] == [(0, 3, p), (0, 5, q)]
 
 
 class TestPersistence:
@@ -207,8 +259,6 @@ class TestCrashResumeMatrix:
         assert boundary.segment_sizes() == clean.segment_sizes()
         assert _ints(boundary.leaves()) == _ints(clean.leaves())
         probe = 193 * 239 * 401
-        assert _ints(boundary.batch_remainders(probe)) == _ints(
-            clean.batch_remainders(probe)
-        )
+        assert _screened(boundary, probe) == _screened(clean, probe)
         if not crashed:
             assert nth > 1  # every point fires at least once over 4 flushes
