@@ -132,18 +132,11 @@ class CheckpointStore:
         """
         faults.fire("manifest.commit")
         durable.makedirs(self.spool_dir)
-        # explicit dicts, same keys and order as the dataclass fields:
-        # ``asdict`` deep-copies every record, which dominated the save
         payload = {
             "version": manifest.version,
             "config": manifest.config,
-            "stages": [
-                {
-                    "name": r.name, "blob": r.blob, "count": r.count,
-                    "nbytes": r.nbytes, "sha256": r.sha256, "seconds": r.seconds,
-                }
-                for r in manifest.stages
-            ],
+            # each record's own field dict: ``asdict`` would deep-copy it
+            "stages": [vars(r) for r in manifest.stages],
         }
         body = (json.dumps(payload, indent=2) + "\n").encode()
         durable.replace_bytes(self.path, body)

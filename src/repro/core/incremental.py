@@ -18,9 +18,10 @@ Two engine tiers cover the new pairs (hit sets are identical across both
     a :class:`~repro.core.ptree.PersistentProductTree` over the old
     corpus: the batch is screened against *all* old keys with one GCD
     per segment root against ``Π new``, and only the segments that share
-    a prime with the batch are descended (no squaring needed — new keys
-    are never in the tree).  A flush that shares nothing costs O(log m)
-    GCDs instead of ``k·m`` independent ones.
+    a prime with the batch, or are too small for a screen to pay, are
+    descended (no squaring needed — new keys are never in the tree).  A
+    small flush that shares nothing costs O(log m) GCDs instead of
+    ``k·m`` independent ones.
 
 Both tiers share one direct ``k(k−1)/2`` pass for the internal pairs.
 ``auto`` (the default) picks ``native`` or ``ptree`` per batch by cross
@@ -348,9 +349,10 @@ class IncrementalScanner:
 
     def _cross_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
         """Cross pairs via the persistent tree: one screening GCD per
-        segment root against ``Π new``, then a descent and leaf GCDs in
-        the flagged segments only; flagged old keys are attributed to
-        their partners with small GCDs against the flag value."""
+        large segment root against ``Π new``, then a descent and leaf
+        GCDs in the segments the screen did not clear; flagged old keys
+        are attributed to their partners with small GCDs against the flag
+        value."""
         tel = self.telemetry
         B = self.backend
         gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
@@ -359,17 +361,14 @@ class IncrementalScanner:
             with tel.timer.span("descend"):
                 p_new = B.prod(native_new)
                 flagged = self._ptree.batch_remainders(p_new)
-            old = self.moduli  # the tree's leaves, in the same order
-            for start, rems in flagged:
-                for i, r in enumerate(rems, start):
-                    leaf = from_int(old[i])
+            for start, leaves, rems in flagged:
+                for i, (leaf, r) in enumerate(zip(leaves, rems), start):
                     g = gcd(leaf, r)
                     if g == 1:
                         continue
-                    # g has the prime set of gcd(n_i, Π new): every prime
-                    # key i shares with the batch, so candidate partners
-                    # filter on gcd(g, n_k) — and every candidate is a
-                    # genuine hit
+                    # g = gcd(n_i, Π new) holds every prime key i shares
+                    # with the batch, so candidate partners filter on
+                    # gcd(g, n_k) — and every candidate is a genuine hit
                     for t, nk in enumerate(native_new):
                         if to_int(gcd(g, nk)) > 1:
                             report.hits.append(

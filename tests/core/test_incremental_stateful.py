@@ -19,7 +19,7 @@ from pathlib import Path
 
 from hypothesis import event, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core import incremental
 from repro.core.incremental import IncrementalScanner
@@ -33,8 +33,9 @@ AUTO_THRESHOLD = 6
 
 # 16-bit primes with the top two bits set, so every product has 32 bits.
 # Weak keys draw both halves from a small pool, so they often share one;
-# healthy keys draw from a disjoint, larger pool, so most segments of the
-# ptree screen negative against a batch and the screen's skip path runs.
+# healthy keys draw from a disjoint, larger pool and seed the corpus, so
+# segments of the ptree grow large enough to screen a batch, and many of
+# them screen negative.
 _WEAK = [49157, 49169, 49171, 49177, 49193, 49199, 49201, 49207, 49211, 49223]
 _HEALTHY = [
     p for p in range(60001, 65536, 2)
@@ -81,11 +82,19 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
         incremental.AUTO_MIN_CROSS_PAIRS = self.saved_threshold
         shutil.rmtree(self.tmp, ignore_errors=True)
 
+    @initialize(n=st.integers(min_value=0, max_value=len(_HEALTHY) // 2))
+    def seed_corpus(self, n):
+        """Start from up to 30 pairwise coprime healthy keys: segments big
+        enough that the ptree screens the small batches that follow."""
+        self.add_batch([(1, 2 * i, 2 * i + 1) for i in range(n)])
+
     @rule(picks=_picks())
     def add_batch(self, picks):
         batch = [_modulus(*pick) for pick in picks]
         base = len(self.ingested)
-        counters = self.scanners["ptree"].telemetry.registry.counter
+        ptree = self.scanners["ptree"]
+        counters = ptree.telemetry.registry.counter
+        segments = len(ptree._ptree.segments) if base and batch else 0
         screened = counters("ptree.segments_screened").value
         flagged = counters("ptree.segments_flagged").value
         reports = {
@@ -94,10 +103,15 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
         }
         screened = counters("ptree.segments_screened").value - screened
         flagged = counters("ptree.segments_flagged").value - flagged
-        if flagged:
+        # segments too small for the batch are descended unscreened and
+        # count as flagged; the rest took a root GCD
+        unscreened = segments - screened
+        if flagged > unscreened:
             event("ptree screen: segment flagged")
-        if screened > flagged:
-            event("ptree screen: segment skipped")
+        if screened > flagged - unscreened:
+            event("ptree screen: segment cleared")
+        if unscreened:
+            event("ptree screen: segment too small to screen")
         self.ingested.extend(batch)
         observable = {
             engine: (

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.core.checkpoint import CheckpointStore
-from repro.core.ptree import PersistentProductTree
+from repro.core.ptree import SCREEN_MIN_RATIO, PersistentProductTree
 from repro.core.spool import write_blob
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import install_plan, parse_spec, reset_plan
@@ -76,73 +76,126 @@ class TestShape:
 
 
 def _screened(tree, value):
-    """``batch_remainders`` with plain-int residues."""
-    return [(start, _ints(rems)) for start, rems in tree.batch_remainders(value)]
+    """``batch_remainders`` with plain-int leaves and residues."""
+    return [
+        (start, _ints(leaves), _ints(rems))
+        for start, leaves, rems in tree.batch_remainders(value)
+    ]
 
 
-def _segments(tree):
+def _segments(tree, corpus=MODULI):
     """``(start, leaves)`` per live segment, plain ints."""
     out, start = [], 0
     for size in tree.segment_sizes():
-        out.append((start, MODULI[start : start + size]))
+        out.append((start, corpus[start : start + size]))
         start += size
     return out
 
 
+def _primes_from(lo: int, count: int) -> list[int]:
+    out, p = [], lo | 1
+    while len(out) < count:
+        if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
+            out.append(p)
+        p += 2
+    return out
+
+
+# 16-bit primes with the top two bits set, so every product has 32 bits
+_P16 = _primes_from(49152, 110)
+#: 48 pairwise coprime 32-bit keys: segments of 32 and 16 leaves, roots of
+#: ~1,024 and ~512 bits — large enough to screen a batch of a few keys
+CORPUS32 = [_P16[2 * i] * _P16[2 * i + 1] for i in range(48)]
+#: primes in no CORPUS32 key
+_FRESH = _P16[96:]
+
+
 class TestRemainders:
     def test_remainders_match_direct_mod(self):
+        """The contract spelled out: a segment whose root has at least
+        ``SCREEN_MIN_RATIO`` times the probe's bits is screened and dropped
+        when its root GCD is 1, else descends that GCD; a smaller one
+        descends the probe itself."""
         tree = _tree()
         tree.append(MODULI)
-        probe = 3 * 5 * 7 * 11 * 13 * 193 * 199
-        expected = []
-        for start, leaves in _segments(tree):
-            g = math.gcd(probe, math.prod(leaves))
-            if g > 1:
-                expected.append((start, [g % n for n in leaves]))
-        assert expected  # the probe shares 193 and 199 with the corpus
-        assert _screened(tree, probe) == expected
+        for probe in (193, 3 * 193, 401, 3 * 5 * 7 * 11 * 13 * 193 * 199):
+            expected = []
+            for start, leaves in _segments(tree):
+                top = probe
+                root = math.prod(leaves)
+                if root.bit_length() >= SCREEN_MIN_RATIO * probe.bit_length():
+                    top = math.gcd(probe, root)
+                    if top == 1:
+                        continue
+                expected.append((start, leaves, [top % n for n in leaves]))
+            assert _screened(tree, probe) == expected, probe
 
     def test_flagging_via_remainders_matches_gcd(self):
+        """``gcd(n_i, r_i) = gcd(n_i, Π new)`` at every descended leaf, and
+        every leaf the screen dropped shares nothing with the batch."""
         tree = _tree()
-        tree.append(MODULI)
-        batch = [193 * 251, 401 * 409]  # shares 193/251 with the corpus
-        product = math.prod(batch)
-        flags = [1] * len(MODULI)
-        for start, rems in _screened(tree, product):
-            for i, r in enumerate(rems, start):
-                flags[i] = math.gcd(MODULI[i], r)
-        # squarefree leaves: the same prime set means the same gcd, and
-        # every leaf of an unflagged segment shares nothing
-        assert flags == [math.gcd(n, product) for n in MODULI]
-        assert any(g > 1 for g in flags)
+        tree.append(CORPUS32)
+        batches = [
+            [_P16[0] * _FRESH[0]],  # one key, shares with key 0
+            [_FRESH[1] * _FRESH[2]],  # one key, shares nothing
+            [_P16[40] * _FRESH[3], _P16[90] * _FRESH[4]],  # both segments hit
+            [_FRESH[5] * _FRESH[6], _P16[95] * _FRESH[7]],  # the last key
+            # five keys: too large to screen either segment
+            [_FRESH[2 * t] * _FRESH[2 * t + 1] for t in range(4)] + [_P16[7] * _FRESH[13]],
+        ]
+        for batch in batches:
+            product = math.prod(batch)
+            flags = [1] * len(CORPUS32)
+            for start, leaves, rems in _screened(tree, product):
+                for i, (n, r) in enumerate(zip(leaves, rems), start):
+                    assert n == CORPUS32[i]
+                    flags[i] = math.gcd(n, r)
+            assert flags == [math.gcd(n, product) for n in CORPUS32], batch
 
     def test_batch_sharing_nothing_flags_no_segment(self):
         telemetry = Telemetry.create()
         tree = _tree(telemetry=telemetry)
-        tree.append(MODULI)
-        assert tree.batch_remainders(401 * 409 * 419 * 421) == []
+        tree.append(CORPUS32)
         reg = telemetry.registry
-        assert reg.counter("ptree.segments_screened").value == len(tree.segments)
-        assert reg.counter("ptree.segments_flagged").value == 0
+        screened = reg.counter("ptree.segments_screened")
+        flagged = reg.counter("ptree.segments_flagged")
+        assert tree.batch_remainders(_FRESH[0] * _FRESH[1]) == []
+        assert (screened.value, flagged.value) == (2, 0)
+        # a batch as large as the segments is not screened: every segment
+        # is descended, and no leaf shares a prime with it
+        big = math.prod(_FRESH)
+        descended = _screened(tree, big)
+        assert [start for start, _, _ in descended] == [0, 32]
+        assert all(math.gcd(n, r) == 1 for _, ns, rs in descended for n, r in zip(ns, rs))
+        assert (screened.value, flagged.value) == (2, 2)
 
-    def test_batch_product_divisible_by_a_leaf_matches_native(self):
+    @pytest.mark.parametrize("corpus_size", [3, 48])
+    def test_batch_product_divisible_by_a_leaf_matches_native(self, corpus_size):
         """``n_i = p·q`` against a batch holding ``p·r`` and ``q·s``: ``Π new ≡
-        0 (mod n_i)``, so the leaf's residue is 0 and its flag is ``n_i``."""
+        0 (mod n_i)``, so the leaf's residue is 0 and its flag is ``n_i`` —
+        whether the batch is too large to screen (3 keys) or the segment is
+        screened first (48)."""
         from repro.core.incremental import IncrementalScanner
 
-        p, q, r, s = 49157, 49169, 49201, 49207
-        corpus = [p * q, 49171 * 49177, 49193 * 49199]
-        batch = [p * r, 49211 * 49223, q * s]
-        tree = _tree()
+        p, q = _P16[0], _P16[1]
+        r, s = _FRESH[0], _FRESH[1]
+        corpus = CORPUS32[:corpus_size]
+        batch = [p * r, _FRESH[2] * _FRESH[3], q * s]
+        telemetry = Telemetry.create()
+        tree = _tree(telemetry=telemetry)
         tree.append(corpus)
-        assert [rems[0] for _, rems in _screened(tree, math.prod(batch))] == [0]
+        descended = _screened(tree, math.prod(batch))
+        assert descended[0][0] == 0 and descended[0][2][0] == 0
+        screened = telemetry.registry.counter("ptree.segments_screened").value
+        assert (screened > 0) == (corpus_size == 48)
         hits = {}
         for engine in ("native", "ptree"):
             scanner = IncrementalScanner(bits=32, engine=engine)
             scanner.adopt(corpus)
             report = scanner.cross_scan(batch, include_internal=True)
             hits[engine] = [(h.i, h.j, h.prime) for h in report.hits]
-        assert hits["ptree"] == hits["native"] == [(0, 3, p), (0, 5, q)]
+        n = corpus_size
+        assert hits["ptree"] == hits["native"] == [(0, n, p), (0, n + 2, q)]
 
 
 class TestPersistence:
