@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.core import durable
@@ -60,6 +60,10 @@ class StageRecord:
     nbytes: int
     sha256: str
     seconds: float
+
+
+#: the manifest's keys for one stage, in declaration order
+_STAGE_FIELDS = tuple(f.name for f in fields(StageRecord))
 
 
 @dataclass
@@ -135,8 +139,12 @@ class CheckpointStore:
         payload = {
             "version": manifest.version,
             "config": manifest.config,
-            # each record's own field dict: ``asdict`` would deep-copy it
-            "stages": [vars(r) for r in manifest.stages],
+            # ``asdict`` deep-copies every record, and ``vars`` would leave
+            # a materialised ``__dict__`` on each one for its lifetime
+            "stages": [
+                {name: getattr(r, name) for name in _STAGE_FIELDS}
+                for r in manifest.stages
+            ],
         }
         body = (json.dumps(payload, indent=2) + "\n").encode()
         durable.replace_bytes(self.path, body)
