@@ -22,8 +22,9 @@ saves grows about linearly.  So a segment is screened only when its root
 has at least :data:`SCREEN_MIN_RATIO` times the bits of ``P``; a smaller
 segment descends ``P`` itself and takes a GCD at every leaf, exactly as
 an unscreened flush would.  Small flushes against a large corpus (the
-service's common case) screen every large segment; a batch as large as
-the biggest segments screens nothing and costs what it did before.
+service's common case) screen every large segment; a batch of more than
+a sixth of the biggest segment's leaves screens nothing and costs what
+it did before.
 
 Rebuilding the tree from scratch on every flush would cost ``m − 1``
 multiplications each time.  :class:`PersistentProductTree` instead keeps
