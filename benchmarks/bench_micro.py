@@ -42,7 +42,13 @@ of as a vague end-to-end slowdown:
   reference (descent of ``Π new`` plus a GCD at every leaf).  Each row
   counts the segments screened and flagged; at ``k = 256`` no segment is
   screened and the two paths do the same work.  ``speedup`` is the
-  ratio at ``k = 1``.
+  ratio at ``k = 1``;
+* ``manifest_save``  — :meth:`repro.core.checkpoint.CheckpointStore.save`
+  of a registry manifest at 1,000 and 10,000 stage records (the
+  per-commit rewrite, which grows with registry age), split into the
+  encode and the durable write, with the older ``indent=2`` encoding of
+  the same payload as a reference; ``records_per_second`` is the whole
+  save at 10,000 records.
 
 Results land in ``BENCH_micro.json`` (schema ``repro.bench_micro/1``).
 Each ``REPRO_BENCH_MICRO_MIN_*`` environment variable (or the matching
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,8 +81,16 @@ import time
 from pathlib import Path
 
 from repro.bulk.engine import BulkGcdEngine
+from repro.core import durable
 from repro.core.batch_gcd import cofactor_tree, product_tree
+from repro.core.checkpoint import (
+    CheckpointStore,
+    Manifest,
+    StageRecord,
+    encode_manifest,
+)
 from repro.core.incremental import IncrementalScanner
+from repro.core.spool import write_sidecar
 from repro.gcd.word import gcd_approx_words
 from repro.mp.wordint import WordInt
 from repro.rsa.primes import is_prime
@@ -112,6 +127,9 @@ QUICK_BULK_WORD_PAIRS, FULL_BULK_WORD_PAIRS = 16, 64
 QUICK_FLUSH_KEYS, FULL_FLUSH_KEYS = 256, 2000
 FLUSH_BITS = 2048
 FLUSH_KS = (1, 4, 16, 64, 256)
+#: the manifest_save section's manifest sizes, in stage records (two per
+#: registry batch: 1,000 is the repo benchmark's aged registry)
+MANIFEST_RECORDS = (1_000, 10_000)
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
@@ -124,6 +142,7 @@ FLOORS = (
     ("submit_rps", ("submit", "wire", "submissions_per_second")),
     ("bulk_speedup", ("bulk", "speedup")),
     ("flush_speedup", ("flush_scan", "speedup")),
+    ("manifest_records", ("manifest_save", "records_per_second")),
 )
 
 
@@ -511,6 +530,74 @@ async def _submit_run(moduli: list[int], binary: bool, state_dir: Path) -> dict:
     }
 
 
+def registry_manifest(n_records: int, seed: str) -> Manifest:
+    """A registry manifest of ``n_records`` stage records, shaped like the
+    service's: per batch a ``keys`` record with its commit time and a
+    ``hits`` record with none."""
+    rng = random.Random(f"{seed}:{n_records}")
+    stages = []
+    for batch in range(n_records // 2):
+        for kind, seconds in (("keys", rng.random() / 50), ("hits", 0.0)):
+            stages.append(StageRecord(
+                name=f"{kind}.{batch}", blob=f"{kind}-{batch:06d}.bin",
+                count=rng.randrange(1, 9), nbytes=rng.randrange(8, 2100),
+                sha256=rng.randbytes(32).hex(), seconds=seconds,
+            ))
+    config = {"format": "weak-key-registry/1", "bits": 2048,
+              "duplicate_submissions": 0, "exponents": {}}
+    return Manifest(config=config, stages=stages)
+
+
+def _indented_encode(manifest: Manifest) -> bytes:
+    """The encode before compact manifests, inlined: the same payload
+    through ``json.dumps(indent=2)``, which runs CPython's pure-Python
+    encoder (any ``indent`` does)."""
+    payload = {
+        "version": manifest.version,
+        "config": manifest.config,
+        "stages": [
+            {f.name: getattr(r, f.name) for f in dataclasses.fields(StageRecord)}
+            for r in manifest.stages
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def bench_manifest_save(seed: str, repeat: int) -> dict:
+    """``CheckpointStore.save`` at each of ``MANIFEST_RECORDS`` stage records.
+
+    Each row times the whole save, and apart from it its two steps: the
+    encode (:func:`encode_manifest`) and the durable write of the encoded
+    bytes (atomic replace with its fsyncs, then the hashed sidecar).  The
+    older ``indent=2`` encode of the same manifest is the reference.
+    """
+    rows = []
+    for n_records in MANIFEST_RECORDS:
+        manifest = registry_manifest(n_records, seed)
+        encode_s, body = _best_of(lambda: encode_manifest(manifest), repeat)
+        indented_s, indented = _best_of(lambda: _indented_encode(manifest), repeat)
+        assert json.loads(indented) == json.loads(body), "compact/indented parity"
+        with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+            store = CheckpointStore(d)
+
+            def write():
+                durable.replace_bytes(store.path, body)
+                write_sidecar(store.path, hashlib.sha256(body).hexdigest())
+
+            save_s, _ = _best_of(lambda: store.save(manifest), repeat)
+            write_s, _ = _best_of(write, repeat)
+        rows.append({
+            "records": n_records,
+            "bytes": len(body),
+            "encode_seconds": round(encode_s, 6),
+            "write_seconds": round(write_s, 6),
+            "save_seconds": round(save_s, 6),
+            "indented_encode_seconds": round(indented_s, 6),
+            "records_per_second": round(n_records / save_s, 1),
+        })
+    return {"rows": rows, "records_per_second": rows[-1]["records_per_second"]}
+
+
 def bench_submit(n_keys: int, seed: str) -> dict:
     """Submit-to-verdict latency, JSON vs binary, identical fresh registries."""
     from bench_service import synthetic_moduli as honest_moduli
@@ -631,6 +718,12 @@ def main(argv: list[str] | None = None) -> int:
               f"  unscreened {row['unscreened_seconds'] * 1e3:8.2f} ms  {row['speedup']:.2f}x"
               f"  ({row['segments_screened']} segments screened, {flush_keys} x"
               f" {FLUSH_BITS}-bit registry)", file=sys.stderr)
+    sections["manifest_save"] = bench_manifest_save(args.seed + "-manifest", repeat)
+    for row in sections["manifest_save"]["rows"]:
+        print(f"  manifest_save {row['records']:>6} records  encode {row['encode_seconds'] * 1e3:7.2f} ms"
+              f"  write {row['write_seconds'] * 1e3:7.2f} ms  ({row['bytes']} B;"
+              f" indent=2 encode {row['indented_encode_seconds'] * 1e3:7.2f} ms)",
+              file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -726,6 +819,9 @@ def test_bench_micro_quick(tmp_path, report):
     assert s["flush_scan"]["rows"][0]["segments_screened"] == n_segments
     assert s["flush_scan"]["rows"][-1]["segments_screened"] == 0
     assert s["flush_scan"]["speedup"] > 1
+    assert [r["records"] for r in s["manifest_save"]["rows"]] == list(MANIFEST_RECORDS)
+    for r in s["manifest_save"]["rows"]:
+        assert r["save_seconds"] > 0 and r["encode_seconds"] > 0 and r["write_seconds"] > 0
     for fmt in ("json", "wire"):
         assert s["submit"][fmt]["registered"] == s["submit"][fmt]["keys"]
     report(

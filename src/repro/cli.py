@@ -255,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a scan batch at this many keys (default 256)",
     )
     sv.add_argument(
-        "--linger-ms", type=float, default=20.0,
-        help="max milliseconds a submission waits for batch-mates (default 20)",
+        "--linger-ms", type=float, default=0.0,
+        help="max milliseconds a submission waits for batch-mates; 0 flushes "
+        "at once and batches whatever arrives during a flush (default 0)",
     )
     sv.add_argument(
         "--max-pending", type=int, default=4096,

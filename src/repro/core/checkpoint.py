@@ -38,7 +38,14 @@ from repro.core import durable
 from repro.core.spool import blob_sha256, write_sidecar
 from repro.resilience import faults
 
-__all__ = ["StageRecord", "Manifest", "CheckpointStore", "MANIFEST_NAME", "MANIFEST_VERSION"]
+__all__ = [
+    "StageRecord",
+    "Manifest",
+    "CheckpointStore",
+    "MANIFEST_NAME",
+    "MANIFEST_VERSION",
+    "encode_manifest",
+]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -94,6 +101,26 @@ class Manifest:
                 return
 
 
+def encode_manifest(manifest: Manifest) -> bytes:
+    """The bytes :meth:`CheckpointStore.save` commits for ``manifest``.
+
+    Compact JSON with no indentation, because that is the form CPython
+    encodes in C; any ``indent`` falls back to the pure-Python encoder,
+    three to four times slower on a long registry manifest.
+    """
+    payload = {
+        "version": manifest.version,
+        "config": manifest.config,
+        # ``asdict`` deep-copies every record, and ``vars`` would leave
+        # a materialised ``__dict__`` on each one for its lifetime
+        "stages": [
+            {name: getattr(r, name) for name in _STAGE_FIELDS}
+            for r in manifest.stages
+        ],
+    }
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+
+
 class CheckpointStore:
     """Loads, saves and verifies the manifest of one spool directory.
 
@@ -133,20 +160,14 @@ class CheckpointStore:
         the committed bytes, so the integrity layer can deep-verify the
         manifest itself — the blobs are pinned by the manifest, but
         nothing else pins the manifest.
+
+        The JSON is compact (no indentation); :meth:`load` reads any
+        formatting, so a manifest written indented by an older version
+        loads as before and is rewritten compact on the next save.
         """
         faults.fire("manifest.commit")
         durable.makedirs(self.spool_dir)
-        payload = {
-            "version": manifest.version,
-            "config": manifest.config,
-            # ``asdict`` deep-copies every record, and ``vars`` would leave
-            # a materialised ``__dict__`` on each one for its lifetime
-            "stages": [
-                {name: getattr(r, name) for name in _STAGE_FIELDS}
-                for r in manifest.stages
-            ],
-        }
-        body = (json.dumps(payload, indent=2) + "\n").encode()
+        body = encode_manifest(manifest)
         durable.replace_bytes(self.path, body)
         faults.corrupt_file("manifest.commit", self.path)
         write_sidecar(self.path, hashlib.sha256(body).hexdigest())

@@ -83,9 +83,10 @@ class ServiceConfig:
     engine: str = "auto"
     #: big-integer backend for the scan engines (auto/python/gmpy2)
     int_backend: str | None = None
-    #: micro-batching: flush at ``max_batch`` keys or after ``linger_ms``
+    #: micro-batching: flush at ``max_batch`` keys or after ``linger_ms``;
+    #: 0 is group commit (keys that arrive during a flush form the next one)
     max_batch: int = 256
-    linger_ms: float = 20.0
+    linger_ms: float = 0.0
     #: admission bound; beyond it submissions get 429 + Retry-After
     max_pending: int = 4096
     #: completed tickets kept for polling before eviction

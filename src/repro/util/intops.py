@@ -136,6 +136,28 @@ def _mod(a: int, b: int) -> int:
     return r
 
 
+def _balanced_prod(values, mul):
+    """Product of ``values`` by pairwise rounds (empty → 1).
+
+    A left fold multiplies a growing product by one small factor per
+    step, which costs quadratically in the number of factors on
+    CPython; pairing equal-sized halves keeps every multiply balanced,
+    so Karatsuba (or GMP) does the work.  ``math.prod`` folds left.
+
+    >>> _balanced_prod([3, 5, 7], operator.mul)
+    105
+    """
+    level = list(values)
+    if not level:
+        return 1
+    while len(level) > 1:
+        paired = [mul(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 class IntBackend:
     """One big-integer implementation: a bundle of arithmetic callables.
 
@@ -150,7 +172,7 @@ class IntBackend:
     ``mod``     ``a % m`` for non-negative operands
     ``gcd``     greatest common divisor
     ``powmod``  ``pow(b, e, m)``
-    ``prod``    product of an iterable (empty → 1)
+    ``prod``    product of an iterable (empty → 1), pairwise-balanced
     ``from_int``/``to_int``  convert at API boundaries (both idempotent)
     ``from_bytes``  little-endian unsigned bytes → native value (the
                 spool-blob record codec, so disk reads skip the
@@ -182,7 +204,8 @@ class PythonBackend(IntBackend):
     routing through this backend costs one extra function call per
     operation and nothing else -- except ``mod``, which switches to
     Burnikel–Ziegler recursion when divisor and quotient both exceed
-    :data:`DIV_CUTOFF_BITS` (same remainder, subquadratic cost).
+    :data:`DIV_CUTOFF_BITS` (same remainder, subquadratic cost), and
+    ``prod``, which multiplies pairwise instead of folding left.
     """
 
     name = "python"
@@ -191,8 +214,11 @@ class PythonBackend(IntBackend):
     mod = staticmethod(_mod)
     gcd = staticmethod(math.gcd)
     powmod = staticmethod(pow)
-    prod = staticmethod(math.prod)
     to_int = staticmethod(int)
+
+    @staticmethod
+    def prod(values):
+        return _balanced_prod(values, operator.mul)
 
     @staticmethod
     def sqr(x):
@@ -255,11 +281,7 @@ class Gmpy2Backend(IntBackend):
         return int(x)
 
     def prod(self, values):
-        result = self._mpz(1)
-        mul = self.mul
-        for value in values:
-            result = mul(result, value)
-        return result
+        return self.from_int(_balanced_prod(values, self.mul))
 
     def versions(self) -> dict:
         """gmpy2 and underlying GMP/MPIR versions (for ``repro backends``)."""

@@ -1,5 +1,6 @@
 """Tests for the checkpoint manifest layer."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -9,7 +10,12 @@ from repro.core.checkpoint import (
     Manifest,
     StageRecord,
 )
-from repro.core.spool import write_blob
+from repro.core.incremental import IncrementalScanner
+from repro.core.spool import read_sidecar, write_blob, write_sidecar
+from repro.integrity.fsck import run_fsck
+from repro.rsa.corpus import generate_weak_corpus
+from repro.service.registry import WeakKeyRegistry
+from repro.telemetry import Telemetry
 
 
 def _record(store, name, blob, values):
@@ -46,8 +52,9 @@ class TestStore:
         assert loaded.stages == m.stages
 
     def test_save_bytes_match_the_asdict_form(self, tmp_path):
-        """``save`` writes exactly the ``asdict`` serialisation: same keys,
-        same order, same float and string rendering, byte for byte."""
+        """``save`` writes the ``asdict`` serialisation in compact JSON
+        (the form CPython encodes in C): same keys, same order, same
+        float and string rendering, no whitespace, one trailing newline."""
         store = CheckpointStore(tmp_path)
         m = Manifest(config={"format": "product-tree/1", "n_leaves": 3, "note": "é"})
         m.stages.append(_record(store, "seg.0.1", "seg-00000000-h01.bin", [33, 35]))
@@ -59,9 +66,12 @@ class TestStore:
                 "config": m.config,
                 "stages": [asdict(r) for r in m.stages],
             },
-            indent=2,
+            separators=(",", ":"),
         ) + "\n"
-        assert (tmp_path / MANIFEST_NAME).read_bytes() == reference.encode()
+        body = (tmp_path / MANIFEST_NAME).read_bytes()
+        assert body == reference.encode()
+        assert b'"seconds":1e-07}' in body and b'"note":"\\u00e9"' in body
+        assert read_sidecar(tmp_path / MANIFEST_NAME) == hashlib.sha256(body).hexdigest()
 
     def test_load_missing_is_none(self, tmp_path):
         assert CheckpointStore(tmp_path).load() is None
@@ -129,3 +139,53 @@ class TestVerifiedPrefix:
         m = Manifest(stages=stages)
         got = store.verified_prefix(m, ["ingest", "product.1", "remainder.0"])
         assert [r.name for r in got] == ["ingest"]
+
+
+def _indent_manifest(path):
+    """Rewrite ``path`` in the older ``indent=2`` form, sidecar included."""
+    body = (json.dumps(json.loads(path.read_bytes()), indent=2) + "\n").encode()
+    path.write_bytes(body)
+    write_sidecar(path, hashlib.sha256(body).hexdigest())
+
+
+class TestIndentedManifestCompat:
+    """State written by a version that indented its manifests."""
+
+    def test_indented_state_loads_verifies_and_is_rewritten_compact(self, tmp_path):
+        corpus = generate_weak_corpus(24, 64, shared_groups=(2, 3), seed="indent-compat")
+        registry = WeakKeyRegistry(tmp_path)
+        registry.load()
+        scanner = IncrementalScanner(bits=64, engine="ptree", spool_dir=tmp_path / "ptree")
+        for start in (0, 8):
+            chunk = corpus.moduli[start : start + 8]
+            registry.commit_batch(chunk, scanner.add_batch(chunk).hits)
+        manifests = [tmp_path / MANIFEST_NAME, tmp_path / "ptree" / MANIFEST_NAME]
+        for path in manifests:
+            _indent_manifest(path)
+            assert path.read_bytes().startswith(b'{\n  "version": 1,')
+        hits = [(h.i, h.j, h.prime) for h in registry.hits]
+        assert len(hits) == 2
+
+        reloaded = WeakKeyRegistry(tmp_path)
+        assert reloaded.load() == 2
+        assert [(h.i, h.j, h.prime) for h in reloaded.hits] == hits
+        telemetry = Telemetry.create()
+        resumed = IncrementalScanner.restore(
+            reloaded.scanner_snapshot(engine="ptree"),
+            spool_dir=tmp_path / "ptree",
+            telemetry=telemetry,
+        )
+        assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert [(h.i, h.j, h.prime) for h in resumed.all_hits] == hits
+        report = run_fsck(tmp_path)
+        assert [f for f in report.scan.findings if f.verdict != "ok"] == []
+
+        chunk = corpus.moduli[16:]
+        reloaded.commit_batch(chunk, resumed.add_batch(chunk).hits)
+        assert resumed.coverage_is_complete()
+        assert len(reloaded.hits) == 4
+        for path in manifests:
+            body = path.read_bytes()
+            assert body == (json.dumps(json.loads(body), separators=(",", ":")) + "\n").encode()
+            assert read_sidecar(path) == hashlib.sha256(body).hexdigest()
+        assert run_fsck(tmp_path).clean

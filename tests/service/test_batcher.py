@@ -1,4 +1,5 @@
-"""Micro-batcher semantics: coalescing, linger, backpressure, draining."""
+"""Micro-batcher semantics: coalescing, linger, group commit, backpressure,
+draining."""
 
 import asyncio
 
@@ -156,6 +157,38 @@ class TestFlushTriggers:
         assert [len(batch) for batch in batches] == [2, 2, 1]
         assert ticket.status == "done"
         assert [r["item"] for r in ticket.results] == [1, 2, 3, 4, 5]
+
+
+class TestGroupCommit:
+    def test_keys_arriving_during_a_flush_form_the_next_one(self):
+        # no linger at the default: the first key flushes alone, and the
+        # three that arrive while it scans are cut together afterwards
+        async def run():
+            scan = RecordingScan(gate=True)
+            b = MicroBatcher(scan)
+            await b.start()
+            first = b.submit([1])
+            await asyncio.wait_for(_wait_entered(scan), timeout=2)
+            rest = [b.submit([k]) for k in (2, 3, 4)]
+            scan.open()
+            await asyncio.wait_for(
+                asyncio.gather(first.wait(), *(t.wait() for t in rest)), timeout=2
+            )
+            await b.stop()
+            return scan.batches, b.telemetry.registry.histogram("batcher.flush_keys")
+
+        batches, flush_keys = asyncio.run(run())
+        assert batches == [[1], [2, 3, 4]]
+        assert flush_keys.samples == [1, 3]
+
+    def test_linger_defaults_to_zero_everywhere(self, tmp_path):
+        from repro.cli import build_parser
+        from repro.service.http import ServiceConfig
+
+        assert MicroBatcher(RecordingScan()).linger == 0
+        assert ServiceConfig(state_dir=tmp_path).linger_ms == 0
+        args = build_parser().parse_args(["serve", "--state-dir", str(tmp_path)])
+        assert args.linger_ms == 0
 
 
 class TestBackpressure:

@@ -118,6 +118,18 @@ def test_core_ops(backend):
     assert backend.prod([]) == 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 33])
+def test_prod_matches_math_prod(backend, n):
+    """The pairwise product equals the left fold on empty, one-element,
+    odd and even lists of native operands, and stays backend-native."""
+    rng = random.Random(n)
+    values = [rng.getrandbits(256) | 1 for _ in range(n)]
+    native = [backend.from_int(v) for v in values]
+    got = backend.prod(native)
+    assert backend.to_int(got) == math.prod(values)
+    assert type(got) is type(backend.from_int(1))
+
+
 def test_int_boundary_round_trips(backend):
     v = 2**300 + 12345
     native = backend.from_int(v)
