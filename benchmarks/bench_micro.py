@@ -48,11 +48,17 @@ of as a vague end-to-end slowdown:
   per-commit rewrite, which grows with registry age), split into the
   encode and the durable write, with the older ``indent=2`` encoding of
   the same payload as a reference; ``records_per_second`` is the whole
-  save at 10,000 records.
+  save at 10,000 records;
+* ``startup``        — the start-up cost every command pays: a fresh
+  ``python -c "import repro.cli"`` and a fresh 64-key ``repro batchscan``,
+  each run several times in new processes, with the median wall time,
+  the median peak RSS (``ru_maxrss``) and the number of loaded modules.
+  Independent of ``--int-backend``.
 
 Results land in ``BENCH_micro.json`` (schema ``repro.bench_micro/1``).
 Each ``REPRO_BENCH_MICRO_MIN_*`` environment variable (or the matching
-``--min-*`` flag) turns one number into a hard CI floor; unset floors are
+``--min-*`` flag) turns one number into a hard CI floor, and each
+``REPRO_BENCH_MICRO_MAX_*`` (``--max-*``) into a ceiling; unset bounds are
 off, so the committed JSON records honest numbers for whatever host ran
 it.
 
@@ -75,11 +81,13 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import repro
 from repro.bulk.engine import BulkGcdEngine
 from repro.core import durable
 from repro.core.batch_gcd import cofactor_tree, product_tree
@@ -130,6 +138,10 @@ FLUSH_KS = (1, 4, 16, 64, 256)
 #: the manifest_save section's manifest sizes, in stage records (two per
 #: registry batch: 1,000 is the repo benchmark's aged registry)
 MANIFEST_RECORDS = (1_000, 10_000)
+#: the startup section: fresh processes per measurement, and its batchscan
+#: input (small, so the run is mostly start-up)
+QUICK_STARTUP_RUNS, FULL_STARTUP_RUNS = 5, 11
+STARTUP_KEYS, STARTUP_BITS = 64, 256
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
@@ -143,6 +155,11 @@ FLOORS = (
     ("bulk_speedup", ("bulk", "speedup")),
     ("flush_speedup", ("flush_scan", "speedup")),
     ("manifest_records", ("manifest_save", "records_per_second")),
+)
+
+#: (flag/env suffix, path into the sections doc) for every optional ceiling
+CEILINGS = (
+    ("import_rss_mib", ("startup", "import_cli", "rss_mib")),
 )
 
 
@@ -615,6 +632,34 @@ def bench_submit(n_keys: int, seed: str) -> dict:
     return out
 
 
+def bench_startup(runs: int, seed: str) -> dict:
+    """Median wall time, peak RSS and module count of fresh processes,
+    started by ``startup_probe.py`` (see there for why not from here)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("REPRO_FAULTS", None)
+    probe = str(Path(__file__).resolve().with_name("startup_probe.py"))
+    out = {"runs": runs, "batchscan_keys": STARTUP_KEYS, "batchscan_bits": STARTUP_BITS}
+    with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+        moduli = Path(d) / "moduli.txt"
+        moduli.write_text("".join(f"{n}\n" for n in synthetic_moduli(STARTUP_KEYS, STARTUP_BITS, seed)))
+        spool = str(Path(d) / "spool")
+        batchscan = ["batchscan", "--moduli", str(moduli), "--spool-dir", spool]
+        for name, args in (("import_cli", ["--"]), ("batchscan", [spool, "--", *batchscan])):
+            proc = subprocess.run(
+                [sys.executable, probe, str(runs), *args], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            walls, rss, modules = zip(*json.loads(proc.stdout))
+            out[name] = {
+                "wall_seconds": round(statistics.median(walls), 4),
+                "rss_mib": round(statistics.median(rss), 2),
+                "modules": max(modules),
+            }
+    return out
+
+
 def _floor_value(sections: dict, path: tuple[str, ...]):
     node = sections
     for part in path:
@@ -656,6 +701,13 @@ def build_parser() -> argparse.ArgumentParser:
                        default=float(os.environ.get(env, "0")),
                        help=f"fail unless {'.'.join(path)} reaches this floor "
                             f"(default: ${env} or 0 = off)")
+    for suffix, path in CEILINGS:
+        env = f"REPRO_BENCH_MICRO_MAX_{suffix.upper()}"
+        p.add_argument(f"--max-{suffix.replace('_', '-')}", type=float,
+                       dest=f"max_{suffix}",
+                       default=float(os.environ.get(env, "0")),
+                       help=f"fail if {'.'.join(path)} exceeds this ceiling "
+                            f"(default: ${env} or 0 = off)")
     p.add_argument("--seed", default="bench-micro")
     p.add_argument("--out", default="BENCH_micro.json",
                    help='output path ("-" for stdout)')
@@ -678,6 +730,7 @@ def main(argv: list[str] | None = None) -> int:
     div_bits = QUICK_DIV_BITS if args.quick else FULL_DIV_BITS
     bulk_word_pairs = QUICK_BULK_WORD_PAIRS if args.quick else FULL_BULK_WORD_PAIRS
     flush_keys = QUICK_FLUSH_KEYS if args.quick else FULL_FLUSH_KEYS
+    startup_runs = QUICK_STARTUP_RUNS if args.quick else FULL_STARTUP_RUNS
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -731,6 +784,12 @@ def main(argv: list[str] | None = None) -> int:
               f"  p50={r['p50_ms']:.2f}ms p99={r['p99_ms']:.2f}ms"
               f"  hits={r['hits']}", file=sys.stderr)
 
+    sections["startup"] = bench_startup(startup_runs, args.seed + "-startup")
+    for name in ("import_cli", "batchscan"):
+        r = sections["startup"][name]
+        print(f"  startup {name:<10}  {r['wall_seconds'] * 1e3:9.1f} ms"
+              f"  {r['rss_mib']:6.1f} MiB  {r['modules']} modules", file=sys.stderr)
+
     floors = {}
     failures = []
     for suffix, path in FLOORS:
@@ -741,6 +800,17 @@ def main(argv: list[str] | None = None) -> int:
             if measured < floor:
                 failures.append({
                     "metric": ".".join(path), "floor": floor,
+                    "measured": measured,
+                })
+    ceilings = {}
+    for suffix, path in CEILINGS:
+        ceiling = getattr(args, f"max_{suffix}")
+        ceilings[suffix] = ceiling or None
+        if ceiling:
+            measured = _floor_value(sections, path)
+            if measured > ceiling:
+                failures.append({
+                    "metric": ".".join(path), "ceiling": ceiling,
                     "measured": measured,
                 })
     if not sections["submit"]["hit_digest_parity"]:
@@ -759,7 +829,7 @@ def main(argv: list[str] | None = None) -> int:
             "parse_keys": parse_keys, "parse_bits": parse_bits,
             "submit_keys": submit_keys, "div_bits": list(div_bits),
             "bulk_word_pairs": bulk_word_pairs, "flush_keys": flush_keys,
-            "repeat": repeat, "seed": args.seed,
+            "startup_runs": startup_runs, "repeat": repeat, "seed": args.seed,
         },
         "environment": {
             "python": platform.python_version(),
@@ -770,6 +840,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "sections": sections,
         "floors": floors,
+        "ceilings": ceilings,
         "floor_failures": failures,
     }
     payload = json.dumps(doc, indent=2) + "\n"
@@ -824,6 +895,11 @@ def test_bench_micro_quick(tmp_path, report):
         assert r["save_seconds"] > 0 and r["encode_seconds"] > 0 and r["write_seconds"] > 0
     for fmt in ("json", "wire"):
         assert s["submit"][fmt]["registered"] == s["submit"][fmt]["keys"]
+    for name in ("import_cli", "batchscan"):
+        r = s["startup"][name]
+        assert r["wall_seconds"] > 0 and r["rss_mib"] > 0
+    # a batchscan run imports at least what the bare CLI import does
+    assert s["startup"]["batchscan"]["modules"] >= s["startup"]["import_cli"]["modules"]
     report(
         "",
         "== micro benchmarks ==",
@@ -837,6 +913,8 @@ def test_bench_micro_quick(tmp_path, report):
         f"  bulk: {s['bulk']['pairs_per_second']:.0f} pairs/s, "
         f"{s['bulk']['speedup']:.1f}x the word tier",
         f"  flush_scan: screened {s['flush_scan']['speedup']:.1f}x unscreened at k=1",
+        f"  startup: import repro.cli {s['startup']['import_cli']['wall_seconds'] * 1e3:.0f} ms, "
+        f"{s['startup']['import_cli']['rss_mib']:.1f} MiB",
     )
 
 

@@ -17,13 +17,19 @@ The heavy lifting lives in the subpackages:
 * :mod:`repro.gpusim` — the UMM memory-model simulator
 * :mod:`repro.core`   — the all-pairs attack and the batch-GCD baseline
 * :mod:`repro.telemetry` — metrics, stage timing, progress, JSONL events
+
+The top-level names are lazy (PEP 562): ``import repro`` loads only the
+GCD suite, and ``repro.BulkGcdEngine`` or ``from repro import
+find_shared_primes`` import their subpackage on first use.  So a command
+pays only for the code it runs; ``batchscan``, for one, never loads the
+bulk engine or NumPy.
 """
 
-from repro.bulk import BulkGcdEngine
-from repro.core import batch_gcd, break_keys, find_shared_primes
+from repro._lazy import lazy_exports
+
+# ``gcd`` is also the name of the subpackage: bind the function eagerly,
+# or the first import of ``repro.gcd`` would rebind the name to the module
 from repro.gcd import approx, gcd, gcd_approx
-from repro.rsa import RSAKey, generate_key, generate_weak_corpus, recover_key
-from repro.telemetry import Telemetry
 
 __version__ = "1.0.0"
 
@@ -42,3 +48,10 @@ __all__ = [
     "recover_key",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bulk": ("BulkGcdEngine",),
+    "repro.core": ("batch_gcd", "break_keys", "find_shared_primes"),
+    "repro.rsa": ("RSAKey", "generate_key", "generate_weak_corpus", "recover_key"),
+    "repro.telemetry": ("Telemetry",),
+})

@@ -24,59 +24,28 @@ emits a structured report.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import signal
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Only what build_parser needs and the modules of the two entry points
+# the traced launcher (perfbench/launch.py) patches by name on this module
+# load here: each command handler imports the rest, so a command loads
+# only the code it runs, and all of it before its ready event.
 from repro.core.attack import find_shared_primes
-from repro.core.incremental import IncrementalScanner
-from repro.core.parallel import find_shared_primes_parallel
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.mp.memlog import CountingMemLog
 from repro.telemetry import ProgressUpdate, Telemetry
-from repro.gcd.census import run_all_algorithms
-from repro.gcd.reference import ALGORITHM_NAMES, gcd as gcd_any
-from repro.gcd.trace import (
-    format_binary_grouped,
-    trace_approx,
-    trace_binary,
-    trace_fast,
-    trace_fast_binary,
-    trace_original,
-)
-from repro.rsa.corpus import (
-    ModulusStream,
-    WeakCorpus,
-    generate_weak_corpus,
-    stream_moduli,
-    write_moduli_text,
-)
-from repro.rsa.keys import generate_key
-from repro.integrity import LockHeld, StateLock, run_fsck
-from repro.service import wire
-from repro.service.client import ServiceClient
-from repro.service.http import HttpServer, ServiceConfig, WeakKeyService
-from repro.rsa.pem import load_public_moduli, private_key_to_pem, public_key_to_pem
-from repro.rsa.x509 import (
-    certificate_to_pem,
-    create_self_signed_certificate,
-    extract_moduli_from_certificates,
-)
 from repro.util.intops import BACKEND_CHOICES, backend_info, resolve_backend
-from repro.util.rng import derive_rng
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
 
 __all__ = ["main", "build_parser"]
 
-_TRACERS = {
-    "original": trace_original,
-    "fast": trace_fast,
-    "binary": trace_binary,
-    "fast_binary": trace_fast_binary,
-    "approx": trace_approx,
-}
+#: ``trace --algorithm`` choices: ``repro.gcd.trace.trace_<name>``
+_TRACERS = ("approx", "binary", "fast", "fast_binary", "original")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("trace", help="paper-style per-iteration trace")
     tr.add_argument("x", type=int)
     tr.add_argument("y", type=int)
-    tr.add_argument("--algorithm", choices=sorted(_TRACERS), default="approx")
+    tr.add_argument("--algorithm", choices=_TRACERS, default="approx")
     tr.add_argument("--d", type=int, default=4, help="word size for approx (default 4)")
 
     gc = sub.add_parser("gcd", help="compute one GCD")
@@ -466,6 +435,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
+    from repro.rsa.keys import generate_key
+    from repro.rsa.pem import private_key_to_pem, public_key_to_pem
+    from repro.rsa.x509 import certificate_to_pem, create_self_signed_certificate
+    from repro.util.rng import derive_rng
+
     rng = derive_rng(args.seed, "cli-keygen", args.bits)
     chunks = []
     for idx in range(max(1, args.count)):
@@ -489,6 +463,9 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    from repro.rsa.corpus import generate_weak_corpus, write_moduli_text
+    from repro.rsa.pem import public_key_to_pem
+
     groups = tuple(int(g) for g in args.groups.split(",") if g.strip())
     corpus = generate_weak_corpus(
         args.keys, args.bits, shared_groups=groups, seed=args.seed
@@ -535,6 +512,11 @@ def _stderr_progress(update: ProgressUpdate) -> None:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from repro.mp.memlog import CountingMemLog
+    from repro.rsa.corpus import WeakCorpus
+    from repro.rsa.pem import load_public_moduli
+    from repro.rsa.x509 import extract_moduli_from_certificates
+
     expected = None
     if args.pem:
         moduli = load_public_moduli(args.pem.read_text())
@@ -568,6 +550,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if args.backend == "parallel":
             if args.memlog:
                 raise ValueError("--memlog requires the scalar backend")
+            from repro.core.parallel import find_shared_primes_parallel
+
             report = find_shared_primes_parallel(
                 moduli,
                 processes=args.workers or None,
@@ -657,6 +641,8 @@ def _cmd_scan_stream(
     args: argparse.Namespace, moduli: list[int], source: str, expected
 ) -> int:
     """``scan --stream N``: the corpus as an arriving key stream."""
+    from repro.core.incremental import IncrementalScanner
+
     if args.memlog:
         print("error: --memlog is incompatible with --stream", file=sys.stderr)
         return 2
@@ -743,6 +729,8 @@ def _cmd_scan_stream(
 
 
 def _cmd_batchscan(args: argparse.Namespace) -> int:
+    from repro.rsa.corpus import ModulusStream, WeakCorpus, stream_moduli
+
     expected = None
     if args.corpus:
         corpus = WeakCorpus.from_json(args.corpus.read_text())
@@ -848,8 +836,17 @@ def _cmd_batchscan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+    import signal
+
+    from repro.service.http import HttpServer, ServiceConfig, WeakKeyService
+
     if args.bits and (args.bits < 16 or args.bits % 2):
         raise ValueError(f"--bits must be an even size >= 16, got {args.bits}")
+    # an unpinned registry builds its scanner at the first submission;
+    # probe the int backend (and import gmpy2) now, before serving, and
+    # refuse an unavailable --int-backend at start rather than on that key
+    resolve_backend(args.int_backend)
     config = ServiceConfig(
         state_dir=args.state_dir,
         bits=args.bits or None,
@@ -913,6 +910,9 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     check-only run, 2 a repair was refused or did not heal, 3 the state
     directory is locked by a running service.
     """
+    from repro.integrity.fsck import run_fsck
+    from repro.integrity.lock import LockHeld, StateLock
+
     lock = StateLock(args.state_dir)
     try:
         lock.acquire(purpose="fsck")
@@ -955,6 +955,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceClient
+
     client = ServiceClient(args.url.rstrip("/"), timeout=args.timeout)
     try:
         return _run_submit(args, client)
@@ -976,6 +978,9 @@ def _print_backpressure(retries: int):
 
 
 def _run_submit(args: argparse.Namespace, client: ServiceClient) -> int:
+    from repro.rsa.corpus import stream_moduli
+    from repro.service import wire
+
     if args.fetch:
         path = {
             "hits": "/hits", "broken": "/broken",
@@ -1143,6 +1148,10 @@ def _cmd_ingest_ct(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from repro.gcd.census import run_all_algorithms
+    from repro.gcd.reference import ALGORITHM_NAMES
+    from repro.rsa.corpus import generate_weak_corpus
+
     corpus = generate_weak_corpus(
         2 * args.pairs, args.bits, shared_groups=(), seed=args.seed
     )
@@ -1160,7 +1169,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    tracer = _TRACERS[args.algorithm]
+    from repro.gcd import trace
+
+    tracer = getattr(trace, f"trace_{args.algorithm}")
     t = tracer(args.x, args.y, args.d) if args.algorithm == "approx" else tracer(args.x, args.y)
     for k, s in enumerate(t.steps):
         extra = ""
@@ -1169,15 +1180,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if s.case is not None:
             extra = f"  case {s.case}  (alpha, beta)=({s.alpha}, {s.beta})"
         print(
-            f"{k + 1:>4}  X={format_binary_grouped(s.x)} ({s.x})  "
-            f"Y={format_binary_grouped(s.y)} ({s.y}){extra}"
+            f"{k + 1:>4}  X={trace.format_binary_grouped(s.x)} ({s.x})  "
+            f"Y={trace.format_binary_grouped(s.y)} ({s.y}){extra}"
         )
-    print(f"   -  X={format_binary_grouped(t.final_x)} ({t.final_x})  Y={t.final_y}")
+    print(f"   -  X={trace.format_binary_grouped(t.final_x)} ({t.final_x})  Y={t.final_y}")
     print(f"gcd = {t.gcd} in {t.iterations} iterations")
     return 0
 
 
 def _cmd_gcd(args: argparse.Namespace) -> int:
+    from repro.gcd.reference import gcd as gcd_any
+
     g = gcd_any(args.x, args.y, algorithm=args.algorithm, d=args.d)
     print(g)
     return 0

@@ -14,23 +14,7 @@ and large memory, while all-pairs GCD is embarrassingly parallel with tiny
 working state, which is exactly the niche the paper's GPU kernel targets.
 """
 
-from repro.core.attack import (
-    AttackReport,
-    WeakHit,
-    break_keys,
-    find_shared_primes,
-    group_batch_hits,
-)
-from repro.core.batch_gcd import batch_gcd, product_tree
-from repro.core.incremental import BatchReport, IncrementalScanner
-from repro.core.pairing import BlockTask, all_pair_count, block_schedule, block_pairs
-from repro.core.parallel import find_shared_primes_parallel
-from repro.core.pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    quick_check,
-    run_pipeline,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttackReport",
@@ -52,3 +36,14 @@ __all__ = [
     "quick_check",
     "run_pipeline",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.attack": (
+        "AttackReport", "WeakHit", "break_keys", "find_shared_primes", "group_batch_hits",
+    ),
+    "repro.core.batch_gcd": ("batch_gcd", "product_tree"),
+    "repro.core.incremental": ("BatchReport", "IncrementalScanner"),
+    "repro.core.pairing": ("BlockTask", "all_pair_count", "block_schedule", "block_pairs"),
+    "repro.core.parallel": ("find_shared_primes_parallel",),
+    "repro.core.pipeline": ("PipelineConfig", "PipelineResult", "quick_check", "run_pipeline"),
+})

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.bulk.engine import BulkGcdEngine
 from repro.core.batch_gcd import batch_gcd
 from repro.core.pairing import all_pair_count, block_schedule
 from repro.gcd.reference import ALGORITHMS, gcd_approx
@@ -35,6 +35,9 @@ from repro.mp.wordint import WordInt
 from repro.rsa.keys import RSAKey, recover_key
 from repro.telemetry import Telemetry, record_memlog
 from repro.util.intops import IntBackend, resolve_backend
+
+if TYPE_CHECKING:
+    from repro.bulk.engine import BulkGcdEngine
 
 __all__ = [
     "WeakHit",
@@ -166,6 +169,13 @@ def find_shared_primes(
         )
 
     B = resolve_backend(int_backend)
+    engine = None
+    if backend == "bulk":
+        # only this backend loads the engine (and NumPy), and it does so
+        # before ``scan.start``: the import is setup, never scan time
+        from repro.bulk.engine import BulkGcdEngine
+
+        engine = BulkGcdEngine(d=d, algorithm=algorithm)
     tel = telemetry if telemetry is not None else Telemetry.create()
     report = AttackReport(m=len(moduli), bits=bits, backend=backend, algorithm=algorithm)
     tel.registry.gauge("scan.moduli").set(len(moduli))
@@ -179,8 +189,8 @@ def find_shared_primes(
             _run_batch(moduli, report, tel, B)
         else:
             _run_pairwise(
-                moduli, report, backend, algorithm, d, group_size, stop_bits,
-                tel, memlog,
+                moduli, report, engine, backend, algorithm, d, group_size,
+                stop_bits, tel, memlog,
             )
 
     report.elapsed_seconds = tel.timer.total_seconds("scan")
@@ -210,6 +220,7 @@ _WORD_TIER = {
 def _run_pairwise(
     moduli: list[int],
     report: AttackReport,
+    engine: BulkGcdEngine | None,
     backend: str,
     algorithm: str,
     d: int,
@@ -222,7 +233,6 @@ def _run_pairwise(
     report.blocks = len(schedule)
     tel.registry.gauge("scan.blocks").set(len(schedule))
     tel.set_progress_total(all_pair_count(len(moduli)))
-    engine = BulkGcdEngine(d=d, algorithm=algorithm) if backend == "bulk" else None
     letter = {"approx": "E", "fast_binary": "D", "binary": "C"}.get(algorithm)
     if backend == "scalar" and letter is None:
         raise ValueError(f"scalar backend has no algorithm {algorithm!r}")

@@ -51,9 +51,10 @@ from pathlib import Path
 from repro.core.checkpoint import MANIFEST_VERSION
 from repro.core.spool import MAGIC, blob_sha256, read_sidecar
 
-# Mirrors repro.ingest.dedup.DIGEST_SIZE; importing it here would cycle
-# (ingest -> service.http -> integrity.scrub -> this module), so the
-# value is pinned and cross-checked by tests/integrity instead.
+# Mirrors repro.ingest.dedup.DIGEST_SIZE, which fsck takes from here too:
+# importing repro.ingest would cycle (ingest -> service.http ->
+# integrity.scrub -> this module) and load the CT crawler's HTTP stack,
+# so the value is pinned and cross-checked by tests/integrity instead.
 DIGEST_SIZE = 32
 
 __all__ = [

@@ -46,8 +46,8 @@ from repro.core.spool import (
     write_blob,
     write_sidecar,
 )
-from repro.ingest.dedup import DIGEST_SIZE
 from repro.integrity.catalog import (
+    DIGEST_SIZE,
     QUARANTINE_DIR,
     ArtifactCatalog,
     CatalogReport,

@@ -27,6 +27,7 @@ one home for how the reproduction survives all of that:
 model, fault-spec grammar, service shutdown sequence).
 """
 
+from repro._lazy import lazy_exports
 from repro.resilience.errors import (
     ChunkFailed,
     DeadlineExceeded,
@@ -50,7 +51,6 @@ from repro.resilience.faults import (
     reset_plan,
 )
 from repro.resilience.retry import Deadline, RetryPolicy
-from repro.resilience.supervisor import ChunkSupervisor, supervised_map
 
 __all__ = [
     "ChunkFailed",
@@ -76,3 +76,8 @@ __all__ = [
     "reset_plan",
     "supervised_map",
 ]
+
+# the supervisor loads multiprocessing: only the parallel backend pays for it
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.supervisor": ("ChunkSupervisor", "supervised_map"),
+})

@@ -22,7 +22,6 @@ the taxonomy stays in one place.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
 from dataclasses import dataclass
@@ -193,6 +192,8 @@ class RetryPolicy:
         deadline: Deadline | None = None,
     ) -> _T:
         """:meth:`run` for coroutines; backoff sleeps via ``asyncio.sleep``."""
+        import asyncio  # here, not at the top: sync callers never load it
+
         dl = deadline if deadline is not None else self.start_deadline(clock=clock)
         rng = random.Random(self.seed)
         for attempt in range(1, self.max_attempts + 1):

@@ -74,32 +74,43 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self.samples:
             raise ValueError("quantile of an empty histogram")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = q * (len(ordered) - 1)
-        lo = int(pos)
-        frac = pos - lo
-        if lo + 1 >= len(ordered):
-            return ordered[-1]
-        value = ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
-        # interpolation can overshoot an endpoint by one ulp when the
-        # bracketing samples are equal large floats — clamp to the data range
-        return min(max(value, ordered[0]), ordered[-1])
+        return _interpolate(sorted(self.samples), q)
 
     def summary(self) -> dict:
-        """The stable report form: count/sum/min/mean/p50/p95/max."""
+        """The stable report form: count/sum/min/mean/p50/p95/max.
+
+        One sort serves every order statistic: ``IncrementalScanner``
+        snapshots telemetry on every service flush, and the samples grow
+        with traffic.
+        """
         if not self.samples:
             return {"count": 0, "sum": 0.0}
+        ordered = sorted(self.samples)
+        total = self.sum
         return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": min(self.samples),
-            "mean": self.sum / self.count,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "max": max(self.samples),
+            "count": len(ordered),
+            "sum": total,
+            "min": ordered[0],
+            "mean": total / len(ordered),
+            "p50": _interpolate(ordered, 0.50),
+            "p95": _interpolate(ordered, 0.95),
+            "max": ordered[-1],
         }
+
+
+def _interpolate(ordered: list[float], q: float) -> float:
+    """:meth:`Histogram.quantile` on samples already sorted ascending."""
+    if len(ordered) == 1:
+        return ordered[0]
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    frac = pos - lo
+    if lo + 1 >= len(ordered):
+        return ordered[-1]
+    value = ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
+    # interpolation can overshoot an endpoint by one ulp when the
+    # bracketing samples are equal large floats — clamp to the data range
+    return min(max(value, ordered[0]), ordered[-1])
 
 
 class MetricsRegistry:

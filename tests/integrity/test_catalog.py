@@ -116,6 +116,13 @@ class TestIngestFamily:
         cur.commit(state)
         return cur
 
+    def test_digest_size_matches_dedup(self):
+        # catalog and fsck pin the record size rather than import repro.ingest
+        from repro.ingest.dedup import DIGEST_SIZE
+        from repro.integrity import catalog, fsck
+
+        assert catalog.DIGEST_SIZE == fsck.DIGEST_SIZE == DIGEST_SIZE
+
     def test_clean_cursor_and_seen_log(self, tmp_path):
         self._cursor(tmp_path, dedup_watermark=2)
         (tmp_path / "dedup").mkdir()

@@ -92,6 +92,49 @@ class TestHistogramQuantiles:
         assert s["count"] == 2 and s["mean"] == 3.0
 
 
+def _summary_by_quantile(h: Histogram) -> dict:
+    """The summary as one ``quantile`` call (one sort) per order statistic."""
+    return {
+        "count": h.count,
+        "sum": h.sum,
+        "min": min(h.samples),
+        "mean": h.sum / h.count,
+        "p50": h.quantile(0.50),
+        "p95": h.quantile(0.95),
+        "max": max(h.samples),
+    }
+
+
+class TestHistogramSummary:
+    """``summary`` sorts once; its figures match per-quantile sorting exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 501, 10_000])
+    def test_random_samples(self, n):
+        rng = random.Random(n)
+        h = Histogram()
+        for _ in range(n):
+            h.observe(rng.lognormvariate(0, 2))
+        assert h.summary() == _summary_by_quantile(h)
+
+    def test_one_sample(self):
+        h = Histogram()
+        h.observe(7.25)
+        assert h.summary() == _summary_by_quantile(h)
+        assert h.summary()["p95"] == 7.25
+
+    def test_equal_large_floats_clamp(self):
+        # with three samples p95 sits at position 1.9, and for this x the
+        # interpolation overshoots x by one ulp: only the clamp keeps p95 == x
+        x = 125512.72886980568
+        frac = 0.95 * 2 - 1
+        assert x * (1 - frac) + x * frac > x
+        h = Histogram()
+        for _ in range(3):
+            h.observe(x)
+        assert h.summary() == _summary_by_quantile(h)
+        assert h.summary()["p95"] == x
+
+
 class TestRegistry:
     def test_creation_on_touch_is_stable(self):
         r = MetricsRegistry()
