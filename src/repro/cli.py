@@ -843,10 +843,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.bits and (args.bits < 16 or args.bits % 2):
         raise ValueError(f"--bits must be an even size >= 16, got {args.bits}")
-    # an unpinned registry builds its scanner at the first submission;
-    # probe the int backend (and import gmpy2) now, before serving, and
-    # refuse an unavailable --int-backend at start rather than on that key
-    resolve_backend(args.int_backend)
     config = ServiceConfig(
         state_dir=args.state_dir,
         bits=args.bits or None,

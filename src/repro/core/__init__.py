@@ -16,6 +16,11 @@ working state, which is exactly the niche the paper's GPU kernel targets.
 
 from repro._lazy import lazy_exports
 
+# ``batch_gcd`` is also the name of a submodule: bind the functions eagerly,
+# or the first import of ``repro.core.batch_gcd`` (``repro.cli`` makes it
+# through ``repro.core.attack``) would rebind the name to the module
+from repro.core.batch_gcd import batch_gcd, product_tree
+
 __all__ = [
     "AttackReport",
     "BatchReport",
@@ -41,7 +46,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.attack": (
         "AttackReport", "WeakHit", "break_keys", "find_shared_primes", "group_batch_hits",
     ),
-    "repro.core.batch_gcd": ("batch_gcd", "product_tree"),
     "repro.core.incremental": ("BatchReport", "IncrementalScanner"),
     "repro.core.pairing": ("BlockTask", "all_pair_count", "block_schedule", "block_pairs"),
     "repro.core.parallel": ("find_shared_primes_parallel",),

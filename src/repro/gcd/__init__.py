@@ -22,14 +22,8 @@ general-input wrapper that strips common powers of two first.
 paper's case labels; :mod:`repro.gcd.word` the word-array instrumented
 versions; :mod:`repro.gcd.trace` the Table I–III step recorders; and
 :mod:`repro.gcd.census` the Table IV / β-probability statistics harness.
-
-The estimator and the five algorithms load with the package (``approx``
-is also a submodule's name, so it is bound eagerly); the census,
-analysis, Lehmer, extended-Euclid, trace and word-tier names load on
-first use.
 """
 
-from repro._lazy import lazy_exports
 from repro.gcd.approx import (
     CASE_1,
     CASE_2A,
@@ -43,6 +37,10 @@ from repro.gcd.approx import (
     approx,
     approx_words,
 )
+from repro.gcd.census import CensusResult, iteration_census, run_all_algorithms
+from repro.gcd.analysis import analyze_approx_run, bits_per_iteration, quotient_quality
+from repro.gcd.extended import binary_egcd, egcd, modinverse
+from repro.gcd.lehmer import LehmerStats, gcd_lehmer
 from repro.gcd.reference import (
     ALGORITHMS,
     GcdStats,
@@ -52,6 +50,24 @@ from repro.gcd.reference import (
     gcd_fast,
     gcd_fast_binary,
     gcd_original,
+)
+from repro.gcd.trace import (
+    TraceResult,
+    TraceStep,
+    format_binary_grouped,
+    trace_approx,
+    trace_binary,
+    trace_fast,
+    trace_fast_binary,
+    trace_original,
+)
+from repro.gcd.word import (
+    WordGcdStats,
+    gcd_approx_words,
+    gcd_binary_words,
+    gcd_fast_binary_words,
+    gcd_fast_words,
+    gcd_original_words,
 )
 
 __all__ = [
@@ -100,18 +116,3 @@ __all__ = [
     "trace_fast_binary",
     "trace_original",
 ]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.gcd.analysis": ("analyze_approx_run", "bits_per_iteration", "quotient_quality"),
-    "repro.gcd.census": ("CensusResult", "iteration_census", "run_all_algorithms"),
-    "repro.gcd.extended": ("binary_egcd", "egcd", "modinverse"),
-    "repro.gcd.lehmer": ("LehmerStats", "gcd_lehmer"),
-    "repro.gcd.trace": (
-        "TraceResult", "TraceStep", "format_binary_grouped", "trace_approx",
-        "trace_binary", "trace_fast", "trace_fast_binary", "trace_original",
-    ),
-    "repro.gcd.word": (
-        "WordGcdStats", "gcd_approx_words", "gcd_binary_words",
-        "gcd_fast_binary_words", "gcd_fast_words", "gcd_original_words",
-    ),
-})

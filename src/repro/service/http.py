@@ -59,6 +59,7 @@ from repro.service.batcher import BacklogFull, MicroBatcher, Ticket
 from repro.service.registry import WeakKeyRegistry
 from repro.service.shard import ShardRouter
 from repro.telemetry import Telemetry
+from repro.util.intops import resolve_backend
 
 __all__ = ["ServiceConfig", "WeakKeyService", "HttpServer", "parse_submission"]
 
@@ -114,6 +115,10 @@ class WeakKeyService:
         self.router: ShardRouter | None = None
         if config.shards < 1:
             raise ValueError("shards must be >= 1")
+        # an unpinned registry builds its scanner at the first submission;
+        # probe the int backend (and import gmpy2) now, before serving, and
+        # refuse an unavailable one at start rather than on that key
+        resolve_backend(config.int_backend)
         self.bits = config.bits
         self.batcher = MicroBatcher(
             self._scan_async,

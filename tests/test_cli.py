@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,6 +454,27 @@ class TestBackendsCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "gmpy2" in err
+
+    @pytest.mark.skipif(
+        "gmpy2" in available_backends(), reason="gmpy2 IS installed here"
+    )
+    def test_serve_refuses_missing_gmpy2_before_listening(self, tmp_path):
+        # a fresh state directory builds no scanner until the first key;
+        # the service must still refuse the backend at start. A subprocess,
+        # because a serve that does start blocks until it is signalled
+        port_file = tmp_path / "port.txt"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--state-dir",
+             str(tmp_path / "state"), "--port", "0", "--port-file",
+             str(port_file), "--int-backend", "gmpy2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "gmpy2" in proc.stderr
+        assert not port_file.exists()
+        assert "listening" not in proc.stdout
 
 
 class TestSubmitCommand:
