@@ -45,7 +45,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.core.attack import find_shared_primes
+from repro.core.attack import WeakHit, find_shared_primes
 from repro.core.batch_gcd import batch_gcd
 from repro.core.incremental import SNAPSHOT_VERSION, IncrementalScanner
 from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -55,7 +55,9 @@ from repro.util.intops import available_backends, backend_info, resolve_backend
 SCHEMA = "repro.bench_e2e/2"
 MODES = ("pairwise", "batch", "batchscan")
 
-#: incremental-flush sweep: engines raced on identical seeded registries
+#: incremental-flush sweep, raced on identical seeded registries: ``native``
+#: is the pairwise baseline timed here (one backend GCD per new pair),
+#: ``ptree`` the scanner's product-tree flush
 INCR_ENGINES = ("native", "ptree")
 QUICK_INCR_REGISTRY = (192,)
 QUICK_INCR_FLUSH = (24,)
@@ -212,15 +214,34 @@ def _incremental_corpus(
     return moduli[:base], moduli[base:]
 
 
-def _seeded_scanner(seed_moduli: list[int], bits: int, engine: str) -> IncrementalScanner:
+def _seeded_scanner(seed_moduli: list[int], bits: int) -> IncrementalScanner:
     """A scanner that believes it already covered the seed registry —
     exactly the service's restore path, so only the flush is timed."""
     m = len(seed_moduli)
     return IncrementalScanner.restore({
-        "version": SNAPSHOT_VERSION, "bits": bits, "engine": engine,
+        "version": SNAPSHOT_VERSION, "bits": bits,
         "int_backend": None, "moduli": seed_moduli, "hits": [],
         "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
     })
+
+
+def _pairwise_flush(old: list[int], batch: list[int]) -> list[WeakHit]:
+    """The baseline the tree replaces: one backend GCD per cross pair and
+    per internal pair — ``k·m + k(k−1)/2`` GCDs, hits in global indices."""
+    B = resolve_backend(None)
+    gcd, to_int = B.gcd, B.to_int
+    base = len(old)
+    hits = []
+    for t, nk in enumerate(batch):
+        for i, n in enumerate(old):
+            g = to_int(gcd(n, nk))
+            if g > 1:
+                hits.append(WeakHit(i, base + t, g))
+        for u in range(t):
+            g = to_int(gcd(batch[u], nk))
+            if g > 1:
+                hits.append(WeakHit(base + u, base + t, g))
+    return hits
 
 
 def run_incremental_case(
@@ -233,25 +254,32 @@ def run_incremental_case(
 ) -> IncrementalResult:
     """Time one flush of ``batch`` against a pre-seeded registry.
 
-    Scanner seeding (including the ptree tier's tree build) happens
-    outside the timed region — a long-lived service pays it once, not per
-    flush — but the flush itself includes everything a flush does:
-    scanning *and* the tree append that keeps the next flush amortized.
+    ``engine`` is ``native`` (the pairwise baseline) or ``ptree`` (the
+    scanner).  Scanner seeding (including the tree build) happens outside
+    the timed region — a long-lived service pays it once, not per flush —
+    but the flush itself includes everything a flush does: scanning *and*
+    the tree append that keeps the next flush amortized.
     """
+    if engine not in INCR_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {INCR_ENGINES}")
     base, k = len(seed_moduli), len(batch)
-    times, report = [], None
+    pairs = base * k + k * (k - 1) // 2
+    times, hits = [], []
     for _ in range(max(1, repeat)):
-        scanner = _seeded_scanner(seed_moduli, bits, engine)
-        t0 = time.perf_counter()
-        report = scanner.add_batch(list(batch))
+        if engine == "native":
+            t0 = time.perf_counter()
+            hits = _pairwise_flush(seed_moduli, batch)
+        else:
+            scanner = _seeded_scanner(seed_moduli, bits)
+            t0 = time.perf_counter()
+            hits = scanner.add_batch(list(batch)).hits
         times.append(time.perf_counter() - t0)
     best = min(times)
-    pairs = report.pairs_tested
     return IncrementalResult(
         engine=engine, registry_size=base, flush_size=k, bits=bits,
         cross_pairs=base * k, pairs_covered=pairs,
         seconds=best, all_seconds=times,
-        hits=len(report.hits), hits_digest=hits_digest(report.hits),
+        hits=len(hits), hits_digest=hits_digest(hits),
         microseconds_per_pair=best / pairs * 1e6 if pairs else None,
     )
 
@@ -296,9 +324,8 @@ def _incremental_speedups(runs: list[IncrementalResult]) -> list[dict]:
 
 
 def _measured_crossover(speedups: list[dict]) -> int | None:
-    """Smallest measured cross-pair count at which ``ptree`` beat
-    ``native`` — an upper bound on the crossover ``AUTO_MIN_CROSS_PAIRS``
-    should encode."""
+    """Smallest measured cross-pair count at which ``ptree`` beat the
+    pairwise ``native`` baseline."""
     winning = [
         s["cross_pairs"]
         for s in speedups
@@ -373,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "batch_gcd kernel only (no hit parity)")
     p.add_argument("--incremental", action="store_true",
                    help="also sweep incremental flushes: registry size x "
-                        "batch size x engine on seeded scanners")
+                        "batch size, pairwise baseline vs seeded scanner")
     p.add_argument("--incr-registry",
                    type=lambda s: tuple(int(x) for x in s.split(",")),
                    default=None,
@@ -386,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "incremental sweep")
     p.add_argument("--incr-engines", type=lambda s: tuple(s.split(",")),
                    default=INCR_ENGINES,
-                   help=f"comma-separated engines (default "
+                   help=f"comma-separated subset of native (pairwise "
+                        f"baseline) and ptree (default "
                         f"{','.join(INCR_ENGINES)})")
     p.add_argument("--min-incr-speedup", type=float,
                    default=float(os.environ.get(

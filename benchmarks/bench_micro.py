@@ -412,7 +412,7 @@ def bench_flush_scan(backend, n_keys: int, seed: str, repeat: int) -> dict:
     halves = prime_power_halves(2 * (n_keys + sum(FLUSH_KS)) + 1, FLUSH_BITS, seed)
     moduli = [a * b for a, b in zip(halves[0:-1:2], halves[1:-1:2])]
     registry, fresh = moduli[:n_keys], moduli[n_keys:]
-    scanner = IncrementalScanner(bits=FLUSH_BITS, engine="ptree", int_backend=backend)
+    scanner = IncrementalScanner(bits=FLUSH_BITS, int_backend=backend)
     t0 = time.perf_counter()
     scanner.adopt(registry)
     build_s = time.perf_counter() - t0

@@ -26,10 +26,12 @@ incremental-scan → durable-commit cycle at a realistic hit rate.
 
 The v2 schema adds a **shard sweep** (``docs/SHARDING.md``): the same
 submit-to-verdict workload against ``--shards {1,2,4}`` fleets, made
-scan-bound by preloading a corpus first (with a large corpus every fresh
-key costs ``M`` cross-GCDs, which is where the fleet parallelises).  The
-sweep records per-shard-count throughput, the speedup over one shard, and
-a digest of the hit set — which must be identical across shard counts.
+scan-bound by preloading a corpus of fat 2048-bit moduli first (every
+fresh key's flush screens and descends the product tree over the whole
+corpus, which is where the fleet parallelises; at 64 bits the tree makes
+a flush too cheap for the sweep to be scan-bound).  The sweep records
+per-shard-count throughput, the speedup over one shard, and a digest of
+the hit set — which must be identical across shard counts.
 ``REPRO_BENCH_SHARD_MIN_SPEEDUP`` (CI) turns the largest count's speedup
 into a hard floor; the committed JSON records honest numbers for whatever
 host ran it (``environment.cpu_count`` says how many cores that was — on
@@ -84,6 +86,7 @@ DEFAULT_SHARDS = (1, 2, 4)
 QUICK_PRELOAD, QUICK_TIMED, QUICK_SHARD_CLIENTS = 1200, 240, 24
 FULL_PRELOAD, FULL_TIMED, FULL_SHARD_CLIENTS = 3000, 600, 32
 BITS = 64
+SHARD_BITS = 2048
 QUICK_WIRE_KEYS, QUICK_WIRE_BITS, QUICK_WIRE_ROUNDS, QUICK_WIRE_REPS = 160, 2048, 3, 4
 FULL_WIRE_KEYS, FULL_WIRE_BITS, FULL_WIRE_ROUNDS, FULL_WIRE_REPS = 800, 8192, 5, 8
 
@@ -352,14 +355,10 @@ async def _preload(port: int, moduli: list[int]) -> None:
 async def _run_shards(
     shards: int, preload: list[int], timed: list[int], clients: int, state_dir: Path
 ) -> ShardRunResult:
-    """Scan-bound submit-to-verdict throughput against an N-shard fleet.
-
-    ``engine="native"`` keeps every fleet width on the same per-pair code
-    path, so the sweep measures sharding, not engine crossover.
-    """
+    """Scan-bound submit-to-verdict throughput against an N-shard fleet."""
     service = WeakKeyService(
         ServiceConfig(
-            state_dir=state_dir, bits=BITS, engine="native", linger_ms=5.0,
+            state_dir=state_dir, bits=SHARD_BITS, linger_ms=5.0,
             max_batch=max(64, clients), max_pending=8192, shards=shards,
         )
     )
@@ -586,13 +585,8 @@ def main(argv: list[str] | None = None) -> int:
         shard_clients = args.shard_clients or (
             QUICK_SHARD_CLIENTS if args.quick else FULL_SHARD_CLIENTS
         )
-        preload_moduli = synthetic_moduli(preload_n, BITS, args.seed + "-preload")
-        timed_moduli = [
-            n for n in synthetic_moduli(
-                preload_n + timed_n, BITS, args.seed + "-timed"
-            )[preload_n:]
-            if n not in set(preload_moduli)
-        ]
+        shard_moduli = fat_moduli(preload_n + timed_n, SHARD_BITS, args.seed + "-shards")
+        preload_moduli, timed_moduli = shard_moduli[:preload_n], shard_moduli[preload_n:]
         for count in shard_counts:
             with tempfile.TemporaryDirectory(prefix="bench_shards_") as d:
                 r = asyncio.run(_run_shards(
@@ -690,6 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         "best_submissions_per_second": best,
         "shard_sweep": {
+            "bits": SHARD_BITS,
             "runs": [asdict(r) for r in shard_runs],
             "speedups_vs_one_shard": {
                 str(r.shards): round(

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", type=int, default=0, metavar="N",
         help="feed the corpus through the incremental scanner in batches "
         "of N keys instead of one all-pairs pass (exercises the serving "
-        "path with its 'auto' engine; 0 = off). --algorithm and "
+        "path with its product-tree scanner; 0 = off). --algorithm and "
         "--no-early-terminate apply only to the all-pairs backends",
     )
 
@@ -209,15 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--int-backend", choices=BACKEND_CHOICES, default=None, metavar="NAME",
         help="big-integer implementation for the scan hot path "
         "(auto/python/gmpy2; default: REPRO_INT_BACKEND or auto)",
-    )
-    sv.add_argument(
-        "--scan-engine",
-        choices=("auto", "native", "ptree"),
-        default="auto",
-        help="scan engine tier: 'auto' (default; per-batch pick of "
-        "'native' vs 'ptree' by cross pairs), 'native' (one int-backend "
-        "GCD per pair), or 'ptree' (persistent product tree, one "
-        "remainder descent per flush)",
     )
     sv.add_argument(
         "--max-batch", type=int, default=256,
@@ -676,7 +667,7 @@ def _cmd_scan_stream(
         "source": source,
         "moduli": scanner.n_keys,
         "pairs_tested": scanner.total_pairs_tested,
-        "backend": "stream/auto",
+        "backend": "stream/ptree",
         "int_backend": scanner.backend.name,
         "batches": batches,
         "batch_size": args.stream,
@@ -846,7 +837,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         state_dir=args.state_dir,
         bits=args.bits or None,
-        engine=args.scan_engine,
         int_backend=args.int_backend,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,

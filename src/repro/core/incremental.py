@@ -7,27 +7,20 @@ cross pairs plus ``k(k−1)/2`` internal ones.  :class:`IncrementalScanner`
 maintains the corpus and covers exactly those new pairs, reporting hits in
 *global* key indices.
 
-Two engine tiers cover the new pairs (hit sets are identical across both
-— property-tested against a brute-force oracle in
-``tests/core/test_incremental_stateful.py``):
+The cross pairs go through a
+:class:`~repro.core.ptree.PersistentProductTree` over the old corpus: the
+batch is screened against *all* old keys with one GCD per segment root
+against ``Π new``, and only the segments that share a prime with the
+batch, or are too small for a screen to pay, are descended (no squaring
+needed — new keys are never in the tree).  A small flush that shares
+nothing costs O(log m) GCDs instead of ``k·m`` independent ones.  The
+internal pairs take one direct ``k(k−1)/2`` pass.  Hit sets equal a
+brute-force all-pairs oracle (property-tested in
+``tests/core/test_incremental_stateful.py``).
 
-``native``
-    one big-integer GCD per cross pair via :mod:`repro.util.intops` — the
-    simple pairwise path;
-``ptree``
-    a :class:`~repro.core.ptree.PersistentProductTree` over the old
-    corpus: the batch is screened against *all* old keys with one GCD
-    per segment root against ``Π new``, and only the segments that share
-    a prime with the batch, or are too small for a screen to pay, are
-    descended (no squaring needed — new keys are never in the tree).  A
-    small flush that shares nothing costs O(log m) GCDs instead of
-    ``k·m`` independent ones.
-
-Both tiers share one direct ``k(k−1)/2`` pass for the internal pairs.
-``auto`` (the default) picks ``native`` or ``ptree`` per batch by cross
-pairs (see :data:`AUTO_MIN_CROSS_PAIRS`), while always keeping the tree
-maintained so either choice stays available.  The paper's SIMT engine is
-not a tier here: it is the subject of ``repro scan --backend bulk``.
+The tree lives in memory, or with ``spool_dir`` in RGSPOOL1 blobs that a
+restarted scanner reloads.  The paper's SIMT engine is not used here: it
+is the subject of ``repro scan --backend bulk``.
 """
 
 from __future__ import annotations
@@ -44,24 +37,10 @@ __all__ = [
     "BatchReport",
     "IncrementalScanner",
     "SNAPSHOT_VERSION",
-    "AUTO_MIN_CROSS_PAIRS",
 ]
 
 #: bump when the :meth:`IncrementalScanner.snapshot` payload changes shape
-SNAPSHOT_VERSION = 3
-
-_ENGINES = ("native", "ptree", "auto")
-
-#: ``auto`` switches from pairwise ``native`` to the ``ptree`` descent when
-#: a batch creates at least this many cross pairs (``k·m_old``): below it
-#: — essentially only single-key flushes against small corpora — the
-#: tree's fixed costs (batch product, one screening GCD per segment, tree
-#: maintenance) are judged to exceed the pairwise GCDs it saves.  It is
-#: not a measured crossover: the smallest cell of
-#: ``benchmarks/bench_e2e_scaling.py --incremental`` (``crossover_pairs``
-#: in BENCH_e2e.json) is 10 000 cross pairs, and ``ptree`` already wins
-#: there; the re-measure at realistic key sizes is ROADMAP item 3.
-AUTO_MIN_CROSS_PAIRS = 256
+SNAPSHOT_VERSION = 4
 
 
 @dataclass
@@ -80,10 +59,8 @@ class BatchReport:
     pairs_tested: int = 0
     hits: list[WeakHit] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: the engine tier that actually covered this batch (resolves ``auto``)
-    engine: str = ""
-    #: scanner-lifetime telemetry snapshot as of this batch's completion
-    metrics: dict = field(default_factory=dict)
+    #: the tier that covered this batch; the product tree is the only one
+    engine: str = "ptree"
 
     @property
     def hit_pairs(self) -> set[tuple[int, int]]:
@@ -128,7 +105,6 @@ class IncrementalScanner:
         self,
         *,
         bits: int,
-        engine: str = "auto",
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
         telemetry: Telemetry | None = None,
@@ -137,18 +113,14 @@ class IncrementalScanner:
         persists across batches — the scanner is long-lived, so its
         counters tell the stream's whole story.
 
-        ``engine`` picks the coverage tier (see the module docstring);
         ``int_backend`` selects the big-integer implementation.
-        ``spool_dir`` checkpoints the ``ptree``/``auto`` tiers' product
-        tree on disk (RGSPOOL1 blobs + pinned manifest), so a restarted
-        scanner reloads it instead of re-multiplying the corpus; without
-        it the tree lives in memory only."""
+        ``spool_dir`` checkpoints the product tree on disk (RGSPOOL1 blobs
+        + pinned manifest), so a restarted scanner reloads it instead of
+        re-multiplying the corpus; without it the tree lives in memory
+        only."""
         if bits < 16 or bits % 2:
             raise ValueError(f"bits must be an even size >= 16, got {bits}")
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
         self.bits = bits
-        self.engine_name = engine
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.backend = resolve_backend(int_backend)
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
@@ -156,30 +128,19 @@ class IncrementalScanner:
         self.all_hits: list[WeakHit] = []
         self.total_pairs_tested = 0
         self._batches = 0
-        #: ptree tier state, built lazily (restore swaps the corpus in first)
+        #: built lazily (restore swaps the corpus in first)
         self._ptree: PersistentProductTree | None = None
 
-    # -- engine state ----------------------------------------------------------
-
-    def _uses_ptree(self) -> bool:
-        return self.engine_name in ("ptree", "auto")
-
-    def _ensure_engine_state(self) -> None:
-        """Build the lazy product tree for the current corpus."""
-        if self._uses_ptree() and self._ptree is None:
+    def _tree(self) -> PersistentProductTree:
+        """The product tree over the current corpus, built on first use."""
+        if self._ptree is None:
             tree = PersistentProductTree(
                 backend=self.backend, spool_dir=self.spool_dir,
                 telemetry=self.telemetry,
             )
             tree.load_or_rebuild(self.moduli)
             self._ptree = tree
-
-    def _pick_engine(self, base: int, new: int) -> str:
-        """Resolve ``auto`` for one batch: pairwise below
-        :data:`AUTO_MIN_CROSS_PAIRS` cross pairs, tree descent above."""
-        if self.engine_name != "auto":
-            return self.engine_name
-        return "ptree" if base * new >= AUTO_MIN_CROSS_PAIRS else "native"
+        return self._ptree
 
     def _check(self, new_moduli: list[int]) -> None:
         for n in new_moduli:
@@ -196,29 +157,19 @@ class IncrementalScanner:
         """Ingest a batch, covering only the pairs it creates."""
         self._check(new_moduli)
         tel = self.telemetry
-        self._ensure_engine_state()
         base = len(self.moduli)
         k = len(new_moduli)
-        engine = self._pick_engine(base, k)
-        report = BatchReport(
-            batch_index=self._batches,
-            new_keys=k,
-            total_keys=base + k,
-            engine=engine,
-        )
+        report = BatchReport(batch_index=self._batches, new_keys=k, total_keys=base + k)
         self._batches += 1
-        tel.emit("batch.start", batch=report.batch_index, engine=engine,
+        tel.emit("batch.start", batch=report.batch_index,
                  new_keys=report.new_keys, total_keys=report.total_keys)
 
         pairs = base * k + k * (k - 1) // 2
         clock = tel.timer.clock
         started = clock()
         with tel.timer.span("batch"):
-            self._cover(engine, new_moduli, base, report, include_internal=True)
-            if self._uses_ptree():
-                # auto maintains the tree even on pairwise batches, so the
-                # next flush can still choose the descent
-                self._ptree.append(new_moduli)
+            self._cover(new_moduli, base, report, include_internal=True)
+            self._tree().append(new_moduli)
         self.moduli.extend(new_moduli)
         # each batch owns its own span measurement: deriving it from the
         # shared "batch" timer total mis-attributes time under nested or
@@ -230,13 +181,11 @@ class IncrementalScanner:
         self.all_hits = _merge_hits(self.all_hits, report.hits)
         reg = tel.registry
         reg.counter("incremental.batches").inc()
-        reg.counter(f"incremental.engine.{engine}").inc()
         reg.counter("incremental.keys").inc(k)
         reg.counter("scan.pairs_tested").inc(report.pairs_tested)
         reg.counter("scan.hits").inc(len(report.hits))
         reg.histogram("incremental.batch_pairs").observe(report.pairs_tested)
-        report.metrics = tel.snapshot()
-        tel.emit("batch.done", batch=report.batch_index, engine=engine,
+        tel.emit("batch.done", batch=report.batch_index,
                  pairs=report.pairs_tested, hits=len(report.hits),
                  elapsed_seconds=report.elapsed_seconds)
         return report
@@ -252,8 +201,8 @@ class IncrementalScanner:
         the batch's internal pairs (``include_internal=True``), and each
         shard then :meth:`adopt`\\ s only the keys it owns.  Hits are
         reported as ``(corpus_index, base + batch_position)`` — the same
-        shape :meth:`add_batch` uses — and neither the corpus, the engine
-        state, nor the pairs accounting is mutated.
+        shape :meth:`add_batch` uses — and neither the corpus, the product
+        tree, nor the pairs accounting is mutated.
 
         >>> s = IncrementalScanner(bits=16)
         >>> _ = s.add_batch([193 * 197])
@@ -263,19 +212,13 @@ class IncrementalScanner:
         """
         self._check(new_moduli)
         tel = self.telemetry
-        self._ensure_engine_state()
         base = len(self.moduli)
         k = len(new_moduli)
-        engine = self._pick_engine(base, k)
-        report = BatchReport(
-            batch_index=-1, new_keys=k, total_keys=base + k, engine=engine
-        )
+        report = BatchReport(batch_index=-1, new_keys=k, total_keys=base + k)
         clock = tel.timer.clock
         started = clock()
         with tel.timer.span("cross"):
-            self._cover(
-                engine, new_moduli, base, report, include_internal=include_internal
-            )
+            self._cover(new_moduli, base, report, include_internal=include_internal)
         report.elapsed_seconds = clock() - started
         report.hits.sort(key=lambda h: (h.i, h.j))
         report.pairs_tested = base * k + (k * (k - 1) // 2 if include_internal else 0)
@@ -283,11 +226,10 @@ class IncrementalScanner:
         reg.counter("incremental.cross_scans").inc()
         reg.counter("scan.pairs_tested").inc(report.pairs_tested)
         reg.counter("scan.hits").inc(len(report.hits))
-        report.metrics = tel.snapshot()
         return report
 
     def adopt(self, new_moduli: list[int]) -> None:
-        """Extend the corpus (and engine state) **without scanning**.
+        """Extend the corpus (and its product tree) **without scanning**.
 
         The dual of :meth:`cross_scan`: pairs involving these keys were
         covered elsewhere (by this scanner's own cross-scan against them,
@@ -303,56 +245,21 @@ class IncrementalScanner:
         self._check(new_moduli)
         if not new_moduli:
             return
-        self._ensure_engine_state()
-        if self._uses_ptree():
-            self._ptree.append(new_moduli)
+        self._tree().append(new_moduli)
         self.moduli.extend(new_moduli)
         self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
 
     def _cover(
-        self, engine: str, new_moduli: list[int], base: int, report: BatchReport,
+        self, new_moduli: list[int], base: int, report: BatchReport,
         *, include_internal: bool,
     ) -> None:
-        """One cross pass with the chosen tier, then the internal pairs.
-        Progress advances by pairs covered, whichever tier runs."""
-        if engine == "native":
-            self._cross_native(new_moduli, base, report)
-        else:
-            self._cross_ptree(new_moduli, base, report)
-        if include_internal:
-            self._scan_internal(new_moduli, base, report)
+        """Cross pairs via the persistent tree, then (optionally) the
+        internal pairs.  Progress advances by pairs covered.
 
-    def _cross_native(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """One GCD per cross pair: every new key against every old key."""
-        tel = self.telemetry
-        gcd, to_int = self.backend.gcd, self.backend.to_int
-        old = self.moduli
-        for t, nk in enumerate(new_moduli):
-            for i, n in enumerate(old):
-                g = to_int(gcd(n, nk))
-                if g > 1:
-                    report.hits.append(WeakHit(i, base + t, g))
-            tel.advance(base)
-
-    def _scan_internal(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """The ``k(k−1)/2`` new-new pairs, directly (batches are small)."""
-        B = self.backend
-        gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
-        native = [from_int(n) for n in new_moduli]
-        for t in range(1, len(native)):
-            for u in range(t):
-                g = to_int(gcd(native[u], native[t]))
-                if g > 1:
-                    report.hits.append(WeakHit(base + u, base + t, g))
-        k = len(native)
-        self.telemetry.advance(k * (k - 1) // 2)
-
-    def _cross_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """Cross pairs via the persistent tree: one screening GCD per
-        large segment root against ``Π new``, then a descent and leaf
-        GCDs in the segments the screen did not clear; flagged old keys
-        are attributed to their partners with small GCDs against the flag
-        value."""
+        The tree screens each large segment root against ``Π new`` with
+        one GCD and descends only the segments the screen did not clear;
+        flagged old keys are attributed to their partners with small GCDs
+        against the flag value."""
         tel = self.telemetry
         B = self.backend
         gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
@@ -360,7 +267,7 @@ class IncrementalScanner:
         if base and new_moduli:
             with tel.timer.span("descend"):
                 p_new = B.prod(native_new)
-                flagged = self._ptree.batch_remainders(p_new)
+                flagged = self._tree().batch_remainders(p_new)
             for start, leaves, rems in flagged:
                 for i, (leaf, r) in enumerate(zip(leaves, rems), start):
                     g = gcd(leaf, r)
@@ -375,6 +282,15 @@ class IncrementalScanner:
                                 WeakHit(i, base + t, to_int(gcd(leaf, nk)))
                             )
             tel.advance(base * len(new_moduli))
+        if include_internal:
+            # the k(k−1)/2 new-new pairs, directly (batches are small)
+            for t in range(1, len(native_new)):
+                for u in range(t):
+                    g = to_int(gcd(native_new[u], native_new[t]))
+                    if g > 1:
+                        report.hits.append(WeakHit(base + u, base + t, g))
+            k = len(native_new)
+            tel.advance(k * (k - 1) // 2)
 
     # -- accounting ------------------------------------------------------------
 
@@ -393,11 +309,10 @@ class IncrementalScanner:
 
         Everything :meth:`restore` needs to resume the stream without
         rescanning a single old-vs-old pair: the corpus, every hit found so
-        far, the pairs-tested accounting, and the scan configuration —
-        including the *resolved* big-integer backend, so a restore on a
-        host missing that backend fails loudly instead of silently
-        switching arithmetic.  The registry service persists an equivalent
-        of this across restarts.
+        far, the pairs-tested accounting, and the *resolved* big-integer
+        backend, so a restore on a host missing that backend fails loudly
+        instead of silently switching arithmetic.  The registry service
+        persists an equivalent of this across restarts.
 
         >>> s = IncrementalScanner(bits=16)
         >>> _ = s.add_batch([193 * 197, 193 * 199])
@@ -408,7 +323,6 @@ class IncrementalScanner:
         return {
             "version": SNAPSHOT_VERSION,
             "bits": self.bits,
-            "engine": self.engine_name,
             "int_backend": self.backend.name,
             "moduli": list(self.moduli),
             "hits": [[h.i, h.j, h.prime] for h in self.all_hits],
@@ -423,7 +337,6 @@ class IncrementalScanner:
         *,
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
-        engine: str | None = None,
         telemetry: Telemetry | None = None,
     ) -> IncrementalScanner:
         """Rebuild a scanner from a :meth:`snapshot` payload.
@@ -431,34 +344,30 @@ class IncrementalScanner:
         The restored scanner picks up exactly where the snapshot left off:
         the next :meth:`add_batch` scans only new-vs-old and new-vs-new
         pairs, and no hit already in the snapshot is ever re-reported.
-        ``engine`` may override the tier recorded in the snapshot — the
-        corpus facts cannot change.
 
         Snapshots from version 2 on record the resolved ``int_backend``;
         restoring one resolves the *same* backend unless the caller
         overrides it explicitly, and raises if that backend is not
-        importable here.  Version-1 payloads (no backend record, no tree)
-        still restore — the ``ptree`` tier rebuilds its tree from the
-        moduli.  Versions 1 and 2 also recorded the scan knobs of tiers
-        since retired, which are ignored; a snapshot that records a
-        retired tier as its ``engine`` restores with an ``engine``
-        override (hit sets are identical across tiers).
+        importable here.  Version-1 payloads (no backend record) still
+        restore.  Versions 1–3 also recorded an ``engine`` tier (``native``,
+        ``ptree``, ``auto``, ``all2all`` or ``bulk``) and versions 1–2 the
+        knobs of tiers since retired; all of these are ignored, since hit
+        sets are identical across tiers.  A missing or stale tree spool is
+        rebuilt from the moduli.
         """
         if not isinstance(state, dict):
             raise ValueError("snapshot must be a dict")
         version = state.get("version")
-        if version not in (1, 2, SNAPSHOT_VERSION):
+        if version not in (1, 2, 3, SNAPSHOT_VERSION):
             raise ValueError(
                 f"unsupported scanner snapshot version {version!r}"
             )
-        if engine is None:
-            engine = state["engine"]
         if int_backend is None:
             # pin to the snapshot's resolved backend: a missing gmpy2 here
             # raises from resolve_backend instead of silently downgrading
             int_backend = state.get("int_backend")
         scanner = cls(
-            bits=int(state["bits"]), engine=engine, int_backend=int_backend,
+            bits=int(state["bits"]), int_backend=int_backend,
             spool_dir=spool_dir, telemetry=telemetry,
         )
         moduli = [int(n) for n in state["moduli"]]
@@ -477,5 +386,5 @@ class IncrementalScanner:
         scanner.all_hits = sorted(hits, key=lambda h: (h.i, h.j))
         scanner.total_pairs_tested = total
         scanner._batches = int(state["batches"])
-        scanner._ensure_engine_state()
+        scanner._tree()
         return scanner

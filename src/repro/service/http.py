@@ -79,10 +79,7 @@ class ServiceConfig:
     state_dir: Path
     #: modulus size; ``None`` pins to the first key's size (persisted)
     bits: int | None = None
-    #: scan engine tier: ``auto`` (picks ``native`` or ``ptree`` per batch
-    #: by cross pairs), ``native``, or ``ptree``
-    engine: str = "auto"
-    #: big-integer backend for the scan engines (auto/python/gmpy2)
+    #: big-integer backend for the scanner (auto/python/gmpy2)
     int_backend: str | None = None
     #: micro-batching: flush at ``max_batch`` keys or after ``linger_ms``;
     #: 0 is group commit (keys that arrive during a flush form the next one)
@@ -163,7 +160,6 @@ class WeakKeyService:
             self.router = ShardRouter(
                 state_dir=self.config.state_dir,
                 shards=self.config.shards,
-                scan_config=self._scan_config(),
                 int_backend=self.config.int_backend,
                 bits=self.bits,
                 telemetry=self.telemetry,
@@ -171,12 +167,7 @@ class WeakKeyService:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(self._executor, self.router.start, self.registry)
         elif self.registry.n_keys:
-            self.scanner = IncrementalScanner.restore(
-                self.registry.scanner_snapshot(**self._scan_config()),
-                int_backend=self.config.int_backend,
-                spool_dir=self._ptree_dir(),
-                telemetry=self.telemetry,
-            )
+            self.scanner = self._restored_scanner()
         elif self.bits is not None:
             self.scanner = self._fresh_scanner(self.bits)
         await self.batcher.start()
@@ -235,19 +226,24 @@ class WeakKeyService:
             shards=self.config.shards, keys=self.registry.n_keys,
         )
 
-    def _scan_config(self) -> dict:
-        return {"engine": self.config.engine}
-
     def _ptree_dir(self) -> Path:
-        """Where the ``ptree``/``auto`` tiers checkpoint the product tree —
-        beside the registry spool, restored with it."""
+        """Where the scanner checkpoints its product tree — beside the
+        registry spool, restored with it (rebuilt when missing)."""
         return self.config.state_dir / "ptree"
+
+    def _restored_scanner(self) -> IncrementalScanner:
+        return IncrementalScanner.restore(
+            self.registry.scanner_snapshot(),
+            int_backend=self.config.int_backend,
+            spool_dir=self._ptree_dir(),
+            telemetry=self.telemetry,
+        )
 
     def _fresh_scanner(self, bits: int) -> IncrementalScanner:
         return IncrementalScanner(
             bits=bits, int_backend=self.config.int_backend,
             spool_dir=self._ptree_dir(),
-            telemetry=self.telemetry, **self._scan_config(),
+            telemetry=self.telemetry,
         )
 
     # -- integrity -------------------------------------------------------------
@@ -377,12 +373,7 @@ class WeakKeyService:
                 # truth — so the retried batch scans against a consistent
                 # corpus
                 self.scanner = (
-                    IncrementalScanner.restore(
-                        self.registry.scanner_snapshot(**self._scan_config()),
-                        int_backend=self.config.int_backend,
-                        spool_dir=self._ptree_dir(),
-                        telemetry=self.telemetry,
-                    )
+                    self._restored_scanner()
                     if self.registry.n_keys
                     else self._fresh_scanner(self.bits)
                 )

@@ -470,28 +470,22 @@ class WeakKeyRegistry:
             }
         return row
 
-    def scanner_snapshot(self, **scan_config) -> dict:
+    def scanner_snapshot(self) -> dict:
         """An :meth:`IncrementalScanner.restore`-ready snapshot of the corpus.
 
         Valid because of the commit contract: every committed batch was
         fully scanned against all keys registered before it, so coverage is
-        exactly complete — restart never rescans an old-vs-old pair.
-        ``scan_config`` supplies the scan parameters (``engine``,
-        ``int_backend``).
+        exactly complete — restart never rescans an old-vs-old pair.  It
+        pins no int backend: the caller's choice (or the default) applies.
         """
         if self.bits is None:
             raise RegistryError("registry holds no keys yet; nothing to snapshot")
         with self._lock:
             m = len(self.moduli)
-            config = {"engine": "auto", "int_backend": None}
-            unknown = set(scan_config) - set(config)
-            if unknown:
-                raise RegistryError(f"unknown scan config: {sorted(unknown)}")
-            config.update(scan_config)
             return {
                 "version": SNAPSHOT_VERSION,
                 "bits": self.bits,
-                **config,
+                "int_backend": None,
                 "moduli": list(self.moduli),
                 "hits": [[h.i, h.j, h.prime] for h in self.hits],
                 "total_pairs_tested": m * (m - 1) // 2,

@@ -4,9 +4,9 @@ The paper's §VI group schedule blocks the all-pairs workload into ``(i, j)``
 tiles over groups of ``r`` moduli precisely so independent compute units can
 own disjoint slices.  This module generalises that schedule to the serving
 path: a :class:`ShardRouter` owns ``N`` supervised worker processes, each
-running its own :class:`~repro.core.incremental.IncrementalScanner` (with
-the usual engine auto-pick) over a consistent-hash slice of the modulus
-space.
+running its own :class:`~repro.core.incremental.IncrementalScanner` (its
+product tree spooled under the shard's directory) over a consistent-hash
+slice of the modulus space.
 
 **Pair-coverage partition.**  For an admitted batch ``B`` of ``b`` fresh
 keys against a corpus of ``M`` keys split as ``M = Σ m_k``:
@@ -77,8 +77,6 @@ SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/1"
 #: virtual nodes per shard on the hash ring — enough for a few-percent
 #: balance spread at single-digit shard counts without bloating lookups
 DEFAULT_RING_REPLICAS = 32
-
-_SCAN_CONFIG_KEYS = ("engine",)
 
 
 class ShardJobFailed(FatalError):
@@ -199,7 +197,6 @@ class _ShardWorker:
         shards: int,
         replicas: int,
         state_dir: str,
-        scan_config: dict,
         int_backend: str | None,
     ) -> None:
         self.shard = shard
@@ -207,7 +204,6 @@ class _ShardWorker:
         self.replicas = replicas
         self.ring = ShardRing(shards, replicas=replicas)
         self.dir = Path(state_dir) / "shards" / str(shard)
-        self.scan_config = dict(scan_config)
         self.int_backend = int_backend
         self.telemetry = Telemetry.create()
         self.scanner: IncrementalScanner | None = None
@@ -265,17 +261,11 @@ class _ShardWorker:
         try:
             scanner_state = payload["scanner"]
             if scanner_state is not None:
-                overrides = {
-                    k: self.scan_config[k]
-                    for k in _SCAN_CONFIG_KEYS
-                    if k in self.scan_config
-                }
                 self.scanner = IncrementalScanner.restore(
                     scanner_state,
                     int_backend=self.int_backend,
                     spool_dir=self.dir / "ptree",
                     telemetry=self.telemetry,
-                    **overrides,
                 )
             else:
                 self.scanner = None
@@ -338,7 +328,6 @@ class _ShardWorker:
                 int_backend=self.int_backend,
                 spool_dir=self.dir / "ptree",
                 telemetry=self.telemetry,
-                **{k: v for k, v in self.scan_config.items() if k in _SCAN_CONFIG_KEYS},
             )
         return self.scanner
 
@@ -471,11 +460,10 @@ def _shard_worker_main(
     shards: int,
     replicas: int,
     state_dir: str,
-    scan_config: dict,
     int_backend: str | None,
 ) -> None:
     """Process entry point for one shard worker (fork- and spawn-safe)."""
-    worker = _ShardWorker(shard, shards, replicas, state_dir, scan_config, int_backend)
+    worker = _ShardWorker(shard, shards, replicas, state_dir, int_backend)
     worker.run(conn)
 
 
@@ -525,7 +513,6 @@ class ShardRouter:
         *,
         state_dir: str | Path,
         shards: int,
-        scan_config: dict,
         int_backend: str | None = None,
         bits: int | None = None,
         telemetry: Telemetry | None = None,
@@ -539,7 +526,6 @@ class ShardRouter:
         self.shards = shards
         self.replicas = replicas
         self.ring = ShardRing(shards, replicas=replicas)
-        self.scan_config = {k: v for k, v in scan_config.items() if k in _SCAN_CONFIG_KEYS}
         self.int_backend = int_backend
         self.bits = bits
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
@@ -779,7 +765,7 @@ class ShardRouter:
             target=_shard_worker_main,
             args=(
                 child_conn, k, self.shards, self.replicas, str(self.state_dir),
-                self.scan_config, self.int_backend,
+                self.int_backend,
             ),
             name=f"repro-shard-{k}",
             daemon=True,
@@ -847,7 +833,15 @@ class ShardRouter:
             self._respawn(k, pending)
             handle = self._workers[k]
         faults.fire("shard.dispatch")
-        msg = ("job", {
+        msg = self._job_message(k, pending)
+        try:
+            handle.conn.send(msg)
+        except OSError:
+            self._respawn(k, pending)
+            self._workers[k].conn.send(msg)
+
+    def _job_message(self, k: int, pending: _Pending) -> tuple[str, dict]:
+        return ("job", {
             "job": pending.job,
             "fp": pending.fp,
             "base": pending.base,
@@ -855,11 +849,6 @@ class ShardRouter:
             "bits": self.bits,
             "internal": k == pending.internal_shard,
         })
-        try:
-            handle.conn.send(msg)
-        except OSError:
-            self._respawn(k, pending)
-            self._workers[k].conn.send(msg)
 
     def _respawn(self, k: int, pending: _Pending) -> None:
         """ChunkSupervisor semantics for shard workers: budgeted respawn,
@@ -952,14 +941,7 @@ class ShardRouter:
 
     def _send_job_raw(self, k: int, pending: _Pending) -> None:
         faults.fire("shard.dispatch")
-        self._workers[k].conn.send(("job", {
-            "job": pending.job,
-            "fp": pending.fp,
-            "base": pending.base,
-            "moduli": pending.moduli,
-            "bits": self.bits,
-            "internal": k == pending.internal_shard,
-        }))
+        self._workers[k].conn.send(self._job_message(k, pending))
 
     def _abandon_pending(self) -> None:
         """A previous batch failed permanently and a *different* one is next:

@@ -79,9 +79,8 @@ class Histogram:
     def summary(self) -> dict:
         """The stable report form: count/sum/min/mean/p50/p95/max.
 
-        One sort serves every order statistic: ``IncrementalScanner``
-        snapshots telemetry on every service flush, and the samples grow
-        with traffic.
+        One sort serves every order statistic: ``GET /metricsz`` snapshots
+        a service's histograms, whose samples grow with traffic.
         """
         if not self.samples:
             return {"count": 0, "sum": 0.0}

@@ -155,7 +155,7 @@ class TestIndentedManifestCompat:
         corpus = generate_weak_corpus(24, 64, shared_groups=(2, 3), seed="indent-compat")
         registry = WeakKeyRegistry(tmp_path)
         registry.load()
-        scanner = IncrementalScanner(bits=64, engine="ptree", spool_dir=tmp_path / "ptree")
+        scanner = IncrementalScanner(bits=64, spool_dir=tmp_path / "ptree")
         for start in (0, 8):
             chunk = corpus.moduli[start : start + 8]
             registry.commit_batch(chunk, scanner.add_batch(chunk).hits)
@@ -171,7 +171,7 @@ class TestIndentedManifestCompat:
         assert [(h.i, h.j, h.prime) for h in reloaded.hits] == hits
         telemetry = Telemetry.create()
         resumed = IncrementalScanner.restore(
-            reloaded.scanner_snapshot(engine="ptree"),
+            reloaded.scanner_snapshot(),
             spool_dir=tmp_path / "ptree",
             telemetry=telemetry,
         )

@@ -397,7 +397,7 @@ def _job(job: int, base: int, moduli: list[int]) -> dict:
 
 def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
     state = tmp_path / "state"
-    args = (0, 1, 4, str(state), {"engine": "ptree"}, None)
+    args = (0, 1, 4, str(state), None)
     worker = _ShardWorker(*args)
     worker.handle_job(_job(0, 0, MODULI[:3]))
 
@@ -407,7 +407,7 @@ def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
         rec.ack("job 1")
 
     def check(where: Path, acks: tuple[str, ...]) -> list[str]:
-        restored = _ShardWorker(0, 1, 4, str(where), {"engine": "ptree"}, None)
+        restored = _ShardWorker(0, 1, 4, str(where), None)
         if not restored._load():
             return ["shard snapshot does not restore"]
         job = restored.applied_job

@@ -13,6 +13,10 @@ from repro.telemetry import Telemetry
 
 BITS = 64
 
+#: the tier names that version 1–3 snapshots record: every one restores
+#: onto the product tree, whichever it names
+RECORDED_ENGINES = ("native", "ptree", "auto", "all2all", "bulk")
+
 #: a version-2 snapshot exactly as the five-tier scanner wrote it (engine
 #: ``all2all``, 32-bit products of 16-bit primes, two batches of three)
 LEGACY_V2_SNAPSHOT = (
@@ -94,8 +98,8 @@ class TestIncrementalScanner:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             IncrementalScanner(bits=15)
-        with pytest.raises(ValueError, match="unknown engine"):
-            IncrementalScanner(bits=64, engine="bulk")
+        with pytest.raises(ValueError):
+            IncrementalScanner(bits=65)
 
 
 class TestSnapshotRestore:
@@ -134,11 +138,11 @@ class TestSnapshotRestore:
         assert back.moduli == scanner.moduli
 
     def test_restore_config_overrides(self, corpus):
-        scanner = IncrementalScanner(bits=BITS, engine="ptree")
+        scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:5])
-        resumed = IncrementalScanner.restore(scanner.snapshot(), engine="native")
-        assert resumed.engine_name == "native"
-        # the engine is the only override; corpus facts cannot change
+        resumed = IncrementalScanner.restore(scanner.snapshot(), int_backend="python")
+        assert resumed.backend.name == "python"
+        # the int backend is the only override; corpus facts cannot change
         with pytest.raises(TypeError):
             IncrementalScanner.restore(scanner.snapshot(), bits=128)
 
@@ -157,47 +161,26 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="dict"):
             IncrementalScanner.restore("nope")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            IncrementalScanner(bits=BITS, engine="quantum")
-
 
 class TestEngineTiers:
-    def test_all_engines_report_identical_streams(self, corpus, tmp_path):
+    """The one tier, the product tree, in memory and spool-backed."""
+
+    def test_spool_and_memory_report_identical_streams(self, corpus, tmp_path):
         scanners = {
-            "native": IncrementalScanner(bits=BITS, engine="native"),
-            "ptree": IncrementalScanner(
-                bits=BITS, engine="ptree", spool_dir=tmp_path / "pt"
-            ),
-            "auto": IncrementalScanner(bits=BITS, engine="auto"),
+            "memory": IncrementalScanner(bits=BITS),
+            "spool": IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt"),
         }
+        oracle = find_shared_primes(corpus.moduli, backend="scalar")
         for start in range(0, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             reports = {k: s.add_batch(list(batch)) for k, s in scanners.items()}
             hit_sets = {k: [(h.i, h.j, h.prime) for h in r.hits] for k, r in reports.items()}
             assert len({str(v) for v in hit_sets.values()}) == 1, hit_sets
-        reference = scanners["native"]
+            assert {r.engine for r in reports.values()} == {"ptree"}
         for scanner in scanners.values():
-            assert scanner.all_hits == reference.all_hits
-            assert scanner.total_pairs_tested == reference.total_pairs_tested
+            assert {(h.i, h.j) for h in scanner.all_hits} == oracle.hit_pairs
+            assert scanner.all_hits == scanners["memory"].all_hits
             assert scanner.coverage_is_complete()
-
-    def test_auto_picks_by_measured_crossover(self, corpus, monkeypatch):
-        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 20)
-        scanner = IncrementalScanner(bits=BITS, engine="auto")
-        small = scanner.add_batch(corpus.moduli[:4])  # 6 pairs < 20
-        assert small.engine == "native"
-        big = scanner.add_batch(corpus.moduli[4:])  # 4*14 pairs >= 20
-        assert big.engine == "ptree"
-        expected = {(h.i, h.j) for h in IncrementalScanner(bits=BITS).add_batch(corpus.moduli).hits}
-        assert {(h.i, h.j) for h in scanner.all_hits} == expected
-
-    def test_auto_threshold_flips_the_choice(self, corpus, monkeypatch):
-        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 1_000_000)
-        scanner = IncrementalScanner(bits=BITS, engine="auto")
-        scanner.add_batch(corpus.moduli[:9])
-        rep = scanner.add_batch(corpus.moduli[9:])
-        assert rep.engine == "native"
 
     def test_all_hits_stays_sorted_across_merges(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
@@ -207,14 +190,10 @@ class TestEngineTiers:
         assert keys == sorted(keys)
         assert len(scanner.all_hits) >= 2  # the merge path actually merged
 
-    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
-    def test_progress_counts_pairs_covered(self, engine, monkeypatch):
-        # a low threshold makes auto mix tiers: native for the first
-        # batch (no cross pairs), ptree for the rest
-        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", 20)
+    def test_progress_counts_pairs_covered(self):
         corpus = generate_weak_corpus(40, 64, shared_groups=(2, 3), seed="progress")
         telemetry = Telemetry.create(progress_callback=lambda update: None)
-        scanner = IncrementalScanner(bits=64, engine=engine, telemetry=telemetry)
+        scanner = IncrementalScanner(bits=64, telemetry=telemetry)
         for start in range(0, 40, 10):
             scanner.add_batch(corpus.moduli[start : start + 10])
         assert scanner.total_pairs_tested == 40 * 39 // 2
@@ -223,12 +202,15 @@ class TestEngineTiers:
 
 class TestSnapshotVersioning:
     def test_snapshot_records_resolved_backend(self, corpus):
-        scanner = IncrementalScanner(bits=BITS, engine="native")
+        scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:4])
-        assert scanner.snapshot()["int_backend"] == scanner.backend.name
+        snap = scanner.snapshot()
+        assert snap["int_backend"] == scanner.backend.name
+        assert snap["version"] == incremental.SNAPSHOT_VERSION == 4
+        assert "engine" not in snap
 
     def test_restore_pins_the_recorded_backend(self, corpus):
-        scanner = IncrementalScanner(bits=BITS, engine="native")
+        scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:4])
         snap = scanner.snapshot()
         # a host missing the recorded backend must fail loudly, not
@@ -243,14 +225,12 @@ class TestSnapshotVersioning:
         assert back.backend.name == "python"
 
     def test_v1_snapshot_still_restores(self, corpus, tmp_path):
-        scanner = IncrementalScanner(bits=BITS, engine="native")
+        scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:10])
         v1 = scanner.snapshot()
-        v1["version"] = 1
+        v1.update(version=1, engine="native")
         del v1["int_backend"]  # v1 payloads predate the backend record
-        resumed = IncrementalScanner.restore(
-            v1, engine="ptree", spool_dir=tmp_path / "pt"
-        )
+        resumed = IncrementalScanner.restore(v1, spool_dir=tmp_path / "pt")
         assert resumed._ptree.n_leaves == 10  # tree rebuilt from moduli
         rep = resumed.add_batch(corpus.moduli[10:])
         assert resumed.coverage_is_complete()
@@ -259,15 +239,30 @@ class TestSnapshotVersioning:
         assert resumed.all_hits == straight.all_hits
         assert rep.engine == "ptree"
 
-    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
+    @pytest.mark.parametrize("version", (1, 3))
+    @pytest.mark.parametrize("engine", RECORDED_ENGINES)
+    def test_recorded_engine_is_ignored(self, corpus, tmp_path, engine, version):
+        """A v1 or v3 payload names the tier that wrote it; whatever the
+        name, the stream carries on over the tree with identical hits."""
+        scanner = IncrementalScanner(bits=BITS)
+        scanner.add_batch(corpus.moduli[:10])
+        old = {**scanner.snapshot(), "version": version, "engine": engine}
+        if version == 1:
+            del old["int_backend"]
+        resumed = IncrementalScanner.restore(old, spool_dir=tmp_path / "pt")
+        resumed.add_batch(corpus.moduli[10:])
+        straight = IncrementalScanner(bits=BITS)
+        straight.add_batch(corpus.moduli)
+        assert resumed.all_hits == straight.all_hits
+        assert resumed.coverage_is_complete()
+        assert "engine" not in resumed.snapshot()
+
+    @pytest.mark.parametrize("engine", RECORDED_ENGINES)
     def test_v2_snapshot_of_a_retired_engine_restores(self, engine, tmp_path):
-        # written by the five-tier scanner: a v2 payload recording the
-        # all2all tier and the bulk-only knobs, which restore ignores
-        v2 = json.loads(LEGACY_V2_SNAPSHOT)
-        resumed = IncrementalScanner.restore(
-            v2, engine=engine, spool_dir=tmp_path / "pt"
-        )
-        assert resumed.engine_name == engine
+        # written by the five-tier scanner: a v2 payload recording a tier
+        # and the bulk-only knobs, which restore ignores
+        v2 = {**json.loads(LEGACY_V2_SNAPSHOT), "engine": engine}
+        resumed = IncrementalScanner.restore(v2, spool_dir=tmp_path / "pt")
         assert [(h.i, h.j, h.prime) for h in resumed.all_hits] == [
             tuple(h) for h in v2["hits"]
         ]
@@ -284,9 +279,7 @@ class TestSnapshotVersioning:
         assert resumed.coverage_is_complete()
 
     def test_restored_ptree_loads_from_spool(self, corpus, tmp_path):
-        scanner = IncrementalScanner(
-            bits=BITS, engine="ptree", spool_dir=tmp_path / "pt"
-        )
+        scanner = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
         scanner.add_batch(corpus.moduli[:10])
         telemetry = Telemetry.create()
         resumed = IncrementalScanner.restore(
@@ -304,14 +297,15 @@ class TestIncrementalTelemetry:
         scanner = IncrementalScanner(bits=64)
         first = scanner.add_batch(corpus.moduli[:10])
         second = scanner.add_batch(corpus.moduli[10:])
-        # counters are scanner-lifetime: the second snapshot covers both batches
-        assert second.metrics["counters"]["incremental.batches"] == 2
+        # counters are scanner-lifetime: one snapshot covers both batches
+        metrics = scanner.telemetry.snapshot()
+        assert metrics["counters"]["incremental.batches"] == 2
         assert (
-            second.metrics["counters"]["scan.pairs_tested"]
+            metrics["counters"]["scan.pairs_tested"]
             == first.pairs_tested + second.pairs_tested
             == 20 * 19 // 2
         )
-        assert second.metrics["stages"]["batch"]["count"] == 2
+        assert metrics["stages"]["batch"]["count"] == 2
         assert first.elapsed_seconds > 0 and second.elapsed_seconds > 0
 
     def test_elapsed_is_per_batch_even_under_enclosing_spans(self):
@@ -330,16 +324,10 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    ENGINES = ("native", "ptree", "auto")
-
-    def _scanner(self, engine, tmp_path):
-        kwargs = {"spool_dir": tmp_path / f"pt-{engine}"} if engine == "ptree" else {}
-        return IncrementalScanner(bits=BITS, engine=engine, **kwargs)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path, engine):
+    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path):
+        # the split side spools its tree, as a shard worker does
         reference = IncrementalScanner(bits=BITS)
-        split = self._scanner(engine, tmp_path)
+        split = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
         for start in range(0, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             ref = reference.add_batch(list(batch))
@@ -385,11 +373,11 @@ class TestCrossScanAdopt:
         assert rep.pairs_tested == expected
 
     def test_adopted_corpus_snapshots_and_restores(self, corpus, tmp_path):
-        scanner = self._scanner("ptree", tmp_path)
+        scanner = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
         scanner.adopt(corpus.moduli[:10])
         scanner.cross_scan(corpus.moduli[10:])
         restored = IncrementalScanner.restore(
-            scanner.snapshot(), spool_dir=tmp_path / "pt-ptree"
+            scanner.snapshot(), spool_dir=tmp_path / "pt"
         )
         assert restored.moduli == corpus.moduli[:10]
         rep = restored.cross_scan(corpus.moduli[10:], include_internal=True)

@@ -1,15 +1,14 @@
-"""Stateful property tests: engine tiers differentially, and vs an oracle.
+"""Stateful property tests: the tree scanner differentially, and vs an oracle.
 
 Hypothesis drives an arbitrary interleaving of key-batch arrivals (weak
-and healthy keys mixed) and snapshot/restore round-trips across *every*
-engine tier at once — ``native``, ``ptree`` (spool-backed), and ``auto``
-(with its threshold lowered so it really mixes the two).  After every
-step the tiers must agree on everything observable: identical hit
-triples ``(i, j, prime)``, identical ``pairs_tested`` accounting, and
-``coverage_is_complete()`` — and the shared hit set must equal the
-brute-force all-pairs oracle over everything ingested so far.  This is
-the proof that the amortized engine is a drop-in replacement for the
-paper's pairwise scan.
+and healthy keys mixed) and snapshot/restore round-trips through two
+scanners at once: one keeps its product tree in memory, the other
+spools it to disk.  After every step they must agree on everything
+observable: identical hit triples ``(i, j, prime)``, identical
+``pairs_tested`` accounting, and ``coverage_is_complete()`` — and every
+scanner's hit set must equal the brute-force all-pairs oracle over
+everything ingested so far.  This is the proof that the amortized engine
+is a drop-in replacement for the paper's pairwise scan.
 """
 
 import math
@@ -21,15 +20,12 @@ from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core import incremental
 from repro.core.incremental import IncrementalScanner
 
 BITS = 32  # tiny "moduli" keep the oracle cheap; scanner logic is size-blind
 
-ENGINES = ("native", "ptree", "auto")
-#: cross pairs at which ``auto`` switches to ``ptree`` inside the machine:
-#: low enough that the machine's small batches land on both sides
-AUTO_THRESHOLD = 6
+#: where each scanner keeps its product tree
+STORAGES = ("memory", "spool")
 
 # 16-bit primes with the top two bits set, so every product has 32 bits.
 # Weak keys draw both halves from a small pool, so they often share one;
@@ -62,24 +58,18 @@ def _picks():
 
 
 class EngineDifferentialMachine(RuleBasedStateMachine):
-    """Every engine fed the same stream must stay indistinguishable."""
+    """Both tree storages fed the same stream must stay indistinguishable."""
 
     def __init__(self):
         super().__init__()
         self.tmp = Path(tempfile.mkdtemp(prefix="ptree-stateful-"))
-        self.saved_threshold = incremental.AUTO_MIN_CROSS_PAIRS
-        incremental.AUTO_MIN_CROSS_PAIRS = AUTO_THRESHOLD
         self.scanners = {
-            engine: IncrementalScanner(
-                bits=BITS, engine=engine,
-                spool_dir=self.tmp / "ptree" if engine == "ptree" else None,
-            )
-            for engine in ENGINES
+            "memory": IncrementalScanner(bits=BITS),
+            "spool": IncrementalScanner(bits=BITS, spool_dir=self.tmp / "ptree"),
         }
         self.ingested: list[int] = []
 
     def teardown(self):
-        incremental.AUTO_MIN_CROSS_PAIRS = self.saved_threshold
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     @initialize(n=st.integers(min_value=0, max_value=len(_HEALTHY) // 2))
@@ -92,14 +82,14 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
     def add_batch(self, picks):
         batch = [_modulus(*pick) for pick in picks]
         base = len(self.ingested)
-        ptree = self.scanners["ptree"]
-        counters = ptree.telemetry.registry.counter
-        segments = len(ptree._ptree.segments) if base and batch else 0
+        spooled = self.scanners["spool"]
+        counters = spooled.telemetry.registry.counter
+        segments = len(spooled._ptree.segments) if base and batch else 0
         screened = counters("ptree.segments_screened").value
         flagged = counters("ptree.segments_flagged").value
         reports = {
-            engine: scanner.add_batch(list(batch))
-            for engine, scanner in self.scanners.items()
+            storage: scanner.add_batch(list(batch))
+            for storage, scanner in self.scanners.items()
         }
         screened = counters("ptree.segments_screened").value - screened
         flagged = counters("ptree.segments_flagged").value - flagged
@@ -114,54 +104,52 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
             event("ptree screen: segment too small to screen")
         self.ingested.extend(batch)
         observable = {
-            engine: (
+            storage: (
                 r.pairs_tested,
                 r.new_keys,
                 r.total_keys,
                 [(h.i, h.j, h.prime) for h in r.hits],
             )
-            for engine, r in reports.items()
+            for storage, r in reports.items()
         }
         assert len(set(map(str, observable.values()))) == 1, observable
-        for h in reports["native"].hits:
+        for h in reports["memory"].hits:
             assert h.j >= base  # every hit involves at least one new key
             assert math.gcd(self.ingested[h.i], self.ingested[h.j]) % h.prime == 0
             assert h.prime > 1
 
-    @rule(engine=st.sampled_from(ENGINES))
-    def snapshot_restore(self, engine):
-        """Round-trip one engine through its snapshot; nothing may change."""
-        scanner = self.scanners[engine]
+    @rule(storage=st.sampled_from(STORAGES))
+    def snapshot_restore(self, storage):
+        """Round-trip one scanner through its snapshot; nothing may change."""
+        scanner = self.scanners[storage]
         snap = scanner.snapshot()
         restored = IncrementalScanner.restore(
             snap, spool_dir=scanner.spool_dir,
         )
-        assert restored.engine_name == engine
         assert restored.moduli == scanner.moduli
         assert restored.all_hits == scanner.all_hits
         assert restored.total_pairs_tested == scanner.total_pairs_tested
-        self.scanners[engine] = restored
+        self.scanners[storage] = restored
 
-    @rule(source=st.sampled_from(ENGINES), dest=st.sampled_from(ENGINES))
-    def restore_cross_engine(self, source, dest):
-        """A snapshot from any tier restores into any other tier."""
+    @rule(source=st.sampled_from(STORAGES), dest=st.sampled_from(STORAGES))
+    def restore_across_storage(self, source, dest):
+        """A snapshot restores with or without a spool, whichever wrote it."""
         snap = self.scanners[source].snapshot()
         restored = IncrementalScanner.restore(
-            snap, engine=dest,
-            spool_dir=self.scanners[dest].spool_dir,
+            snap, spool_dir=self.scanners[dest].spool_dir,
         )
         assert restored.all_hits == self.scanners[source].all_hits
         self.scanners[dest] = restored
 
     @invariant()
-    def engines_agree(self):
+    def storages_agree(self):
         states = {
-            engine: (
+            storage: (
                 [(h.i, h.j, h.prime) for h in s.all_hits],
                 s.total_pairs_tested,
                 s.n_keys,
             )
-            for engine, s in self.scanners.items()
+            for storage, s in self.scanners.items()
         }
         assert len(set(map(str, states.values()))) == 1, states
 
@@ -172,8 +160,8 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
             for j in range(i + 1, len(self.ingested)):
                 if math.gcd(self.ingested[i], self.ingested[j]) > 1:
                     oracle.add((i, j))
-        scanner = self.scanners["native"]
-        assert {(h.i, h.j) for h in scanner.all_hits} == oracle
+        for scanner in self.scanners.values():
+            assert {(h.i, h.j) for h in scanner.all_hits} == oracle
 
     @invariant()
     def coverage_complete(self):

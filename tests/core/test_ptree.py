@@ -188,14 +188,17 @@ class TestRemainders:
         assert descended[0][0] == 0 and descended[0][2][0] == 0
         screened = telemetry.registry.counter("ptree.segments_screened").value
         assert (screened > 0) == (corpus_size == 48)
-        hits = {}
-        for engine in ("native", "ptree"):
-            scanner = IncrementalScanner(bits=32, engine=engine)
-            scanner.adopt(corpus)
-            report = scanner.cross_scan(batch, include_internal=True)
-            hits[engine] = [(h.i, h.j, h.prime) for h in report.hits]
+        scanner = IncrementalScanner(bits=32)
+        scanner.adopt(corpus)
+        report = scanner.cross_scan(batch, include_internal=True)
+        native = [
+            (i, corpus_size + t, math.gcd(a, b))
+            for i, a in enumerate(corpus + batch)
+            for t, b in enumerate(batch)
+            if i < corpus_size + t and math.gcd(a, b) > 1
+        ]
         n = corpus_size
-        assert hits["ptree"] == hits["native"] == [(0, n, p), (0, n + 2, q)]
+        assert [(h.i, h.j, h.prime) for h in report.hits] == native == [(0, n, p), (0, n + 2, q)]
 
 
 class TestPersistence:

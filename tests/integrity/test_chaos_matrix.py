@@ -80,14 +80,14 @@ def family_verdicts(state_dir, family, *, corrupt_only=False):
 class TestRegistryFamily:
     def test_detect_repair_rescan(self, tmp_path, corpus, mode, verdict):
         hits = run_batches(
-            tmp_path, corpus, f"registry.commit#1=corrupt:{mode}", engine="ptree"
+            tmp_path, corpus, f"registry.commit#1=corrupt:{mode}"
         )
         assert hits  # the planted pairs surfaced before the rot
         assert family_verdicts(tmp_path, "registry") == {"keys-000000.bin": verdict}
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         assert (tmp_path / "quarantine" / "keys-000000.bin").exists()
-        assert_recovered(tmp_path, corpus, hits, engine="ptree")
+        assert_recovered(tmp_path, corpus, hits)
 
 
 @pytest.mark.parametrize("mode,verdict", MODE_VERDICT)
@@ -97,14 +97,14 @@ class TestPtreeFamily:
         # superseded segments, so only damage to the *surviving* blob
         # (the final merged segment) is observable afterwards
         hits = run_batches(
-            tmp_path, corpus, f"ptree.commit=corrupt:{mode}", engine="ptree"
+            tmp_path, corpus, f"ptree.commit=corrupt:{mode}"
         )
         damaged = family_verdicts(tmp_path, "ptree")
         assert list(damaged.values()) == [verdict], damaged
         assert all(a.startswith("ptree/seg-") for a in damaged)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert_recovered(tmp_path, corpus, hits, engine="ptree")
+        assert_recovered(tmp_path, corpus, hits)
 
 
 @pytest.mark.parametrize("mode", ["truncate", "zero"])

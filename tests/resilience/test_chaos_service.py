@@ -118,9 +118,7 @@ class TestPtreeCommitFaults:
         tel = Telemetry.create()
 
         async def run():
-            config = ServiceConfig(
-                state_dir=Path(tmp_path), engine="ptree", linger_ms=1.0
-            )
+            config = ServiceConfig(state_dir=Path(tmp_path), linger_ms=1.0)
             service = WeakKeyService(config, telemetry=tel)
             await service.start()
             ticket = await self._submit_wait(service, corpus.moduli)
@@ -138,9 +136,7 @@ class TestPtreeCommitFaults:
         mods = corpus.moduli
 
         async def run():
-            config = ServiceConfig(
-                state_dir=Path(tmp_path), engine="ptree", linger_ms=1.0
-            )
+            config = ServiceConfig(state_dir=Path(tmp_path), linger_ms=1.0)
             service = WeakKeyService(config)
             await service.start()
             first = await self._submit_wait(service, mods[:4])
@@ -159,9 +155,7 @@ class TestPtreeCommitFaults:
         asyncio.run(run())
 
         async def restart():
-            config = ServiceConfig(
-                state_dir=Path(tmp_path), engine="ptree", linger_ms=1.0
-            )
+            config = ServiceConfig(state_dir=Path(tmp_path), linger_ms=1.0)
             service = WeakKeyService(config)
             await service.start()
             view = service.hits_view()

@@ -9,6 +9,7 @@ import asyncio
 import base64
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,39 @@ class TestRestart:
         pairs = [(h["i"], h["j"]) for h in hits["hits"]]
         assert len(pairs) == len(set(pairs)) == 3
         assert (shared.i, shared.j) in set(pairs)
+
+    def test_restart_without_a_tree_spool_rebuilds_it(self, tmp_path):
+        # a state dir whose last server kept no product tree on disk (the
+        # retired pairwise tier wrote no ptree/): the tree is rebuilt from
+        # the registry at start and the stream carries on with exact hits
+        corpus = generate_weak_corpus(24, BITS, shared_groups=(2, 3), seed="no-spool")
+        state = tmp_path / "state"
+        first, second = corpus.moduli[:12], corpus.moduli[12:]
+
+        def submit_then_hits(moduli):
+            async def go(server):
+                if moduli:
+                    s, _, _ = await request(
+                        server.port, "POST", "/submit?wait=1",
+                        {"moduli": [hex(n) for n in moduli]},
+                    )
+                    assert s == 200
+                _, _, hits = await request(server.port, "GET", "/hits")
+                _, _, metrics = await request(server.port, "GET", "/metricsz")
+                return hits["hits"], metrics["counters"]
+
+            return go
+
+        before, _ = serve(state, submit_then_hits(first))
+        shutil.rmtree(state / "ptree")
+        restored, counters = serve(state, submit_then_hits([]))
+        assert restored == before
+        assert counters["ptree.rebuilds"] == 1
+        assert (state / "ptree").is_dir()
+        after, _ = serve(state, submit_then_hits(second))
+        oracle = find_shared_primes(corpus.moduli, backend="scalar")
+        assert {(h["i"], h["j"]) for h in after} == oracle.hit_pairs
+        assert any(h["i"] < 12 <= h["j"] for h in after)  # a cross-restart hit
 
     def test_restart_with_conflicting_bits_refused(self, tmp_path, corpus):
         state = tmp_path / "state"

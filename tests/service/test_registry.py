@@ -235,9 +235,3 @@ class TestScannerSnapshot:
     def test_empty_registry_has_no_snapshot(self, tmp_path):
         with pytest.raises(RegistryError, match="no keys"):
             make_registry(tmp_path).scanner_snapshot()
-
-    def test_unknown_scan_config_rejected(self, tmp_path):
-        reg = make_registry(tmp_path)
-        reg.commit_batch(N[:1], [])
-        with pytest.raises(RegistryError, match="unknown scan config"):
-            reg.scanner_snapshot(group_size=5)

@@ -229,15 +229,16 @@ LEGACY_SHARD_JSON = (
 
 
 class TestLegacyShardState:
-    @pytest.mark.parametrize("engine", ("native", "ptree", "auto"))
-    def test_retired_engine_snapshot_loads_with_service_engine(self, tmp_path, engine):
-        worker = _ShardWorker(0, 1, 32, str(tmp_path), {"engine": engine}, None)
+    @pytest.mark.parametrize("engine", ("native", "ptree", "auto", "all2all", "bulk"))
+    def test_snapshot_loads_whatever_engine_it_recorded(self, tmp_path, engine):
+        payload = json.loads(LEGACY_SHARD_JSON)
+        payload["scanner"]["engine"] = engine
+        worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
         worker.snapshot_path.parent.mkdir(parents=True)
-        worker.snapshot_path.write_text(LEGACY_SHARD_JSON)
+        worker.snapshot_path.write_text(json.dumps(payload))
         assert worker._load()
         scanner = worker.scanner
-        assert scanner.engine_name == engine
-        legacy = json.loads(LEGACY_SHARD_JSON)["scanner"]
+        legacy = payload["scanner"]
         assert [[h.i, h.j, h.prime] for h in scanner.all_hits] == legacy["hits"]
         assert scanner.moduli == legacy["moduli"]
         assert scanner.coverage_is_complete()
