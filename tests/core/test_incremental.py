@@ -17,6 +17,9 @@ BITS = 64
 #: onto the product tree, whichever it names
 RECORDED_ENGINES = ("native", "ptree", "auto", "all2all", "bulk")
 
+#: the tiers of the three-tier scanner, as its version-3 snapshots name them
+V3_ENGINES = ("native", "ptree", "auto")
+
 #: a version-2 snapshot exactly as the five-tier scanner wrote it (engine
 #: ``all2all``, 32-bit products of 16-bit primes, two batches of three)
 LEGACY_V2_SNAPSHOT = (
@@ -190,7 +193,8 @@ class TestEngineTiers:
         assert keys == sorted(keys)
         assert len(scanner.all_hits) >= 2  # the merge path actually merged
 
-    def test_progress_counts_pairs_covered(self):
+    @pytest.mark.parametrize("engine", V3_ENGINES)
+    def test_progress_counts_pairs_covered(self, engine):
         corpus = generate_weak_corpus(40, 64, shared_groups=(2, 3), seed="progress")
         telemetry = Telemetry.create(progress_callback=lambda update: None)
         scanner = IncrementalScanner(bits=64, telemetry=telemetry)
@@ -198,6 +202,17 @@ class TestEngineTiers:
             scanner.add_batch(corpus.moduli[start : start + 10])
         assert scanner.total_pairs_tested == 40 * 39 // 2
         assert telemetry.progress.completed == scanner.total_pairs_tested
+        # a scanner resumed from the v3 state its tier wrote counts only
+        # the pairs it covers itself
+        writer = IncrementalScanner(bits=64)
+        writer.add_batch(corpus.moduli[:10])
+        old = {**writer.snapshot(), "version": 3, "engine": engine}
+        telemetry = Telemetry.create(progress_callback=lambda update: None)
+        resumed = IncrementalScanner.restore(old, telemetry=telemetry)
+        for start in range(10, 40, 10):
+            resumed.add_batch(corpus.moduli[start : start + 10])
+        assert resumed.total_pairs_tested == 40 * 39 // 2
+        assert telemetry.progress.completed == 40 * 39 // 2 - 10 * 9 // 2
 
 
 class TestSnapshotVersioning:
@@ -324,11 +339,17 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path):
-        # the split side spools its tree, as a shard worker does
+    @pytest.mark.parametrize("engine", V3_ENGINES)
+    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path, engine):
+        # the split side spools its tree and resumes from the v3 state its
+        # tier wrote, as a shard worker restarted across the upgrade does
         reference = IncrementalScanner(bits=BITS)
-        split = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
-        for start in range(0, corpus.n_keys, 5):
+        reference.add_batch(corpus.moduli[:5])
+        writer = IncrementalScanner(bits=BITS)
+        writer.add_batch(corpus.moduli[:5])
+        old = {**writer.snapshot(), "version": 3, "engine": engine}
+        split = IncrementalScanner.restore(old, spool_dir=tmp_path / "pt")
+        for start in range(5, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             ref = reference.add_batch(list(batch))
             rep = split.cross_scan(list(batch), include_internal=True)
