@@ -57,8 +57,11 @@ MODES = ("pairwise", "batch", "batchscan")
 
 #: incremental-flush sweep, raced on identical seeded registries: ``native``
 #: is the pairwise baseline timed here (one backend GCD per new pair),
-#: ``ptree`` the scanner's product-tree flush
+#: ``ptree`` the scanner's product-tree flush.  Every cell runs twice: with
+#: a planted cross hit (the flagged-segment descent) and clean (the
+#: screened path a flush of healthy keys takes)
 INCR_ENGINES = ("native", "ptree")
+INCR_PLANTED = (True, False)
 QUICK_INCR_REGISTRY = (192,)
 QUICK_INCR_FLUSH = (24,)
 FULL_INCR_REGISTRY = (1_000, 10_000)
@@ -189,6 +192,7 @@ class IncrementalResult:
     registry_size: int
     flush_size: int
     bits: int
+    planted: bool
     cross_pairs: int
     pairs_covered: int
     seconds: float
@@ -199,18 +203,20 @@ class IncrementalResult:
 
 
 def _incremental_corpus(
-    base: int, k: int, bits: int, seed: str
+    base: int, k: int, bits: int, seed: str, planted: bool = True
 ) -> tuple[list[int], list[int]]:
-    """An honest seed registry plus a flush batch with one planted cross
-    hit spanning the boundary (so attribution paths are exercised, not
-    just flagging)."""
+    """An honest seed registry plus a flush batch.  ``planted`` puts one
+    shared-prime pair across the boundary (so attribution paths are
+    exercised, not just flagging); otherwise no two keys share a prime."""
     corpus = generate_weak_corpus(
-        base + k, bits, shared_groups=(2,), seed=(seed, "incr", base, k, bits)
+        base + k, bits, shared_groups=(2,) if planted else (),
+        seed=(seed, "incr", base, k, bits) if planted else (seed, "clean", base, k, bits),
     )
     moduli = list(corpus.moduli)
-    i, j = sorted(corpus.weak_pair_set())[0]
-    moduli[0], moduli[i] = moduli[i], moduli[0]
-    moduli[-1], moduli[j] = moduli[j], moduli[-1]
+    if planted:
+        i, j = sorted(corpus.weak_pair_set())[0]
+        moduli[0], moduli[i] = moduli[i], moduli[0]
+        moduli[-1], moduli[j] = moduli[j], moduli[-1]
     return moduli[:base], moduli[base:]
 
 
@@ -251,6 +257,7 @@ def run_incremental_case(
     bits: int,
     *,
     repeat: int,
+    planted: bool = True,
 ) -> IncrementalResult:
     """Time one flush of ``batch`` against a pre-seeded registry.
 
@@ -277,7 +284,7 @@ def run_incremental_case(
     best = min(times)
     return IncrementalResult(
         engine=engine, registry_size=base, flush_size=k, bits=bits,
-        cross_pairs=base * k, pairs_covered=pairs,
+        planted=planted, cross_pairs=base * k, pairs_covered=pairs,
         seconds=best, all_seconds=times,
         hits=len(hits), hits_digest=hits_digest(hits),
         microseconds_per_pair=best / pairs * 1e6 if pairs else None,
@@ -286,14 +293,14 @@ def run_incremental_case(
 
 def _incremental_parity_failures(runs: list[IncrementalResult]) -> list[dict]:
     """Flush-report digest mismatches across engines for the same cell."""
-    by_cell: dict[tuple[int, int], list[IncrementalResult]] = {}
+    by_cell: dict[tuple[int, int, bool], list[IncrementalResult]] = {}
     for r in runs:
-        by_cell.setdefault((r.registry_size, r.flush_size), []).append(r)
+        by_cell.setdefault((r.registry_size, r.flush_size, r.planted), []).append(r)
     failures = []
-    for (base, k), group in by_cell.items():
+    for (base, k, planted), group in by_cell.items():
         if len({r.hits_digest for r in group}) > 1:
             failures.append({
-                "registry_size": base, "flush_size": k,
+                "registry_size": base, "flush_size": k, "planted": planted,
                 "digests": {r.engine: r.hits_digest for r in group},
             })
     return failures
@@ -303,7 +310,7 @@ def _incremental_speedups(runs: list[IncrementalResult]) -> list[dict]:
     """Per-cell speedup of every engine against the pairwise ``native``
     baseline, plus the measured ptree crossover in cross pairs."""
     base = {
-        (r.registry_size, r.flush_size): r.seconds
+        (r.registry_size, r.flush_size, r.planted): r.seconds
         for r in runs
         if r.engine == "native"
     }
@@ -311,25 +318,25 @@ def _incremental_speedups(runs: list[IncrementalResult]) -> list[dict]:
     for r in runs:
         if r.engine == "native":
             continue
-        key = (r.registry_size, r.flush_size)
+        key = (r.registry_size, r.flush_size, r.planted)
         if key in base and r.seconds > 0:
             out.append({
                 "engine": r.engine,
                 "registry_size": r.registry_size, "flush_size": r.flush_size,
-                "cross_pairs": r.cross_pairs,
+                "planted": r.planted, "cross_pairs": r.cross_pairs,
                 "baseline": "native",
                 "speedup": round(base[key] / r.seconds, 3),
             })
     return out
 
 
-def _measured_crossover(speedups: list[dict]) -> int | None:
+def _measured_crossover(speedups: list[dict], planted: bool = True) -> int | None:
     """Smallest measured cross-pair count at which ``ptree`` beat the
-    pairwise ``native`` baseline."""
+    pairwise ``native`` baseline, on planted or on clean cells."""
     winning = [
         s["cross_pairs"]
         for s in speedups
-        if s["engine"] == "ptree" and s["speedup"] > 1.0
+        if s["engine"] == "ptree" and s["planted"] == planted and s["speedup"] > 1.0
     ]
     return min(winning) if winning else None
 
@@ -502,21 +509,24 @@ def main(argv: list[str] | None = None) -> int:
         )
         for base in registry_sizes:
             for k in flush_sizes:
-                seed_moduli, batch = _incremental_corpus(
-                    base, k, INCR_BITS, args.seed
-                )
-                for engine in args.incr_engines:
-                    r = run_incremental_case(
-                        engine, seed_moduli, batch, INCR_BITS,
-                        repeat=args.repeat,
+                for planted in INCR_PLANTED:
+                    seed_moduli, batch = _incremental_corpus(
+                        base, k, INCR_BITS, args.seed, planted
                     )
-                    incr_runs.append(r)
-                    print(f"  flush     engine={r.engine:<8} "
-                          f"registry={r.registry_size:<6} k={r.flush_size:<4} "
-                          f"{r.seconds:8.3f}s  hits={r.hits}", file=sys.stderr)
+                    for engine in args.incr_engines:
+                        r = run_incremental_case(
+                            engine, seed_moduli, batch, INCR_BITS,
+                            repeat=args.repeat, planted=planted,
+                        )
+                        incr_runs.append(r)
+                        print(f"  flush     engine={r.engine:<8} "
+                              f"registry={r.registry_size:<6} k={r.flush_size:<4} "
+                              f"{'planted' if planted else 'clean':<7} "
+                              f"{r.seconds:8.3f}s  hits={r.hits}", file=sys.stderr)
         incr_speedups = _incremental_speedups(incr_runs)
+        # the floor judges the planted cells, as it always has
         largest = max(
-            (s for s in incr_speedups if s["engine"] == "ptree"),
+            (s for s in incr_speedups if s["engine"] == "ptree" and s["planted"]),
             key=lambda s: s["cross_pairs"],
             default=None,
         )
@@ -535,6 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             "runs": [asdict(r) for r in incr_runs],
             "speedups": incr_speedups,
             "crossover_pairs": _measured_crossover(incr_speedups),
+            "clean_crossover_pairs": _measured_crossover(incr_speedups, planted=False),
             "min_speedup_floor": args.min_incr_speedup or None,
             "floor_failure": floor_failure,
         }
@@ -625,9 +636,11 @@ def test_bench_incremental_quick(tmp_path, report):
     incr = doc["incremental"]
     assert doc["incremental_parity_failures"] == []
     assert {r["engine"] for r in incr["runs"]} == set(INCR_ENGINES)
+    assert {r["planted"] for r in incr["runs"]} == set(INCR_PLANTED)
     for r in incr["runs"]:
         assert r["seconds"] > 0
-        assert r["hits"] >= 1  # the planted cross hit was found
+        # the planted cross hit was found, and a clean flush finds nothing
+        assert r["hits"] >= 1 if r["planted"] else r["hits"] == 0
         assert r["pairs_covered"] == r["cross_pairs"] + (
             r["flush_size"] * (r["flush_size"] - 1) // 2
         )
@@ -635,12 +648,13 @@ def test_bench_incremental_quick(tmp_path, report):
     for r in incr["runs"]:
         lines.append(
             f"  {r['engine']:<8} registry={r['registry_size']} "
-            f"k={r['flush_size']} {r['seconds']:.3f}s hits={r['hits']}"
+            f"k={r['flush_size']} {'planted' if r['planted'] else 'clean'} "
+            f"{r['seconds']:.3f}s hits={r['hits']}"
         )
     for s in incr["speedups"]:
         lines.append(
-            f"  {s['engine']:<8} vs native @ {s['cross_pairs']} cross pairs: "
-            f"{s['speedup']}x"
+            f"  {s['engine']:<8} vs native @ {s['cross_pairs']} cross pairs "
+            f"({'planted' if s['planted'] else 'clean'}): {s['speedup']}x"
         )
     report(*lines)
 

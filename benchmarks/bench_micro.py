@@ -44,11 +44,18 @@ of as a vague end-to-end slowdown:
   screened and the two paths do the same work.  ``speedup`` is the
   ratio at ``k = 1``;
 * ``manifest_save``  — :meth:`repro.core.checkpoint.CheckpointStore.save`
-  of a registry manifest at 1,000 and 10,000 stage records (the
-  per-commit rewrite, which grows with registry age), split into the
+  of a ``weak-key-registry/1``-shaped manifest at 1,000 and 10,000 stage
+  records (that layout's per-commit rewrite, which grew with registry
+  age; the ``commit_age`` section times what replaced it), split into the
   encode and the durable write, with the older ``indent=2`` encoding of
   the same payload as a reference; ``records_per_second`` is the whole
   save at 10,000 records;
+* ``commit_age``     — :meth:`repro.service.registry.WeakKeyRegistry.commit_batch`
+  of one 2048-bit key into registries that already hold 1, 1,000 and
+  10,000 one-key batches, timed in rounds across the three: p50/p99 wall
+  time and the bytes each commit adds to the state dir.  The registry
+  log appends one record per commit, so neither should grow with age;
+  ``p50_ratio`` is the p50 at 10,000 prior batches over the p50 at 1;
 * ``startup``        — the start-up cost every command pays: a fresh
   ``python -c "import repro.cli"`` and a fresh 64-key ``repro batchscan``,
   each run several times in new processes, with the median wall time,
@@ -109,6 +116,7 @@ from repro.service.http import (
     WeakKeyService,
     parse_submission,
 )
+from repro.service.registry import WeakKeyRegistry
 from repro.util.intops import (
     DIV_CUTOFF_BITS,
     PythonBackend,
@@ -136,8 +144,13 @@ QUICK_FLUSH_KEYS, FULL_FLUSH_KEYS = 256, 2000
 FLUSH_BITS = 2048
 FLUSH_KS = (1, 4, 16, 64, 256)
 #: the manifest_save section's manifest sizes, in stage records (two per
-#: registry batch: 1,000 is the repo benchmark's aged registry)
+#: batch of the older per-batch registry layout)
 MANIFEST_RECORDS = (1_000, 10_000)
+#: the commit_age section: prior one-key batches at each measurement, the
+#: key size, and the timed commits at each age
+COMMIT_AGES = (1, 1_000, 10_000)
+COMMIT_BITS = 2048
+QUICK_COMMIT_SAMPLES, FULL_COMMIT_SAMPLES = 60, 200
 #: the startup section: fresh processes per measurement, and its batchscan
 #: input (small, so the run is mostly start-up)
 QUICK_STARTUP_RUNS, FULL_STARTUP_RUNS = 5, 11
@@ -160,6 +173,7 @@ FLOORS = (
 #: (flag/env suffix, path into the sections doc) for every optional ceiling
 CEILINGS = (
     ("import_rss_mib", ("startup", "import_cli", "rss_mib")),
+    ("commit_age_ratio", ("commit_age", "p50_ratio")),
 )
 
 
@@ -615,6 +629,54 @@ def bench_manifest_save(seed: str, repeat: int) -> dict:
     return {"rows": rows, "records_per_second": rows[-1]["records_per_second"]}
 
 
+def bench_commit_age(samples: int, seed: str) -> dict:
+    """``commit_batch`` latency and bytes per commit over registry age.
+
+    One registry per age in :data:`COMMIT_AGES`, each grown through the
+    real commit path, one key a batch.  Then ``samples`` rounds time one
+    commit on each registry in turn, so drift in the host's fsync cost
+    lands on every age alike; the state dir's size is read around each.
+    """
+    total = sum(COMMIT_AGES) + samples * len(COMMIT_AGES)
+    moduli = iter(synthetic_moduli(total, COMMIT_BITS, seed))
+    with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+        registries = []
+        for age in COMMIT_AGES:
+            registry = WeakKeyRegistry(Path(d) / f"age-{age}")
+            registry.load()
+            for _ in range(age):
+                registry.commit_batch([next(moduli)], [])
+            registries.append(registry)
+
+        def state_bytes(registry) -> int:
+            return sum(p.stat().st_size for p in registry.state_dir.iterdir())
+
+        seconds = [[] for _ in COMMIT_AGES]
+        written = [[] for _ in COMMIT_AGES]
+        for _ in range(samples):
+            for k, registry in enumerate(registries):
+                n = next(moduli)
+                before = state_bytes(registry)
+                t0 = time.perf_counter()
+                registry.commit_batch([n], [])
+                seconds[k].append(time.perf_counter() - t0)
+                written[k].append(state_bytes(registry) - before)
+        rows = []
+        for age, registry, times, sizes in zip(COMMIT_AGES, registries, seconds, written):
+            q = statistics.quantiles(times, n=100, method="inclusive")
+            rows.append({
+                "prior_batches": age,
+                "p50_ms": round(statistics.median(times) * 1e3, 4),
+                "p99_ms": round(q[98] * 1e3, 4),
+                "bytes_per_commit": statistics.median(sizes),
+                "files": sum(1 for _ in registry.state_dir.iterdir()),
+            })
+    return {
+        "bits": COMMIT_BITS, "samples": samples, "rows": rows,
+        "p50_ratio": round(rows[-1]["p50_ms"] / rows[0]["p50_ms"], 3),
+    }
+
+
 def bench_submit(n_keys: int, seed: str) -> dict:
     """Submit-to-verdict latency, JSON vs binary, identical fresh registries."""
     from bench_service import synthetic_moduli as honest_moduli
@@ -731,6 +793,7 @@ def main(argv: list[str] | None = None) -> int:
     bulk_word_pairs = QUICK_BULK_WORD_PAIRS if args.quick else FULL_BULK_WORD_PAIRS
     flush_keys = QUICK_FLUSH_KEYS if args.quick else FULL_FLUSH_KEYS
     startup_runs = QUICK_STARTUP_RUNS if args.quick else FULL_STARTUP_RUNS
+    commit_samples = QUICK_COMMIT_SAMPLES if args.quick else FULL_COMMIT_SAMPLES
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -777,6 +840,11 @@ def main(argv: list[str] | None = None) -> int:
               f"  write {row['write_seconds'] * 1e3:7.2f} ms  ({row['bytes']} B;"
               f" indent=2 encode {row['indented_encode_seconds'] * 1e3:7.2f} ms)",
               file=sys.stderr)
+    sections["commit_age"] = bench_commit_age(commit_samples, args.seed + "-commit")
+    for row in sections["commit_age"]["rows"]:
+        print(f"  commit_age {row['prior_batches']:>6} batches  p50 {row['p50_ms']:7.3f} ms"
+              f"  p99 {row['p99_ms']:7.3f} ms  {row['bytes_per_commit']:.0f} B/commit"
+              f"  {row['files']} files", file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -829,7 +897,8 @@ def main(argv: list[str] | None = None) -> int:
             "parse_keys": parse_keys, "parse_bits": parse_bits,
             "submit_keys": submit_keys, "div_bits": list(div_bits),
             "bulk_word_pairs": bulk_word_pairs, "flush_keys": flush_keys,
-            "startup_runs": startup_runs, "repeat": repeat, "seed": args.seed,
+            "startup_runs": startup_runs, "commit_samples": commit_samples,
+            "repeat": repeat, "seed": args.seed,
         },
         "environment": {
             "python": platform.python_version(),
@@ -895,6 +964,12 @@ def test_bench_micro_quick(tmp_path, report):
         assert r["save_seconds"] > 0 and r["encode_seconds"] > 0 and r["write_seconds"] > 0
     for fmt in ("json", "wire"):
         assert s["submit"][fmt]["registered"] == s["submit"][fmt]["keys"]
+    ages = s["commit_age"]["rows"]
+    assert [r["prior_batches"] for r in ages] == list(COMMIT_AGES)
+    # an append-only registry writes the same record size at any age
+    assert max(r["bytes_per_commit"] for r in ages) - min(
+        r["bytes_per_commit"] for r in ages
+    ) <= len(str(COMMIT_AGES[-1]))
     for name in ("import_cli", "batchscan"):
         r = s["startup"][name]
         assert r["wall_seconds"] > 0 and r["rss_mib"] > 0

@@ -875,7 +875,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("draining backlog and shutting down...", file=sys.stderr)
             await server.close()
             print(
-                "shutdown complete: backlog drained, manifest synced",
+                "shutdown complete: backlog drained, registry synced",
                 file=sys.stderr,
             )
 

@@ -15,7 +15,20 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["append", "makedirs", "rename", "replace_bytes", "replace_stream", "truncate"]
+__all__ = [
+    "QUARANTINE_DIR",
+    "append",
+    "makedirs",
+    "quarantine",
+    "remove",
+    "rename",
+    "replace_bytes",
+    "replace_stream",
+    "truncate",
+]
+
+#: where damaged files are moved, relative to the state directory
+QUARANTINE_DIR = "quarantine"
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -49,6 +62,40 @@ def rename(src: str | Path, dst: str | Path) -> None:
     _fsync_dir(dst.parent)
     if src.parent != dst.parent:
         _fsync_dir(src.parent)
+
+
+def remove(path: str | Path) -> None:
+    """Unlink ``path`` if it exists and make the removal durable."""
+    path = Path(path)
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return
+    _fsync_dir(path.parent)
+
+
+def quarantine(root: str | Path, path: str | Path, data: bytes | None = None) -> Path:
+    """Move ``path`` to ``root/quarantine/`` under its path relative to ``root``.
+
+    With ``data``, write ``data`` there instead and leave ``path`` in
+    place: a copy of a file about to be replaced, so a crash between the
+    two steps never leaves the file missing.  An earlier file of the same
+    name in the quarantine is kept: the newcomer gets a ``.1``, ``.2``,
+    ... suffix.  Returns the destination.
+    """
+    root, path = Path(root), Path(path)
+    rel = path.relative_to(root)
+    dest = root / QUARANTINE_DIR / rel
+    makedirs(dest.parent)
+    serial = 0
+    while dest.exists():
+        serial += 1
+        dest = root / QUARANTINE_DIR / rel.parent / f"{rel.name}.{serial}"
+    if data is None:
+        rename(path, dest)
+    else:
+        replace_bytes(dest, data)
+    return dest
 
 
 def replace_stream(path: str | Path, chunks: Iterable[bytes]) -> None:

@@ -3,13 +3,14 @@
 A state directory holds up to five artifact families, each with its own
 verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
 
-``registry``        ``manifest.json`` (format ``weak-key-registry/1``)
-                    plus its ``keys-*.bin`` / ``hits-*.bin`` RGSPOOL1
-                    blobs, pinned by SHA-256 stage records.
+``registry``        the ``registry-*.log`` segments of the hash-chained
+                    registry log (:mod:`repro.core.chainlog`), one
+                    verification unit per segment.
 ``ptree``           a ``product-tree/1`` manifest plus ``seg-*.bin``
                     segment blobs (usually at ``state_dir/ptree/``).
 ``spool``           any other checkpointed spool (the batchscan
-                    pipeline's level blobs).
+                    pipeline's level blobs, or a ``weak-key-registry/1``
+                    dir that the registry has not converted yet).
 ``shard-snapshot``  ``shards/<k>/shard.json`` files
                     (``repro.shard-snapshot/1``), checksummed by a
                     ``.sha256`` sidecar.
@@ -36,7 +37,7 @@ Verdicts, per artifact:
                     silently accepted, but does not trip degraded mode.
 
 Everything here is **read-only**: unlike ``WeakKeyRegistry.load()`` (which
-self-heals by truncating and rewriting the manifest), cataloguing a state
+self-heals by cutting the log back to its verified prefix), cataloguing a state
 directory never changes it — that is what makes the catalog safe to run
 both offline under ``repro fsck`` and online under the scrubber.
 """
@@ -48,7 +49,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import chainlog
 from repro.core.checkpoint import MANIFEST_VERSION
+from repro.core.durable import QUARANTINE_DIR
 from repro.core.spool import MAGIC, blob_sha256, read_sidecar
 
 # Mirrors repro.ingest.dedup.DIGEST_SIZE, which fsck takes from here too:
@@ -68,8 +71,6 @@ __all__ = [
     "VerifyUnit",
 ]
 
-QUARANTINE_DIR = "quarantine"
-
 VERDICTS = ("ok", "torn-tail", "hash-mismatch", "missing", "orphan", "stale-checksum")
 
 SEVERITY_OK = "ok"
@@ -85,7 +86,6 @@ _SEVERITY = {
     "missing": SEVERITY_CORRUPT,
 }
 
-REGISTRY_FORMAT = "weak-key-registry/1"
 PTREE_FORMAT = "product-tree/1"
 SHARD_FORMAT = "repro.shard-snapshot/1"
 CURSOR_FORMAT = "repro-ct-cursor-v1"
@@ -100,7 +100,7 @@ _SHARD_KEYS = frozenset(
 class Finding:
     """One artifact's verdict.
 
-    >>> f = Finding(family="registry", artifact="keys-000000.bin",
+    >>> f = Finding(family="registry", artifact="registry-000000.log",
     ...             verdict="hash-mismatch", detail="sha256 differs")
     >>> f.severity
     'corrupt'
@@ -253,22 +253,12 @@ class ArtifactCatalog:
                 continue
             payload, verdict, _ = _read_json(manifest)
             fmt = (payload or {}).get("config", {}).get("format")
-            if fmt == REGISTRY_FORMAT:
-                family = "registry"
-            elif fmt == PTREE_FORMAT:
-                family = "ptree"
-            else:
-                family = "spool"
-            if verdict != "ok":
-                # an unreadable manifest carries no format tag; classify by
-                # the well-known directory layout — the root manifest is the
-                # registry until proven otherwise (fsck's refuse-to-touch
-                # rule keys off this), ``ptree/`` is the product tree
-                if manifest.parent == self.state_dir:
-                    family = "registry"
-                elif manifest.parent.name == "ptree":
-                    family = "ptree"
-            out.append((manifest.parent, family))
+            # an unreadable manifest carries no format tag; ``ptree/`` is
+            # the product tree by the well-known directory layout
+            ptree = fmt == PTREE_FORMAT or (
+                verdict != "ok" and manifest.parent.name == "ptree"
+            )
+            out.append((manifest.parent, "ptree" if ptree else "spool"))
         return out
 
     # -- verification ----------------------------------------------------------
@@ -285,6 +275,7 @@ class ArtifactCatalog:
         units: list[VerifyUnit] = []
         if not self.state_dir.is_dir():
             return units
+        units.extend(self._log_units())
         for directory, family in self.manifest_dirs():
             units.extend(self._manifest_units(directory, family))
         for snapshot in sorted(self.state_dir.glob("shards/*/shard.json")):
@@ -310,7 +301,53 @@ class ArtifactCatalog:
             check=lambda: verify(family, path),
         )
 
-    # -- checkpointed directories (registry / ptree / batchscan spools) --------
+    # -- the registry log -------------------------------------------------------
+
+    def _log_units(self) -> list[VerifyUnit]:
+        segments = chainlog.segment_paths(self.state_dir)
+        return [
+            VerifyUnit(
+                name=self._rel(path),
+                nbytes=self._file_size(path),
+                check=lambda pos=pos: self._verify_segment(segments, pos),
+            )
+            for pos, (_, path) in enumerate(segments)
+        ]
+
+    def _verify_segment(self, segments: list[tuple[int, Path]], pos: int) -> list[Finding]:
+        """One segment on its own, plus its link to the segment before it."""
+        index, path = segments[pos]
+        rel = self._rel(path)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return [Finding("registry", rel, "missing", "segment vanished mid-scan")]
+        findings = []
+        prev = chainlog.GENESIS
+        expected = segments[pos - 1][0] + 1 if pos else 0
+        if index != expected:
+            prev = None
+            findings.append(Finding(
+                "registry", chainlog.segment_path(self.state_dir, expected).name,
+                "missing", f"the log resumes at {rel}",
+            ))
+        elif pos:
+            # the link the segment before it ends with (its last 32 bytes)
+            before = segments[pos - 1][1]
+            with before.open("rb") as fh:
+                fh.seek(max(0, self._file_size(before) - chainlog.LINK_BYTES))
+                prev = fh.read()
+        _, faults = chainlog.read_segment(
+            data, index, final=pos == len(segments) - 1, prev=prev
+        )
+        if faults:
+            more = f" (+{len(faults) - 1} more)" if len(faults) > 1 else ""
+            findings.append(
+                Finding("registry", rel, faults[0].verdict, faults[0].detail + more)
+            )
+        return findings or [Finding("registry", rel, "ok")]
+
+    # -- checkpointed directories (ptree / batchscan spools) --------------------
 
     def _manifest_units(self, directory: Path, family: str) -> list[VerifyUnit]:
         manifest_path = directory / "manifest.json"
@@ -444,6 +481,16 @@ class ArtifactCatalog:
                     detail="interrupted atomic write",
                 )
             )
+        if not (self.state_dir / "manifest.json").exists():
+            # no manifest at the root: any blob there is a registry blob
+            # that an interrupted or partial v1 conversion left behind
+            for blob in sorted(self.state_dir.glob("*.bin")):
+                findings.append(
+                    Finding(
+                        family="residue", artifact=self._rel(blob), verdict="orphan",
+                        detail="registry blob no manifest references",
+                    )
+                )
         for side in sorted(self.state_dir.rglob("*.sha256")):
             if self._skip(side):
                 continue

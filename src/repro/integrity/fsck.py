@@ -4,13 +4,17 @@ The repair ladder (full narrative in ``docs/INTEGRITY.md``), in the
 order the steps run — ordering matters because later rungs consume
 redundancy that earlier rungs must read first:
 
-1. **Registry keys blobs** are rebuilt from redundancy: the persistent
-   product tree's leaves hold every registered modulus in global-index
-   order, and shard snapshots hold ``(indices, moduli)`` pairs.  A
-   rebuilt blob is accepted only if its SHA-256 matches the manifest
-   pin — the pin is the authority, never the rebuild.
-2. **Registry hits blobs** are recomputed by a pairwise GCD rescan of
-   the (now complete) moduli, again accepted only on pin match.
+1. **Registry keys** of a log record whose body is damaged (its header
+   still verifies) are rebuilt from redundancy: the persistent product
+   tree's leaves hold every registered modulus in global-index order,
+   and shard snapshots hold ``(indices, moduli)`` pairs.  A rebuild is
+   accepted only if its SHA-256 matches the header's pin — the pin is
+   the authority, never the rebuild.  The damaged segment is copied to
+   the quarantine, then replaced whole.
+2. **Registry hits** of such a record are recomputed by a pairwise GCD
+   rescan of the (now complete) moduli, again accepted only on pin
+   match.  A torn final record is rebuilt the same way when its header
+   survived, and cut off (as a load would) when it did not.
 3. **Derived data is rebuilt, damaged originals quarantined**: corrupt
    ptree segments/manifest are quarantined wholesale and the tree is
    regrown from registry moduli; corrupt shard snapshots are quarantined
@@ -26,29 +30,24 @@ redundancy that earlier rungs must read first:
    launder real corruption into a valid checksum.
 
 ``fsck`` **refuses loudly** — reports, repairs nothing dependent, exits
-nonzero — when the damaged party is the root of truth itself: a corrupt
-registry manifest, a corrupt ingest cursor, a registry blob with no
-intact redundancy, or a ``seen.log`` that lost committed records.
+nonzero — when the damaged party is the root of truth itself: a damaged
+registry record header, link or frame, a missing log segment, a corrupt
+ingest cursor, a registry body with no intact redundancy, or a
+``seen.log`` that lost committed records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import durable
-from repro.core.spool import (
-    SpoolError,
-    blob_sha256,
-    read_blob,
-    write_blob,
-    write_sidecar,
-)
+from repro.core import chainlog, durable
+from repro.core.spool import SpoolError, blob_sha256, read_blob, write_sidecar
 from repro.integrity.catalog import (
     DIGEST_SIZE,
-    QUARANTINE_DIR,
     ArtifactCatalog,
     CatalogReport,
     Finding,
@@ -131,7 +130,6 @@ class _Repairer:
     def __init__(self, state_dir: Path, report: FsckReport) -> None:
         self.state_dir = state_dir
         self.report = report
-        self.quarantine_dir = state_dir / QUARANTINE_DIR
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -145,25 +143,18 @@ class _Repairer:
 
     def _quarantine(self, path: Path) -> None:
         """Move ``path`` under ``quarantine/`` preserving its relative path."""
-        rel = path.relative_to(self.state_dir)
-        dest = self.quarantine_dir / rel
-        durable.makedirs(dest.parent)
-        serial = 0
-        while dest.exists():
-            serial += 1
-            dest = self.quarantine_dir / rel.parent / f"{rel.name}.{serial}"
-        durable.rename(path, dest)
-        self._did("quarantine", str(rel), f"moved to {dest.relative_to(self.state_dir)}")
+        dest = durable.quarantine(self.state_dir, path)
+        self._did(
+            "quarantine", str(path.relative_to(self.state_dir)),
+            f"moved to {dest.relative_to(self.state_dir)}",
+        )
 
     # -- the ladder ------------------------------------------------------------
 
     def run(self) -> None:
         corrupt = {f.artifact: f for f in self.report.scan.corrupt}
-        registry = self._load_registry_manifest(corrupt)
-        moduli: dict[int, int] = {}
-        if registry is not None:
-            moduli = self._repair_registry(registry, corrupt)
-        self._repair_ptree(corrupt, moduli, registry)
+        moduli, complete = self._repair_registry()
+        self._repair_ptree(corrupt, moduli, complete)
         self._repair_spools(corrupt)
         self._repair_shards(corrupt)
         self._repair_ingest(corrupt)
@@ -172,78 +163,96 @@ class _Repairer:
 
     # -- registry --------------------------------------------------------------
 
-    def _load_registry_manifest(self, corrupt: dict[str, Finding]) -> dict | None:
-        path = self.state_dir / "manifest.json"
-        if not path.exists():
-            return None
-        finding = corrupt.get("manifest.json")
-        if finding is not None:
+    def _repair_registry(self) -> tuple[dict[int, int], bool]:
+        """Heal the registry log; returns (global index → modulus, complete).
+
+        A damaged body under an intact header is rebuilt: keys from
+        redundancy, hits by a GCD rescan, each accepted only if it matches
+        the header's pin.  A torn final frame that lost its header is cut
+        off, as a load would.  Any other damage — a header, a link, the
+        framing, a missing segment — is the root of truth itself, so the
+        whole registry is refused.  A torn state record is cut off too:
+        it only repeats bookkeeping the commits before it hold.
+        """
+        scan = chainlog.read_log(self.state_dir)
+        if not scan.segments:
+            return {}, False
+        hard = [f for f in scan.faults if f.frame is None]
+        for fault in hard:
+            if fault.verdict == "torn-tail":
+                continue
             self._refuse(
-                "manifest.json",
-                f"registry manifest is the damaged party ({finding.verdict}); "
-                "refusing to repair anything that depends on it",
+                self._segment_rel(fault.segment),
+                f"registry log is the damaged party ({fault.verdict}: {fault.detail}); "
+                "no redundancy holds a record header — refusing to repair anything "
+                "that depends on it",
             )
-            return None
-        try:
-            payload = json.loads(path.read_bytes())
-        except ValueError:
-            self._refuse("manifest.json", "registry manifest unreadable")
-            return None
-        if payload.get("config", {}).get("format") != "weak-key-registry/1":
-            return None  # a batchscan spool root: blobs have no redundancy
-        return payload
+        if self.report.refusals:
+            return {}, False
 
-    def _registry_stages(self, payload: dict) -> list[dict]:
-        return [r for r in payload.get("stages", []) if isinstance(r, dict)]
-
-    def _repair_registry(
-        self, payload: dict, corrupt: dict[str, Finding]
-    ) -> dict[int, int]:
-        """Rebuild damaged registry blobs; returns global index → modulus."""
-        stages = self._registry_stages(payload)
-        keys_stages = [r for r in stages if str(r.get("name", "")).startswith("keys.")]
-        hits_stages = [r for r in stages if str(r.get("name", "")).startswith("hits.")]
-
-        # global layout from the (verified) manifest alone
-        bases: dict[str, int] = {}
-        base = 0
-        for record in keys_stages:
-            bases[str(record["blob"])] = base
-            base += int(record["count"])
-
+        commits = [f for f in scan.frames if f.header.get("kind") == "commit"]
+        layout = []  # (frame, base, count)
         moduli: dict[int, int] = {}
-        damaged_keys = []
-        for record in keys_stages:
-            blob = str(record["blob"])
-            path = self.state_dir / blob
-            if blob in corrupt:
-                damaged_keys.append(record)
-                continue
-            try:
-                for offset, n in enumerate(read_blob(path)):
-                    moduli[bases[blob] + offset] = n
-            except (OSError, SpoolError):
-                damaged_keys.append(record)
+        base = 0
+        for frame in commits:
+            count = int(frame.header["keys"])
+            layout.append((frame, base, count))
+            keys = self._verified_part(frame, "keys")
+            if keys is not None:
+                moduli.update(enumerate(chainlog.unpack_ints(keys), start=base))
+            base += count
+        total = base
 
-        if damaged_keys:
-            redundancy = self._redundant_moduli()
-            for record in damaged_keys:
-                self._rebuild_keys_blob(record, bases, redundancy, moduli)
+        rebuilt: dict[int, list] = {}  # segment -> [(frame, new body)]
+        redundancy = None
+        for frame, base, count in layout:
+            if frame.damage is None:
+                continue
+            keys = self._verified_part(frame, "keys")
+            if keys is None:
+                if redundancy is None:
+                    redundancy = self._redundant_moduli()
+                keys = self._rebuild_keys(frame, base, count, redundancy, moduli)
+                if keys is None:
+                    continue
+            hits = self._verified_part(frame, "hits")
+            if hits is None:
+                hits = self._rescan_hits(frame, base, count, moduli)
+                if hits is None:
+                    continue
+            rebuilt.setdefault(frame.segment, []).append((frame, keys + hits))
 
-        total = sum(int(r["count"]) for r in keys_stages)
-        complete = len(moduli) == total
-        for record in hits_stages:
-            blob = str(record["blob"])
-            if blob not in corrupt:
-                continue
-            if not complete:
-                self._refuse(
-                    blob,
-                    "cannot rescan hits: the registry's moduli are incomplete",
-                )
-                continue
-            self._rebuild_hits_blob(record, keys_stages, moduli)
-        return moduli
+        for fault in scan.faults:
+            torn = fault.verdict == "torn-tail"
+            if torn and (fault.frame is None or fault.frame.header.get("kind") != "commit"):
+                rebuilt.setdefault(fault.segment, []).append((fault, None))
+        for index, fixes in sorted(rebuilt.items()):
+            self._rewrite_segment(scan, index, fixes)
+        return moduli, len(moduli) == total
+
+    def _segment_rel(self, index: int) -> str:
+        return chainlog.segment_path(self.state_dir, index).name
+
+    def _verified_part(self, frame: chainlog.Frame, part: str) -> bytes | None:
+        """One body part of ``frame`` if it is whole and matches its pin."""
+        cut = int(frame.header["keys_nbytes"])
+        end = cut if part == "keys" else frame.body_len
+        data = frame.body[:cut] if part == "keys" else frame.body[cut:]
+        return data if len(frame.body) >= end and self._matches(frame, part, data) else None
+
+    def _matches(self, frame: chainlog.Frame, part: str, data: bytes) -> bool:
+        return hashlib.sha256(data).hexdigest() == frame.header["sha256"][part == "hits"]
+
+    def _pinned(self, frame: chainlog.Frame, part: str, data: bytes, detail: str) -> bytes | None:
+        """``data`` if it matches ``part``'s pin; a refusal otherwise."""
+        if self._matches(frame, part, data):
+            return data
+        self._refuse(
+            self._segment_rel(frame.segment),
+            f"batch {frame.header['batch']}: {part} {detail} miss the log's pin — "
+            "redundancy disagrees with the registry",
+        )
+        return None
 
     def _redundant_moduli(self) -> dict[int, int]:
         """Global index → modulus, from every intact redundancy source."""
@@ -283,105 +292,90 @@ class _Repairer:
                 continue
         return out
 
-    def _rebuild_keys_blob(
+    def _rebuild_keys(
         self,
-        record: dict,
-        bases: dict[str, int],
+        frame: chainlog.Frame,
+        base: int,
+        count: int,
         redundancy: dict[int, int],
         moduli: dict[int, int],
-    ) -> None:
-        blob = str(record["blob"])
-        base, count = bases[blob], int(record["count"])
+    ) -> bytes | None:
         values = []
         for gidx in range(base, base + count):
             n = redundancy.get(gidx)
             if n is None:
                 self._refuse(
-                    blob,
-                    f"no intact redundancy (ptree leaf / shard snapshot) holds "
-                    f"modulus {gidx}",
+                    self._segment_rel(frame.segment),
+                    f"batch {frame.header['batch']}: no intact redundancy "
+                    f"(ptree leaf / shard snapshot) holds modulus {gidx}",
                 )
-                return
+                return None
             values.append(n)
-        self._replace_blob(record, values, "rebuilt from ptree/shard redundancy")
-        for offset, n in enumerate(values):
-            moduli[base + offset] = n
+        keys = self._pinned(frame, "keys", chainlog.pack_ints(values), "rebuilt from redundancy")
+        if keys is not None:
+            moduli.update(enumerate(values, start=base))
+        return keys
 
-    def _rebuild_hits_blob(
-        self, record: dict, keys_stages: list[dict], moduli: dict[int, int]
-    ) -> None:
-        blob = str(record["blob"])
-        batch = int(str(record["name"]).split(".")[1])
-        base = sum(int(r["count"]) for r in keys_stages[:batch])
-        count = int(keys_stages[batch]["count"])
+    def _rescan_hits(
+        self, frame: chainlog.Frame, base: int, count: int, moduli: dict[int, int]
+    ) -> bytes | None:
+        if any(g not in moduli for g in range(base + count)):
+            self._refuse(
+                self._segment_rel(frame.segment),
+                f"batch {frame.header['batch']}: cannot rescan hits, the "
+                "registry's moduli are incomplete",
+            )
+            return None
         hits = []
         for j in range(base, base + count):
             for i in range(j):
                 g = math.gcd(moduli[i], moduli[j])
                 if g > 1 and g != moduli[i]:
                     hits.append((i, j, g))
-        # the commit path's emission order is not pinned by the format, so
-        # try the plausible orderings; only a pin match is ever accepted
-        for ordering in (
-            sorted(hits, key=lambda h: (h[0], h[1])),
-            sorted(hits, key=lambda h: (h[1], h[0])),
-        ):
-            flat = [x for hit in ordering for x in hit]
-            if self._replace_blob(record, flat, "recomputed by GCD rescan",
-                                  dry_run=True):
-                self._replace_blob(record, flat, "recomputed by GCD rescan")
-                return
-        self._refuse(
-            blob,
-            "GCD rescan produced hits whose serialisation does not match the "
-            "manifest pin",
-        )
+        hits.sort()
+        flat = chainlog.pack_ints(x for hit in hits for x in hit)
+        return self._pinned(frame, "hits", flat, "recomputed by GCD rescan")
 
-    def _replace_blob(
-        self, record: dict, values: list[int], detail: str, *, dry_run: bool = False
-    ) -> bool:
-        """Write ``values`` as the stage's blob iff the result matches the pin."""
-        blob = str(record["blob"])
-        path = self.state_dir / blob
-        candidate = path.with_name(path.name + ".fsck")
-        try:
-            info = write_blob(candidate, values)
-            if info.sha256 != record.get("sha256"):
-                if not dry_run:
-                    self._refuse(
-                        blob,
-                        f"rebuild hashes {info.sha256[:12]}…, manifest pins "
-                        f"{str(record.get('sha256'))[:12]}… — redundancy disagrees "
-                        "with the registry",
-                    )
-                return False
-            if dry_run:
-                return True
-            if path.exists():
-                self._quarantine(path)
-            durable.rename(candidate, path)
-            self._did("rebuild", blob, detail)
-            return True
-        finally:
-            candidate.unlink(missing_ok=True)
+    def _rewrite_segment(self, scan: chainlog.LogScan, index: int, fixes: list) -> None:
+        """Write one segment back with its rebuilt bodies or its torn tail cut.
+
+        The damaged original is copied to the quarantine first; the
+        segment itself is replaced atomically, so it is never missing.
+        """
+        data = scan.data[index]
+        for fix, body in sorted(fixes, key=lambda fb: -_start(fb[0])):
+            if body is None:  # a torn tail we do not rebuild: cut it off
+                data = data[: _start(fix)]
+            elif fix.damage == "torn":
+                data = data[: fix.body_at] + body + fix.link
+            else:
+                data = data[: fix.body_at] + body + data[fix.body_at + fix.body_len :]
+        path = chainlog.segment_path(self.state_dir, index)
+        rel = self._segment_rel(index)
+        dest = durable.quarantine(self.state_dir, path, scan.data[index])
+        self._did("quarantine", rel, f"copied to {dest.relative_to(self.state_dir)}")
+        if len(data) > chainlog.SEGMENT_HEADER:
+            durable.replace_bytes(path, data)
+        else:
+            durable.remove(path)
+        for fix, body in fixes:
+            if body is None:
+                self._did("truncate", rel, "cut off a torn final record, as a load would")
+            else:
+                self._did(
+                    "rebuild", rel,
+                    f"batch {fix.header['batch']} rebuilt from redundancy and GCD rescan",
+                )
 
     # -- ptree -----------------------------------------------------------------
 
     def _repair_ptree(
-        self,
-        corrupt: dict[str, Finding],
-        moduli: dict[int, int],
-        registry: dict | None,
+        self, corrupt: dict[str, Finding], moduli: dict[int, int], complete: bool
     ) -> None:
         if not any(f.family == "ptree" for f in corrupt.values()):
             return
         ptree_dir = self.state_dir / "ptree"
-        registry_complete = registry is not None and len(moduli) == sum(
-            int(r["count"])
-            for r in self._registry_stages(registry)
-            if str(r.get("name", "")).startswith("keys.")
-        )
-        if not ptree_dir.is_dir() or not registry_complete:
+        if not ptree_dir.is_dir() or not complete:
             self._refuse(
                 "ptree",
                 "cannot rebuild the product tree: no fully recovered registry "
@@ -576,8 +570,6 @@ class _Repairer:
         keeps its stale sidecar, so a refresh can never launder damage
         into a valid checksum.
         """
-        import hashlib
-
         interim = ArtifactCatalog(self.state_dir).scan()
         dirty_families = {f.family for f in interim.corrupt}
         for finding in interim.findings:
@@ -590,3 +582,8 @@ class _Repairer:
                 continue
             write_sidecar(path, digest)
             self._did("refresh-checksum", finding.artifact, "sidecar re-recorded")
+
+
+def _start(fix) -> int:
+    """Where a fix applies in its segment: a frame's or a fault's offset."""
+    return fix.start if isinstance(fix, chainlog.Frame) else fix.offset

@@ -44,10 +44,13 @@ by re-verification (``repro fsck``, the online scrubber).  Modes:
 * ``zero``     — overwrite up to 64 bytes at the midpoint with zeros.
 
 Hit counters for ``corrupt`` clauses count :func:`corrupt_file` calls at
-the point (one per file written), independently of the :func:`fire`
-counter.  At ``registry.commit`` the files are ``keys-N.bin`` then
-``hits-N.bin`` per batch (so ``#3`` is batch 1's keys blob); at
-``ptree.commit`` each newly written segment blob counts one hit.
+the point (one per file or region written), independently of the
+:func:`fire` counter.  At ``registry.commit`` each batch's log record
+counts two hits, each aimed at one region of it: its body (the keys and
+hits, rebuildable from redundancy), then its header (not rebuildable).
+So ``#3`` is batch 1's body and ``#2`` batch 0's header; a ``truncate``
+of a region also drops everything after it.  At ``ptree.commit`` each
+newly written segment blob counts one hit.
 
 Injection points instrumented across the tree (``FAULT_POINTS``):
 
@@ -183,20 +186,23 @@ class Fault:
         if self.action == "hang":
             time.sleep(self.arg if self.arg is not None else 1.0)
 
-    def corrupt_path(self, path: str) -> None:
+    def corrupt_path(self, path: str, region: tuple[int, int] | None = None) -> None:
         """Damage the freshly written file at ``path`` in place.
 
-        Deterministic by construction: the byte offsets depend only on the
-        file size, so replaying a spec against the same workload rots the
-        same bytes.
+        ``region`` narrows the damage to the bytes ``[start, end)`` (the
+        whole file by default); a truncation also drops everything after
+        the region.  Deterministic by construction: the byte offsets
+        depend only on the sizes, so replaying a spec against the same
+        workload rots the same bytes.
         """
-        size = os.path.getsize(path)
-        if size == 0:
+        start, end = region if region is not None else (0, os.path.getsize(path))
+        size = end - start
+        if size <= 0:
             return
         if self.mode == "truncate":
-            os.truncate(path, size - max(1, size // 4))
+            os.truncate(path, end - max(1, size // 4))
             return
-        mid = size // 2
+        mid = start + size // 2
         with open(path, "r+b") as handle:
             handle.seek(mid)
             if self.mode == "bitflip":
@@ -204,7 +210,7 @@ class Fault:
                 handle.seek(mid)
                 handle.write(bytes([byte[0] ^ 0x01]))
             else:  # zero
-                handle.write(b"\x00" * min(64, size - mid))
+                handle.write(b"\x00" * min(64, end - mid))
 
     def clause(self) -> str:
         """This fault back in spec-grammar form (for seed logging)."""
@@ -252,7 +258,7 @@ class FaultPlan:
                 fault.execute()
                 return
 
-    def corrupt(self, point: str, path: str) -> None:
+    def corrupt(self, point: str, path: str, region: tuple[int, int] | None = None) -> None:
         """Count a written file at ``point``; rot it if a corrupt fault triggers."""
         if not any(f.point == point and f.action == "corrupt" for f in self.faults):
             return
@@ -261,7 +267,7 @@ class FaultPlan:
         for fault in self.faults:
             if fault.point == point and fault.action == "corrupt" and fault.triggers(hit):
                 self.injected[point] = self.injected.get(point, 0) + 1
-                fault.corrupt_path(path)
+                fault.corrupt_path(path, region)
                 return
 
     def spec(self) -> str:
@@ -362,16 +368,19 @@ def fire(point: str) -> None:
         plan.fire(point)  # type: ignore[union-attr]
 
 
-def corrupt_file(point: str, path: str | os.PathLike[str]) -> None:
+def corrupt_file(
+    point: str, path: str | os.PathLike[str], *, region: tuple[int, int] | None = None
+) -> None:
     """Post-write hook: rot the just-committed ``path`` if a corrupt fault is armed.
 
-    Commit points call this *after* their atomic rename, so the writer
+    Commit points call this *after* their write is durable, so the writer
     has already observed success — exactly the silent-bit-rot scenario
-    the integrity layer exists to catch.  A no-op unless a plan with a
-    ``corrupt`` clause at ``point`` is armed.
+    the integrity layer exists to catch.  ``region`` (``[start, end)``
+    byte offsets) aims the damage at one part of an appended file.  A
+    no-op unless a plan with a ``corrupt`` clause at ``point`` is armed.
     """
     plan = _PLAN
     if plan is _UNSET:
         plan = active_plan()
     if plan is not None:
-        plan.corrupt(point, os.fspath(path))  # type: ignore[union-attr]
+        plan.corrupt(point, os.fspath(path), region)  # type: ignore[union-attr]

@@ -191,14 +191,14 @@ class WeakKeyService:
 
         Ordering is the drain-durability contract (regression-tested in
         ``tests/service/test_shard.py``): the scan state commits *before*
-        the final registry manifest sync.  ``_commit_scan_state`` runs on
+        the final registry sync.  ``_commit_scan_state`` runs on
         the scan thread, which both serialises it after every flushed
         batch and — in sharded mode — persists every shard snapshot via
         :meth:`~repro.service.shard.ShardRouter.sync`.  Only then does the
-        final :meth:`~repro.service.registry.WeakKeyRegistry.sync` rewrite
-        the manifest (folding in straggler config state such as duplicate
-        counts and the per-shard watermarks), so a SIGTERM landing
-        anywhere in the drain can never leave the manifest ahead of the
+        final :meth:`~repro.service.registry.WeakKeyRegistry.sync` record
+        straggler state (duplicate counts and the per-shard watermarks),
+        so a SIGTERM landing anywhere in the drain can never leave the
+        registry ahead of the
         shard snapshots — the restored fleet would otherwise skip pairs
         the registry already recorded hits for.
         """
@@ -217,7 +217,7 @@ class WeakKeyService:
     def _commit_scan_state(self) -> None:
         """Drain barrier on the scan thread: by the time this returns,
         every flushed batch has committed and every shard snapshot is
-        durable — the manifest sync that follows can only trail, never
+        durable — the registry sync that follows can only trail, never
         lead, the scan state on disk."""
         if self.router is not None:
             self.router.sync()
@@ -349,7 +349,7 @@ class WeakKeyService:
             results[pos] = "registered"
             registered[pos] = gidx
         if duplicates:
-            # count first: the commit's manifest rewrite then persists the
+            # count first: the commit's log record then persists the
             # new total for free; an all-duplicate batch persists explicitly
             self.registry.note_duplicates(duplicates, persist=not fresh)
         if fresh and self.router is not None:
@@ -643,7 +643,7 @@ class HttpServer:
            blocked in a read would stall the drain forever);
         3. stop the service: with ``drain`` the batcher flushes its whole
            backlog (every queued key is scanned and durably committed)
-           and the registry syncs its manifest;
+           and the registry syncs;
         4. give in-flight handlers ``drain_grace`` seconds to finish
            writing responses, then cancel whatever is left (idle
            keep-alive connections mostly) and wait for every handler

@@ -1,32 +1,46 @@
 """Durable weak-key registry: every submitted modulus, every hit, forever.
 
-The registry is the service's source of truth.  It reuses the batch
-pipeline's storage primitives — RGSPOOL1 integer blobs
-(:mod:`repro.core.spool`) pinned by SHA-256 in an atomically rewritten
-manifest (:mod:`repro.core.checkpoint`), all written through
-:mod:`repro.core.durable` — so a batch is *committed* only once both of its
-blobs and the manifest are durable, directory entries included; anything
-less is invisible after a restart, even one forced by power loss.
-
-Layout of one state directory::
+The registry is the service's source of truth.  It lives in a
+hash-chained segment log (:mod:`repro.core.chainlog`) at the root of the
+state directory::
 
     state/
-      manifest.json       config + one (keys.N, hits.N) stage pair per batch
-      keys-000000.bin     batch 0's fresh moduli, in global-index order
-      hits-000000.bin     batch 0's new hits as flat (i, j, prime) triples
-      keys-000001.bin     ...
+      registry-000000.log   segment header, then one frame per record
+      registry-000001.log   opened once the last frame would take
+      ...                   segment 0 past chainlog.SEGMENT_BYTES
 
-Commit protocol (the order is the durability argument):
+A record is one of two kinds:
 
-1. ``keys-N.bin`` is written via tmp + fsync + rename + directory fsync;
-2. ``hits-N.bin`` likewise;
-3. ``manifest.json`` is rewritten likewise with both stage records appended.
+* a *commit*, one per batch: the batch's fresh moduli and new hits (the
+  frame body, pinned by SHA-256 in the header), its non-default public
+  exponents, and the duplicate count and shard watermarks as of the
+  commit;
+* a *state* record: the duplicate count and shard watermarks alone, from
+  a throttled duplicate persist or :meth:`WeakKeyRegistry.sync`.
 
-A crash (``kill -9`` or power loss) between any two steps leaves at
-worst stray unreferenced blob files with the *next* batch's names — the
-next commit simply overwrites them.  On load, every referenced blob is re-hashed; the first corrupt or
-missing blob truncates the registry to the last whole verified batch (and
-the manifest is rewritten to match, so the damage never grows).
+Commit protocol: each record is one :func:`repro.core.durable.append`
+(one write and one fsync, plus a directory fsync when the frame opens a
+new segment).  A batch is committed once that append returns, so an
+acked batch survives power loss.  The cost does not grow with the
+registry's age: nothing already written is rewritten.
+
+Load reads each segment once, in order, and checks the hash chain and
+every body's pins.  A torn final frame (an append that never finished,
+so was never acknowledged) is truncated.  Any other damage also ends
+the verified prefix, as it always has.  The registry keeps the records
+before it, moves the damaged segment and those after it to
+``quarantine/``, and writes the verified part of the damaged segment
+back, so the damage never grows.  ``repro fsck --repair`` can instead
+rebuild a damaged body from redundancy (``docs/INTEGRITY.md``); run it
+before restarting on a state dir the scrubber reported damaged.
+
+A state dir in the older ``weak-key-registry/1`` layout (a
+``manifest.json`` pinning per-batch ``keys-N.bin``/``hits-N.bin`` blobs)
+is converted once, inside :meth:`WeakKeyRegistry.load`, the one place
+that reads it.  The verified prefix that the older loader would keep is
+written as a log; then the manifest is removed, which commits the
+conversion; then the converted blobs.  A crash before the manifest is
+gone converts again, from scratch, at the next load.
 
 Dedup semantics: a modulus is an identity.  Submitting one the registry
 already holds returns the existing key's index and cached verdict; it is
@@ -39,30 +53,32 @@ already holds returns the existing key's index and cached verdict; it is
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core import durable
+from repro.core import chainlog, durable
 from repro.core.attack import WeakHit
-from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
+from repro.core.checkpoint import CheckpointStore, Manifest
 from repro.core.incremental import SNAPSHOT_VERSION
-from repro.core.spool import SpoolError, read_blob, write_blob
+# ``write_blob`` stays importable from here: perfbench/launch.py traces it
+from repro.core.spool import SpoolError, read_blob, sidecar_path, write_blob  # noqa: F401
 from repro.resilience import RetryPolicy, faults
 from repro.rsa.keys import DEFAULT_E
 from repro.telemetry import Telemetry
 
-__all__ = ["RegistryError", "RegisteredBatch", "WeakKeyRegistry", "REGISTRY_FORMAT"]
+__all__ = ["RegistryError", "RegisteredBatch", "WeakKeyRegistry"]
 
-REGISTRY_FORMAT = "weak-key-registry/1"
+#: the per-batch blob layout that :meth:`WeakKeyRegistry.load` converts
+V1_FORMAT = "weak-key-registry/1"
 
-#: minimum seconds between manifest rewrites triggered *only* by duplicate
+#: minimum seconds between state records written *only* for duplicate
 #: resubmissions.  Committed batches are never throttled; this bounds the
-#: fsync rate of all-duplicate traffic (a resubmission storm used to pay
-#: one manifest fsync per flushed batch).  At most this much counting can
-#: be lost to a hard crash; graceful shutdown folds the exact count in via
+#: fsync rate of all-duplicate traffic.  At most this much counting can
+#: be lost to a hard crash; graceful shutdown appends the exact count via
 #: :meth:`WeakKeyRegistry.sync`.
 DUPLICATE_PERSIST_INTERVAL = 1.0
 
@@ -83,6 +99,29 @@ class RegisteredBatch:
     base: int
     n_keys: int
     n_hits: int
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _commit_record(
+    batch: int,
+    moduli: list[int],
+    hits: list[WeakHit],
+    exponents: dict[int, int],
+    state: dict,
+) -> tuple[dict, bytes]:
+    """The ``(header, body)`` of one batch's commit record."""
+    keys = chainlog.pack_ints(moduli)
+    flat = chainlog.pack_ints(x for h in hits for x in (h.i, h.j, h.prime))
+    header = {
+        "kind": "commit", "batch": batch, "keys": len(moduli), "keys_nbytes": len(keys),
+        "sha256": [_sha256(keys), _sha256(flat)], **state,
+    }
+    if exponents:
+        header["exponents"] = {str(g): e for g, e in sorted(exponents.items())}
+    return header, keys + flat
 
 
 class WeakKeyRegistry:
@@ -107,9 +146,8 @@ class WeakKeyRegistry:
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.state_dir = Path(state_dir)
-        self.store = CheckpointStore(self.state_dir)
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
-        #: commit-IO retry policy; blob writes are tmp+rename so re-running is safe
+        #: append retry policy; a failed append is cut back before the next
         self.retry_policy = (
             retry_policy
             if retry_policy is not None
@@ -124,79 +162,116 @@ class WeakKeyRegistry:
         self._exponents: dict[int, int] = {}
         self._batch_sizes: list[int] = []
         #: sharded-fleet watermarks (``repro.service.shard``): which job each
-        #: shard had durably applied as of the last manifest write — the
-        #: registry is the durable truth the fleet reconciles against
+        #: shard had durably applied as of the last record — the registry is
+        #: the durable truth the fleet reconciles against
         self._shard_state: dict | None = None
         #: JSON-ready verdict rows by index; rows are shared read-only and
         #: dropped for the indices a committed batch's hits touch
         self._verdict_cache: dict[int, dict] = {}
         self._dup_persist_at = 0.0  # monotonic time of the last dup-only write
-        self._manifest = Manifest(config=self._config())
+        #: the duplicate count and shard state the log's last record holds
+        self._persisted: dict = self._state()
+        self._log = chainlog.LogWriter(self.state_dir)
         self._batches = 0
         self._lock = threading.Lock()
 
     # -- persistence -----------------------------------------------------------
 
-    def _config(self) -> dict:
-        config = {
-            "format": REGISTRY_FORMAT,
-            "bits": self.bits,
-            "duplicate_submissions": self.duplicate_submissions,
-            "exponents": {str(i): e for i, e in sorted(self._exponents.items())},
-        }
-        if self._shard_state is not None:
-            config["shard_state"] = self._shard_state
-        return config
+    def _state(self) -> dict:
+        return {"duplicates": self.duplicate_submissions, "shard_state": self._shard_state}
 
     def load(self) -> int:
         """Restore state from disk; returns the number of batches restored.
 
-        A missing or unparsable manifest means a fresh registry.  A
-        parseable manifest of the wrong format raises — this layer refuses
-        to clobber, say, a batchscan spool directory.  Verified-prefix
-        semantics drop any trailing half-committed or corrupt batch and
-        rewrite the manifest so the next run starts from a clean boundary.
+        No log and no manifest means a fresh registry.  A parseable
+        ``manifest.json`` of another format raises — this layer refuses
+        to clobber, say, a batchscan spool directory — and one of
+        :data:`V1_FORMAT` is converted to the log first.  Verified-prefix
+        semantics drop a torn or damaged tail (see the module docstring),
+        so the next run starts from a clean boundary.
         """
-        manifest = self.store.load()
-        if manifest is None:
-            self._manifest = Manifest(config=self._config())
-            return 0
-        fmt = manifest.config.get("format")
-        if fmt != REGISTRY_FORMAT:
-            raise RegistryError(
-                f"{self.store.path} is not a weak-key registry (format {fmt!r})"
-            )
-        expected = [record.name for record in manifest.stages]
-        prefix = self.store.verified_prefix(manifest, expected)
+        manifest = CheckpointStore(self.state_dir).load()
+        if manifest is not None:
+            fmt = manifest.config.get("format")
+            if fmt != V1_FORMAT:
+                raise RegistryError(
+                    f"{self.state_dir / 'manifest.json'} is not a weak-key "
+                    f"registry (format {fmt!r})"
+                )
+            dropped = self._convert_v1(manifest)
+        else:
+            dropped = self._load_log()
+        if dropped:
+            self.telemetry.registry.counter("registry.dropped_records").inc(dropped)
+        self._update_gauges()
+        self.telemetry.emit(
+            "registry.loaded", keys=self.n_keys, batches=self._batches,
+            hits=len(self.hits), dropped_records=dropped,
+        )
+        return self._batches
 
+    def _load_log(self) -> int:
+        """Restore the log's verified prefix and cut off what follows it."""
+        scan = chainlog.read_log(self.state_dir)
+        good = scan.verified()
+        self._restore([(f.header, f.body) for f in good])
+        self._log = chainlog.LogWriter.after(self.state_dir, good)
+        if not scan.faults:
+            return 0
+        first = scan.faults[0]
+        path = chainlog.segment_path(self.state_dir, first.segment)
+        keep = first.offset if first.offset > chainlog.SEGMENT_HEADER else 0
+        if first.verdict == "torn-tail":  # only ever the end of the last segment
+            if keep:
+                durable.truncate(path, keep)
+            else:
+                durable.remove(path)
+        else:
+            for index, later in reversed(scan.segments):
+                if index > first.segment:
+                    durable.quarantine(self.state_dir, later)
+            data = scan.data[first.segment]
+            durable.quarantine(self.state_dir, path, data)
+            if keep:
+                durable.replace_bytes(path, data[:keep])
+            else:
+                durable.remove(path)
+        return max(1, len(scan.frames) - len(good))
+
+    def _restore(self, records: list[tuple[dict, bytes]]) -> None:
+        """Rebuild the in-memory registry from log records, checking invariants."""
         moduli: list[int] = []
         hits: list[WeakHit] = []
         batch_sizes: list[int] = []
-        batches = 0
-        pos = 0
-        while pos + 1 < len(prefix):
-            keys_rec, hits_rec = prefix[pos], prefix[pos + 1]
-            if keys_rec.name != f"keys.{batches}" or hits_rec.name != f"hits.{batches}":
-                break
-            try:
-                batch_moduli = read_blob(self.state_dir / keys_rec.blob)
-                flat = read_blob(self.state_dir / hits_rec.blob)
-            except (OSError, SpoolError) as exc:
-                raise RegistryError(f"verified blob became unreadable: {exc}") from exc
-            if len(flat) % 3:
-                raise RegistryError(
-                    f"{hits_rec.blob}: hit blob holds {len(flat)} records, not triples"
+        exponents: dict[int, int] = {}
+        state = {"duplicates": 0, "shard_state": None}
+        for header, body in records:
+            if header.get("kind") == "commit":
+                if header.get("batch") != len(batch_sizes):
+                    raise RegistryError(
+                        f"log holds batch {header.get('batch')} where batch "
+                        f"{len(batch_sizes)} was due"
+                    )
+                cut = header["keys_nbytes"]
+                keys = chainlog.unpack_ints(body[:cut])
+                flat = chainlog.unpack_ints(body[cut:])
+                if len(flat) % 3:
+                    raise RegistryError(
+                        f"batch {header['batch']}: {len(flat)} hit fields, not triples"
+                    )
+                moduli.extend(keys)
+                batch_sizes.append(len(keys))
+                hits.extend(
+                    WeakHit(flat[k], flat[k + 1], flat[k + 2])
+                    for k in range(0, len(flat), 3)
                 )
-            moduli.extend(batch_moduli)
-            batch_sizes.append(len(batch_moduli))
-            hits.extend(
-                WeakHit(flat[k], flat[k + 1], flat[k + 2])
-                for k in range(0, len(flat), 3)
-            )
-            batches += 1
-            pos += 2
+                exponents.update(
+                    (int(g), int(e)) for g, e in header.get("exponents", {}).items()
+                )
+            elif header.get("kind") != "state":
+                raise RegistryError(f"unknown log record kind {header.get('kind')!r}")
+            state = {"duplicates": int(header["duplicates"]), "shard_state": header["shard_state"]}
 
-        dropped = len(manifest.stages) - 2 * batches
         index: dict[int, int] = {}
         for gidx, n in enumerate(moduli):
             if n in index:
@@ -216,27 +291,84 @@ class WeakKeyRegistry:
         for h in self.hits:
             self._hits_by_key[h.i].append(h)
             self._hits_by_key[h.j].append(h)
-        self.bits = manifest.config.get("bits")
-        self.duplicate_submissions = int(manifest.config.get("duplicate_submissions", 0))
-        self._exponents = {
-            int(i): int(e) for i, e in manifest.config.get("exponents", {}).items()
-        }
+        self.bits = moduli[0].bit_length() if moduli else None
+        self.duplicate_submissions = state["duplicates"]
+        self._shard_state = state["shard_state"]
+        self._persisted = state
+        self._exponents = exponents
         self._batch_sizes = batch_sizes
-        self._shard_state = manifest.config.get("shard_state")
-        self._batches = batches
-        if dropped:
-            manifest.stages = manifest.stages[: 2 * batches]
-            self.telemetry.registry.counter("registry.dropped_stages").inc(dropped)
-        manifest.config = self._config()
-        self._manifest = manifest
-        if dropped:
-            self.store.save(manifest)  # self-heal: forget the corrupt tail
-        self._update_gauges()
+        self._batches = len(batch_sizes)
+        self._verdict_cache = {}
+
+    def _convert_v1(self, manifest: Manifest) -> int:
+        """Rewrite a ``weak-key-registry/1`` dir as a log; returns batches dropped.
+
+        Keeps exactly the verified prefix the per-batch loader kept: whole
+        ``(keys.N, hits.N)`` stage pairs whose blobs still match their
+        pins, in order, up to the first that does not.
+        """
+        store = CheckpointStore(self.state_dir)
+        prefix = store.verified_prefix(manifest, [r.name for r in manifest.stages])
+        batches: list[tuple[list[int], list[WeakHit]]] = []
+        for keys_rec, hits_rec in zip(prefix[0::2], prefix[1::2]):
+            b = len(batches)
+            if keys_rec.name != f"keys.{b}" or hits_rec.name != f"hits.{b}":
+                break
+            try:
+                moduli = read_blob(self.state_dir / keys_rec.blob)
+                flat = read_blob(self.state_dir / hits_rec.blob)
+            except (OSError, SpoolError) as exc:
+                raise RegistryError(f"verified blob became unreadable: {exc}") from exc
+            if len(flat) % 3:
+                raise RegistryError(
+                    f"{hits_rec.blob}: hit blob holds {len(flat)} records, not triples"
+                )
+            hits = [WeakHit(flat[k], flat[k + 1], flat[k + 2]) for k in range(0, len(flat), 3)]
+            batches.append((moduli, sorted(hits, key=lambda h: (h.i, h.j))))
+
+        config = manifest.config
+        exponents = {int(g): int(e) for g, e in config.get("exponents", {}).items()}
+        state = {
+            "duplicates": int(config.get("duplicate_submissions", 0)),
+            "shard_state": config.get("shard_state"),
+        }
+        records = []
+        base = 0
+        for b, (moduli, hits) in enumerate(batches):
+            own = {g: e for g, e in exponents.items() if base <= g < base + len(moduli)}
+            records.append(_commit_record(b, moduli, hits, own, state))
+            base += len(moduli)
+        if not records and state != {"duplicates": 0, "shard_state": None}:
+            records.append(({"kind": "state", **state}, b""))
+        self._restore(records)  # every invariant holds before the disk changes
+
+        for _, stale in chainlog.segment_paths(self.state_dir):
+            durable.remove(stale)  # an earlier conversion that did not finish
+        self._log = chainlog.LogWriter(self.state_dir)
+        if records:
+            self._log.append(records)
+        durable.remove(store.path)  # the conversion's commit point
+        sidecar_path(store.path).unlink(missing_ok=True)
+        for record in prefix[: 2 * len(batches)]:
+            (self.state_dir / record.blob).unlink(missing_ok=True)
         self.telemetry.emit(
-            "registry.loaded", keys=self.n_keys, batches=batches,
-            hits=len(self.hits), dropped_stages=dropped,
+            "registry.converted", source=V1_FORMAT, batches=len(batches),
+            keys=self.n_keys,
         )
-        return batches
+        return (len(manifest.stages) + 1) // 2 - len(batches)
+
+    def _append(self, header: dict, body: bytes = b"", *, point: str | None = None):
+        """One durable append of one record, retried; returns its placement."""
+
+        def write():
+            if point is not None:
+                faults.fire(point)
+            durable.makedirs(self.state_dir)
+            return self._log.append([(header, body)])[0]
+
+        placed = self.retry_policy.run(write, on_retry=self._on_commit_retry)
+        self._persisted = {"duplicates": header["duplicates"], "shard_state": header["shard_state"]}
+        return placed
 
     def commit_batch(
         self,
@@ -254,7 +386,8 @@ class WeakKeyRegistry:
         key, and ``new_hits`` are exactly the hits that scan produced (in
         global indices, each touching at least one new key).  ``exponents``
         maps *global* index → public exponent for keys whose ``e`` is not
-        65537.  Returns only after blobs and manifest are durable
+        65537.  ``seconds`` (the scan's wall time) is kept in the record.
+        Returns only after the record's append is durable
         (:mod:`repro.core.durable`), so an acked batch survives power loss.
         """
         with self._lock:
@@ -282,53 +415,20 @@ class WeakKeyRegistry:
                 self.bits = new_moduli[0].bit_length()
 
             batch = self._batches
-            keys_name = f"keys-{batch:06d}.bin"
-            hits_name = f"hits-{batch:06d}.bin"
-            flat: list[int] = []
-            for h in new_hits:
-                flat.extend((h.i, h.j, h.prime))
+            sorted_new = sorted(new_hits, key=lambda h: (h.i, h.j))
+            own = {g: e for g, e in (exponents or {}).items() if e != DEFAULT_E}
+            header, body = _commit_record(batch, new_moduli, sorted_new, own, self._state())
+            if seconds:
+                header["seconds"] = round(seconds, 6)
+            path, head_at, body_at = self._append(header, body, point="registry.commit")
+            # bit rot after a successful commit: the body, then the header
+            faults.corrupt_file("registry.commit", path, region=(body_at, body_at + len(body)))
+            faults.corrupt_file("registry.commit", path, region=(head_at, body_at))
 
-            # Blob writes go to tmp + rename, so a failed attempt leaves at
-            # worst a stray .tmp that the retry overwrites — re-running the
-            # whole closure is idempotent.  Manifest stages are appended only
-            # after both blobs land, so retries never duplicate records.
-            def persist_blobs():
-                faults.fire("registry.commit")
-                durable.makedirs(self.state_dir)
-                k = write_blob(self.state_dir / keys_name, new_moduli)
-                faults.corrupt_file("registry.commit", k.path)
-                v = write_blob(self.state_dir / hits_name, flat)
-                faults.corrupt_file("registry.commit", v.path)
-                return k, v
-
-            keys_info, hits_info = self.retry_policy.run(
-                persist_blobs, on_retry=self._on_commit_retry
-            )
-
-            for gidx, e in (exponents or {}).items():
-                if e != DEFAULT_E:
-                    self._exponents[gidx] = e
-            self._manifest.stages.append(
-                StageRecord(
-                    name=f"keys.{batch}", blob=keys_name, count=keys_info.count,
-                    nbytes=keys_info.nbytes, sha256=keys_info.sha256, seconds=seconds,
-                )
-            )
-            self._manifest.stages.append(
-                StageRecord(
-                    name=f"hits.{batch}", blob=hits_name, count=hits_info.count,
-                    nbytes=hits_info.nbytes, sha256=hits_info.sha256, seconds=0.0,
-                )
-            )
-            self._manifest.config = self._config()
-            self.retry_policy.run(
-                lambda: self.store.save(self._manifest), on_retry=self._on_commit_retry
-            )
-
+            self._exponents.update(own)
             for n in new_moduli:
                 self._index[n] = len(self.moduli)
                 self.moduli.append(n)
-            sorted_new = sorted(new_hits, key=lambda h: (h.i, h.j))
             self.hits.extend(sorted_new)
             self.hits.sort(key=lambda h: (h.i, h.j))
             for h in sorted_new:
@@ -358,32 +458,29 @@ class WeakKeyRegistry:
         )
 
     def sync(self) -> None:
-        """Rewrite the manifest now, folding in any unpersisted config state.
+        """Append a state record now if the log's last one is out of date.
 
         The graceful-shutdown seam: committed batches are already durable,
-        but duplicate-submission counts observed since the last commit live
-        only in memory until the next manifest rewrite.  ``sync`` makes the
-        on-disk manifest exactly current (idempotent; cheap when nothing
-        changed).
+        but duplicate-submission counts and shard watermarks recorded
+        since the last record live only in memory until the next one.
+        ``sync`` makes the log exactly current, and appends nothing when
+        it already is.
         """
         with self._lock:
-            self._manifest.config = self._config()
-            self.retry_policy.run(
-                lambda: self.store.save(self._manifest), on_retry=self._on_commit_retry
-            )
+            if self._state() != self._persisted:
+                self._append({"kind": "state", **self._state()})
         self.telemetry.emit("registry.synced", keys=self.n_keys, batches=self._batches)
 
     def note_duplicates(self, count: int = 1, *, persist: bool = False) -> None:
         """Count resubmissions of already-registered moduli.
 
-        The count is folded into the manifest config at the next commit;
-        ``persist=True`` requests a manifest rewrite now (used for batches
-        that turned out to be *all* duplicates, which commit nothing
-        else).  Dup-only rewrites are throttled to one per
-        :data:`DUPLICATE_PERSIST_INTERVAL` seconds so a resubmission storm
-        does not pay a manifest fsync per flushed batch — the counter is
-        bookkeeping, and :meth:`sync` (graceful shutdown) always writes
-        the exact total.
+        The count rides the next commit record; ``persist=True`` requests
+        a state record now (used for batches that turned out to be *all*
+        duplicates, which commit nothing else).  Those records are
+        throttled to one per :data:`DUPLICATE_PERSIST_INTERVAL` seconds so
+        a resubmission storm does not pay an fsync per flushed batch —
+        the counter is bookkeeping, and :meth:`sync` (graceful shutdown)
+        always writes the exact total.
         """
         if count < 0:
             raise ValueError("duplicate count only moves forward")
@@ -391,21 +488,16 @@ class WeakKeyRegistry:
             self.duplicate_submissions += count
             self._update_gauges()
             now = time.monotonic()
-            if (
-                persist
-                and self._manifest is not None
-                and now - self._dup_persist_at >= DUPLICATE_PERSIST_INTERVAL
-            ):
+            if persist and now - self._dup_persist_at >= DUPLICATE_PERSIST_INTERVAL:
                 self._dup_persist_at = now
-                self._manifest.config = self._config()
-                self.store.save(self._manifest)
+                self._append({"kind": "state", **self._state()})
 
     def set_shard_state(self, state: dict | None) -> None:
-        """Record the fleet's per-shard watermarks for the next manifest write.
+        """Record the fleet's per-shard watermarks for the next log record.
 
         Called by :class:`repro.service.shard.ShardRouter` after every shard
         has durably applied a job and *before* the batch commit, so the
-        manifest that lands carries watermarks consistent with the shard
+        record that lands carries watermarks consistent with the shard
         snapshots already on disk (shards lead, the registry follows —
         never the reverse).  ``None`` clears the record (single-scanner
         mode).

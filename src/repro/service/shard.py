@@ -28,8 +28,8 @@ a worker persists its snapshot — corpus slice, pair watermark, the job id
 *and that job's hits* — under ``state_dir/shards/<k>/`` **before** acking
 (the ``shard.commit`` fault point), so a replay of an already-applied job
 returns the stored hits without rescanning.  The router gathers all acks,
-records per-shard watermarks into the registry manifest config, and only
-then runs the registry's blobs-then-manifest commit: shard state is always
+records per-shard watermarks with the registry, and only then runs the
+registry's one-append commit: shard state is always
 at or one job ahead of the registry, never behind.  On restart the
 registry is the durable truth — a shard snapshot that is ahead, stale, or
 shaped for a different shard count is rebuilt from the registry's slice
@@ -134,7 +134,7 @@ def simulate_watermarks(
 
     Returns ``(keys_per_shard, pairs_per_shard)`` such that
     ``sum(pairs) == M(M−1)/2`` — the deterministic fallback when a shard
-    rebuilds from a registry whose manifest predates sharding or was
+    rebuilds from a registry whose records predate sharding or were
     written for a different shard count.
 
     >>> ring = ShardRing(2)
@@ -504,8 +504,8 @@ class ShardRouter:
 
     Lifecycle: :meth:`start` (spawn + reconcile against the registry),
     :meth:`scan_batch` per admitted batch (on the service's scan thread),
-    :meth:`sync` as the drain barrier *before* the final registry manifest
-    sync, :meth:`stop` to tear the fleet down.
+    :meth:`sync` as the drain barrier *before* the final registry sync,
+    :meth:`stop` to tear the fleet down.
     """
 
     def __init__(
@@ -692,7 +692,7 @@ class ShardRouter:
     def sync(self) -> None:
         """Drain barrier: every live shard persists its snapshot *now*.
 
-        Called before the final ``registry.sync()`` so the manifest's
+        Called before the final ``registry.sync()`` so the registry's
         watermarks never get ahead of the shard snapshots on disk.
         """
         for k, handle in enumerate(self._workers):

@@ -17,6 +17,8 @@ from repro.rsa.corpus import generate_weak_corpus
 from repro.service.registry import WeakKeyRegistry
 from repro.telemetry import Telemetry
 
+from tests.service.test_registry import write_v1
+
 
 def _record(store, name, blob, values):
     info = write_blob(store.spool_dir / blob, values)
@@ -152,22 +154,25 @@ class TestIndentedManifestCompat:
     """State written by a version that indented its manifests."""
 
     def test_indented_state_loads_verifies_and_is_rewritten_compact(self, tmp_path):
+        # the registry of that version was a manifest over per-batch blobs
         corpus = generate_weak_corpus(24, 64, shared_groups=(2, 3), seed="indent-compat")
-        registry = WeakKeyRegistry(tmp_path)
-        registry.load()
         scanner = IncrementalScanner(bits=64, spool_dir=tmp_path / "ptree")
+        batches = []
         for start in (0, 8):
             chunk = corpus.moduli[start : start + 8]
-            registry.commit_batch(chunk, scanner.add_batch(chunk).hits)
+            found = scanner.add_batch(chunk).hits
+            batches.append((chunk, [(h.i, h.j, h.prime) for h in found]))
+        write_v1(tmp_path, batches)
         manifests = [tmp_path / MANIFEST_NAME, tmp_path / "ptree" / MANIFEST_NAME]
         for path in manifests:
             _indent_manifest(path)
             assert path.read_bytes().startswith(b'{\n  "version": 1,')
-        hits = [(h.i, h.j, h.prime) for h in registry.hits]
+        hits = sorted(h for _, found in batches for h in found)
         assert len(hits) == 2
 
         reloaded = WeakKeyRegistry(tmp_path)
         assert reloaded.load() == 2
+        assert not manifests[0].exists()  # converted to the registry log
         assert [(h.i, h.j, h.prime) for h in reloaded.hits] == hits
         telemetry = Telemetry.create()
         resumed = IncrementalScanner.restore(
@@ -184,7 +189,7 @@ class TestIndentedManifestCompat:
         reloaded.commit_batch(chunk, resumed.add_batch(chunk).hits)
         assert resumed.coverage_is_complete()
         assert len(reloaded.hits) == 4
-        for path in manifests:
+        for path in manifests[1:]:
             body = path.read_bytes()
             assert body == (json.dumps(json.loads(body), separators=(",", ":")) + "\n").encode()
             assert read_sidecar(path) == hashlib.sha256(body).hexdigest()

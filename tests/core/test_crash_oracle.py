@@ -364,6 +364,45 @@ def test_registry_commit_batch_survives_power_loss(tmp_path, monkeypatch):
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 
 
+def test_registry_v1_conversion_survives_power_loss(tmp_path, monkeypatch):
+    from repro.core.checkpoint import Manifest, StageRecord
+    from repro.core.spool import write_blob
+
+    state = tmp_path / "state"
+    state.mkdir()
+    batches = [(MODULI[:3], []), (MODULI[3:], [(0, 5, P[0])])]
+    manifest = Manifest(config={
+        "format": "weak-key-registry/1", "bits": 64, "duplicate_submissions": 4,
+        "exponents": {"4": 3}, "shard_state": {"shards": 2},
+    })
+    for b, (keys, hits) in enumerate(batches):
+        for kind, values in (("keys", keys), ("hits", [x for h in hits for x in h])):
+            info = write_blob(state / f"{kind}-{b:06d}.bin", values)
+            manifest.stages.append(StageRecord(
+                name=f"{kind}.{b}", blob=info.path.name, count=info.count,
+                nbytes=info.nbytes, sha256=info.sha256, seconds=0.0,
+            ))
+    CheckpointStore(state).save(manifest)
+
+    with recording(state, monkeypatch) as rec:
+        WeakKeyRegistry(state).load()
+        rec.ack("converted")
+
+    def check(where: Path, acks: tuple[str, ...]) -> list[str]:
+        # whether or not the conversion was acknowledged, every state holds
+        # the whole v1 registry: the old layout or the finished log
+        loaded = WeakKeyRegistry(where)
+        if loaded.load() != 2:
+            return [f"registry holds {loaded.n_batches} batches, not 2"]
+        got = (loaded.moduli, [(h.i, h.j, h.prime) for h in loaded.hits],
+               loaded.duplicate_submissions, loaded.exponent_of(4), loaded.shard_state())
+        if got != (MODULI, [(0, 5, P[0])], 4, 3, {"shards": 2}):
+            return [f"converted registry differs from the v1 content: {got}"]
+        return []
+
+    assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
+
+
 def test_ptree_persist_survives_power_loss(tmp_path, monkeypatch):
     spool = tmp_path / "ptree"
     tree = PersistentProductTree(spool_dir=spool)

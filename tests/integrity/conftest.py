@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import chainlog
 from repro.core.attack import find_shared_primes
 from repro.core.ptree import PersistentProductTree
 from repro.resilience.faults import reset_plan
@@ -82,3 +83,27 @@ def truncate_tail(path: Path, drop: int | None = None) -> None:
     data = path.read_bytes()
     n = max(1, len(data) // 4) if drop is None else drop
     path.write_bytes(data[: len(data) - n])
+
+
+def record_region(state_dir: Path, batch: int, part: str = "body") -> tuple[Path, int, int]:
+    """``(segment, start, end)`` of one commit record's ``body``, ``keys``,
+    ``hits`` or ``header`` bytes in the registry log."""
+    frame = next(
+        f for f in chainlog.read_log(state_dir).frames if f.header.get("batch") == batch
+    )
+    cut = frame.body_at + frame.header["keys_nbytes"]
+    start, end = {
+        "body": (frame.body_at, frame.body_at + frame.body_len),
+        "keys": (frame.body_at, cut),
+        "hits": (cut, frame.body_at + frame.body_len),
+        "header": (frame.header_at, frame.body_at),
+    }[part]
+    return chainlog.segment_path(state_dir, frame.segment), start, end
+
+
+def flip_record_byte(state_dir: Path, batch: int, part: str = "body") -> Path:
+    """Flip the middle byte of one part of a commit record; returns its segment."""
+    path, start, end = record_region(state_dir, batch, part)
+    assert end > start, f"batch {batch} has no {part} bytes"
+    flip_byte(path, (start + end) // 2)
+    return path

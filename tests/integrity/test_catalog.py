@@ -2,10 +2,14 @@
 
 import json
 
+from repro.core import chainlog
 from repro.core.spool import write_sidecar
 from repro.integrity.catalog import ArtifactCatalog
 
-from tests.integrity.conftest import build_state, flip_byte, truncate_tail
+from tests.integrity.conftest import build_state, flip_record_byte, truncate_tail
+
+LOG = "registry-000000.log"
+PTREE_MANIFEST = "ptree/manifest.json"
 
 
 def scan(state_dir):
@@ -29,9 +33,8 @@ class TestCleanState:
         build_state(tmp_path, corpus, corpus_hits)
         report = scan(tmp_path)
         names = {f.artifact for f in report.findings}
-        assert "manifest.json" in names
-        assert "keys-000000.bin" in names
-        assert "hits-000000.bin" in names
+        assert LOG in names
+        assert PTREE_MANIFEST in names
         assert any(a.startswith("ptree/seg-") for a in names)
 
     def test_empty_directory_is_clean(self, tmp_path):
@@ -42,18 +45,19 @@ class TestCleanState:
 class TestBlobVerdicts:
     def test_bitflip_is_hash_mismatch(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        flip_byte(tmp_path / "keys-000000.bin")
-        assert verdicts(scan(tmp_path)) == {"keys-000000.bin": "hash-mismatch"}
+        flip_record_byte(tmp_path, 0, "keys")
+        assert verdicts(scan(tmp_path)) == {LOG: "hash-mismatch"}
 
     def test_truncation_is_torn_tail(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        truncate_tail(tmp_path / "keys-000001.bin")
-        assert verdicts(scan(tmp_path)) == {"keys-000001.bin": "torn-tail"}
+        truncate_tail(tmp_path / LOG, drop=5)  # inside the last record
+        assert verdicts(scan(tmp_path)) == {LOG: "torn-tail"}
 
-    def test_deleted_blob_is_missing(self, tmp_path, corpus, corpus_hits):
+    def test_deleted_blob_is_missing(self, tmp_path, corpus, corpus_hits, monkeypatch):
+        monkeypatch.setattr(chainlog, "SEGMENT_BYTES", 1)  # a segment per batch
         build_state(tmp_path, corpus, corpus_hits)
-        (tmp_path / "hits-000000.bin").unlink()
-        assert verdicts(scan(tmp_path)) == {"hits-000000.bin": "missing"}
+        (tmp_path / LOG).unlink()
+        assert verdicts(scan(tmp_path)) == {LOG: "missing"}
 
     def test_unreferenced_blob_is_orphan_warning(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
@@ -61,6 +65,22 @@ class TestBlobVerdicts:
         report = scan(tmp_path)
         assert report.clean  # warnings never flip the corrupt rollup
         assert verdicts(report) == {"keys-000099.bin": "orphan"}
+
+    def test_closed_segment_must_continue_the_chain(
+        self, tmp_path, corpus, corpus_hits, monkeypatch
+    ):
+        monkeypatch.setattr(chainlog, "SEGMENT_BYTES", 1)  # a segment per batch
+        build_state(tmp_path, corpus, corpus_hits)
+        truncate_tail(tmp_path / LOG, drop=5)  # a closed segment cannot be torn
+        found = verdicts(scan(tmp_path))
+        assert found == {LOG: "hash-mismatch", "registry-000001.log": "hash-mismatch"}
+
+    def test_header_damage_is_hash_mismatch(self, tmp_path, corpus, corpus_hits):
+        build_state(tmp_path, corpus, corpus_hits)
+        flip_record_byte(tmp_path, 0, "header")
+        report = scan(tmp_path)
+        assert verdicts(report) == {LOG: "hash-mismatch"}
+        assert "fails its link" in report.corrupt[0].detail
 
     def test_zeroed_region_is_hash_mismatch(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
@@ -77,28 +97,28 @@ class TestBlobVerdicts:
 class TestManifestVerdicts:
     def test_manifest_bitflip_is_detected(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        path = tmp_path / "manifest.json"
+        path = tmp_path / PTREE_MANIFEST
         text = path.read_text().replace('"count"', '"cxunt"', 1)
         path.write_text(text)
         report = scan(tmp_path)
         assert not report.clean
         assert any(
-            f.artifact == "manifest.json" and f.verdict == "hash-mismatch"
+            f.artifact == PTREE_MANIFEST and f.verdict == "hash-mismatch"
             for f in report.corrupt
         )
 
     def test_manifest_truncation_is_torn_tail(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        truncate_tail(tmp_path / "manifest.json", drop=20)
+        truncate_tail(tmp_path / PTREE_MANIFEST, drop=20)
         report = scan(tmp_path)
         assert any(
-            f.artifact == "manifest.json" and f.verdict == "torn-tail"
+            f.artifact == PTREE_MANIFEST and f.verdict == "torn-tail"
             for f in report.corrupt
         )
 
     def test_stale_sidecar_is_warning_not_corrupt(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        write_sidecar(tmp_path / "manifest.json", "0" * 64)
+        write_sidecar(tmp_path / PTREE_MANIFEST, "0" * 64)
         report = scan(tmp_path)
         assert report.clean
         assert any(f.verdict == "stale-checksum" for f in report.warnings)
@@ -165,7 +185,7 @@ class TestQuarantineExclusion:
         build_state(tmp_path, corpus, corpus_hits)
         q = tmp_path / "quarantine"
         q.mkdir()
-        (q / "keys-000000.bin").write_bytes(b"garbage")
+        (q / LOG).write_bytes(b"garbage")
         report = scan(tmp_path)
         assert report.clean
         assert not any("quarantine" in f.artifact for f in report.findings)
@@ -174,7 +194,7 @@ class TestQuarantineExclusion:
 class TestReportShape:
     def test_to_json_round_trips(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        flip_byte(tmp_path / "keys-000000.bin")
+        flip_record_byte(tmp_path, 0)
         payload = scan(tmp_path).to_json()
         blob = json.loads(json.dumps(payload))
         assert blob["clean"] is False

@@ -76,17 +76,22 @@ def family_verdicts(state_dir, family, *, corrupt_only=False):
     }
 
 
+LOG = "registry-000000.log"
+
+
 @pytest.mark.parametrize("mode,verdict", MODE_VERDICT)
 class TestRegistryFamily:
     def test_detect_repair_rescan(self, tmp_path, corpus, mode, verdict):
+        # ``#3`` rots the body of batch 1's record (each record counts its
+        # body, then its header): the keys and hits that redundancy holds
         hits = run_batches(
-            tmp_path, corpus, f"registry.commit#1=corrupt:{mode}"
+            tmp_path, corpus, f"registry.commit#3=corrupt:{mode}"
         )
         assert hits  # the planted pairs surfaced before the rot
-        assert family_verdicts(tmp_path, "registry") == {"keys-000000.bin": verdict}
+        assert family_verdicts(tmp_path, "registry") == {LOG: verdict}
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert (tmp_path / "quarantine" / "keys-000000.bin").exists()
+        assert (tmp_path / "quarantine" / LOG).exists()
         assert_recovered(tmp_path, corpus, hits)
 
 
@@ -108,15 +113,16 @@ class TestPtreeFamily:
 
 
 @pytest.mark.parametrize("mode", ["truncate", "zero"])
-class TestRegistryManifestFamily:
+class TestRegistryHeaderFamily:
     def test_root_of_truth_damage_refuses_not_launders(self, tmp_path, corpus, mode):
-        # every manifest save is corrupted, including the root registry
-        # manifest — the one artifact fsck must never "repair" around
-        run_batches(tmp_path, corpus, f"manifest.commit=corrupt:{mode}")
+        # ``#2`` rots the header of batch 0's record, which batch 1's
+        # record then follows: the one part of the log no redundancy
+        # holds, so fsck must never "repair" around it
+        run_batches(tmp_path, corpus, f"registry.commit#2=corrupt:{mode}")
         verdicts = family_verdicts(tmp_path, "registry")
-        assert verdicts.get("manifest.json") in ("torn-tail", "hash-mismatch")
-        blobs_before = {
-            p.name: p.read_bytes() for p in tmp_path.glob("*.bin")
+        assert verdicts.get(LOG) in ("torn-tail", "hash-mismatch")
+        files_before = {
+            p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
         }
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
@@ -124,8 +130,10 @@ class TestRegistryManifestFamily:
             "refusing to repair anything that depends on it" in r["reason"]
             for r in report.refusals
         )
-        # intact blobs were not touched by the refused repair
-        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.bin")} == blobs_before
+        # intact files were not touched by the refused repair
+        assert {
+            p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+        } == files_before
 
 
 @pytest.mark.parametrize("mode,verdict", MODE_VERDICT)

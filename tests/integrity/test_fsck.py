@@ -3,11 +3,20 @@
 import hashlib
 import json
 
+from repro.core import chainlog
 from repro.core.spool import read_blob, write_blob, write_sidecar
 from repro.integrity.fsck import run_fsck
 from repro.service.registry import WeakKeyRegistry
 
-from tests.integrity.conftest import build_state, flip_byte, truncate_tail
+from tests.integrity.conftest import (
+    build_state,
+    flip_byte,
+    flip_record_byte,
+    record_region,
+    truncate_tail,
+)
+
+LOG = "registry-000000.log"
 
 
 def repairs_of(report, action=None):
@@ -23,7 +32,7 @@ class TestCheckOnly:
 
     def test_check_only_never_mutates(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        flip_byte(tmp_path / "keys-000000.bin")
+        flip_record_byte(tmp_path, 0)
         before = {
             p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
         }
@@ -39,28 +48,51 @@ class TestCheckOnly:
 class TestRegistryRepair:
     def test_keys_blob_rebuilt_from_ptree(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        pristine = (tmp_path / "keys-000000.bin").read_bytes()
-        flip_byte(tmp_path / "keys-000000.bin")
+        pristine = (tmp_path / LOG).read_bytes()
+        flip_record_byte(tmp_path, 0, "keys")
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert (tmp_path / "keys-000000.bin").read_bytes() == pristine
-        assert (tmp_path / "quarantine" / "keys-000000.bin").exists()
+        assert (tmp_path / LOG).read_bytes() == pristine
+        assert (tmp_path / "quarantine" / LOG).exists()
 
     def test_hits_blob_rebuilt_by_gcd_rescan(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        damaged = [p for p in tmp_path.glob("hits-*.bin") if p.stat().st_size > 12]
-        pristine = damaged[0].read_bytes()
-        flip_byte(damaged[0])
+        pristine = (tmp_path / LOG).read_bytes()
+        batch = next(b for b in (0, 1) if record_region(tmp_path, b, "hits")[2]
+                     > record_region(tmp_path, b, "hits")[1])
+        flip_record_byte(tmp_path, batch, "hits")
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert damaged[0].read_bytes() == pristine
+        assert (tmp_path / LOG).read_bytes() == pristine
+
+    def test_torn_record_rebuilt_when_its_header_survived(
+        self, tmp_path, corpus, corpus_hits
+    ):
+        build_state(tmp_path, corpus, corpus_hits)
+        pristine = (tmp_path / LOG).read_bytes()
+        _, start, end = record_region(tmp_path, 1, "body")
+        (tmp_path / LOG).write_bytes(pristine[: (start + end) // 2])
+        report = run_fsck(tmp_path, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        assert (tmp_path / LOG).read_bytes() == pristine
+
+    def test_torn_record_without_header_is_cut_off(self, tmp_path, corpus, corpus_hits):
+        build_state(tmp_path, corpus, corpus_hits)
+        pristine = (tmp_path / LOG).read_bytes()
+        _, start, _ = record_region(tmp_path, 1, "header")
+        (tmp_path / LOG).write_bytes(pristine[:start])  # torn inside its prefix
+        report = run_fsck(tmp_path, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        assert repairs_of(report, "truncate")
+        fresh = WeakKeyRegistry(tmp_path)
+        assert fresh.load() == 1
 
     def test_registry_survives_reload_after_repair(
         self, tmp_path, corpus, corpus_hits
     ):
         registry = build_state(tmp_path, corpus, corpus_hits)
         expected_hits = {(h.i, h.j) for h in registry.hits}
-        flip_byte(tmp_path / "keys-000001.bin")
+        flip_record_byte(tmp_path, 1, "keys")
         assert run_fsck(tmp_path, repair=True).healed
         fresh = WeakKeyRegistry(tmp_path)
         fresh.load()
@@ -86,20 +118,21 @@ class TestRegistryRepair:
             body = json.dumps(payload).encode()
             (sdir / "shard.json").write_bytes(body)
             write_sidecar(sdir / "shard.json", hashlib.sha256(body).hexdigest())
-        pristine = (tmp_path / "keys-000000.bin").read_bytes()
-        flip_byte(tmp_path / "keys-000000.bin")
+        pristine = (tmp_path / LOG).read_bytes()
+        flip_record_byte(tmp_path, 0, "keys")
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert (tmp_path / "keys-000000.bin").read_bytes() == pristine
+        assert (tmp_path / LOG).read_bytes() == pristine
 
     def test_no_redundancy_refuses_loudly(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
-        flip_byte(tmp_path / "keys-000000.bin")
+        flip_record_byte(tmp_path, 0, "keys")
+        damaged = (tmp_path / LOG).read_bytes()
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
         assert any("no intact redundancy" in r["reason"] for r in report.refusals)
-        # the damaged blob stays put for forensics — nothing destructive
-        assert (tmp_path / "keys-000000.bin").exists()
+        # the damaged log stays put for forensics — nothing destructive
+        assert (tmp_path / LOG).read_bytes() == damaged
 
 
 class TestPtreeRepair:
@@ -134,7 +167,7 @@ class TestPtreeRepair:
         corpus = generate_weak_corpus(12, 64, shared_groups=(2,), seed=5)
         hits = find_shared_primes(corpus.moduli).hits
         build_state(tmp_path, corpus, hits)
-        flip_byte(tmp_path / "keys-000000.bin")  # indices 0-5: inside seg A
+        flip_record_byte(tmp_path, 0, "keys")  # indices 0-5: inside seg A
         seg_b = sorted((tmp_path / "ptree").glob("seg-00000008-*.bin"))
         assert seg_b, sorted((tmp_path / "ptree").iterdir())
         truncate_tail(seg_b[0])
@@ -146,17 +179,26 @@ class TestPtreeRepair:
 
 
 class TestRootOfTruthRefusals:
-    def test_corrupt_registry_manifest_refuses(self, tmp_path, corpus, corpus_hits):
+    def test_corrupt_registry_header_refuses(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        path = tmp_path / "manifest.json"
-        path.write_text(path.read_text().replace('"sha256"', '"sha256x"', 1))
+        flip_record_byte(tmp_path, 0, "header")
+        damaged = (tmp_path / LOG).read_bytes()
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
         assert any(
-            r["artifact"] == "manifest.json"
+            r["artifact"] == LOG
             and "refusing to repair anything that depends on it" in r["reason"]
             for r in report.refusals
         )
+        assert (tmp_path / LOG).read_bytes() == damaged
+
+    def test_missing_segment_refuses(self, tmp_path, corpus, corpus_hits, monkeypatch):
+        monkeypatch.setattr(chainlog, "SEGMENT_BYTES", 1)  # a segment per batch
+        build_state(tmp_path, corpus, corpus_hits)
+        (tmp_path / LOG).unlink()
+        report = run_fsck(tmp_path, repair=True)
+        assert not report.healed
+        assert any("missing" in r["reason"] for r in report.refusals)
 
     def test_corrupt_cursor_refuses(self, tmp_path):
         from repro.ingest.cursor import CrawlCursor, CrawlState
@@ -237,24 +279,29 @@ class TestSidecarRefresh:
         self, tmp_path, corpus, corpus_hits
     ):
         build_state(tmp_path, corpus, corpus_hits)
-        write_sidecar(tmp_path / "manifest.json", "0" * 64)
+        manifest = tmp_path / "ptree" / "manifest.json"
+        write_sidecar(manifest, "0" * 64)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed
-        recorded = (tmp_path / "manifest.json.sha256").read_text().strip()
-        actual = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+        recorded = (tmp_path / "ptree" / "manifest.json.sha256").read_text().strip()
+        actual = hashlib.sha256(manifest.read_bytes()).hexdigest()
         assert recorded == actual
 
     def test_stale_sidecar_not_refreshed_over_unrepaired_damage(
         self, tmp_path, corpus, corpus_hits
     ):
         # refreshing a sidecar in a family that still has corruption would
-        # launder the damage into a "verified" state — must not happen
-        build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
-        flip_byte(tmp_path / "keys-000000.bin")  # unrepairable: no redundancy
-        write_sidecar(tmp_path / "manifest.json", "0" * 64)
+        # launder the damage into a "verified" state — must not happen.  A
+        # damaged registry header refuses the registry, so the damaged tree
+        # cannot be regrown and its family stays corrupt.
+        build_state(tmp_path, corpus, corpus_hits)
+        flip_record_byte(tmp_path, 0, "header")
+        flip_byte(sorted((tmp_path / "ptree").glob("seg-*.bin"))[0])
+        write_sidecar(tmp_path / "ptree" / "manifest.json", "0" * 64)
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
-        assert (tmp_path / "manifest.json.sha256").read_text().strip() == "0" * 64
+        side = tmp_path / "ptree" / "manifest.json.sha256"
+        assert side.read_text().strip() == "0" * 64
 
 
 class TestQuarantineLayout:
@@ -262,11 +309,9 @@ class TestQuarantineLayout:
         build_state(tmp_path, corpus, corpus_hits)
         q = tmp_path / "quarantine"
         q.mkdir()
-        (q / "keys-000000.bin").write_bytes(b"earlier incident")
-        flip_byte(tmp_path / "keys-000000.bin")
+        (q / LOG).write_bytes(b"earlier incident")
+        flip_record_byte(tmp_path, 0)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert (q / "keys-000000.bin").read_bytes() == b"earlier incident"
-        assert any(
-            p.name.startswith("keys-000000.bin.") for p in q.iterdir()
-        ), list(q.iterdir())
+        assert (q / LOG).read_bytes() == b"earlier incident"
+        assert any(p.name.startswith(LOG + ".") for p in q.iterdir()), list(q.iterdir())

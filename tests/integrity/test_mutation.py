@@ -2,7 +2,8 @@
 
 The deep-verify contract is stronger than "the chaos suite's three
 corruption shapes are caught": *any* byte of *any* committed RGSPOOL1
-blob or manifest can rot, and the catalog must say so.  Hypothesis
+blob, manifest or registry log segment can rot, and the catalog must
+say so.  Hypothesis
 drives the quantifier — it picks the artifact, the offset, and the XOR
 delta; shrinking turns a miss into the smallest undetected mutation,
 which is exactly the bug report you want.
@@ -60,8 +61,7 @@ def state_dir(tmp_path_factory):
 
 
 FAMILIES = {
-    "registry": lambda root: [root / "keys-000000.bin", root / "hits-000000.bin",
-                              root / "manifest.json"],
+    "registry": lambda root: [root / "registry-000000.log"],
     "ptree": lambda root: sorted((root / "ptree").glob("seg-*.bin"))
     + [root / "ptree" / "manifest.json"],
     "batchscan": lambda root: [root / "shard-000" / "blob-000.bin",
@@ -108,8 +108,9 @@ def test_any_truncation_is_detected(state_dir, family, data):
     try:
         path.write_bytes(raw[:keep])
         report = ArtifactCatalog(state_dir).scan()
-        if path.suffix == ".bin":
-            # every blob byte is pinned: truncation is corrupt, full stop
+        if path.suffix in (".bin", ".log"):
+            # every blob byte is pinned, and a log segment never holds zero
+            # records: truncation is corrupt, full stop
             detected = report.corrupt
         else:
             # manifest truncation that leaves valid JSON (e.g. dropping

@@ -4,7 +4,7 @@ import asyncio
 
 from repro.core.spool import write_sidecar
 
-from tests.integrity.conftest import flip_byte
+from tests.integrity.conftest import flip_record_byte
 from tests.service.test_http import request, serve
 
 #: a scrub cadence fast enough for tests, slow enough to never starve the loop
@@ -75,7 +75,7 @@ class TestScrubberLifecycle:
 class TestDegradedMode:
     def test_corruption_trips_degraded_503_writes_200_reads(self, tmp_path, corpus):
         async def after(server):
-            flip_byte(tmp_path / "keys-000000.bin")
+            flip_record_byte(tmp_path, 0)
 
             async def degraded():
                 _, _, health = await request(server.port, "GET", "/healthz")
@@ -83,7 +83,7 @@ class TestDegradedMode:
 
             await wait_for(degraded)
             _, _, health = await request(server.port, "GET", "/healthz")
-            assert "keys-000000.bin" in health["degraded_reason"]
+            assert "registry-000000.log" in health["degraded_reason"]
 
             status, headers, body = await request(
                 server.port, "POST", "/submit",
@@ -105,8 +105,8 @@ class TestDegradedMode:
 
     def test_degraded_is_sticky_until_restart(self, tmp_path, corpus):
         async def after(server):
-            pristine = (tmp_path / "keys-000000.bin").read_bytes()
-            flip_byte(tmp_path / "keys-000000.bin")
+            pristine = (tmp_path / "registry-000000.log").read_bytes()
+            flip_record_byte(tmp_path, 0)
 
             async def degraded():
                 _, _, health = await request(server.port, "GET", "/healthz")
@@ -115,7 +115,7 @@ class TestDegradedMode:
             await wait_for(degraded)
             # un-flipping the byte does not clear the trip: only an
             # operator fsck + restart attests the state is sound again
-            (tmp_path / "keys-000000.bin").write_bytes(pristine)
+            (tmp_path / "registry-000000.log").write_bytes(pristine)
             _, _, before = await request(server.port, "GET", "/healthz")
             cycles = before["scrub"]["cycles"]
 
@@ -131,7 +131,7 @@ class TestDegradedMode:
 
     def test_warnings_do_not_degrade(self, tmp_path, corpus):
         async def after(server):
-            write_sidecar(tmp_path / "manifest.json", "0" * 64)
+            write_sidecar(tmp_path / "ptree" / "manifest.json", "0" * 64)
 
             async def warned():
                 _, _, health = await request(server.port, "GET", "/healthz")
@@ -152,7 +152,7 @@ class TestDegradedMode:
         from repro.integrity.fsck import run_fsck
 
         async def after(server):
-            flip_byte(tmp_path / "keys-000000.bin")
+            flip_record_byte(tmp_path, 0)
 
             async def degraded():
                 _, _, health = await request(server.port, "GET", "/healthz")
