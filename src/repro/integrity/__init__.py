@@ -9,12 +9,20 @@ tail truncation, rebuild-from-redundancy), :mod:`repro.integrity.scrub`
 re-hashes committed artifacts continuously inside ``repro serve``, and
 :mod:`repro.integrity.lock` keeps fsck and a live service from racing
 each other.  Narrative documentation: ``docs/INTEGRITY.md``.
-
-The names below are lazy (:mod:`repro._lazy`): ``repro serve`` imports
-the scrubber and the lock, and never loads the fsck repair code.
 """
 
-from repro._lazy import lazy_exports
+from repro.integrity.catalog import (
+    ArtifactCatalog,
+    CatalogReport,
+    Finding,
+    SEVERITY_CORRUPT,
+    SEVERITY_OK,
+    SEVERITY_WARNING,
+    VERDICTS,
+)
+from repro.integrity.fsck import FsckError, FsckReport, run_fsck
+from repro.integrity.lock import LockHeld, StateLock
+from repro.integrity.scrub import Scrubber
 
 __all__ = [
     "ArtifactCatalog",
@@ -31,13 +39,3 @@ __all__ = [
     "VERDICTS",
     "run_fsck",
 ]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.integrity.catalog": (
-        "ArtifactCatalog", "CatalogReport", "Finding",
-        "SEVERITY_CORRUPT", "SEVERITY_OK", "SEVERITY_WARNING", "VERDICTS",
-    ),
-    "repro.integrity.fsck": ("FsckError", "FsckReport", "run_fsck"),
-    "repro.integrity.lock": ("LockHeld", "StateLock"),
-    "repro.integrity.scrub": ("Scrubber",),
-})

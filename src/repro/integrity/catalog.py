@@ -5,12 +5,14 @@ verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
 
 ``registry``        the ``registry-*.log`` segments of the hash-chained
                     registry log (:mod:`repro.core.chainlog`), one
-                    verification unit per segment.
+                    verification unit per segment.  A root
+                    ``manifest.json`` of format ``weak-key-registry/1``
+                    (per-batch blobs the registry has not converted to
+                    the log yet) is in this family too.
 ``ptree``           a ``product-tree/1`` manifest plus ``seg-*.bin``
                     segment blobs (usually at ``state_dir/ptree/``).
 ``spool``           any other checkpointed spool (the batchscan
-                    pipeline's level blobs, or a ``weak-key-registry/1``
-                    dir that the registry has not converted yet).
+                    pipeline's level blobs).
 ``shard-snapshot``  ``shards/<k>/shard.json`` files
                     (``repro.shard-snapshot/1``), checksummed by a
                     ``.sha256`` sidecar.
@@ -86,6 +88,8 @@ _SEVERITY = {
     "missing": SEVERITY_CORRUPT,
 }
 
+#: the per-batch blob layout ``WeakKeyRegistry.load`` converts to the log
+REGISTRY_V1_FORMAT = "weak-key-registry/1"
 PTREE_FORMAT = "product-tree/1"
 SHARD_FORMAT = "repro.shard-snapshot/1"
 CURSOR_FORMAT = "repro-ct-cursor-v1"
@@ -253,12 +257,23 @@ class ArtifactCatalog:
                 continue
             payload, verdict, _ = _read_json(manifest)
             fmt = (payload or {}).get("config", {}).get("format")
-            # an unreadable manifest carries no format tag; ``ptree/`` is
-            # the product tree by the well-known directory layout
-            ptree = fmt == PTREE_FORMAT or (
-                verdict != "ok" and manifest.parent.name == "ptree"
-            )
-            out.append((manifest.parent, "ptree" if ptree else "spool"))
+            if fmt == REGISTRY_V1_FORMAT:
+                family = "registry"
+            elif fmt == PTREE_FORMAT:
+                family = "ptree"
+            else:
+                family = "spool"
+            if verdict != "ok":
+                # an unreadable manifest carries no format tag; classify by
+                # the well-known directory layout — the root manifest is a
+                # registry not yet converted to the log until proven
+                # otherwise (fsck's refuse-to-touch rule keys off this),
+                # ``ptree/`` is the product tree
+                if manifest.parent == self.state_dir:
+                    family = "registry"
+                elif manifest.parent.name == "ptree":
+                    family = "ptree"
+            out.append((manifest.parent, family))
         return out
 
     # -- verification ----------------------------------------------------------

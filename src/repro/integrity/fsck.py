@@ -14,7 +14,8 @@ redundancy that earlier rungs must read first:
 2. **Registry hits** of such a record are recomputed by a pairwise GCD
    rescan of the (now complete) moduli, again accepted only on pin
    match.  A torn final record is rebuilt the same way when its header
-   survived, and cut off (as a load would) when it did not.
+   survived and redundancy proves it, and cut off, as a load would,
+   otherwise — never refused.
 3. **Derived data is rebuilt, damaged originals quarantined**: corrupt
    ptree segments/manifest are quarantined wholesale and the tree is
    regrown from registry moduli; corrupt shard snapshots are quarantined
@@ -33,7 +34,10 @@ redundancy that earlier rungs must read first:
 nonzero — when the damaged party is the root of truth itself: a damaged
 registry record header, link or frame, a missing log segment, a corrupt
 ingest cursor, a registry body with no intact redundancy, or a
-``seen.log`` that lost committed records.
+``seen.log`` that lost committed records.  A damaged registry still in
+the ``weak-key-registry/1`` layout is refused whole, and nothing in its
+state directory is touched: fsck repairs only the log, and converting
+that registry would keep only its verified prefix.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ __all__ = ["FsckError", "FsckReport", "run_fsck"]
 
 class FsckError(RuntimeError):
     """A repair attempt that must not proceed (never raised on check-only runs)."""
+
+
+class _Unprovable(Exception):
+    """A damaged registry body that no rebuild can match to its pins."""
 
 
 @dataclass
@@ -130,6 +138,7 @@ class _Repairer:
     def __init__(self, state_dir: Path, report: FsckReport) -> None:
         self.state_dir = state_dir
         self.report = report
+        self._redundancy: dict[int, int] | None = None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -153,6 +162,20 @@ class _Repairer:
 
     def run(self) -> None:
         corrupt = {f.artifact: f for f in self.report.scan.corrupt}
+        unconverted = sorted(
+            a for a, f in corrupt.items()
+            if f.family == "registry" and not a.endswith(".log")
+        )
+        if unconverted:
+            self._refuse(
+                unconverted[0],
+                "the registry is still in the weak-key-registry/1 layout and is "
+                "damaged; fsck repairs only the registry log, and converting now "
+                "would keep only the verified prefix — refusing to touch this "
+                "state directory (restore the damaged files, then start the "
+                "service, which converts the registry)",
+            )
+            return
         moduli, complete = self._repair_registry()
         self._repair_ptree(corrupt, moduli, complete)
         self._repair_spools(corrupt)
@@ -168,18 +191,20 @@ class _Repairer:
 
         A damaged body under an intact header is rebuilt: keys from
         redundancy, hits by a GCD rescan, each accepted only if it matches
-        the header's pin.  A torn final frame that lost its header is cut
-        off, as a load would.  Any other damage — a header, a link, the
-        framing, a missing segment — is the root of truth itself, so the
-        whole registry is refused.  A torn state record is cut off too:
-        it only repeats bookkeeping the commits before it hold.
+        the header's pin.  A torn final commit whose header survived is
+        rebuilt the same way — on disk, a tear and a truncation of an
+        acknowledged record look alike — and cut off, as a load would,
+        when nothing proves it; so is a torn tail that lost its header,
+        and a torn state record, which only repeats bookkeeping the
+        commits before it hold.  Any other damage — a header, a link, the
+        framing, a missing segment, a body nothing proves — is the root of
+        truth itself, so the registry is refused.
         """
         scan = chainlog.read_log(self.state_dir)
         if not scan.segments:
             return {}, False
-        hard = [f for f in scan.faults if f.frame is None]
-        for fault in hard:
-            if fault.verdict == "torn-tail":
+        for fault in scan.faults:
+            if fault.frame is not None or fault.verdict == "torn-tail":
                 continue
             self._refuse(
                 self._segment_rel(fault.segment),
@@ -190,44 +215,44 @@ class _Repairer:
         if self.report.refusals:
             return {}, False
 
-        commits = [f for f in scan.frames if f.header.get("kind") == "commit"]
+        final = scan.segments[-1][0]
         layout = []  # (frame, base, count)
         moduli: dict[int, int] = {}
         base = 0
-        for frame in commits:
+        for frame in scan.frames:
+            if frame.header.get("kind") != "commit":
+                continue
             count = int(frame.header["keys"])
             layout.append((frame, base, count))
             keys = self._verified_part(frame, "keys")
-            if keys is not None:
+            if keys is not None and frame.damage != "torn":
                 moduli.update(enumerate(chainlog.unpack_ints(keys), start=base))
             base += count
         total = base
 
-        rebuilt: dict[int, list] = {}  # segment -> [(frame, new body)]
-        redundancy = None
+        fixes: dict[int, list] = {}  # segment -> [(frame or fault, new body or None to cut)]
         for frame, base, count in layout:
             if frame.damage is None:
                 continue
-            keys = self._verified_part(frame, "keys")
-            if keys is None:
-                if redundancy is None:
-                    redundancy = self._redundant_moduli()
-                keys = self._rebuild_keys(frame, base, count, redundancy, moduli)
-                if keys is None:
-                    continue
-            hits = self._verified_part(frame, "hits")
-            if hits is None:
-                hits = self._rescan_hits(frame, base, count, moduli)
-                if hits is None:
-                    continue
-            rebuilt.setdefault(frame.segment, []).append((frame, keys + hits))
+            try:
+                body = self._rebuilt_body(frame, base, count, moduli)
+            except _Unprovable as exc:
+                if frame.damage == "torn" and frame.segment == final:
+                    fixes.setdefault(frame.segment, []).append((frame, None))
+                    total -= count
+                else:
+                    self._refuse(
+                        self._segment_rel(frame.segment), f"batch {frame.header['batch']}: {exc}"
+                    )
+                continue
+            fixes.setdefault(frame.segment, []).append((frame, body))
 
         for fault in scan.faults:
             torn = fault.verdict == "torn-tail"
             if torn and (fault.frame is None or fault.frame.header.get("kind") != "commit"):
-                rebuilt.setdefault(fault.segment, []).append((fault, None))
-        for index, fixes in sorted(rebuilt.items()):
-            self._rewrite_segment(scan, index, fixes)
+                fixes.setdefault(fault.segment, []).append((fault, None))
+        for index, segment_fixes in sorted(fixes.items()):
+            self._rewrite_segment(scan, index, segment_fixes)
         return moduli, len(moduli) == total
 
     def _segment_rel(self, index: int) -> str:
@@ -243,16 +268,42 @@ class _Repairer:
     def _matches(self, frame: chainlog.Frame, part: str, data: bytes) -> bool:
         return hashlib.sha256(data).hexdigest() == frame.header["sha256"][part == "hits"]
 
-    def _pinned(self, frame: chainlog.Frame, part: str, data: bytes, detail: str) -> bytes | None:
-        """``data`` if it matches ``part``'s pin; a refusal otherwise."""
-        if self._matches(frame, part, data):
-            return data
-        self._refuse(
-            self._segment_rel(frame.segment),
-            f"batch {frame.header['batch']}: {part} {detail} miss the log's pin — "
-            "redundancy disagrees with the registry",
-        )
-        return None
+    def _pinned(self, frame: chainlog.Frame, part: str, data: bytes, detail: str) -> bytes:
+        """``data`` if it matches ``part``'s pin; :class:`_Unprovable` otherwise."""
+        if not self._matches(frame, part, data):
+            raise _Unprovable(
+                f"{part} {detail} miss the log's pin — redundancy disagrees with the registry"
+            )
+        return data
+
+    def _rebuilt_body(
+        self, frame: chainlog.Frame, base: int, count: int, moduli: dict[int, int]
+    ) -> bytes:
+        """``frame``'s pinned body: its intact part, the rest rebuilt.
+
+        Adds the batch's keys to ``moduli`` once the whole body is proved;
+        raises :class:`_Unprovable` when it cannot be.
+        """
+        keys = self._verified_part(frame, "keys")
+        if keys is None:
+            if self._redundancy is None:
+                self._redundancy = self._redundant_moduli()
+            values = [self._redundancy.get(g) for g in range(base, base + count)]
+            if None in values:
+                raise _Unprovable(
+                    "no intact redundancy (ptree leaf / shard snapshot) holds "
+                    f"modulus {base + values.index(None)}"
+                )
+            keys = self._pinned(frame, "keys", chainlog.pack_ints(values), "rebuilt from redundancy")
+        else:
+            values = chainlog.unpack_ints(keys)
+        batch = dict(enumerate(values, start=base))
+        hits = self._verified_part(frame, "hits")
+        if hits is None:
+            flat = self._rescan_hits(base, count, {**moduli, **batch})
+            hits = self._pinned(frame, "hits", flat, "recomputed by GCD rescan")
+        moduli.update(batch)
+        return keys + hits
 
     def _redundant_moduli(self) -> dict[int, int]:
         """Global index → modulus, from every intact redundancy source."""
@@ -292,40 +343,10 @@ class _Repairer:
                 continue
         return out
 
-    def _rebuild_keys(
-        self,
-        frame: chainlog.Frame,
-        base: int,
-        count: int,
-        redundancy: dict[int, int],
-        moduli: dict[int, int],
-    ) -> bytes | None:
-        values = []
-        for gidx in range(base, base + count):
-            n = redundancy.get(gidx)
-            if n is None:
-                self._refuse(
-                    self._segment_rel(frame.segment),
-                    f"batch {frame.header['batch']}: no intact redundancy "
-                    f"(ptree leaf / shard snapshot) holds modulus {gidx}",
-                )
-                return None
-            values.append(n)
-        keys = self._pinned(frame, "keys", chainlog.pack_ints(values), "rebuilt from redundancy")
-        if keys is not None:
-            moduli.update(enumerate(values, start=base))
-        return keys
-
-    def _rescan_hits(
-        self, frame: chainlog.Frame, base: int, count: int, moduli: dict[int, int]
-    ) -> bytes | None:
+    def _rescan_hits(self, base: int, count: int, moduli: dict[int, int]) -> bytes:
+        """The batch's hits, flat, by a pairwise GCD rescan of ``moduli``."""
         if any(g not in moduli for g in range(base + count)):
-            self._refuse(
-                self._segment_rel(frame.segment),
-                f"batch {frame.header['batch']}: cannot rescan hits, the "
-                "registry's moduli are incomplete",
-            )
-            return None
+            raise _Unprovable("cannot rescan hits, the registry's moduli are incomplete")
         hits = []
         for j in range(base, base + count):
             for i in range(j):
@@ -333,8 +354,7 @@ class _Repairer:
                 if g > 1 and g != moduli[i]:
                     hits.append((i, j, g))
         hits.sort()
-        flat = chainlog.pack_ints(x for hit in hits for x in hit)
-        return self._pinned(frame, "hits", flat, "recomputed by GCD rescan")
+        return chainlog.pack_ints(x for hit in hits for x in hit)
 
     def _rewrite_segment(self, scan: chainlog.LogScan, index: int, fixes: list) -> None:
         """Write one segment back with its rebuilt bodies or its torn tail cut.

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from repro.core import chainlog
 from repro.core.spool import read_blob, write_blob, write_sidecar
 from repro.integrity.fsck import run_fsck
@@ -15,6 +17,7 @@ from tests.integrity.conftest import (
     record_region,
     truncate_tail,
 )
+from tests.service.test_registry import V1_BATCHES, write_v1
 
 LOG = "registry-000000.log"
 
@@ -75,6 +78,33 @@ class TestRegistryRepair:
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         assert (tmp_path / LOG).read_bytes() == pristine
+
+    def test_unprovable_torn_record_is_cut_off_as_a_load_would(
+        self, tmp_path, corpus, corpus_hits
+    ):
+        # with every ptree segment damaged nothing proves the torn batch:
+        # fsck cuts it off, leaving the registry a load would, and still
+        # regrows the tree from what is left — a tear is never a refusal
+        state, loaded = tmp_path / "state", tmp_path / "loaded"
+        build_state(state, corpus, corpus_hits)
+        pristine = (state / LOG).read_bytes()
+        frame = next(f for f in chainlog.read_log(state).frames if f.header.get("batch") == 1)
+        _, start, end = record_region(state, 1, "body")
+        torn = pristine[: (start + end) // 2]
+        (state / LOG).write_bytes(torn)
+        loaded.mkdir()
+        (loaded / LOG).write_bytes(torn)
+        for segment in (state / "ptree").glob("seg-*.bin"):
+            flip_byte(segment)
+        report = run_fsck(state, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        assert [r["artifact"] for r in repairs_of(report, "truncate")] == [LOG]
+        assert [r["artifact"] for r in repairs_of(report, "rebuild")] == ["ptree"]
+        assert (state / LOG).read_bytes() == pristine[: frame.start]
+        repaired, direct = WeakKeyRegistry(state), WeakKeyRegistry(loaded)
+        assert repaired.load() == direct.load() == 1
+        assert repaired.moduli == direct.moduli == corpus.moduli[: len(repaired.moduli)]
+        assert (loaded / LOG).read_bytes() == pristine[: frame.start]
 
     def test_torn_record_without_header_is_cut_off(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
@@ -199,6 +229,20 @@ class TestRootOfTruthRefusals:
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
         assert any("missing" in r["reason"] for r in report.refusals)
+
+    @pytest.mark.parametrize("damage", ["blob", "manifest"])
+    def test_damaged_v1_registry_refuses_and_touches_nothing(self, tmp_path, damage):
+        # a registry not yet converted to the log: fsck repairs only the
+        # log, and converting would keep only the verified prefix
+        write_v1(tmp_path, V1_BATCHES)
+        flip_byte(tmp_path / ("keys-000000.bin" if damage == "blob" else "manifest.json"))
+        (tmp_path / "stray.tmp").write_bytes(b"residue")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        report = run_fsck(tmp_path, repair=True)
+        assert {f.family for f in report.scan.corrupt} == {"registry"}
+        assert not report.healed and not report.repairs
+        assert any("weak-key-registry/1" in r["reason"] for r in report.refusals)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_corrupt_cursor_refuses(self, tmp_path):
         from repro.ingest.cursor import CrawlCursor, CrawlState
