@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.core.attack import WeakHit, find_shared_primes
 from repro.core.batch_gcd import batch_gcd
-from repro.core.incremental import SNAPSHOT_VERSION, IncrementalScanner
+from repro.core.incremental import IncrementalScanner
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.rsa.corpus import generate_weak_corpus
 from repro.util.intops import available_backends, backend_info, resolve_backend
@@ -222,13 +222,8 @@ def _incremental_corpus(
 
 def _seeded_scanner(seed_moduli: list[int], bits: int) -> IncrementalScanner:
     """A scanner that believes it already covered the seed registry —
-    exactly the service's restore path, so only the flush is timed."""
-    m = len(seed_moduli)
-    return IncrementalScanner.restore({
-        "version": SNAPSHOT_VERSION, "bits": bits,
-        "int_backend": None, "moduli": seed_moduli, "hits": [],
-        "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
-    })
+    exactly the service's restart path, so only the flush is timed."""
+    return IncrementalScanner(bits=bits, moduli=seed_moduli)
 
 
 def _pairwise_flush(old: list[int], batch: list[int]) -> list[WeakHit]:

@@ -56,6 +56,13 @@ of as a vague end-to-end slowdown:
   time and the bytes each commit adds to the state dir.  The registry
   log appends one record per commit, so neither should grow with age;
   ``p50_ratio`` is the p50 at 10,000 prior batches over the p50 at 1;
+* ``shard_persist``  — one shard job's snapshot persist
+  (``_ShardWorker._persist`` in :mod:`repro.service.shard`: encode, the
+  durable replace and its sidecar) for a worker that owns 1,000, 5,000
+  and 25,000 2048-bit keys (every other global index, as at two
+  shards): the snapshot's bytes and p50 wall time, against an inlined
+  reference that also writes the ``scanner`` copy of the slice (moduli
+  and pair count) the ``repro.shard-snapshot/1`` format carried;
 * ``startup``        — the start-up cost every command pays: a fresh
   ``python -c "import repro.cli"`` and a fresh 64-key ``repro batchscan``,
   each run several times in new processes, with the median wall time,
@@ -117,6 +124,7 @@ from repro.service.http import (
     parse_submission,
 )
 from repro.service.registry import WeakKeyRegistry
+from repro.service.shard import _ShardWorker
 from repro.util.intops import (
     DIV_CUTOFF_BITS,
     PythonBackend,
@@ -151,6 +159,10 @@ MANIFEST_RECORDS = (1_000, 10_000)
 COMMIT_AGES = (1, 1_000, 10_000)
 COMMIT_BITS = 2048
 QUICK_COMMIT_SAMPLES, FULL_COMMIT_SAMPLES = 60, 200
+#: the shard_persist section: keys per shard, key size, persists timed
+SHARD_KEYS = (1_000, 5_000, 25_000)
+SHARD_BITS = 2048
+QUICK_SHARD_SAMPLES, FULL_SHARD_SAMPLES = 3, 11
 #: the startup section: fresh processes per measurement, and its batchscan
 #: input (small, so the run is mostly start-up)
 QUICK_STARTUP_RUNS, FULL_STARTUP_RUNS = 5, 11
@@ -677,6 +689,65 @@ def bench_commit_age(samples: int, seed: str) -> dict:
     }
 
 
+def _v1_persist(worker: _ShardWorker, moduli: list[int]) -> int:
+    """The persist before the snapshot dropped its moduli, inlined: the
+    same payload plus the ``scanner`` copy of the slice, the same write."""
+    m = len(moduli)
+    payload = {
+        "format": "repro.shard-snapshot/1",
+        "shard": worker.shard, "shards": worker.shards, "replicas": worker.replicas,
+        "scanner": {
+            "version": 4, "bits": SHARD_BITS, "int_backend": "python",
+            "moduli": moduli, "hits": [],
+            "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
+        },
+        "indices": worker.indices, "pairs_tested": worker.pairs_tested,
+        "job": worker.applied_job, "job_fp": worker.applied_fp,
+        "job_hits": worker.applied_hits, "job_pairs": worker.applied_pairs,
+    }
+    body = json.dumps(payload).encode("utf-8")
+    durable.replace_bytes(worker.snapshot_path, body)
+    write_sidecar(worker.snapshot_path, hashlib.sha256(body).hexdigest())
+    return len(body)
+
+
+def bench_shard_persist(samples: int, seed: str) -> dict:
+    """One shard job's snapshot persist at each of :data:`SHARD_KEYS` keys.
+
+    The worker holds a two-shard slice (every other global index) after
+    job ``2 * keys``; its scanner is not built, since the snapshot no
+    longer reads it.  Persists of the current format and the ``/1``
+    reference alternate, so host drift lands on both alike.
+    """
+    rows = []
+    for n_keys in SHARD_KEYS:
+        moduli = synthetic_moduli(n_keys, SHARD_BITS, seed)
+        with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+            worker = _ShardWorker(0, 2, 32, d, None)
+            worker.indices = list(range(0, 2 * n_keys, 2))
+            worker.pairs_tested = n_keys * (n_keys - 1)
+            worker.applied_job, worker.applied_fp = 2 * n_keys, "0123456789abcdef"
+            worker.applied_pairs = 2 * n_keys - 1
+            now, then = [], []
+            for _ in range(samples):
+                t0 = time.perf_counter()
+                worker._persist()
+                now.append(time.perf_counter() - t0)
+                nbytes = worker.snapshot_path.stat().st_size
+                t0 = time.perf_counter()
+                v1_bytes = _v1_persist(worker, moduli)
+                then.append(time.perf_counter() - t0)
+        rows.append({
+            "keys": n_keys,
+            "bytes": nbytes,
+            "bytes_per_key": round(nbytes / n_keys, 2),
+            "p50_ms": round(statistics.median(now) * 1e3, 3),
+            "v1_bytes": v1_bytes,
+            "v1_p50_ms": round(statistics.median(then) * 1e3, 3),
+        })
+    return {"bits": SHARD_BITS, "samples": samples, "rows": rows}
+
+
 def bench_submit(n_keys: int, seed: str) -> dict:
     """Submit-to-verdict latency, JSON vs binary, identical fresh registries."""
     from bench_service import synthetic_moduli as honest_moduli
@@ -794,6 +865,7 @@ def main(argv: list[str] | None = None) -> int:
     flush_keys = QUICK_FLUSH_KEYS if args.quick else FULL_FLUSH_KEYS
     startup_runs = QUICK_STARTUP_RUNS if args.quick else FULL_STARTUP_RUNS
     commit_samples = QUICK_COMMIT_SAMPLES if args.quick else FULL_COMMIT_SAMPLES
+    shard_samples = QUICK_SHARD_SAMPLES if args.quick else FULL_SHARD_SAMPLES
 
     tree_moduli = synthetic_moduli(tree_keys, tree_bits, args.seed)
     parse_moduli = synthetic_moduli(parse_keys, parse_bits, args.seed + "-parse")
@@ -845,6 +917,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  commit_age {row['prior_batches']:>6} batches  p50 {row['p50_ms']:7.3f} ms"
               f"  p99 {row['p99_ms']:7.3f} ms  {row['bytes_per_commit']:.0f} B/commit"
               f"  {row['files']} files", file=sys.stderr)
+    sections["shard_persist"] = bench_shard_persist(shard_samples, args.seed + "-shard")
+    for row in sections["shard_persist"]["rows"]:
+        print(f"  shard_persist {row['keys']:>6} keys  {row['bytes']:>9} B  p50 {row['p50_ms']:8.3f} ms"
+              f"  (/1 with moduli: {row['v1_bytes']} B, p50 {row['v1_p50_ms']:.3f} ms)",
+              file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -898,6 +975,7 @@ def main(argv: list[str] | None = None) -> int:
             "submit_keys": submit_keys, "div_bits": list(div_bits),
             "bulk_word_pairs": bulk_word_pairs, "flush_keys": flush_keys,
             "startup_runs": startup_runs, "commit_samples": commit_samples,
+            "shard_samples": shard_samples,
             "repeat": repeat, "seed": args.seed,
         },
         "environment": {
@@ -970,6 +1048,12 @@ def test_bench_micro_quick(tmp_path, report):
     assert max(r["bytes_per_commit"] for r in ages) - min(
         r["bytes_per_commit"] for r in ages
     ) <= len(str(COMMIT_AGES[-1]))
+    shard_rows = s["shard_persist"]["rows"]
+    assert [r["keys"] for r in shard_rows] == list(SHARD_KEYS)
+    for r in shard_rows:
+        # indices and counters only: a few bytes a key, not the moduli
+        assert r["bytes_per_key"] < 10
+        assert r["bytes"] * 50 < r["v1_bytes"]
     for name in ("import_cli", "batchscan"):
         r = s["startup"][name]
         assert r["wall_seconds"] > 0 and r["rss_mib"] > 0

@@ -25,9 +25,11 @@ def main() -> None:
           f"{len(expected)} weak pairs hidden among them\n")
 
     scanner = IncrementalScanner(bits=bits)
+    found: set[tuple[int, int]] = set()
     for day, start in enumerate(range(0, n_keys, batch_size), start=1):
         batch = corpus.moduli[start : start + batch_size]
         report = scanner.add_batch(batch)
+        found |= report.hit_pairs
         line = (f"day {day}: +{report.new_keys} keys "
                 f"({report.total_keys} total), "
                 f"{report.pairs_tested} new pairs in {report.elapsed_seconds * 1e3:.0f} ms")
@@ -36,7 +38,6 @@ def main() -> None:
             line += f"  ->  WEAK: {hits}"
         print(line)
 
-    found = {(h.i, h.j) for h in scanner.all_hits}
     assert found == expected, (found, expected)
     assert scanner.coverage_is_complete()
     print(f"\nall {len(expected)} planted pairs surfaced as their second member "

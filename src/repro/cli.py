@@ -653,8 +653,9 @@ def _cmd_scan_stream(
         )
         started = time.perf_counter()
         batches = 0
+        hits = []
         for start in range(0, len(moduli), args.stream):
-            scanner.add_batch(moduli[start : start + args.stream])
+            hits.extend(scanner.add_batch(moduli[start : start + args.stream]).hits)
             batches += 1
         elapsed = time.perf_counter() - started
     finally:
@@ -662,7 +663,8 @@ def _cmd_scan_stream(
             event_stream.close()
     if args.progress:
         print(file=sys.stderr)
-    hit_pairs = {(h.i, h.j) for h in scanner.all_hits}
+    hits.sort(key=lambda h: (h.i, h.j))
+    hit_pairs = {(h.i, h.j) for h in hits}
     payload = {
         "source": source,
         "moduli": scanner.n_keys,
@@ -675,7 +677,7 @@ def _cmd_scan_stream(
         "elapsed_seconds": elapsed,
         "pairs_per_second": scanner.total_pairs_tested / elapsed if elapsed > 0 else 0.0,
         "hits": [
-            {"i": h.i, "j": h.j, "prime": str(h.prime)} for h in scanner.all_hits
+            {"i": h.i, "j": h.j, "prime": str(h.prime)} for h in hits
         ],
         "metrics": telemetry.snapshot(),
     }
@@ -699,9 +701,9 @@ def _cmd_scan_stream(
         f"pairs in {elapsed:.2f}s",
         file=human,
     )
-    for h in scanner.all_hits:
+    for h in hits:
         print(f"WEAK keys {h.i} and {h.j} share prime {h.prime:#x}", file=human)
-    if not scanner.all_hits:
+    if not hits:
         print("no shared primes found", file=human)
     if expected is not None and hit_pairs != expected:
         missing = expected - hit_pairs

@@ -25,6 +25,7 @@ is the subject of ``repro scan --backend bulk``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,14 +34,7 @@ from repro.core.ptree import PersistentProductTree
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = [
-    "BatchReport",
-    "IncrementalScanner",
-    "SNAPSHOT_VERSION",
-]
-
-#: bump when the :meth:`IncrementalScanner.snapshot` payload changes shape
-SNAPSHOT_VERSION = 4
+__all__ = ["BatchReport", "IncrementalScanner"]
 
 
 @dataclass
@@ -67,26 +61,6 @@ class BatchReport:
         return {(h.i, h.j) for h in self.hits}
 
 
-def _merge_hits(existing: list[WeakHit], new: list[WeakHit]) -> list[WeakHit]:
-    """Merge two (i, j)-sorted hit lists — O(total), no full re-sort."""
-    if not new:
-        return existing
-    if not existing:
-        return list(new)
-    out: list[WeakHit] = []
-    a = b = 0
-    while a < len(existing) and b < len(new):
-        if (existing[a].i, existing[a].j) <= (new[b].i, new[b].j):
-            out.append(existing[a])
-            a += 1
-        else:
-            out.append(new[b])
-            b += 1
-    out.extend(existing[a:])
-    out.extend(new[b:])
-    return out
-
-
 class IncrementalScanner:
     """Streamed all-pairs scanning over an append-only modulus collection.
 
@@ -99,12 +73,20 @@ class IncrementalScanner:
     [(0, 2, 193)]
     >>> scanner.coverage_is_complete()
     True
+
+    A scanner constructed over a covered corpus scans only new pairs:
+
+    >>> resumed = IncrementalScanner(bits=16, moduli=scanner.moduli)
+    >>> third = resumed.add_batch([197 * 211])
+    >>> (third.pairs_tested, sorted(third.hit_pairs), resumed.coverage_is_complete())
+    (3, [(0, 3), (1, 3)], True)
     """
 
     def __init__(
         self,
         *,
         bits: int,
+        moduli: Sequence[int] = (),
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
         telemetry: Telemetry | None = None,
@@ -113,34 +95,31 @@ class IncrementalScanner:
         persists across batches — the scanner is long-lived, so its
         counters tell the stream's whole story.
 
+        ``moduli`` is the corpus the scanner starts from, already covered:
+        its pairs count as tested (``m(m−1)/2``), so the next batch scans
+        only the pairs it creates.  That is the registry's commit contract,
+        which is how a restarted service resumes without rescanning.
+
         ``int_backend`` selects the big-integer implementation.
         ``spool_dir`` checkpoints the product tree on disk (RGSPOOL1 blobs
-        + pinned manifest), so a restarted scanner reloads it instead of
-        re-multiplying the corpus; without it the tree lives in memory
-        only."""
+        + pinned manifest); the tree over ``moduli`` loads from it here,
+        or is rebuilt when it does not hold exactly ``moduli``.  Without
+        it the tree lives in memory only."""
         if bits < 16 or bits % 2:
             raise ValueError(f"bits must be an even size >= 16, got {bits}")
         self.bits = bits
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.backend = resolve_backend(int_backend)
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
-        self.moduli: list[int] = []
-        self.all_hits: list[WeakHit] = []
-        self.total_pairs_tested = 0
+        self.moduli: list[int] = list(moduli)
+        self._check(self.moduli)
+        m = len(self.moduli)
+        self.total_pairs_tested = m * (m - 1) // 2
         self._batches = 0
-        #: built lazily (restore swaps the corpus in first)
-        self._ptree: PersistentProductTree | None = None
-
-    def _tree(self) -> PersistentProductTree:
-        """The product tree over the current corpus, built on first use."""
-        if self._ptree is None:
-            tree = PersistentProductTree(
-                backend=self.backend, spool_dir=self.spool_dir,
-                telemetry=self.telemetry,
-            )
-            tree.load_or_rebuild(self.moduli)
-            self._ptree = tree
-        return self._ptree
+        self._ptree = PersistentProductTree(
+            backend=self.backend, spool_dir=self.spool_dir, telemetry=self.telemetry,
+        )
+        self._ptree.load_or_rebuild(self.moduli)
 
     def _check(self, new_moduli: list[int]) -> None:
         for n in new_moduli:
@@ -169,7 +148,7 @@ class IncrementalScanner:
         started = clock()
         with tel.timer.span("batch"):
             self._cover(new_moduli, base, report, include_internal=True)
-            self._tree().append(new_moduli)
+            self._ptree.append(new_moduli)
         self.moduli.extend(new_moduli)
         # each batch owns its own span measurement: deriving it from the
         # shared "batch" timer total mis-attributes time under nested or
@@ -178,7 +157,6 @@ class IncrementalScanner:
         report.hits.sort(key=lambda h: (h.i, h.j))
         report.pairs_tested = pairs
         self.total_pairs_tested += pairs
-        self.all_hits = _merge_hits(self.all_hits, report.hits)
         reg = tel.registry
         reg.counter("incremental.batches").inc()
         reg.counter("incremental.keys").inc(k)
@@ -245,7 +223,7 @@ class IncrementalScanner:
         self._check(new_moduli)
         if not new_moduli:
             return
-        self._tree().append(new_moduli)
+        self._ptree.append(new_moduli)
         self.moduli.extend(new_moduli)
         self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
 
@@ -267,7 +245,7 @@ class IncrementalScanner:
         if base and new_moduli:
             with tel.timer.span("descend"):
                 p_new = B.prod(native_new)
-                flagged = self._tree().batch_remainders(p_new)
+                flagged = self._ptree.batch_remainders(p_new)
             for start, leaves, rems in flagged:
                 for i, (leaf, r) in enumerate(zip(leaves, rems), start):
                     g = gcd(leaf, r)
@@ -303,88 +281,3 @@ class IncrementalScanner:
         the invariant that incremental scanning never misses a pair."""
         m = len(self.moduli)
         return self.total_pairs_tested == m * (m - 1) // 2
-
-    def snapshot(self) -> dict:
-        """The scanner's whole state as a JSON-ready dict.
-
-        Everything :meth:`restore` needs to resume the stream without
-        rescanning a single old-vs-old pair: the corpus, every hit found so
-        far, the pairs-tested accounting, and the *resolved* big-integer
-        backend, so a restore on a host missing that backend fails loudly
-        instead of silently switching arithmetic.  The registry service
-        persists an equivalent of this across restarts.
-
-        >>> s = IncrementalScanner(bits=16)
-        >>> _ = s.add_batch([193 * 197, 193 * 199])
-        >>> s2 = IncrementalScanner.restore(s.snapshot())
-        >>> (s2.n_keys, [(h.i, h.j) for h in s2.all_hits], s2.coverage_is_complete())
-        (2, [(0, 1)], True)
-        """
-        return {
-            "version": SNAPSHOT_VERSION,
-            "bits": self.bits,
-            "int_backend": self.backend.name,
-            "moduli": list(self.moduli),
-            "hits": [[h.i, h.j, h.prime] for h in self.all_hits],
-            "total_pairs_tested": self.total_pairs_tested,
-            "batches": self._batches,
-        }
-
-    @classmethod
-    def restore(
-        cls,
-        state: dict,
-        *,
-        int_backend: str | IntBackend | None = None,
-        spool_dir: str | Path | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> IncrementalScanner:
-        """Rebuild a scanner from a :meth:`snapshot` payload.
-
-        The restored scanner picks up exactly where the snapshot left off:
-        the next :meth:`add_batch` scans only new-vs-old and new-vs-new
-        pairs, and no hit already in the snapshot is ever re-reported.
-
-        Snapshots from version 2 on record the resolved ``int_backend``;
-        restoring one resolves the *same* backend unless the caller
-        overrides it explicitly, and raises if that backend is not
-        importable here.  Version-1 payloads (no backend record) still
-        restore.  Versions 1–3 also recorded an ``engine`` tier (``native``,
-        ``ptree``, ``auto``, ``all2all`` or ``bulk``) and versions 1–2 the
-        knobs of tiers since retired; all of these are ignored, since hit
-        sets are identical across tiers.  A missing or stale tree spool is
-        rebuilt from the moduli.
-        """
-        if not isinstance(state, dict):
-            raise ValueError("snapshot must be a dict")
-        version = state.get("version")
-        if version not in (1, 2, 3, SNAPSHOT_VERSION):
-            raise ValueError(
-                f"unsupported scanner snapshot version {version!r}"
-            )
-        if int_backend is None:
-            # pin to the snapshot's resolved backend: a missing gmpy2 here
-            # raises from resolve_backend instead of silently downgrading
-            int_backend = state.get("int_backend")
-        scanner = cls(
-            bits=int(state["bits"]), int_backend=int_backend,
-            spool_dir=spool_dir, telemetry=telemetry,
-        )
-        moduli = [int(n) for n in state["moduli"]]
-        for n in moduli:
-            if n <= 1 or n % 2 == 0 or n.bit_length() != scanner.bits:
-                raise ValueError(f"snapshot modulus {n} invalid for a {scanner.bits}-bit scanner")
-        hits = [WeakHit(int(i), int(j), int(p)) for i, j, p in state["hits"]]
-        m = len(moduli)
-        for h in hits:
-            if not (0 <= h.i < h.j < m):
-                raise ValueError(f"snapshot hit ({h.i}, {h.j}) out of range for {m} keys")
-        total = int(state["total_pairs_tested"])
-        if not 0 <= total <= m * (m - 1) // 2:
-            raise ValueError(f"snapshot pairs_tested {total} impossible for {m} keys")
-        scanner.moduli = moduli
-        scanner.all_hits = sorted(hits, key=lambda h: (h.i, h.j))
-        scanner.total_pairs_tested = total
-        scanner._batches = int(state["batches"])
-        scanner._tree()
-        return scanner

@@ -10,12 +10,15 @@ verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
                     (per-batch blobs the registry has not converted to
                     the log yet) is in this family too.
 ``ptree``           a ``product-tree/1`` manifest plus ``seg-*.bin``
-                    segment blobs (usually at ``state_dir/ptree/``).
+                    segment blobs: the service's tree at
+                    ``state_dir/ptree/``, and each shard worker's at
+                    ``shards/<k>/ptree/``.
 ``spool``           any other checkpointed spool (the batchscan
                     pipeline's level blobs).
 ``shard-snapshot``  ``shards/<k>/shard.json`` files
-                    (``repro.shard-snapshot/1``), checksummed by a
-                    ``.sha256`` sidecar.
+                    (``repro.shard-snapshot/2``, or ``/1`` from before
+                    the snapshot dropped its moduli copy), checksummed by
+                    a ``.sha256`` sidecar.
 ``ingest``          the crawl's ``cursor.json`` (sidecar-checksummed),
                     ``dedup/seen.log`` + derived buckets, and the outbox.
 
@@ -91,11 +94,12 @@ _SEVERITY = {
 #: the per-batch blob layout ``WeakKeyRegistry.load`` converts to the log
 REGISTRY_V1_FORMAT = "weak-key-registry/1"
 PTREE_FORMAT = "product-tree/1"
-SHARD_FORMAT = "repro.shard-snapshot/1"
+#: ``/1`` also carried a ``scanner`` copy of the slice, which workers ignore
+SHARD_FORMATS = ("repro.shard-snapshot/1", "repro.shard-snapshot/2")
 CURSOR_FORMAT = "repro-ct-cursor-v1"
 
 _SHARD_KEYS = frozenset(
-    {"format", "shard", "shards", "replicas", "scanner", "indices",
+    {"format", "shard", "shards", "replicas", "indices",
      "pairs_tested", "job", "job_fp", "job_hits", "job_pairs"}
 )
 
@@ -525,7 +529,7 @@ class ArtifactCatalog:
         payload, verdict, detail = _read_json(path)
         if verdict != "ok":
             return [Finding(family=family, artifact=rel, verdict=verdict, detail=detail)]
-        if payload.get("format") != SHARD_FORMAT or not _SHARD_KEYS <= set(payload):
+        if payload.get("format") not in SHARD_FORMATS or not _SHARD_KEYS <= set(payload):
             return [
                 Finding(
                     family=family, artifact=rel, verdict="hash-mismatch",

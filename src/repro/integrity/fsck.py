@@ -7,7 +7,8 @@ redundancy that earlier rungs must read first:
 1. **Registry keys** of a log record whose body is damaged (its header
    still verifies) are rebuilt from redundancy: the persistent product
    tree's leaves hold every registered modulus in global-index order,
-   and shard snapshots hold ``(indices, moduli)`` pairs.  A rebuild is
+   and each shard's tree (``shards/<k>/ptree``) holds its slice, whose
+   global indices the shard snapshot lists in leaf order.  A rebuild is
    accepted only if its SHA-256 matches the header's pin — the pin is
    the authority, never the rebuild.  The damaged segment is copied to
    the quarantine, then replaced whole.
@@ -18,9 +19,9 @@ redundancy that earlier rungs must read first:
    otherwise — never refused.
 3. **Derived data is rebuilt, damaged originals quarantined**: corrupt
    ptree segments/manifest are quarantined wholesale and the tree is
-   regrown from registry moduli; corrupt shard snapshots are quarantined
-   (workers rebuild from the registry at next start); dedup buckets are
-   rebuilt from ``seen.log``.
+   regrown from registry moduli; a damaged shard tree and corrupt shard
+   snapshots are quarantined (workers rebuild from the registry at next
+   start); dedup buckets are rebuilt from ``seen.log``.
 4. **Torn tails are truncated to the committed watermark**: ``seen.log``
    is cut back to a whole number of records (never below the cursor's
    watermark — losing committed dedup records is refused, see below).
@@ -291,7 +292,7 @@ class _Repairer:
             values = [self._redundancy.get(g) for g in range(base, base + count)]
             if None in values:
                 raise _Unprovable(
-                    "no intact redundancy (ptree leaf / shard snapshot) holds "
+                    "no intact redundancy (service or shard product-tree leaf) holds "
                     f"modulus {base + values.index(None)}"
                 )
             keys = self._pinned(frame, "keys", chainlog.pack_ints(values), "rebuilt from redundancy")
@@ -306,40 +307,19 @@ class _Repairer:
         return keys + hits
 
     def _redundant_moduli(self) -> dict[int, int]:
-        """Global index → modulus, from every intact redundancy source."""
-        out: dict[int, int] = {}
-        # ptree leaves: every registered modulus, in global order
-        ptree_dir = self.state_dir / "ptree"
-        manifest = ptree_dir / "manifest.json"
-        if manifest.exists():
-            try:
-                payload = json.loads(manifest.read_bytes())
-                for record in payload.get("stages", []):
-                    name = str(record.get("name", ""))
-                    if not name.startswith("seg."):
-                        continue
-                    _, start, _height = name.split(".")
-                    path = ptree_dir / str(record["blob"])
-                    if blob_sha256(path) != record.get("sha256"):
-                        continue
-                    nodes = read_blob(path)
-                    n_leaves = (len(nodes) + 1) // 2
-                    for offset, n in enumerate(nodes[:n_leaves]):
-                        out[int(start) + offset] = n
-            except (OSError, ValueError, SpoolError, KeyError):
-                pass
-        # shard snapshots: each owns (indices, moduli) for its slice
+        """Global index → modulus, from every intact redundancy source:
+        the service's product tree, whose leaves are the registry in
+        global order, and each shard's tree, whose leaves its snapshot's
+        indices place."""
+        out = _tree_leaves(self.state_dir / "ptree")
         for snapshot in sorted(self.state_dir.glob("shards/*/shard.json")):
             try:
-                payload = json.loads(snapshot.read_bytes())
-                scanner = payload.get("scanner") or {}
-                indices = payload.get("indices") or []
-                mods = scanner.get("moduli") or []
-                if len(indices) != len(mods):
-                    continue
-                for gidx, n in zip(indices, mods):
-                    out.setdefault(int(gidx), int(n))
-            except (OSError, ValueError):
+                indices = json.loads(snapshot.read_bytes())["indices"]
+                leaves = _tree_leaves(snapshot.parent / "ptree")
+                for pos, gidx in enumerate(indices):
+                    if pos in leaves:
+                        out.setdefault(int(gidx), leaves[pos])
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
         return out
 
@@ -392,28 +372,37 @@ class _Repairer:
     def _repair_ptree(
         self, corrupt: dict[str, Finding], moduli: dict[int, int], complete: bool
     ) -> None:
-        if not any(f.family == "ptree" for f in corrupt.values()):
-            return
-        ptree_dir = self.state_dir / "ptree"
-        if not ptree_dir.is_dir() or not complete:
-            self._refuse(
-                "ptree",
-                "cannot rebuild the product tree: no fully recovered registry "
-                "in this state directory to regrow it from",
-            )
-            return
-        for item in sorted(ptree_dir.iterdir()):
-            if item.is_file():
-                self._quarantine(item)
-        # regrow from registry truth — the tree is derived data
-        from repro.core.ptree import PersistentProductTree
+        """Rebuild every damaged product tree.  The service's tree regrows
+        from the recovered registry; any other (a shard's) is quarantined,
+        and its worker rebuilds it from the registry slice at next start."""
+        main = self.state_dir / "ptree"
+        damaged = {(self.state_dir / a).parent for a, f in corrupt.items() if f.family == "ptree"}
+        for ptree_dir in sorted(damaged):
+            rel = str(ptree_dir.relative_to(self.state_dir))
+            if ptree_dir == main and not complete:
+                self._refuse(
+                    rel,
+                    "cannot rebuild the product tree: no fully recovered registry "
+                    "in this state directory to regrow it from",
+                )
+                continue
+            for item in sorted(ptree_dir.iterdir()):
+                if item.is_file():
+                    self._quarantine(item)
+            if ptree_dir != main:
+                self._did(
+                    "drop-derived", rel,
+                    "a shard's product tree is derived; its worker rebuilds it "
+                    "from the registry slice at next start",
+                )
+                continue
+            # regrow from registry truth — the tree is derived data
+            from repro.core.ptree import PersistentProductTree
 
-        tree = PersistentProductTree(spool_dir=ptree_dir)
-        ordered = [moduli[g] for g in sorted(moduli)]
-        tree.append(ordered)
-        self._did(
-            "rebuild", "ptree", f"regrown from {len(ordered)} registry moduli"
-        )
+            tree = PersistentProductTree(spool_dir=ptree_dir)
+            ordered = [moduli[g] for g in sorted(moduli)]
+            tree.append(ordered)
+            self._did("rebuild", rel, f"regrown from {len(ordered)} registry moduli")
 
     # -- batchscan spools -------------------------------------------------------
 
@@ -607,3 +596,25 @@ class _Repairer:
 def _start(fix) -> int:
     """Where a fix applies in its segment: a frame's or a fault's offset."""
     return fix.start if isinstance(fix, chainlog.Frame) else fix.offset
+
+
+def _tree_leaves(ptree_dir: Path) -> dict[int, int]:
+    """Leaf position → modulus, from a product-tree spool's intact segments."""
+    out: dict[int, int] = {}
+    try:
+        payload = json.loads((ptree_dir / "manifest.json").read_bytes())
+        for record in payload.get("stages", []):
+            name = str(record.get("name", ""))
+            if not name.startswith("seg."):
+                continue
+            _, start, _height = name.split(".")
+            path = ptree_dir / str(record["blob"])
+            if blob_sha256(path) != record.get("sha256"):
+                continue
+            nodes = read_blob(path)
+            n_leaves = (len(nodes) + 1) // 2
+            for offset, n in enumerate(nodes[:n_leaves]):
+                out[int(start) + offset] = n
+    except (OSError, ValueError, SpoolError, KeyError, AttributeError):
+        pass
+    return out

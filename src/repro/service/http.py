@@ -2,9 +2,9 @@
 
 :class:`WeakKeyService` wires the three moving parts together — durable
 :class:`~repro.service.registry.WeakKeyRegistry`, restart-safe
-:class:`~repro.core.incremental.IncrementalScanner` (rebuilt from the
-registry via ``snapshot``/``restore``, so a restart never rescans an
-old-vs-old pair), and the :class:`~repro.service.batcher.MicroBatcher`
+:class:`~repro.core.incremental.IncrementalScanner` (constructed over
+the registry's moduli, which count as covered, so a restart never
+rescans an old-vs-old pair), and the :class:`~repro.service.batcher.MicroBatcher`
 admission queue.  Scans run on a single dedicated worker thread so the
 event loop keeps accepting submissions while GCDs grind.
 
@@ -166,10 +166,8 @@ class WeakKeyService:
             )
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(self._executor, self.router.start, self.registry)
-        elif self.registry.n_keys:
-            self.scanner = self._restored_scanner()
         elif self.bits is not None:
-            self.scanner = self._fresh_scanner(self.bits)
+            self.scanner = self._registry_scanner()
         await self.batcher.start()
         if self.config.scrub_interval > 0:
             self.scrubber = Scrubber(
@@ -226,23 +224,15 @@ class WeakKeyService:
             shards=self.config.shards, keys=self.registry.n_keys,
         )
 
-    def _ptree_dir(self) -> Path:
-        """Where the scanner checkpoints its product tree — beside the
-        registry spool, restored with it (rebuilt when missing)."""
-        return self.config.state_dir / "ptree"
-
-    def _restored_scanner(self) -> IncrementalScanner:
-        return IncrementalScanner.restore(
-            self.registry.scanner_snapshot(),
-            int_backend=self.config.int_backend,
-            spool_dir=self._ptree_dir(),
-            telemetry=self.telemetry,
-        )
-
-    def _fresh_scanner(self, bits: int) -> IncrementalScanner:
+    def _registry_scanner(self) -> IncrementalScanner:
+        """A scanner over the registry's corpus, which the commit contract
+        says is fully covered: restart never rescans an old pair.  Its
+        product tree checkpoints to ``state_dir/ptree`` and reloads from
+        there (rebuilt when missing or stale)."""
         return IncrementalScanner(
-            bits=bits, int_backend=self.config.int_backend,
-            spool_dir=self._ptree_dir(),
+            bits=self.bits, moduli=self.registry.moduli,
+            int_backend=self.config.int_backend,
+            spool_dir=self.config.state_dir / "ptree",
             telemetry=self.telemetry,
         )
 
@@ -325,7 +315,7 @@ class WeakKeyService:
                     continue
                 self.bits = blen
                 if self.router is None:
-                    self.scanner = self._fresh_scanner(blen)
+                    self.scanner = self._registry_scanner()
             if n.bit_length() != self.bits:
                 results[pos] = {
                     "status": "invalid",
@@ -372,11 +362,7 @@ class WeakKeyService:
                 # half-updated; rebuild it from the registry — the durable
                 # truth — so the retried batch scans against a consistent
                 # corpus
-                self.scanner = (
-                    self._restored_scanner()
-                    if self.registry.n_keys
-                    else self._fresh_scanner(self.bits)
-                )
+                self.scanner = self._registry_scanner()
                 raise
             self.registry.commit_batch(
                 fresh, report.hits,

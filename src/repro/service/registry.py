@@ -63,7 +63,6 @@ from pathlib import Path
 from repro.core import chainlog, durable
 from repro.core.attack import WeakHit
 from repro.core.checkpoint import CheckpointStore, Manifest
-from repro.core.incremental import SNAPSHOT_VERSION
 # ``write_blob`` stays importable from here: perfbench/launch.py traces it
 from repro.core.spool import SpoolError, read_blob, sidecar_path, write_blob  # noqa: F401
 from repro.resilience import RetryPolicy, faults
@@ -561,28 +560,6 @@ class WeakKeyRegistry:
                 ],
             }
         return row
-
-    def scanner_snapshot(self) -> dict:
-        """An :meth:`IncrementalScanner.restore`-ready snapshot of the corpus.
-
-        Valid because of the commit contract: every committed batch was
-        fully scanned against all keys registered before it, so coverage is
-        exactly complete — restart never rescans an old-vs-old pair.  It
-        pins no int backend: the caller's choice (or the default) applies.
-        """
-        if self.bits is None:
-            raise RegistryError("registry holds no keys yet; nothing to snapshot")
-        with self._lock:
-            m = len(self.moduli)
-            return {
-                "version": SNAPSHOT_VERSION,
-                "bits": self.bits,
-                "int_backend": None,
-                "moduli": list(self.moduli),
-                "hits": [[h.i, h.j, h.prime] for h in self.hits],
-                "total_pairs_tested": m * (m - 1) // 2,
-                "batches": self._batches,
-            }
 
     def _update_gauges(self) -> None:
         reg = self.telemetry.registry

@@ -24,19 +24,29 @@ Per batch the shards cover ``Σ_k m_k·b + b(b−1)/2 = M·b + b(b−1)/2`` pair
 
 **Durability and exactly-once.**  Delivery is at-least-once (a crashed
 shard gets its unacknowledged job replayed); application is exactly-once:
-a worker persists its snapshot — corpus slice, pair watermark, the job id
-*and that job's hits* — under ``state_dir/shards/<k>/`` **before** acking
-(the ``shard.commit`` fault point), so a replay of an already-applied job
-returns the stored hits without rescanning.  The router gathers all acks,
-records per-shard watermarks with the registry, and only then runs the
-registry's one-append commit: shard state is always
-at or one job ahead of the registry, never behind.  On restart the
-registry is the durable truth — a shard snapshot that is ahead, stale, or
-shaped for a different shard count is rebuilt from the registry's slice
-(``shard.rebalance`` telemetry on a count change).
+a worker persists its snapshot — the global indices of its slice, pair
+watermark, the job id *and that job's hits* — under
+``state_dir/shards/<k>/`` **before** acking (the ``shard.commit`` fault
+point), so a replay of an already-applied job returns the stored hits
+without rescanning.  The snapshot holds no moduli: the registry holds
+those, and the worker's product tree spool (``shards/<k>/ptree/``) holds
+its slice's leaves.  The router gathers all acks, records per-shard
+watermarks with the registry, and only then runs the registry's
+one-append commit: shard state is always at or one job ahead of the
+registry, never behind.
+
+**Init.**  The registry is the durable truth.  Every (re)started worker
+gets its slice — indices and moduli — from the registry in one ``init``
+message, and builds its scanner over it (the tree loads from the spool).
+It keeps its snapshot's watermark and last job when the snapshot records
+that slice at the registry's last job, or, on a respawn, that slice plus
+the in-flight job's keys at that job.  Any other snapshot (ahead, stale,
+damaged, or shaped for a different shard count) is reset to the
+registry's slice (``shard.rebuild``; ``shard.rebalance`` on a count
+change).
 
 Failure handling mirrors :class:`~repro.resilience.supervisor.ChunkSupervisor`
-semantics: a SIGKILL'd worker is respawned, restores its snapshot, and
+semantics: a SIGKILL'd worker is respawned, re-initialised, and
 replays only the in-flight job; per-job attempt budgets catch poison
 batches (:class:`ShardJobFailed`) and consecutive no-progress respawns
 bound crash loops (:class:`ShardPoolExhausted`).  ``docs/SHARDING.md`` has
@@ -72,7 +82,11 @@ __all__ = [
 ]
 
 #: on-disk format tag of ``state_dir/shards/<k>/shard.json``
-SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/1"
+SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/2"
+
+#: what a worker resumes from: ``/1`` also held a copy of the slice's
+#: moduli and hits (``scanner``), which is ignored and gone on the next persist
+_READABLE_FORMATS = ("repro.shard-snapshot/1", SHARD_SNAPSHOT_FORMAT)
 
 #: virtual nodes per shard on the hash ring — enough for a few-percent
 #: balance spread at single-digit shard counts without bloating lookups
@@ -160,15 +174,6 @@ def simulate_watermarks(
     return keys, pairs
 
 
-def _state_digest(shards: int, replicas: int, indices: list[int], moduli: list[int]) -> str:
-    """Fingerprint of a shard's corpus slice, comparable across processes."""
-    h = hashlib.sha256()
-    h.update(f"{shards}:{replicas}".encode())
-    for i, n in zip(indices, moduli):
-        h.update(f":{i}={n}".encode())
-    return h.hexdigest()
-
-
 def _batch_fingerprint(moduli: list[int]) -> str:
     """Identity of one admitted batch — replay-dedup is keyed on (job, fp)."""
     h = hashlib.sha256()
@@ -228,12 +233,11 @@ class _ShardWorker:
             "shard": self.shard,
             "shards": self.shards,
             "replicas": self.replicas,
-            "scanner": self.scanner.snapshot() if self.scanner is not None else None,
-            "indices": list(self.indices),
+            "indices": self.indices,
             "pairs_tested": self.pairs_tested,
             "job": self.applied_job,
             "job_fp": self.applied_fp,
-            "job_hits": [list(h) for h in self.applied_hits],
+            "job_hits": self.applied_hits,
             "job_pairs": self.applied_pairs,
         }
         body = json.dumps(payload).encode("utf-8")
@@ -244,74 +248,39 @@ class _ShardWorker:
         write_sidecar(self.snapshot_path, hashlib.sha256(body).hexdigest())
         self.persisted = True
 
-    def _load(self) -> bool:
+    def _stored(self) -> dict | None:
+        """The snapshot on disk, if it is whole and this shard's."""
         try:
-            with open(self.snapshot_path, encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = json.loads(self.snapshot_path.read_bytes())
         except (OSError, ValueError):
-            return False
+            return None
         if (
             not isinstance(payload, dict)
-            or payload.get("format") != SHARD_SNAPSHOT_FORMAT
-            or payload.get("shard") != self.shard
-            or payload.get("shards") != self.shards
-            or payload.get("replicas") != self.replicas
+            or payload.get("format") not in _READABLE_FORMATS
+            or (payload.get("shard"), payload.get("shards"), payload.get("replicas"))
+            != (self.shard, self.shards, self.replicas)
         ):
-            return False
+            return None
         try:
-            scanner_state = payload["scanner"]
-            if scanner_state is not None:
-                self.scanner = IncrementalScanner.restore(
-                    scanner_state,
-                    int_backend=self.int_backend,
-                    spool_dir=self.dir / "ptree",
-                    telemetry=self.telemetry,
-                )
-            else:
-                self.scanner = None
-            indices = [int(i) for i in payload["indices"]]
-            n_local = self.scanner.n_keys if self.scanner is not None else 0
-            if len(indices) != n_local:
-                raise ValueError("indices/corpus length mismatch")
-            self.indices = indices
-            self.pairs_tested = int(payload["pairs_tested"])
-            self.applied_job = payload["job"]
-            self.applied_fp = payload.get("job_fp")
-            self.applied_hits = [
-                [int(a), int(b), int(p)] for a, b, p in payload.get("job_hits", [])
-            ]
-            self.applied_pairs = int(payload.get("job_pairs", 0))
-            self.persisted = True
-            return True
+            return {
+                "indices": [int(i) for i in payload["indices"]],
+                "pairs_tested": int(payload["pairs_tested"]),
+                "job": payload["job"],
+                "job_fp": payload.get("job_fp"),
+                "job_hits": [[int(a), int(b), int(p)] for a, b, p in payload.get("job_hits", [])],
+                "job_pairs": int(payload.get("job_pairs", 0)),
+            }
         except (KeyError, ValueError, TypeError):
-            self.scanner = None
-            self.indices = []
-            return False
+            return None
 
     # -- state views --------------------------------------------------------
-
-    def _digest(self) -> str:
-        moduli = self.scanner.moduli if self.scanner is not None else []
-        return _state_digest(self.shards, self.replicas, self.indices, moduli)
-
-    def _status(self, *, loaded: bool) -> tuple[str, dict]:
-        return (
-            "status",
-            {
-                "loaded": loaded,
-                "job": self.applied_job,
-                "keys": len(self.indices),
-                "pairs_total": self.pairs_tested,
-                "digest": self._digest(),
-            },
-        )
 
     def _ack(self, *, replayed: bool) -> tuple[str, dict]:
         return (
             "ack",
             {
                 "job": self.applied_job,
-                "hits": [list(h) for h in self.applied_hits],
+                "hits": self.applied_hits,
                 "pairs": self.applied_pairs,
                 "keys": len(self.indices),
                 "pairs_total": self.pairs_tested,
@@ -321,41 +290,66 @@ class _ShardWorker:
 
     # -- command handlers ----------------------------------------------------
 
-    def _ensure_scanner(self, bits: int) -> IncrementalScanner:
-        if self.scanner is None:
-            self.scanner = IncrementalScanner(
-                bits=bits,
-                int_backend=self.int_backend,
-                spool_dir=self.dir / "ptree",
-                telemetry=self.telemetry,
-            )
-        return self.scanner
+    def _scanner(self, bits: int, moduli: list[int]) -> IncrementalScanner:
+        return IncrementalScanner(
+            bits=bits,
+            moduli=moduli,
+            int_backend=self.int_backend,
+            spool_dir=self.dir / "ptree",
+            telemetry=self.telemetry,
+        )
 
     def handle_init(self, payload: dict) -> tuple[str, dict]:
-        state = payload.get("state")
-        if state is None:
-            return self._status(loaded=self._load())
-        # explicit rebuild from the registry's slice — the durable truth
-        self.scanner = None
-        moduli = [int(n) for n in state["moduli"]]
-        bits = state.get("bits")
-        if moduli:
-            self._ensure_scanner(bits or moduli[0].bit_length()).adopt(moduli)
-        self.indices = [int(i) for i in state["indices"]]
-        self.pairs_tested = int(state["pairs_tested"])
-        self.applied_job = state.get("job")
-        self.applied_fp = None
-        self.applied_hits = []
-        self.applied_pairs = 0
-        self.persisted = False
-        try:
-            self._persist()
-        except OSError:
-            # memory is already the rebuilt truth; durability rides the
-            # next job/sync persist, and a crash before then just earns
-            # another rebuild from the registry
-            pass
-        return self._status(loaded=True)
+        """Take the slice the registry holds; resume from the snapshot if
+        it records that state (or, with ``next``, that state plus the
+        in-flight job's keys), else reset to it and persist."""
+        indices = [int(i) for i in payload["indices"]]
+        moduli = [int(n) for n in payload["moduli"]]
+        stored = self._stored()
+        resumed = stored is not None and (stored["indices"], stored["job"]) == (
+            indices, payload["job"]
+        )
+        after = payload.get("next")
+        if not resumed and stored is not None and after is not None:
+            resumed = (stored["indices"], stored["job"]) == (
+                indices + after["indices"], after["job"]
+            )
+            if resumed:
+                indices = stored["indices"]
+                moduli = moduli + [int(n) for n in after["moduli"]]
+        if resumed:
+            self.pairs_tested = stored["pairs_tested"]
+            self.applied_job = stored["job"]
+            self.applied_fp = stored["job_fp"]
+            self.applied_hits = stored["job_hits"]
+            self.applied_pairs = stored["job_pairs"]
+        else:
+            self.pairs_tested = int(payload["pairs_tested"])
+            self.applied_job = payload["job"]
+            self.applied_fp = None
+            self.applied_hits = []
+            self.applied_pairs = 0
+        self.indices = indices
+        bits = payload.get("bits")
+        self.scanner = self._scanner(int(bits), moduli) if bits else None
+        self.persisted = resumed
+        if not resumed:
+            try:
+                self._persist()
+            except OSError:
+                # memory is already the registry's truth; durability rides
+                # the next job/sync persist, and a crash before then just
+                # earns another reset from the registry
+                pass
+        return (
+            "status",
+            {
+                "rebuilt": not resumed,
+                "job": self.applied_job,
+                "keys": len(self.indices),
+                "pairs_total": self.pairs_tested,
+            },
+        )
 
     def handle_job(self, payload: dict) -> tuple[str, dict]:
         job = int(payload["job"])
@@ -377,7 +371,9 @@ class _ShardWorker:
             )
         base = int(payload["base"])
         moduli = [int(n) for n in payload["moduli"]]
-        scanner = self._ensure_scanner(int(payload["bits"]))
+        if self.scanner is None:
+            self.scanner = self._scanner(int(payload["bits"]), [])
+        scanner = self.scanner
         local_base = scanner.n_keys
         report = scanner.cross_scan(moduli, include_internal=bool(payload["internal"]))
         hits: list[list[int]] = []
@@ -424,8 +420,6 @@ class _ShardWorker:
                         reply = self.handle_sync()
                     except OSError as exc:
                         reply = ("err", {"error": repr(exc), "dead": False})
-                elif kind == "status":
-                    reply = self._status(loaded=self.scanner is not None)
                 elif kind == "stop":
                     try:
                         if not self.persisted:
@@ -570,18 +564,10 @@ class ShardRouter:
         rebuilt = []
         for k in range(self.shards):
             self._spawn(k)
-            status = self._request(k, ("init", {}))
-            moduli = [registry.moduli[i] for i in expected[k]]
-            want = _state_digest(self.shards, self.replicas, expected[k], moduli)
-            if not (
-                status.get("loaded")
-                and status.get("digest") == want
-                and status.get("job") == prev_job
-            ):
-                self._rebuild(k, expected[k], moduli, pairs[k], prev_job)
+            status = self._init(k, expected[k], pairs[k], prev_job)
+            if status["rebuilt"]:
                 rebuilt.append(k)
-            else:
-                pairs[k] = status["pairs_total"]
+            pairs[k] = status["pairs_total"]
         self._indices = expected
         self._pairs = pairs
         self._worker_job = [prev_job] * self.shards
@@ -799,33 +785,32 @@ class ShardRouter:
             if time.monotonic() > deadline:
                 raise TransientError(f"shard {k} timed out on {msg[0]!r}")
 
-    def _rebuild(
-        self, k: int, indices: list[int], moduli: list[int],
-        pairs: int, job: int | None,
-    ) -> None:
-        self.telemetry.registry.counter("shard.rebuilds").inc()
-        self.telemetry.emit("shard.rebuild", shard=k, keys=len(indices), job=job)
-        self._request(k, ("init", {
-            "state": {
-                "indices": indices,
-                "moduli": moduli,
-                "pairs_tested": pairs,
-                "job": job,
-                "bits": self.bits,
-            },
+    def _init(
+        self, k: int, indices: list[int], pairs: int, job: int | None,
+        pending: _Pending | None = None,
+    ) -> dict:
+        """Hand worker ``k`` its registry slice as of ``job``.  With
+        ``pending`` it may also resume with the in-flight job applied."""
+        registry_moduli = self._registry.moduli
+        after = None
+        if pending is not None:
+            owned = pending.owned[k]
+            after = {
+                "job": pending.job, "indices": owned,
+                "moduli": [pending.moduli[i - pending.base] for i in owned],
+            }
+        status = self._request(k, ("init", {
+            "bits": self.bits,
+            "indices": indices,
+            "moduli": [registry_moduli[i] for i in indices],
+            "pairs_tested": pairs,
+            "job": job,
+            "next": after,
         }))
-
-    def _moduli_for(self, indices: list[int], pending: _Pending | None) -> list[int]:
-        registry_moduli = self._registry.moduli if self._registry is not None else []
-        out = []
-        for i in indices:
-            if i < len(registry_moduli):
-                out.append(registry_moduli[i])
-            elif pending is not None and 0 <= i - pending.base < len(pending.moduli):
-                out.append(pending.moduli[i - pending.base])
-            else:
-                raise FatalError(f"shard index {i} maps to no known modulus")
-        return out
+        if status["rebuilt"]:
+            self.telemetry.registry.counter("shard.rebuilds").inc()
+            self.telemetry.emit("shard.rebuild", shard=k, keys=len(indices), job=job)
+        return status
 
     def _send_job(self, k: int, pending: _Pending) -> None:
         handle = self._workers[k]
@@ -852,7 +837,7 @@ class ShardRouter:
 
     def _respawn(self, k: int, pending: _Pending) -> None:
         """ChunkSupervisor semantics for shard workers: budgeted respawn,
-        snapshot-validated restore, replay of only the in-flight job."""
+        re-init from the registry slice, replay of only the in-flight job."""
         pending.attempts[k] += 1
         if pending.attempts[k] > self.max_attempts:
             raise ShardJobFailed(
@@ -883,24 +868,10 @@ class ShardRouter:
         self._workers[k].respawns += 1
         self.telemetry.emit("shard.respawn", shard=k, job=pending.job,
                             attempt=pending.attempts[k])
-        status = self._request(k, ("init", {}))
-        pre_moduli = self._moduli_for(self._indices[k], None)
-        pre_digest = _state_digest(self.shards, self.replicas, self._indices[k], pre_moduli)
-        post_indices = self._indices[k] + pending.owned[k]
-        post_digest = _state_digest(
-            self.shards, self.replicas, post_indices,
-            self._moduli_for(post_indices, pending),
-        )
-        if status.get("loaded") and status.get("digest") == post_digest \
-                and status.get("job") == pending.job:
-            self._worker_job[k] = pending.job  # applied + durable; resend replays
-            return
-        if status.get("loaded") and status.get("digest") == pre_digest \
-                and status.get("job") == pending.prev_job:
-            self._worker_job[k] = pending.prev_job
-            return
-        self._rebuild(k, self._indices[k], pre_moduli, self._pairs[k], pending.prev_job)
-        self._worker_job[k] = pending.prev_job
+        status = self._init(k, self._indices[k], self._pairs[k], pending.prev_job, pending)
+        # pending.job when the worker kept the applied job (a resend
+        # replays its stored hits), else prev_job
+        self._worker_job[k] = status["job"]
 
     def _gather(self, pending: _Pending) -> dict[int, dict]:
         waiting = set(range(self.shards))
@@ -954,6 +925,5 @@ class ShardRouter:
             handle = self._workers[k]
             if handle is None or not handle.process.is_alive():
                 self._spawn(k)
-            pre_moduli = self._moduli_for(self._indices[k], None)
-            self._rebuild(k, self._indices[k], pre_moduli, self._pairs[k], pending.prev_job)
+            self._init(k, self._indices[k], self._pairs[k], pending.prev_job)
             self._worker_job[k] = pending.prev_job

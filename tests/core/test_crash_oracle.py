@@ -447,14 +447,23 @@ def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
 
     def check(where: Path, acks: tuple[str, ...]) -> list[str]:
         restored = _ShardWorker(0, 1, 4, str(where), None)
-        if not restored._load():
+        stored = restored._stored()
+        if stored is None:
             return ["shard snapshot does not restore"]
-        job = restored.applied_job
+        job = stored["job"]
         need = 1 if acks else 0
         if job not in (0, 1) or job < need:
             return [f"shard restored job {job}, job {need} was acknowledged"]
-        if restored.scanner.moduli != MODULI[: 3 * (job + 1)]:
+        # the registry's slice as of that job must resume it, watermark and all
+        n = 3 * (job + 1)
+        _, status = restored.handle_init({
+            "bits": 64, "indices": list(range(n)), "moduli": MODULI[:n],
+            "pairs_tested": 0, "job": job,
+        })
+        if status["rebuilt"]:
             return [f"shard slice is not the job-{job} corpus"]
+        if status["pairs_total"] != n * (n - 1) // 2:
+            return [f"shard watermark {status['pairs_total']} after job {job}"]
         return []
 
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1

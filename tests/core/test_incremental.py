@@ -1,35 +1,15 @@
 """Tests for the incremental (streamed) weak-key scanner."""
 
-import json
 import math
 
 import pytest
 
-from repro.core import incremental
 from repro.core.attack import find_shared_primes
 from repro.core.incremental import IncrementalScanner
 from repro.rsa.corpus import generate_weak_corpus
 from repro.telemetry import Telemetry
 
 BITS = 64
-
-#: the tier names that version 1–3 snapshots record: every one restores
-#: onto the product tree, whichever it names
-RECORDED_ENGINES = ("native", "ptree", "auto", "all2all", "bulk")
-
-#: the tiers of the three-tier scanner, as its version-3 snapshots name them
-V3_ENGINES = ("native", "ptree", "auto")
-
-#: a version-2 snapshot exactly as the five-tier scanner wrote it (engine
-#: ``all2all``, 32-bit products of 16-bit primes, two batches of three)
-LEGACY_V2_SNAPSHOT = (
-    '{"version": 2, "bits": 32, "engine": "all2all", "int_backend": "python",'
-    ' "algorithm": "approx", "d": 32, "chunk_pairs": 4096, "early_terminate": true,'
-    ' "moduli": [2417000533, 2417098847, 2419164161, 2420639999, 2419852639,'
-    ' 2422313053], "hits": [[0, 1, 49157], [2, 4, 49177]],'
-    ' "total_pairs_tested": 15, "batches": 2}'
-)
-
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -41,9 +21,10 @@ class TestIncrementalScanner:
     def test_streamed_equals_snapshot(self, corpus):
         snapshot = find_shared_primes(corpus.moduli, backend="bulk", group_size=6)
         scanner = IncrementalScanner(bits=BITS)
+        found = set()
         for start in range(0, corpus.n_keys, 5):
-            scanner.add_batch(corpus.moduli[start : start + 5])
-        assert {(h.i, h.j) for h in scanner.all_hits} == snapshot.hit_pairs
+            found |= scanner.add_batch(corpus.moduli[start : start + 5]).hit_pairs
+        assert found == snapshot.hit_pairs
         assert scanner.coverage_is_complete()
 
     def test_cross_batch_hits_found_at_arrival(self, corpus):
@@ -69,8 +50,7 @@ class TestIncrementalScanner:
 
     def test_hit_primes_divide_moduli(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli)
-        for h in scanner.all_hits:
+        for h in scanner.add_batch(corpus.moduli).hits:
             assert corpus.moduli[h.i] % h.prime == 0
             assert corpus.moduli[h.j] % h.prime == 0
             assert math.gcd(corpus.moduli[h.i], corpus.moduli[h.j]) == h.prime
@@ -105,28 +85,37 @@ class TestIncrementalScanner:
             IncrementalScanner(bits=65)
 
 
+def stream(scanner, moduli, size):
+    """Feed ``moduli`` in batches of ``size``; every hit, sorted."""
+    hits = []
+    for start in range(0, len(moduli), size):
+        hits.extend(scanner.add_batch(moduli[start : start + size]).hits)
+    return sorted(hits, key=lambda h: (h.i, h.j))
+
+
 class TestSnapshotRestore:
+    """Restart needs no snapshot: a scanner constructed over the corpus it
+    resumes from counts that corpus's pairs as covered."""
+
     def test_roundtrip_equals_uninterrupted_run(self, corpus):
         straight = IncrementalScanner(bits=BITS)
-        for start in range(0, corpus.n_keys, 6):
-            straight.add_batch(corpus.moduli[start : start + 6])
+        straight_hits = stream(straight, corpus.moduli, 6)
 
         interrupted = IncrementalScanner(bits=BITS)
-        interrupted.add_batch(corpus.moduli[:6])
-        resumed = IncrementalScanner.restore(interrupted.snapshot())
-        for start in range(6, corpus.n_keys, 6):
-            resumed.add_batch(corpus.moduli[start : start + 6])
+        early = interrupted.add_batch(corpus.moduli[:6]).hits
+        resumed = IncrementalScanner(bits=BITS, moduli=interrupted.moduli)
+        late = stream(resumed, corpus.moduli[6:], 6)
 
         assert resumed.moduli == straight.moduli
-        assert resumed.all_hits == straight.all_hits
+        assert sorted(early + late, key=lambda h: (h.i, h.j)) == straight_hits
         assert resumed.total_pairs_tested == straight.total_pairs_tested
         assert resumed.coverage_is_complete()
 
     def test_restore_never_rescans_or_rereports(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:10])
-        old_hits = set(scanner.all_hits)
-        resumed = IncrementalScanner.restore(scanner.snapshot())
+        old_hits = set(scanner.add_batch(corpus.moduli[:10]).hits)
+        resumed = IncrementalScanner(bits=BITS, moduli=corpus.moduli[:10])
+        assert resumed.total_pairs_tested == 10 * 9 // 2
         rep = resumed.add_batch(corpus.moduli[10:])
         k, m = corpus.n_keys - 10, 10
         assert rep.pairs_tested == k * m + k * (k - 1) // 2
@@ -134,35 +123,21 @@ class TestSnapshotRestore:
         assert all(h.j >= 10 for h in rep.hits)
         assert not old_hits & set(rep.hits)
 
-    def test_snapshot_is_json_ready(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:5])
-        back = IncrementalScanner.restore(json.loads(json.dumps(scanner.snapshot())))
-        assert back.moduli == scanner.moduli
-
     def test_restore_config_overrides(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:5])
-        resumed = IncrementalScanner.restore(scanner.snapshot(), int_backend="python")
+        resumed = IncrementalScanner(
+            bits=BITS, moduli=corpus.moduli[:5], int_backend="python"
+        )
         assert resumed.backend.name == "python"
-        # the int backend is the only override; corpus facts cannot change
-        with pytest.raises(TypeError):
-            IncrementalScanner.restore(scanner.snapshot(), bits=128)
+        # the corpus fixes the size: a scanner of another size refuses it
+        with pytest.raises(ValueError, match="bits"):
+            IncrementalScanner(bits=128, moduli=corpus.moduli[:5])
 
     def test_restore_rejects_corrupt_snapshots(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:4])
-        good = scanner.snapshot()
-        with pytest.raises(ValueError, match="version"):
-            IncrementalScanner.restore({**good, "version": 99})
-        with pytest.raises(ValueError, match="invalid"):
-            IncrementalScanner.restore({**good, "moduli": [6]})
-        with pytest.raises(ValueError, match="out of range"):
-            IncrementalScanner.restore({**good, "hits": [[0, 9, 3]]})
-        with pytest.raises(ValueError, match="impossible"):
-            IncrementalScanner.restore({**good, "total_pairs_tested": 1000})
-        with pytest.raises(ValueError, match="dict"):
-            IncrementalScanner.restore("nope")
+        # the starting corpus is checked like any batch
+        with pytest.raises(ValueError, match="odd"):
+            IncrementalScanner(bits=BITS, moduli=[*corpus.moduli[:3], 6])
+        with pytest.raises(ValueError, match="bits"):
+            IncrementalScanner(bits=BITS, moduli=[(1 << 70) + 1])
 
 
 class TestEngineTiers:
@@ -174,27 +149,19 @@ class TestEngineTiers:
             "spool": IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt"),
         }
         oracle = find_shared_primes(corpus.moduli, backend="scalar")
+        found = set()
         for start in range(0, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             reports = {k: s.add_batch(list(batch)) for k, s in scanners.items()}
             hit_sets = {k: [(h.i, h.j, h.prime) for h in r.hits] for k, r in reports.items()}
             assert len({str(v) for v in hit_sets.values()}) == 1, hit_sets
             assert {r.engine for r in reports.values()} == {"ptree"}
+            found |= reports["memory"].hit_pairs
+        assert found == oracle.hit_pairs
         for scanner in scanners.values():
-            assert {(h.i, h.j) for h in scanner.all_hits} == oracle.hit_pairs
-            assert scanner.all_hits == scanners["memory"].all_hits
             assert scanner.coverage_is_complete()
 
-    def test_all_hits_stays_sorted_across_merges(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        for start in range(0, corpus.n_keys, 3):
-            scanner.add_batch(corpus.moduli[start : start + 3])
-        keys = [(h.i, h.j) for h in scanner.all_hits]
-        assert keys == sorted(keys)
-        assert len(scanner.all_hits) >= 2  # the merge path actually merged
-
-    @pytest.mark.parametrize("engine", V3_ENGINES)
-    def test_progress_counts_pairs_covered(self, engine):
+    def test_progress_counts_pairs_covered(self):
         corpus = generate_weak_corpus(40, 64, shared_groups=(2, 3), seed="progress")
         telemetry = Telemetry.create(progress_callback=lambda update: None)
         scanner = IncrementalScanner(bits=64, telemetry=telemetry)
@@ -202,108 +169,42 @@ class TestEngineTiers:
             scanner.add_batch(corpus.moduli[start : start + 10])
         assert scanner.total_pairs_tested == 40 * 39 // 2
         assert telemetry.progress.completed == scanner.total_pairs_tested
-        # a scanner resumed from the v3 state its tier wrote counts only
-        # the pairs it covers itself
-        writer = IncrementalScanner(bits=64)
-        writer.add_batch(corpus.moduli[:10])
-        old = {**writer.snapshot(), "version": 3, "engine": engine}
+        # a scanner resumed over a covered corpus counts only the pairs it
+        # covers itself
         telemetry = Telemetry.create(progress_callback=lambda update: None)
-        resumed = IncrementalScanner.restore(old, telemetry=telemetry)
+        resumed = IncrementalScanner(
+            bits=64, moduli=corpus.moduli[:10], telemetry=telemetry
+        )
         for start in range(10, 40, 10):
             resumed.add_batch(corpus.moduli[start : start + 10])
         assert resumed.total_pairs_tested == 40 * 39 // 2
         assert telemetry.progress.completed == 40 * 39 // 2 - 10 * 9 // 2
 
-
-class TestSnapshotVersioning:
-    def test_snapshot_records_resolved_backend(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:4])
-        snap = scanner.snapshot()
-        assert snap["int_backend"] == scanner.backend.name
-        assert snap["version"] == incremental.SNAPSHOT_VERSION == 4
-        assert "engine" not in snap
-
-    def test_restore_pins_the_recorded_backend(self, corpus):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:4])
-        snap = scanner.snapshot()
-        # a host missing the recorded backend must fail loudly, not
-        # silently switch arithmetic
-        snap["int_backend"] = "gmpy2"
-        if "gmpy2" in __import__("repro.util.intops", fromlist=["available_backends"]).available_backends():
-            pytest.skip("gmpy2 present; the loud-failure path needs it absent")
-        with pytest.raises(ValueError, match="gmpy2"):
-            IncrementalScanner.restore(snap)
-        # an explicit caller choice still overrides the pin
-        back = IncrementalScanner.restore(snap, int_backend="python")
-        assert back.backend.name == "python"
-
-    def test_v1_snapshot_still_restores(self, corpus, tmp_path):
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:10])
-        v1 = scanner.snapshot()
-        v1.update(version=1, engine="native")
-        del v1["int_backend"]  # v1 payloads predate the backend record
-        resumed = IncrementalScanner.restore(v1, spool_dir=tmp_path / "pt")
-        assert resumed._ptree.n_leaves == 10  # tree rebuilt from moduli
-        rep = resumed.add_batch(corpus.moduli[10:])
-        assert resumed.coverage_is_complete()
-        straight = IncrementalScanner(bits=BITS)
-        straight.add_batch(corpus.moduli)
-        assert resumed.all_hits == straight.all_hits
-        assert rep.engine == "ptree"
-
-    @pytest.mark.parametrize("version", (1, 3))
-    @pytest.mark.parametrize("engine", RECORDED_ENGINES)
-    def test_recorded_engine_is_ignored(self, corpus, tmp_path, engine, version):
-        """A v1 or v3 payload names the tier that wrote it; whatever the
-        name, the stream carries on over the tree with identical hits."""
-        scanner = IncrementalScanner(bits=BITS)
-        scanner.add_batch(corpus.moduli[:10])
-        old = {**scanner.snapshot(), "version": version, "engine": engine}
-        if version == 1:
-            del old["int_backend"]
-        resumed = IncrementalScanner.restore(old, spool_dir=tmp_path / "pt")
-        resumed.add_batch(corpus.moduli[10:])
-        straight = IncrementalScanner(bits=BITS)
-        straight.add_batch(corpus.moduli)
-        assert resumed.all_hits == straight.all_hits
-        assert resumed.coverage_is_complete()
-        assert "engine" not in resumed.snapshot()
-
-    @pytest.mark.parametrize("engine", RECORDED_ENGINES)
-    def test_v2_snapshot_of_a_retired_engine_restores(self, engine, tmp_path):
-        # written by the five-tier scanner: a v2 payload recording a tier
-        # and the bulk-only knobs, which restore ignores
-        v2 = {**json.loads(LEGACY_V2_SNAPSHOT), "engine": engine}
-        resumed = IncrementalScanner.restore(v2, spool_dir=tmp_path / "pt")
-        assert [(h.i, h.j, h.prime) for h in resumed.all_hits] == [
-            tuple(h) for h in v2["hits"]
-        ]
-        assert resumed.coverage_is_complete()
-        assert "chunk_pairs" not in resumed.snapshot()
-        assert resumed.snapshot()["version"] == incremental.SNAPSHOT_VERSION
-        # the stream carries on from the old state
-        fresh = 49157 * 49223
-        rep = resumed.add_batch([fresh])
-        assert [(h.i, h.j) for h in rep.hits] == [
-            (i, 6) for i, n in enumerate(v2["moduli"]) if math.gcd(n, fresh) > 1
-        ]
-        assert len(rep.hits) == 3
-        assert resumed.coverage_is_complete()
-
-    def test_restored_ptree_loads_from_spool(self, corpus, tmp_path):
+    def test_resumed_ptree_loads_from_spool(self, corpus, tmp_path):
         scanner = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
         scanner.add_batch(corpus.moduli[:10])
         telemetry = Telemetry.create()
-        resumed = IncrementalScanner.restore(
-            scanner.snapshot(), spool_dir=tmp_path / "pt", telemetry=telemetry
+        resumed = IncrementalScanner(
+            bits=BITS, moduli=scanner.moduli, spool_dir=tmp_path / "pt",
+            telemetry=telemetry,
         )
+        # loaded at construction, so the first flush pays nothing extra
         assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert telemetry.registry.counter("ptree.blob_writes").value == 0
         assert resumed._ptree.n_leaves == 10
         resumed.add_batch(corpus.moduli[10:])
         assert resumed.coverage_is_complete()
+
+    def test_stale_spool_is_rebuilt_at_construction(self, corpus, tmp_path):
+        writer = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
+        writer.add_batch(corpus.moduli[:12])
+        telemetry = Telemetry.create()
+        resumed = IncrementalScanner(
+            bits=BITS, moduli=corpus.moduli[:10], spool_dir=tmp_path / "pt",
+            telemetry=telemetry,
+        )
+        assert telemetry.registry.counter("ptree.rebuilds").value == 1
+        assert list(resumed._ptree.leaves()) == corpus.moduli[:10]
 
 
 class TestIncrementalTelemetry:
@@ -339,16 +240,14 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    @pytest.mark.parametrize("engine", V3_ENGINES)
-    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path, engine):
-        # the split side spools its tree and resumes from the v3 state its
-        # tier wrote, as a shard worker restarted across the upgrade does
+    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path):
+        # the split side spools its tree and resumes over a covered corpus,
+        # as a restarted shard worker does
         reference = IncrementalScanner(bits=BITS)
         reference.add_batch(corpus.moduli[:5])
-        writer = IncrementalScanner(bits=BITS)
-        writer.add_batch(corpus.moduli[:5])
-        old = {**writer.snapshot(), "version": 3, "engine": engine}
-        split = IncrementalScanner.restore(old, spool_dir=tmp_path / "pt")
+        split = IncrementalScanner(
+            bits=BITS, moduli=corpus.moduli[:5], spool_dir=tmp_path / "pt"
+        )
         for start in range(5, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             ref = reference.add_batch(list(batch))
@@ -363,9 +262,9 @@ class TestCrossScanAdopt:
     def test_cross_scan_does_not_mutate_state(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:9])
-        before = (list(scanner.moduli), scanner.total_pairs_tested, list(scanner.all_hits))
+        before = (list(scanner.moduli), scanner.total_pairs_tested, scanner._ptree.n_leaves)
         scanner.cross_scan(corpus.moduli[9:], include_internal=True)
-        after = (list(scanner.moduli), scanner.total_pairs_tested, list(scanner.all_hits))
+        after = (list(scanner.moduli), scanner.total_pairs_tested, scanner._ptree.n_leaves)
         assert before == after
 
     def test_internal_pairs_are_opt_in(self, corpus):
@@ -387,21 +286,24 @@ class TestCrossScanAdopt:
         scanner = IncrementalScanner(bits=BITS)
         scanner.adopt(corpus.moduli[:6])
         assert scanner.moduli == corpus.moduli[:6]
-        assert scanner.total_pairs_tested == 0 and scanner.all_hits == []
+        assert scanner.total_pairs_tested == 0
         # the adopted corpus is live: the next batch scans against it
         rep = scanner.add_batch(corpus.moduli[6:])
         expected = 6 * 12 + 12 * 11 // 2
         assert rep.pairs_tested == expected
 
-    def test_adopted_corpus_snapshots_and_restores(self, corpus, tmp_path):
+    def test_adopted_corpus_resumes(self, corpus, tmp_path):
         scanner = IncrementalScanner(bits=BITS, spool_dir=tmp_path / "pt")
         scanner.adopt(corpus.moduli[:10])
         scanner.cross_scan(corpus.moduli[10:])
-        restored = IncrementalScanner.restore(
-            scanner.snapshot(), spool_dir=tmp_path / "pt"
+        telemetry = Telemetry.create()
+        resumed = IncrementalScanner(
+            bits=BITS, moduli=scanner.moduli, spool_dir=tmp_path / "pt",
+            telemetry=telemetry,
         )
-        assert restored.moduli == corpus.moduli[:10]
-        rep = restored.cross_scan(corpus.moduli[10:], include_internal=True)
+        assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert resumed.moduli == corpus.moduli[:10]
+        rep = resumed.cross_scan(corpus.moduli[10:], include_internal=True)
         full = IncrementalScanner(bits=BITS)
         full.add_batch(corpus.moduli[:10])
         ref = full.cross_scan(corpus.moduli[10:], include_internal=True)

@@ -161,6 +161,28 @@ class TestShardFamily:
         assert_recovered(tmp_path, corpus, hits, shards=2)
         assert (tmp_path / "shards" / "0" / "shard.json").exists()
 
+    def test_shard_trees_drop_and_rebuild_with_two_shards(
+        self, tmp_path, corpus, mode, verdict
+    ):
+        # corrupt every segment write of both workers' trees
+        hits = run_batches(
+            tmp_path, corpus, f"ptree.commit=corrupt:{mode}", shards=2
+        )
+        damaged = family_verdicts(tmp_path, "ptree", corrupt_only=True)
+        assert damaged, "no shard tree corruption recorded"
+        assert set(damaged.values()) == {verdict}
+        trees = {a.rsplit("/", 1)[0] for a in damaged}
+        assert trees <= {"shards/0/ptree", "shards/1/ptree"}, damaged
+        report = run_fsck(tmp_path, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        assert {
+            r["artifact"] for r in report.repairs if r["action"] == "drop-derived"
+        } == trees
+        # the restarted workers rebuild their trees from the registry slice
+        assert_recovered(tmp_path, corpus, hits, shards=2)
+        for tree in trees:
+            assert (tmp_path / tree / "manifest.json").exists()
+
 
 @pytest.mark.parametrize("mode", ["truncate", "zero"])
 class TestIngestCursorFamily:

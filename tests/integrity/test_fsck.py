@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from repro.core import chainlog
 from repro.core.spool import read_blob, write_blob, write_sidecar
 from repro.integrity.fsck import run_fsck
+from repro.service.shard import _ShardWorker
 from repro.service.registry import WeakKeyRegistry
 
 from tests.integrity.conftest import (
@@ -20,6 +22,16 @@ from tests.integrity.conftest import (
 from tests.service.test_registry import V1_BATCHES, write_v1
 
 LOG = "registry-000000.log"
+
+
+def write_shards(state_dir, moduli, shards=2):
+    """Shard state as workers write it: shard ``k`` owns ``g % shards == k``."""
+    for k in range(shards):
+        indices = [g for g in range(len(moduli)) if g % shards == k]
+        _ShardWorker(k, shards, 1, str(state_dir), None).handle_init({
+            "bits": 64, "indices": indices, "moduli": [moduli[g] for g in indices],
+            "pairs_tested": 0, "job": None,
+        })
 
 
 def repairs_of(report, action=None):
@@ -133,26 +145,26 @@ class TestRegistryRepair:
         self, tmp_path, corpus, corpus_hits
     ):
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
-        # one snapshot owning every even index, one owning the odds
-        for k in (0, 1):
-            indices = [g for g in range(len(corpus.moduli)) if g % 2 == k]
-            payload = {
-                "format": "repro.shard-snapshot/1", "shard": k, "shards": 2,
-                "replicas": 1, "indices": indices,
-                "scanner": {"moduli": [corpus.moduli[g] for g in indices]},
-                "pairs_tested": 0, "job": None, "job_fp": None,
-                "job_hits": [], "job_pairs": 0,
-            }
-            sdir = tmp_path / "shards" / str(k)
-            sdir.mkdir(parents=True)
-            body = json.dumps(payload).encode()
-            (sdir / "shard.json").write_bytes(body)
-            write_sidecar(sdir / "shard.json", hashlib.sha256(body).hexdigest())
+        # one shard owning every even index, one owning the odds: each
+        # worker spools its slice's tree and a snapshot of its indices
+        write_shards(tmp_path, corpus.moduli)
         pristine = (tmp_path / LOG).read_bytes()
         flip_record_byte(tmp_path, 0, "keys")
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         assert (tmp_path / LOG).read_bytes() == pristine
+
+    def test_shard_snapshot_alone_is_no_redundancy(self, tmp_path, corpus, corpus_hits):
+        # the snapshot holds indices, not moduli: without its tree it
+        # proves nothing
+        build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
+        write_shards(tmp_path, corpus.moduli)
+        for k in (0, 1):
+            shutil.rmtree(tmp_path / "shards" / str(k) / "ptree")
+        flip_record_byte(tmp_path, 0, "keys")
+        report = run_fsck(tmp_path, repair=True)
+        assert not report.healed
+        assert any("no intact redundancy" in r["reason"] for r in report.refusals)
 
     def test_no_redundancy_refuses_loudly(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
@@ -185,6 +197,26 @@ class TestPtreeRepair:
             for off, n in enumerate(nodes[: (len(nodes) + 1) // 2]):
                 leaves[int(start) + off] = n
         assert [leaves[g] for g in sorted(leaves)] == corpus.moduli
+
+    @pytest.mark.parametrize("service_tree", [False, True])
+    def test_damaged_shard_tree_is_dropped_as_derived(
+        self, tmp_path, corpus, corpus_hits, service_tree
+    ):
+        # a sharded state dir, perhaps with an intact service tree left by
+        # an earlier one-shard run: only the damaged shard tree is touched
+        build_state(tmp_path, corpus, corpus_hits, with_ptree=service_tree)
+        write_shards(tmp_path, corpus.moduli)
+        shard_tree = tmp_path / "shards" / "1" / "ptree"
+        seg = sorted(shard_tree.glob("seg-*.bin"))[0]
+        flip_byte(seg)
+        report = run_fsck(tmp_path, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        dropped = [r["artifact"] for r in repairs_of(report, "drop-derived")]
+        assert dropped == ["shards/1/ptree"]
+        assert not repairs_of(report, "rebuild")
+        assert not list(shard_tree.iterdir())
+        assert (tmp_path / "quarantine" / "shards" / "1" / "ptree" / seg.name).exists()
+        assert (tmp_path / "shards" / "0" / "ptree" / "manifest.json").exists()
 
     def test_mutual_repair_of_disjoint_damage(self, tmp_path):
         # registry keys heal from ptree leaves while the damaged ptree

