@@ -11,6 +11,20 @@ from repro.telemetry import Telemetry
 
 BITS = 64
 
+#: the tiers of the retired three-tier scanner: ``ptree`` and ``auto``
+#: kept the product tree in the spool, the pairwise ``native`` tier none
+V3_ENGINES = ("native", "ptree", "auto")
+
+
+def spool_as_left_by(engine, bits, moduli, spool_dir):
+    """Leave ``spool_dir`` as a scanner of the retired ``engine`` tier left
+    it after covering ``moduli``; True when that tier spooled a tree."""
+    if engine == "native":
+        return False
+    IncrementalScanner(bits=bits, spool_dir=spool_dir).add_batch(list(moduli))
+    return True
+
+
 @pytest.fixture(scope="module")
 def corpus():
     # one pair inside the first batch, one triple spanning batches
@@ -161,7 +175,8 @@ class TestEngineTiers:
         for scanner in scanners.values():
             assert scanner.coverage_is_complete()
 
-    def test_progress_counts_pairs_covered(self):
+    @pytest.mark.parametrize("engine", V3_ENGINES)
+    def test_progress_counts_pairs_covered(self, tmp_path, engine):
         corpus = generate_weak_corpus(40, 64, shared_groups=(2, 3), seed="progress")
         telemetry = Telemetry.create(progress_callback=lambda update: None)
         scanner = IncrementalScanner(bits=64, telemetry=telemetry)
@@ -170,11 +185,15 @@ class TestEngineTiers:
         assert scanner.total_pairs_tested == 40 * 39 // 2
         assert telemetry.progress.completed == scanner.total_pairs_tested
         # a scanner resumed over a covered corpus counts only the pairs it
-        # covers itself
+        # covers itself, whether it loads the tree its tier spooled or
+        # rebuilds one the tier never wrote
+        spooled = spool_as_left_by(engine, 64, corpus.moduli[:10], tmp_path / "pt")
         telemetry = Telemetry.create(progress_callback=lambda update: None)
         resumed = IncrementalScanner(
-            bits=64, moduli=corpus.moduli[:10], telemetry=telemetry
+            bits=64, moduli=corpus.moduli[:10], spool_dir=tmp_path / "pt",
+            telemetry=telemetry,
         )
+        assert telemetry.registry.counter("ptree.rebuilds").value == (0 if spooled else 1)
         for start in range(10, 40, 10):
             resumed.add_batch(corpus.moduli[start : start + 10])
         assert resumed.total_pairs_tested == 40 * 39 // 2
@@ -240,14 +259,20 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path):
-        # the split side spools its tree and resumes over a covered corpus,
-        # as a restarted shard worker does
+    @pytest.mark.parametrize("engine", V3_ENGINES)
+    def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path, engine):
+        # the split side resumes over a covered corpus from the spool the
+        # tier that ran before the upgrade left, as a restarted shard
+        # worker does
         reference = IncrementalScanner(bits=BITS)
         reference.add_batch(corpus.moduli[:5])
+        spooled = spool_as_left_by(engine, BITS, corpus.moduli[:5], tmp_path / "pt")
+        telemetry = Telemetry.create()
         split = IncrementalScanner(
-            bits=BITS, moduli=corpus.moduli[:5], spool_dir=tmp_path / "pt"
+            bits=BITS, moduli=corpus.moduli[:5], spool_dir=tmp_path / "pt",
+            telemetry=telemetry,
         )
+        assert telemetry.registry.counter("ptree.rebuilds").value == (0 if spooled else 1)
         for start in range(5, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
             ref = reference.add_batch(list(batch))
