@@ -56,7 +56,7 @@ of as a vague end-to-end slowdown:
   time and the bytes each commit adds to the state dir.  The registry
   log appends one record per commit, so neither should grow with age;
   ``p50_ratio`` is the p50 at 10,000 prior batches over the p50 at 1;
-* ``shard_persist``  — one shard job's snapshot persist
+* ``shard_persist``  — one shard apply's snapshot persist
   (``_ShardWorker._persist`` in :mod:`repro.service.shard`: encode, the
   durable replace and its sidecar) for a worker that owns 1,000, 5,000
   and 25,000 2048-bit keys (every other global index, as at two
@@ -701,9 +701,9 @@ def _v1_persist(worker: _ShardWorker, moduli: list[int]) -> int:
             "moduli": moduli, "hits": [],
             "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
         },
-        "indices": worker.indices, "pairs_tested": worker.pairs_tested,
-        "job": worker.applied_job, "job_fp": worker.applied_fp,
-        "job_hits": worker.applied_hits, "job_pairs": worker.applied_pairs,
+        "indices": worker.indices, "pairs_tested": m * (m - 1),
+        "job": worker.job, "job_fp": "0123456789abcdef",
+        "job_hits": [], "job_pairs": 2 * m - 1,
     }
     body = json.dumps(payload).encode("utf-8")
     durable.replace_bytes(worker.snapshot_path, body)
@@ -712,11 +712,11 @@ def _v1_persist(worker: _ShardWorker, moduli: list[int]) -> int:
 
 
 def bench_shard_persist(samples: int, seed: str) -> dict:
-    """One shard job's snapshot persist at each of :data:`SHARD_KEYS` keys.
+    """One shard apply's snapshot persist at each of :data:`SHARD_KEYS` keys.
 
     The worker holds a two-shard slice (every other global index) after
-    job ``2 * keys``; its scanner is not built, since the snapshot no
-    longer reads it.  Persists of the current format and the ``/1``
+    job ``2 * keys``; its scanner is not built, since the snapshot does
+    not read it.  Persists of the current format and the ``/1``
     reference alternate, so host drift lands on both alike.
     """
     rows = []
@@ -725,9 +725,7 @@ def bench_shard_persist(samples: int, seed: str) -> dict:
         with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
             worker = _ShardWorker(0, 2, 32, d, None)
             worker.indices = list(range(0, 2 * n_keys, 2))
-            worker.pairs_tested = n_keys * (n_keys - 1)
-            worker.applied_job, worker.applied_fp = 2 * n_keys, "0123456789abcdef"
-            worker.applied_pairs = 2 * n_keys - 1
+            worker.job = 2 * n_keys
             now, then = [], []
             for _ in range(samples):
                 t0 = time.perf_counter()

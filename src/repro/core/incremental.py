@@ -133,37 +133,34 @@ class IncrementalScanner:
     # -- scanning --------------------------------------------------------------
 
     def add_batch(self, new_moduli: list[int]) -> BatchReport:
-        """Ingest a batch, covering only the pairs it creates."""
+        """Ingest a batch, covering only the pairs it creates.
+
+        The composition of the two halves a caller may also run apart:
+        the pure :meth:`cross_scan` (internal pairs included), then
+        :meth:`adopt` crediting the pairs it covered.  The service runs
+        them with its registry commit in between."""
         self._check(new_moduli)
         tel = self.telemetry
         base = len(self.moduli)
         k = len(new_moduli)
-        report = BatchReport(batch_index=self._batches, new_keys=k, total_keys=base + k)
+        batch = self._batches
         self._batches += 1
-        tel.emit("batch.start", batch=report.batch_index,
-                 new_keys=report.new_keys, total_keys=report.total_keys)
-
-        pairs = base * k + k * (k - 1) // 2
+        tel.emit("batch.start", batch=batch, new_keys=k, total_keys=base + k)
         clock = tel.timer.clock
         started = clock()
         with tel.timer.span("batch"):
-            self._cover(new_moduli, base, report, include_internal=True)
-            self._ptree.append(new_moduli)
-        self.moduli.extend(new_moduli)
+            report = self.cross_scan(new_moduli, include_internal=True)
+            self.adopt(new_moduli, pairs=report.pairs_tested)
+        report.batch_index = batch
         # each batch owns its own span measurement: deriving it from the
         # shared "batch" timer total mis-attributes time under nested or
         # concurrent spans (the timer keys by slash-joined path)
         report.elapsed_seconds = clock() - started
-        report.hits.sort(key=lambda h: (h.i, h.j))
-        report.pairs_tested = pairs
-        self.total_pairs_tested += pairs
         reg = tel.registry
         reg.counter("incremental.batches").inc()
         reg.counter("incremental.keys").inc(k)
-        reg.counter("scan.pairs_tested").inc(report.pairs_tested)
-        reg.counter("scan.hits").inc(len(report.hits))
         reg.histogram("incremental.batch_pairs").observe(report.pairs_tested)
-        tel.emit("batch.done", batch=report.batch_index,
+        tel.emit("batch.done", batch=batch,
                  pairs=report.pairs_tested, hits=len(report.hits),
                  elapsed_seconds=report.elapsed_seconds)
         return report
@@ -173,14 +170,14 @@ class IncrementalScanner:
     ) -> BatchReport:
         """Test an external batch against the corpus **without adopting it**.
 
-        The sharded service (``repro.service.shard``) partitions each
-        admitted batch's pairs across workers: every shard cross-scans the
-        full batch against its local slice, exactly one shard also covers
-        the batch's internal pairs (``include_internal=True``), and each
-        shard then :meth:`adopt`\\ s only the keys it owns.  Hits are
-        reported as ``(corpus_index, base + batch_position)`` — the same
-        shape :meth:`add_batch` uses — and neither the corpus, the product
-        tree, nor the pairs accounting is mutated.
+        The scan half of :meth:`add_batch`.  Hits are reported as
+        ``(corpus_index, base + batch_position)`` and neither the corpus,
+        the product tree, nor the pairs accounting is mutated, so a scan
+        whose batch is then refused leaves nothing to undo.  The sharded
+        service (``repro.service.shard``) partitions each batch's pairs
+        across workers: every shard cross-scans the full batch against its
+        local slice and exactly one shard also covers the batch's internal
+        pairs (``include_internal=True``).
 
         >>> s = IncrementalScanner(bits=16)
         >>> _ = s.add_batch([193 * 197])
@@ -206,14 +203,14 @@ class IncrementalScanner:
         reg.counter("scan.hits").inc(len(report.hits))
         return report
 
-    def adopt(self, new_moduli: list[int]) -> None:
+    def adopt(self, new_moduli: list[int], *, pairs: int = 0) -> None:
         """Extend the corpus (and its product tree) **without scanning**.
 
-        The dual of :meth:`cross_scan`: pairs involving these keys were
-        covered elsewhere (by this scanner's own cross-scan against them,
-        or by a sibling shard), so only membership changes — the ptree
-        carry-merges the new leaves and ``total_pairs_tested`` is
-        untouched.
+        The apply half of :meth:`add_batch`: the keys join the corpus (the
+        ptree carry-merges the new leaves) and ``pairs``, the pairs a
+        :meth:`cross_scan` of them covered, are credited.  A shard adopts
+        only the keys it owns and credits nothing: its router keeps the
+        fleet's pair watermarks.
 
         >>> s = IncrementalScanner(bits=16)
         >>> s.adopt([193 * 197, 193 * 199])
@@ -221,11 +218,11 @@ class IncrementalScanner:
         (2, 0)
         """
         self._check(new_moduli)
-        if not new_moduli:
-            return
-        self._ptree.append(new_moduli)
-        self.moduli.extend(new_moduli)
-        self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
+        if new_moduli:
+            self._ptree.append(new_moduli)
+            self.moduli.extend(new_moduli)
+            self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
+        self.total_pairs_tested += pairs
 
     def _cover(
         self, new_moduli: list[int], base: int, report: BatchReport,

@@ -42,10 +42,13 @@ manifest (:mod:`repro.core.checkpoint`).  The commit protocol per flush is
 *blobs first, manifest second*; a crash between the two leaves the old
 manifest pointing at the old (still present) blobs, so a restarted
 scanner resumes at the previous flush boundary without recomputing a
-single product.  Any mismatch — corrupt blob, foreign manifest, or leaves
-that disagree with the scanner's corpus — falls back to a full rebuild
-from the moduli (counted in ``ptree.rebuilds``), which is always correct
-and never trusted state over arithmetic.
+single product.  A spool that holds a *prefix* of the corpus (the service
+appends to its tree only after the registry commits, so its spool may
+trail the registry by a batch) loads and takes the missing tail as an
+ordinary append.  Any other mismatch — corrupt blob, foreign manifest, or
+leaves that disagree with the scanner's corpus — falls back to a full
+rebuild from the moduli (counted in ``ptree.rebuilds``), which is always
+correct and never trusted state over arithmetic.
 
 The ``ptree.commit`` fault point fires before each persist attempt (on
 top of the ``spool.write`` / ``manifest.commit`` points inside the
@@ -329,11 +332,12 @@ class PersistentProductTree:
         """Make this (empty) tree hold exactly ``moduli``.
 
         Tries the spool first: every referenced blob must re-verify, the
-        segment shapes must form the binary decomposition of
-        ``len(moduli)`` over contiguous leaf ranges, and the stored leaves
-        must equal ``moduli`` value-for-value.  Anything less falls back
-        to a rebuild from scratch (``ptree.rebuilds`` counts these).
-        Returns True when the spool satisfied the load.
+        segment shapes must form a binary-counter forest over contiguous
+        leaf ranges, and the stored leaves must equal a prefix of
+        ``moduli`` value-for-value.  The rest of ``moduli`` is then
+        appended, which writes only the new and merged segments.  Anything
+        less falls back to a rebuild from scratch (``ptree.rebuilds``
+        counts these).  Returns True when the spool satisfied the load.
         """
         if self.n_leaves:
             raise ValueError("load_or_rebuild requires an empty tree")
@@ -342,6 +346,7 @@ class PersistentProductTree:
                 reg = self.telemetry.registry
                 reg.gauge("ptree.leaves").set(self.n_leaves)
                 reg.gauge("ptree.segments").set(len(self.segments))
+            self.append(moduli[self.n_leaves :])
             return True
         if self.store is not None and self.telemetry is not None:
             self.telemetry.registry.counter("ptree.rebuilds").inc()
@@ -354,7 +359,8 @@ class PersistentProductTree:
         manifest = self.store.load()
         if manifest is None or manifest.config.get("format") != PTREE_FORMAT:
             return False
-        if manifest.config.get("n_leaves") != len(moduli):
+        n_leaves = manifest.config.get("n_leaves")
+        if not isinstance(n_leaves, int) or n_leaves > len(moduli):
             return False
         from_int, to_int = self.backend.from_int, self.backend.to_int
         segments: list[_Segment] = []
@@ -375,7 +381,7 @@ class PersistentProductTree:
                 return False  # leaves disagree with the corpus
             segments.append(seg)
             start += seg.size
-        if start != len(moduli):
+        if start != n_leaves:
             return False
         self.segments = segments
         self.n_leaves = start

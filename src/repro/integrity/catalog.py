@@ -16,9 +16,9 @@ verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
 ``spool``           any other checkpointed spool (the batchscan
                     pipeline's level blobs).
 ``shard-snapshot``  ``shards/<k>/shard.json`` files
-                    (``repro.shard-snapshot/2``, or ``/1`` from before
-                    the snapshot dropped its moduli copy), checksummed by
-                    a ``.sha256`` sidecar.
+                    (``repro.shard-snapshot/3``, or ``/1`` and ``/2``
+                    from earlier workers), checksummed by a ``.sha256``
+                    sidecar.
 ``ingest``          the crawl's ``cursor.json`` (sidecar-checksummed),
                     ``dedup/seen.log`` + derived buckets, and the outbox.
 
@@ -94,14 +94,12 @@ _SEVERITY = {
 #: the per-batch blob layout ``WeakKeyRegistry.load`` converts to the log
 REGISTRY_V1_FORMAT = "weak-key-registry/1"
 PTREE_FORMAT = "product-tree/1"
-#: ``/1`` also carried a ``scanner`` copy of the slice, which workers ignore
-SHARD_FORMATS = ("repro.shard-snapshot/1", "repro.shard-snapshot/2")
+#: ``/1`` also carried a ``scanner`` copy of the slice and ``/2`` a pair
+#: watermark and the last job's hits; workers read none of them back
+SHARD_FORMATS = ("repro.shard-snapshot/1", "repro.shard-snapshot/2", "repro.shard-snapshot/3")
 CURSOR_FORMAT = "repro-ct-cursor-v1"
 
-_SHARD_KEYS = frozenset(
-    {"format", "shard", "shards", "replicas", "indices",
-     "pairs_tested", "job", "job_fp", "job_hits", "job_pairs"}
-)
+_SHARD_KEYS = frozenset({"format", "shard", "shards", "replicas", "indices", "job"})
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@
 the registry's moduli, which count as covered, so a restart never
 rescans an old-vs-old pair), and the :class:`~repro.service.batcher.MicroBatcher`
 admission queue.  Scans run on a single dedicated worker thread so the
-event loop keeps accepting submissions while GCDs grind.
+event loop keeps accepting submissions while GCDs grind.  Each flushed
+batch is scanned (a pure cross-scan), committed to the registry, then
+applied to the scan state: the registry leads and the scanner, or the
+shard fleet, follows, so a failed commit leaves nothing to undo.
 
 :class:`HttpServer` puts an HTTP/1.1 interface on top using nothing but
 ``asyncio.start_server`` — no new runtime dependencies.  Endpoints
@@ -185,26 +188,16 @@ class WeakKeyService:
         return restored
 
     async def stop(self, *, drain: bool = True) -> None:
-        """Flush (or fail) the backlog, commit scan state, sync, tear down.
+        """Flush (or fail) the backlog, tear down, sync the registry.
 
-        Ordering is the drain-durability contract (regression-tested in
-        ``tests/service/test_shard.py``): the scan state commits *before*
-        the final registry sync.  ``_commit_scan_state`` runs on
-        the scan thread, which both serialises it after every flushed
-        batch and — in sharded mode — persists every shard snapshot via
-        :meth:`~repro.service.shard.ShardRouter.sync`.  Only then does the
-        final :meth:`~repro.service.registry.WeakKeyRegistry.sync` record
-        straggler state (duplicate counts and the per-shard watermarks),
-        so a SIGTERM landing anywhere in the drain can never leave the
-        registry ahead of the
-        shard snapshots — the restored fleet would otherwise skip pairs
-        the registry already recorded hits for.
+        Every flushed batch was committed and then applied before its
+        flush returned, and scan state never leads the registry, so the
+        final :meth:`~repro.service.registry.WeakKeyRegistry.sync` (the
+        duplicate count and the fleet's shape) needs no barrier before it.
         """
         if self.scrubber is not None:
             await self.scrubber.stop()
         await self.batcher.stop(drain=drain)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, self._commit_scan_state)
         self._executor.shutdown(wait=True)
         if self.router is not None:
             self.router.stop()
@@ -212,23 +205,12 @@ class WeakKeyService:
         self._state_lock.release()
         self.telemetry.emit("service.stop", keys=self.registry.n_keys)
 
-    def _commit_scan_state(self) -> None:
-        """Drain barrier on the scan thread: by the time this returns,
-        every flushed batch has committed and every shard snapshot is
-        durable — the registry sync that follows can only trail, never
-        lead, the scan state on disk."""
-        if self.router is not None:
-            self.router.sync()
-        self.telemetry.emit(
-            "service.scan_state_committed",
-            shards=self.config.shards, keys=self.registry.n_keys,
-        )
-
     def _registry_scanner(self) -> IncrementalScanner:
         """A scanner over the registry's corpus, which the commit contract
         says is fully covered: restart never rescans an old pair.  Its
         product tree checkpoints to ``state_dir/ptree`` and reloads from
-        there (rebuilt when missing or stale)."""
+        there, appending the batch it may trail the registry by (rebuilt
+        when missing or stale)."""
         return IncrementalScanner(
             bits=self.bits, moduli=self.registry.moduli,
             int_backend=self.config.int_backend,
@@ -279,7 +261,7 @@ class WeakKeyService:
         return await loop.run_in_executor(self._executor, self._scan_sync, items)
 
     def _scan_sync(self, items: list[tuple[int, int]]) -> list[dict]:
-        """One flushed batch, on the scan thread: dedup → scan → commit.
+        """One flushed batch, on the scan thread: dedup → scan → commit → apply.
 
         Every item gets a verdict dict; verdicts (including cached ones for
         duplicates) are computed *after* the commit, so a duplicate
@@ -314,8 +296,6 @@ class WeakKeyService:
                     }
                     continue
                 self.bits = blen
-                if self.router is None:
-                    self.scanner = self._registry_scanner()
             if n.bit_length() != self.bits:
                 results[pos] = {
                     "status": "invalid",
@@ -342,32 +322,28 @@ class WeakKeyService:
             # count first: the commit's log record then persists the
             # new total for free; an all-duplicate batch persists explicitly
             self.registry.note_duplicates(duplicates, persist=not fresh)
-        if fresh and self.router is not None:
-            # sharded path: fan the batch out as cross-jobs; a failed
-            # commit retries the same (job, fingerprint) and the workers
-            # dedupe via their durable snapshots — no rebuild needed here
+        if fresh:
+            # scan (pure) → commit → apply: nothing changes before the
+            # registry has the batch, so a failed scan or commit leaves
+            # nothing to undo and the batcher's retry just scans again
             started = time.monotonic()
-            hits = self.router.scan_batch(
-                fresh, base=base, job_id=self.registry.n_batches, bits=self.bits
-            )
+            if self.router is not None:
+                hits = self.router.scan_batch(
+                    fresh, base=base, job_id=self.registry.n_batches, bits=self.bits
+                )
+            else:
+                if self.scanner is None:
+                    self.scanner = self._registry_scanner()
+                report = self.scanner.cross_scan(fresh, include_internal=True)
+                hits = report.hits
             self.registry.commit_batch(
                 fresh, hits,
                 exponents=fresh_exponents, seconds=time.monotonic() - started,
             )
-        elif fresh:
-            try:
-                report = self.scanner.add_batch(fresh)
-            except Exception:
-                # a failed flush can leave the scanner's product tree
-                # half-updated; rebuild it from the registry — the durable
-                # truth — so the retried batch scans against a consistent
-                # corpus
-                self.scanner = self._registry_scanner()
-                raise
-            self.registry.commit_batch(
-                fresh, report.hits,
-                exponents=fresh_exponents, seconds=report.elapsed_seconds,
-            )
+            if self.router is not None:
+                self.router.apply()
+            else:
+                self._adopt(fresh, report.pairs_tested)
         reg = self.telemetry.registry
         reg.counter("service.keys_registered").inc(len(fresh))
         invalid = len(items) - len(registered)  # every non-registered row
@@ -377,6 +353,17 @@ class WeakKeyService:
         for pos, gidx in registered.items():
             results[pos] = {"status": results[pos], **verdict(gidx)}
         return results
+
+    def _adopt(self, fresh: list[int], pairs: int) -> None:
+        """Apply a committed batch to the scanner; never fails the flush.
+
+        A scanner that cannot take the batch is dropped: the next flush
+        re-derives it from the registry, which holds the batch."""
+        try:
+            self.scanner.adopt(fresh, pairs=pairs)
+        except Exception as exc:
+            self.scanner = None
+            self.telemetry.emit("service.apply_failed", error=repr(exc))
 
     # -- read-side views -------------------------------------------------------
 

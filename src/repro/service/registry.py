@@ -13,9 +13,9 @@ A record is one of two kinds:
 
 * a *commit*, one per batch: the batch's fresh moduli and new hits (the
   frame body, pinned by SHA-256 in the header), its non-default public
-  exponents, and the duplicate count and shard watermarks as of the
+  exponents, and the duplicate count and shard-fleet shape as of the
   commit;
-* a *state* record: the duplicate count and shard watermarks alone, from
+* a *state* record: the duplicate count and shard-fleet shape alone, from
   a throttled duplicate persist or :meth:`WeakKeyRegistry.sync`.
 
 Commit protocol: each record is one :func:`repro.core.durable.append`
@@ -160,9 +160,8 @@ class WeakKeyRegistry:
         self._hits_by_key: dict[int, list[WeakHit]] = defaultdict(list)
         self._exponents: dict[int, int] = {}
         self._batch_sizes: list[int] = []
-        #: sharded-fleet watermarks (``repro.service.shard``): which job each
-        #: shard had durably applied as of the last record — the registry is
-        #: the durable truth the fleet reconciles against
+        #: the sharded fleet's shape (``repro.service.shard``), recorded so
+        #: a restart with another shard count is seen as a rebalance
         self._shard_state: dict | None = None
         #: JSON-ready verdict rows by index; rows are shared read-only and
         #: dropped for the indices a committed batch's hits touch
@@ -460,8 +459,8 @@ class WeakKeyRegistry:
         """Append a state record now if the log's last one is out of date.
 
         The graceful-shutdown seam: committed batches are already durable,
-        but duplicate-submission counts and shard watermarks recorded
-        since the last record live only in memory until the next one.
+        but a duplicate-submission count or fleet shape recorded since the
+        last record lives only in memory until the next one.
         ``sync`` makes the log exactly current, and appends nothing when
         it already is.
         """
@@ -492,27 +491,24 @@ class WeakKeyRegistry:
                 self._append({"kind": "state", **self._state()})
 
     def set_shard_state(self, state: dict | None) -> None:
-        """Record the fleet's per-shard watermarks for the next log record.
+        """Record the fleet's shape for the next log record.
 
-        Called by :class:`repro.service.shard.ShardRouter` after every shard
-        has durably applied a job and *before* the batch commit, so the
-        record that lands carries watermarks consistent with the shard
-        snapshots already on disk (shards lead, the registry follows —
-        never the reverse).  ``None`` clears the record (single-scanner
-        mode).
+        Called by :class:`repro.service.shard.ShardRouter` at start.  The
+        per-shard watermarks are not recorded: they follow from the moduli
+        and :meth:`batch_sizes`.  ``None`` clears the record.
         """
         with self._lock:
             self._shard_state = state
 
     def shard_state(self) -> dict | None:
-        """The last persisted/recorded per-shard watermark payload, if any."""
+        """The last persisted or recorded fleet shape, if any."""
         return self._shard_state
 
     def batch_sizes(self) -> list[int]:
         """Per-batch key counts, in commit order.
 
         Together with ``moduli`` this replays the admission history — how a
-        rebuilding shard recomputes its pair-coverage watermark without
+        starting shard fleet computes every pair-coverage watermark without
         rescanning anything (see ``docs/SHARDING.md``).
         """
         return list(self._batch_sizes)

@@ -22,32 +22,36 @@ Per batch the shards cover ``Σ_k m_k·b + b(b−1)/2 = M·b + b(b−1)/2`` pair
 ``Σ_k pairs_k = M(M−1)/2`` and the hit set is identical to the 1-shard run
 (pinned by ``tests/service/test_shard.py``).
 
-**Durability and exactly-once.**  Delivery is at-least-once (a crashed
-shard gets its unacknowledged job replayed); application is exactly-once:
-a worker persists its snapshot — the global indices of its slice, pair
-watermark, the job id *and that job's hits* — under
-``state_dir/shards/<k>/`` **before** acking (the ``shard.commit`` fault
-point), so a replay of an already-applied job returns the stored hits
-without rescanning.  The snapshot holds no moduli: the registry holds
-those, and the worker's product tree spool (``shards/<k>/ptree/``) holds
-its slice's leaves.  The router gathers all acks, records per-shard
-watermarks with the registry, and only then runs the registry's
-one-append commit: shard state is always at or one job ahead of the
-registry, never behind.
+**The registry leads, shards follow.**  A batch is scanned, committed,
+then applied.  The scan (:meth:`ShardRouter.scan_batch`) is a pure
+cross-scan at every worker: nothing changes, so a worker that dies
+mid-scan is respawned and the scan resent, and a scan whose registry
+commit fails is simply scanned again when the batcher retries it.  Only
+after the registry's one-append commit does :meth:`ShardRouter.apply`
+send each worker that owns keys of the batch those keys; the worker
+adopts them (its tree appends) and persists its snapshot — ring slot,
+the global indices of its slice in leaf order, and the job that last
+grew it — under
+``state_dir/shards/<k>/`` (the ``shard.commit`` fault point).  The
+snapshot is derived state for ``repro fsck``, which maps the shard
+tree's leaves to global indices through it; no worker reads it back.  A
+worker that fails to apply is replaced by a fresh one reset to its
+registry slice, which by then holds the batch, so a failure after the
+commit never fails the flush.
 
 **Init.**  The registry is the durable truth.  Every (re)started worker
 gets its slice — indices and moduli — from the registry in one ``init``
-message, and builds its scanner over it (the tree loads from the spool).
-It keeps its snapshot's watermark and last job when the snapshot records
-that slice at the registry's last job, or, on a respawn, that slice plus
-the in-flight job's keys at that job.  Any other snapshot (ahead, stale,
-damaged, or shaped for a different shard count) is reset to the
-registry's slice (``shard.rebuild``; ``shard.rebalance`` on a count
-change).
+message and builds its scanner over it; the tree loads from the spool,
+appending the keys it trails by (a crash between commit and apply leaves
+it one batch behind), and is rebuilt only when the spool holds something
+else (a shard-count change: ``shard.rebalance``).  The router derives each
+shard's pair watermark from the registry's admission history
+(:func:`simulate_watermarks`); the registry records only the fleet's
+shape, to detect a rebalance.
 
 Failure handling mirrors :class:`~repro.resilience.supervisor.ChunkSupervisor`
-semantics: a SIGKILL'd worker is respawned, re-initialised, and
-replays only the in-flight job; per-job attempt budgets catch poison
+semantics: a SIGKILL'd worker is respawned, re-initialised, and rescans
+only the in-flight batch; per-batch attempt budgets catch poison
 batches (:class:`ShardJobFailed`) and consecutive no-progress respawns
 bound crash loops (:class:`ShardPoolExhausted`).  ``docs/SHARDING.md`` has
 the full protocol, ordering model and failure matrix.
@@ -69,7 +73,7 @@ from repro.core.attack import WeakHit
 from repro.core.incremental import IncrementalScanner
 from repro.core.spool import write_sidecar
 from repro.resilience import faults
-from repro.resilience.errors import FatalError, TransientError
+from repro.resilience.errors import FatalError, ResilienceError, TransientError
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -82,11 +86,7 @@ __all__ = [
 ]
 
 #: on-disk format tag of ``state_dir/shards/<k>/shard.json``
-SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/2"
-
-#: what a worker resumes from: ``/1`` also held a copy of the slice's
-#: moduli and hits (``scanner``), which is ignored and gone on the next persist
-_READABLE_FORMATS = ("repro.shard-snapshot/1", SHARD_SNAPSHOT_FORMAT)
+SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/3"
 
 #: virtual nodes per shard on the hash ring — enough for a few-percent
 #: balance spread at single-digit shard counts without bloating lookups
@@ -144,12 +144,13 @@ class ShardRing:
 def simulate_watermarks(
     moduli: list[int], batch_sizes: list[int], ring: ShardRing
 ) -> tuple[list[int], list[int]]:
-    """Replay the admission history to recompute per-shard watermarks.
+    """Replay the admission history to compute per-shard watermarks.
 
     Returns ``(keys_per_shard, pairs_per_shard)`` such that
-    ``sum(pairs) == M(M−1)/2`` — the deterministic fallback when a shard
-    rebuilds from a registry whose records predate sharding or were
-    written for a different shard count.
+    ``sum(pairs) == M(M−1)/2``.  The partition is a pure function of the
+    registry's moduli and batch sizes, so this is how a starting router
+    learns every shard's watermark, whatever shard count (if any) the
+    registry was written under.
 
     >>> ring = ShardRing(2)
     >>> keys, pairs = simulate_watermarks([15, 21, 35], [2, 1], ring)
@@ -174,14 +175,6 @@ def simulate_watermarks(
     return keys, pairs
 
 
-def _batch_fingerprint(moduli: list[int]) -> str:
-    """Identity of one admitted batch — replay-dedup is keyed on (job, fp)."""
-    h = hashlib.sha256()
-    for n in moduli:
-        h.update(f"{n},".encode())
-    return h.hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # worker side (child process)
 # ---------------------------------------------------------------------------
@@ -190,10 +183,11 @@ def _batch_fingerprint(moduli: list[int]) -> str:
 class _ShardWorker:
     """One shard's state machine, living in its own process.
 
-    Job protocol: cross-scan the full batch against the local slice →
-    adopt the hash-owned subset → persist the snapshot (``shard.commit``)
-    → ack.  An ack therefore *implies* durability; a replay of the applied
-    job returns the stored hits without rescanning.
+    ``init`` builds the scanner over the registry's slice; ``job``
+    cross-scans a batch against it and changes nothing; ``apply``, sent
+    once the registry has committed that batch, adopts the owned keys and
+    persists the snapshot before acking.  Any failure kills the worker:
+    its router replaces it with one reset to the registry slice.
     """
 
     def __init__(
@@ -207,20 +201,12 @@ class _ShardWorker:
         self.shard = shard
         self.shards = shards
         self.replicas = replicas
-        self.ring = ShardRing(shards, replicas=replicas)
         self.dir = Path(state_dir) / "shards" / str(shard)
         self.int_backend = int_backend
         self.telemetry = Telemetry.create()
         self.scanner: IncrementalScanner | None = None
         self.indices: list[int] = []
-        self.pairs_tested = 0
-        self.applied_job: int | None = None
-        self.applied_fp: str | None = None
-        self.applied_hits: list[list[int]] = []
-        self.applied_pairs = 0
-        self.persisted = True
-
-    # -- persistence --------------------------------------------------------
+        self.job: int | None = None
 
     @property
     def snapshot_path(self) -> Path:
@@ -234,11 +220,7 @@ class _ShardWorker:
             "shards": self.shards,
             "replicas": self.replicas,
             "indices": self.indices,
-            "pairs_tested": self.pairs_tested,
-            "job": self.applied_job,
-            "job_fp": self.applied_fp,
-            "job_hits": self.applied_hits,
-            "job_pairs": self.applied_pairs,
+            "job": self.job,
         }
         body = json.dumps(payload).encode("utf-8")
         durable.makedirs(self.dir)
@@ -246,49 +228,6 @@ class _ShardWorker:
         faults.corrupt_file("shard.commit", self.snapshot_path)
         # hash the in-memory bytes: a post-rename rot must not reach the sidecar
         write_sidecar(self.snapshot_path, hashlib.sha256(body).hexdigest())
-        self.persisted = True
-
-    def _stored(self) -> dict | None:
-        """The snapshot on disk, if it is whole and this shard's."""
-        try:
-            payload = json.loads(self.snapshot_path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") not in _READABLE_FORMATS
-            or (payload.get("shard"), payload.get("shards"), payload.get("replicas"))
-            != (self.shard, self.shards, self.replicas)
-        ):
-            return None
-        try:
-            return {
-                "indices": [int(i) for i in payload["indices"]],
-                "pairs_tested": int(payload["pairs_tested"]),
-                "job": payload["job"],
-                "job_fp": payload.get("job_fp"),
-                "job_hits": [[int(a), int(b), int(p)] for a, b, p in payload.get("job_hits", [])],
-                "job_pairs": int(payload.get("job_pairs", 0)),
-            }
-        except (KeyError, ValueError, TypeError):
-            return None
-
-    # -- state views --------------------------------------------------------
-
-    def _ack(self, *, replayed: bool) -> tuple[str, dict]:
-        return (
-            "ack",
-            {
-                "job": self.applied_job,
-                "hits": self.applied_hits,
-                "pairs": self.applied_pairs,
-                "keys": len(self.indices),
-                "pairs_total": self.pairs_tested,
-                "replayed": replayed,
-            },
-        )
-
-    # -- command handlers ----------------------------------------------------
 
     def _scanner(self, bits: int, moduli: list[int]) -> IncrementalScanner:
         return IncrementalScanner(
@@ -300,152 +239,65 @@ class _ShardWorker:
         )
 
     def handle_init(self, payload: dict) -> tuple[str, dict]:
-        """Take the slice the registry holds; resume from the snapshot if
-        it records that state (or, with ``next``, that state plus the
-        in-flight job's keys), else reset to it and persist."""
-        indices = [int(i) for i in payload["indices"]]
-        moduli = [int(n) for n in payload["moduli"]]
-        stored = self._stored()
-        resumed = stored is not None and (stored["indices"], stored["job"]) == (
-            indices, payload["job"]
-        )
-        after = payload.get("next")
-        if not resumed and stored is not None and after is not None:
-            resumed = (stored["indices"], stored["job"]) == (
-                indices + after["indices"], after["job"]
-            )
-            if resumed:
-                indices = stored["indices"]
-                moduli = moduli + [int(n) for n in after["moduli"]]
-        if resumed:
-            self.pairs_tested = stored["pairs_tested"]
-            self.applied_job = stored["job"]
-            self.applied_fp = stored["job_fp"]
-            self.applied_hits = stored["job_hits"]
-            self.applied_pairs = stored["job_pairs"]
-        else:
-            self.pairs_tested = int(payload["pairs_tested"])
-            self.applied_job = payload["job"]
-            self.applied_fp = None
-            self.applied_hits = []
-            self.applied_pairs = 0
-        self.indices = indices
+        """Reset to the registry's slice as of ``job`` and persist it."""
+        self.indices = [int(i) for i in payload["indices"]]
+        self.job = payload["job"]
         bits = payload.get("bits")
+        moduli = [int(n) for n in payload["moduli"]]
         self.scanner = self._scanner(int(bits), moduli) if bits else None
-        self.persisted = resumed
-        if not resumed:
-            try:
-                self._persist()
-            except OSError:
-                # memory is already the registry's truth; durability rides
-                # the next job/sync persist, and a crash before then just
-                # earns another reset from the registry
-                pass
-        return (
-            "status",
-            {
-                "rebuilt": not resumed,
-                "job": self.applied_job,
-                "keys": len(self.indices),
-                "pairs_total": self.pairs_tested,
-            },
-        )
+        try:
+            self._persist()
+        except OSError:
+            pass  # the snapshot only serves fsck; the next apply rewrites it
+        return ("status", {"keys": len(self.indices), "job": self.job})
 
     def handle_job(self, payload: dict) -> tuple[str, dict]:
-        job = int(payload["job"])
-        fp = payload["fp"]
-        if self.applied_job is not None and job <= self.applied_job:
-            if job == self.applied_job and fp == self.applied_fp:
-                # replay of the applied job: retry the persist if the
-                # original attempt failed, then hand back the stored hits
-                if not self.persisted:
-                    self._persist()
-                return self._ack(replayed=True)
-            return (
-                "err",
-                {
-                    "error": f"job {job} conflicts with applied job "
-                    f"{self.applied_job} (fp mismatch or out of sequence)",
-                    "dead": True,
-                },
-            )
+        """Cross-scan the batch against the slice; hits in global indices."""
         base = int(payload["base"])
         moduli = [int(n) for n in payload["moduli"]]
         if self.scanner is None:
             self.scanner = self._scanner(int(payload["bits"]), [])
-        scanner = self.scanner
-        local_base = scanner.n_keys
-        report = scanner.cross_scan(moduli, include_internal=bool(payload["internal"]))
-        hits: list[list[int]] = []
-        for h in report.hits:
-            gi = self.indices[h.i] if h.i < local_base else base + (h.i - local_base)
-            gj = base + (h.j - local_base)
-            hits.append([gi, gj, h.prime])
-        owned = [(t, n) for t, n in enumerate(moduli) if self.ring.owner(n) == self.shard]
-        scanner.adopt([n for _, n in owned])
-        self.indices.extend(base + t for t, _ in owned)
-        self.pairs_tested += report.pairs_tested
-        self.applied_job = job
-        self.applied_fp = fp
-        self.applied_hits = hits
-        self.applied_pairs = report.pairs_tested
-        self.persisted = False
-        self._persist()
-        return self._ack(replayed=False)
+        local_base = self.scanner.n_keys
+        report = self.scanner.cross_scan(moduli, include_internal=bool(payload["internal"]))
+        hits = [
+            [self.indices[h.i] if h.i < local_base else base + (h.i - local_base),
+             base + (h.j - local_base), h.prime]
+            for h in report.hits
+        ]
+        return ("ack", {"seq": payload["seq"], "hits": hits, "pairs": report.pairs_tested})
 
-    def handle_sync(self) -> tuple[str, dict]:
-        if not self.persisted:
-            self._persist()
-        return self._ack(replayed=True)
+    def handle_apply(self, payload: dict) -> tuple[str, dict]:
+        """The registry committed the job: adopt the owned keys, persist."""
+        self.scanner.adopt([int(n) for n in payload["moduli"]])
+        self.indices.extend(int(i) for i in payload["indices"])
+        self.job = payload["job"]
+        self._persist()
+        return ("ack", {"job": self.job, "keys": len(self.indices)})
 
     def run(self, conn) -> None:
+        handlers = {"init": self.handle_init, "job": self.handle_job, "apply": self.handle_apply}
         while True:
             try:
                 kind, payload = conn.recv()
             except (EOFError, OSError):
                 return
-            try:
-                if kind == "init":
-                    reply = self.handle_init(payload)
-                elif kind == "job":
-                    try:
-                        reply = self.handle_job(payload)
-                    except OSError as exc:
-                        # a failed snapshot persist leaves memory consistent:
-                        # the job is applied but unacked, so a replay only
-                        # retries the persist — report transient, stay alive
-                        reply = ("err", {"error": repr(exc), "dead": False})
-                elif kind == "sync":
-                    try:
-                        reply = self.handle_sync()
-                    except OSError as exc:
-                        reply = ("err", {"error": repr(exc), "dead": False})
-                elif kind == "stop":
-                    try:
-                        if not self.persisted:
-                            self._persist()
-                    except OSError:
-                        pass
-                    try:
-                        conn.send(("ack", {"stopped": True}))
-                    finally:
-                        return
-                else:
-                    reply = ("err", {"error": f"unknown command {kind!r}", "dead": True})
-            except SystemExit:
-                raise
-            except BaseException as exc:  # scan/adopt state may be torn — die
+            if kind == "stop":
                 try:
-                    conn.send(("err", {"error": repr(exc), "dead": True}))
+                    conn.send(("ack", {"stopped": True}))
+                finally:
+                    return
+            try:
+                reply = handlers[kind](payload)
+            except Exception as exc:  # report, die: the router re-derives this worker
+                try:
+                    conn.send(("err", {"error": repr(exc)}))
                 except OSError:
                     pass
-                raise
+                sys.exit(81)
             try:
                 conn.send(reply)
             except OSError:
                 return
-            if reply[0] == "err" and reply[1].get("dead"):
-                sys.exit(81)
 
 
 def _shard_worker_main(
@@ -476,16 +328,15 @@ class _Handle:
 
 @dataclass
 class _Pending:
-    """The in-flight (dispatched, uncommitted) job — the replay unit."""
+    """The batch in flight: scanned by (or being sent to) every shard,
+    not yet applied."""
 
     job: int
-    fp: str
+    seq: int
     base: int
     moduli: list[int]
-    owned: list[list[int]]  # per shard: global indices this job adds
-    prev_job: int | None
-    internal_shard: int
-    attempts: list[int] = field(default_factory=list)
+    attempts: list[int]
+    pairs: list[int] = field(default_factory=list)
 
 
 def _mp_context():
@@ -493,13 +344,28 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-class ShardRouter:
-    """Front-door side of the fleet: dispatch, gather, supervise, reconcile.
+def _reap(handle: _Handle) -> None:
+    """Wait for a worker to exit, escalating to terminate and kill."""
+    handle.process.join(timeout=3.0)
+    if handle.process.is_alive():
+        handle.process.terminate()
+        handle.process.join(timeout=2.0)
+    if handle.process.is_alive():
+        handle.process.kill()
+        handle.process.join(timeout=2.0)
+    try:
+        handle.conn.close()
+    except OSError:
+        pass
 
-    Lifecycle: :meth:`start` (spawn + reconcile against the registry),
-    :meth:`scan_batch` per admitted batch (on the service's scan thread),
-    :meth:`sync` as the drain barrier *before* the final registry sync,
-    :meth:`stop` to tear the fleet down.
+
+class ShardRouter:
+    """Front-door side of the fleet: dispatch, gather, supervise, apply.
+
+    Lifecycle: :meth:`start` (spawn every worker over its registry slice),
+    then per admitted batch on the service's scan thread :meth:`scan_batch`,
+    the registry commit, and :meth:`apply`; :meth:`stop` tears the fleet
+    down.
     """
 
     def __init__(
@@ -531,6 +397,7 @@ class ShardRouter:
         self._pairs: list[int] = [0] * shards
         self._worker_job: list[int | None] = [None] * shards
         self._pending: _Pending | None = None
+        self._seq = 0
         self._consecutive_respawns = 0
         self._registry = None
         self._started = False
@@ -538,18 +405,15 @@ class ShardRouter:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, registry) -> None:
-        """Spawn the fleet and reconcile every shard against the registry."""
+        """Spawn the fleet, every worker over its registry slice."""
         if self._started:
             raise RuntimeError("router already started")
         self._registry = registry
         if registry.bits is not None:
             self.bits = registry.bits
-        expected: list[list[int]] = [[] for _ in range(self.shards)]
-        for i, n in enumerate(registry.moduli):
-            expected[self.ring.owner(n)].append(i)
         prev = registry.shard_state()
-        rebalanced = prev is not None and (
-            prev.get("shards") != self.shards or prev.get("replicas") != self.replicas
+        rebalanced = prev is not None and (prev.get("shards"), prev.get("replicas")) != (
+            self.shards, self.replicas
         )
         if rebalanced:
             self.telemetry.registry.counter("shard.rebalances").inc()
@@ -559,59 +423,33 @@ class ShardRouter:
                 to_shards=self.shards,
                 keys=registry.n_keys,
             )
-        pairs = self._recover_watermarks(registry, prev, rebalanced)
-        prev_job = registry.n_batches - 1 if registry.n_batches else None
-        rebuilt = []
+        self._indices = [[] for _ in range(self.shards)]
+        for i, n in enumerate(registry.moduli):
+            self._indices[self.ring.owner(n)].append(i)
+        _, self._pairs = simulate_watermarks(registry.moduli, registry.batch_sizes(), self.ring)
+        self._worker_job = [registry.n_batches - 1 if registry.n_batches else None] * self.shards
         for k in range(self.shards):
             self._spawn(k)
-            status = self._init(k, expected[k], pairs[k], prev_job)
-            if status["rebuilt"]:
-                rebuilt.append(k)
-            pairs[k] = status["pairs_total"]
-        self._indices = expected
-        self._pairs = pairs
-        self._worker_job = [prev_job] * self.shards
+            self._init(k)
         self._started = True
-        registry.set_shard_state(self._watermark_payload())
+        registry.set_shard_state({"shards": self.shards, "replicas": self.replicas})
         self._update_gauges()
         self.telemetry.emit(
             "shard.start", shards=self.shards, keys=registry.n_keys,
-            rebuilt=rebuilt, rebalanced=rebalanced,
+            pairs=self._pairs, rebalanced=rebalanced,
         )
 
-    def _recover_watermarks(self, registry, prev, rebalanced: bool) -> list[int]:
-        if prev is not None and not rebalanced:
-            marks = prev.get("watermarks", {})
-            try:
-                return [int(marks[str(k)]["pairs_tested"]) for k in range(self.shards)]
-            except (KeyError, TypeError, ValueError):
-                pass
-        _, pairs = simulate_watermarks(registry.moduli, registry.batch_sizes(), self.ring)
-        return pairs
-
     def stop(self) -> None:
-        """Tear the fleet down (drain durability came from :meth:`sync`)."""
-        for k, handle in enumerate(self._workers):
-            if handle is None:
-                continue
-            try:
-                handle.conn.send(("stop", {}))
-            except OSError:
-                pass
+        """Tear the fleet down; every applied batch is already durable."""
         for handle in self._workers:
-            if handle is None:
-                continue
-            handle.process.join(timeout=3.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            if handle is not None:
+                try:
+                    handle.conn.send(("stop", {}))
+                except OSError:
+                    pass
+        for handle in self._workers:
+            if handle is not None:
+                _reap(handle)
         self._workers = [None] * self.shards
         self._started = False
 
@@ -620,51 +458,36 @@ class ShardRouter:
     def scan_batch(
         self, fresh: list[int], *, base: int, job_id: int, bits: int
     ) -> list[WeakHit]:
-        """Fan one admitted batch out to every shard; return the merged hits.
+        """Cross-scan one admitted batch on every shard; return the merged hits.
 
-        Runs on the service's single scan thread.  Raises transient errors
-        for the batcher's retry policy to absorb (a retry replays the same
-        job — shards that already applied it dedupe via their snapshots)
-        and :class:`ShardJobFailed`/:class:`ShardPoolExhausted` when the
-        budgets run out.
+        Runs on the service's single scan thread and changes nothing at
+        the shards, so every failure leaves nothing to undo: transient
+        errors go to the batcher's retry policy, which scans again, and
+        :class:`ShardJobFailed`/:class:`ShardPoolExhausted` end the flush
+        when the budgets run out.  :meth:`apply` follows the commit.
         """
         if not self._started:
             raise RuntimeError("router not started")
         if self.bits is None:
             self.bits = bits
-        fp = _batch_fingerprint(fresh)
-        if self._pending is not None and (self._pending.job, self._pending.fp) != (job_id, fp):
-            self._abandon_pending()
-        if self._pending is None or (self._pending.job, self._pending.fp) != (job_id, fp):
-            owned: list[list[int]] = [[] for _ in range(self.shards)]
-            for t, n in enumerate(fresh):
-                owned[self.ring.owner(n)].append(base + t)
-            self._pending = _Pending(
-                job=job_id, fp=fp, base=base, moduli=list(fresh), owned=owned,
-                prev_job=job_id - 1 if job_id else None,
-                internal_shard=job_id % self.shards,
-                attempts=[0] * self.shards,
-            )
-        pending = self._pending
+        self._seq += 1
+        pending = _Pending(
+            job=job_id, seq=self._seq, base=base, moduli=list(fresh),
+            attempts=[0] * self.shards,
+        )
+        self._pending = None
         for k in range(self.shards):
             self._send_job(k, pending)
         acks = self._gather(pending)
 
         expected_pairs = base * len(fresh) + len(fresh) * (len(fresh) - 1) // 2
-        got = sum(acks[k]["pairs"] for k in range(self.shards))
-        if got != expected_pairs:
+        pending.pairs = [acks[k]["pairs"] for k in range(self.shards)]
+        if sum(pending.pairs) != expected_pairs:
             raise FatalError(
                 f"shard pair-coverage invariant broken: job {job_id} covered "
-                f"{got} pairs, expected {expected_pairs}"
+                f"{sum(pending.pairs)} pairs, expected {expected_pairs}"
             )
-        # success: fold the job into the committed parent-side tracking
-        for k in range(self.shards):
-            self._indices[k].extend(pending.owned[k])
-            self._pairs[k] = acks[k]["pairs_total"]
-            self._worker_job[k] = job_id
-        self._pending = None
-        if self._registry is not None:
-            self._registry.set_shard_state(self._watermark_payload())
+        self._pending = pending
         hits = [WeakHit(int(a), int(b), int(p)) for k in range(self.shards)
                 for a, b, p in acks[k]["hits"]]
         hits.sort(key=lambda h: (h.i, h.j))
@@ -672,30 +495,49 @@ class ShardRouter:
         reg.counter("shard.jobs").inc()
         reg.counter("scan.pairs_tested").inc(expected_pairs)
         reg.counter("scan.hits").inc(len(hits))
-        self._update_gauges()
         return hits
 
-    def sync(self) -> None:
-        """Drain barrier: every live shard persists its snapshot *now*.
+    def apply(self) -> None:
+        """The registry committed the scanned batch: every shard that owns
+        keys of it adopts them (one that owns none is unchanged by it).
 
-        Called before the final ``registry.sync()`` so the registry's
-        watermarks never get ahead of the shard snapshots on disk.
+        Never raises.  A shard that fails to apply is replaced by a fresh
+        worker reset to its registry slice, which holds the batch by now;
+        if even that fails, the next batch's dispatch respawns it.
         """
-        for k, handle in enumerate(self._workers):
-            if handle is None or not handle.process.is_alive():
-                # a dead shard's last ack already implied a durable snapshot
+        pending, self._pending = self._pending, None
+        owned: list[list[int]] = [[] for _ in range(self.shards)]
+        for t, n in enumerate(pending.moduli):
+            owned[self.ring.owner(n)].append(pending.base + t)
+        for k in range(self.shards):
+            self._indices[k].extend(owned[k])
+            self._pairs[k] += pending.pairs[k]
+            self._worker_job[k] = pending.job
+        self._update_gauges()
+        failed: dict[int, str] = {}
+        appliers = [k for k in range(self.shards) if owned[k]]
+        for k in appliers:
+            try:
+                self._workers[k].conn.send(("apply", {
+                    "job": pending.job, "indices": owned[k],
+                    "moduli": [pending.moduli[i - pending.base] for i in owned[k]],
+                }))
+            except OSError as exc:
+                failed[k] = repr(exc)
+        for k in appliers:
+            if k in failed:
                 continue
             try:
-                reply = self._request(k, ("sync", {}), kind="ack")
-            except (ShardJobFailed, ShardPoolExhausted, FatalError, TransientError, OSError):
-                continue
-            self._pairs[k] = reply.get("pairs_total", self._pairs[k])
-        if self._registry is not None:
-            self._registry.set_shard_state(self._watermark_payload())
-        self.telemetry.emit(
-            "shard.synced", shards=self.shards,
-            pairs=[self._pairs[k] for k in range(self.shards)],
-        )
+                self._wait(k, "apply")
+            except TransientError as exc:
+                failed[k] = str(exc)
+        for k, error in sorted(failed.items()):
+            self.telemetry.registry.counter("shard.apply_failures").inc()
+            self.telemetry.emit("shard.apply_failed", shard=k, job=pending.job, error=error)
+            try:
+                self._restart(k)
+            except (ResilienceError, OSError):
+                pass  # the next dispatch finds it dead and respawns it
 
     # -- views ---------------------------------------------------------------
 
@@ -720,20 +562,6 @@ class ShardRouter:
             "pairs_tested": sum(self._pairs),
             "pairs_expected": keys * (keys - 1) // 2,
             "detail": detail,
-        }
-
-    def _watermark_payload(self) -> dict:
-        return {
-            "shards": self.shards,
-            "replicas": self.replicas,
-            "watermarks": {
-                str(k): {
-                    "keys": len(self._indices[k]),
-                    "pairs_tested": self._pairs[k],
-                    "job": self._worker_job[k],
-                }
-                for k in range(self.shards)
-            },
         }
 
     def _update_gauges(self) -> None:
@@ -765,79 +593,74 @@ class ShardRouter:
             respawns=old.respawns if old else 0,
         )
 
-    def _request(self, k: int, msg: tuple, *, kind: str = "status", timeout: float = 120.0) -> dict:
-        """Send one control message and wait for its typed reply."""
+    def _wait(self, k: int, what: str, timeout: float = 120.0) -> dict:
+        """Worker ``k``'s reply to ``what``; TransientError if it failed or died."""
         handle = self._workers[k]
-        handle.conn.send(msg)
         deadline = time.monotonic() + timeout
         while True:
-            if handle.conn.poll(0.1):
-                reply_kind, payload = handle.conn.recv()
-                if reply_kind == "err":
-                    raise TransientError(f"shard {k}: {payload.get('error')}")
-                if reply_kind != kind:
-                    raise FatalError(
-                        f"shard {k}: expected {kind!r} reply, got {reply_kind!r}"
-                    )
-                return payload
+            try:
+                if handle.conn.poll(0.1):
+                    kind, payload = handle.conn.recv()
+                    if kind == "err":
+                        raise TransientError(f"shard {k}: {payload.get('error')}")
+                    return payload
+            except (EOFError, OSError):
+                raise TransientError(f"shard {k} died during {what!r}") from None
             if not handle.process.is_alive():
-                raise TransientError(f"shard {k} died during {msg[0]!r}")
+                raise TransientError(f"shard {k} died during {what!r}")
             if time.monotonic() > deadline:
-                raise TransientError(f"shard {k} timed out on {msg[0]!r}")
+                raise TransientError(f"shard {k} timed out on {what!r}")
 
-    def _init(
-        self, k: int, indices: list[int], pairs: int, job: int | None,
-        pending: _Pending | None = None,
-    ) -> dict:
-        """Hand worker ``k`` its registry slice as of ``job``.  With
-        ``pending`` it may also resume with the in-flight job applied."""
+    def _init(self, k: int) -> None:
+        """Hand worker ``k`` its registry slice."""
+        indices = self._indices[k]
         registry_moduli = self._registry.moduli
-        after = None
-        if pending is not None:
-            owned = pending.owned[k]
-            after = {
-                "job": pending.job, "indices": owned,
-                "moduli": [pending.moduli[i - pending.base] for i in owned],
-            }
-        status = self._request(k, ("init", {
+        self._workers[k].conn.send(("init", {
             "bits": self.bits,
             "indices": indices,
             "moduli": [registry_moduli[i] for i in indices],
-            "pairs_tested": pairs,
-            "job": job,
-            "next": after,
+            "job": self._worker_job[k],
         }))
-        if status["rebuilt"]:
-            self.telemetry.registry.counter("shard.rebuilds").inc()
-            self.telemetry.emit("shard.rebuild", shard=k, keys=len(indices), job=job)
-        return status
+        self._wait(k, "init")
+
+    def _restart(self, k: int) -> None:
+        """Replace failed worker ``k`` with a fresh process over its
+        registry slice."""
+        handle = self._workers[k]
+        if handle is not None:
+            if handle.process.is_alive():
+                handle.process.kill()
+            _reap(handle)
+            handle.crashes += 1
+        self._spawn(k)
+        self._workers[k].respawns += 1
+        reg = self.telemetry.registry
+        reg.counter("shard.worker_crashes").inc()
+        reg.counter("shard.respawns").inc()
+        self.telemetry.emit("shard.respawn", shard=k, job=self._worker_job[k])
+        self._init(k)
 
     def _send_job(self, k: int, pending: _Pending) -> None:
         handle = self._workers[k]
         if handle is None or not handle.process.is_alive():
             self._respawn(k, pending)
-            handle = self._workers[k]
         faults.fire("shard.dispatch")
-        msg = self._job_message(k, pending)
+        msg = ("job", {
+            "seq": pending.seq,
+            "base": pending.base,
+            "moduli": pending.moduli,
+            "bits": self.bits,
+            "internal": k == pending.job % self.shards,
+        })
         try:
-            handle.conn.send(msg)
+            self._workers[k].conn.send(msg)
         except OSError:
             self._respawn(k, pending)
             self._workers[k].conn.send(msg)
 
-    def _job_message(self, k: int, pending: _Pending) -> tuple[str, dict]:
-        return ("job", {
-            "job": pending.job,
-            "fp": pending.fp,
-            "base": pending.base,
-            "moduli": pending.moduli,
-            "bits": self.bits,
-            "internal": k == pending.internal_shard,
-        })
-
     def _respawn(self, k: int, pending: _Pending) -> None:
-        """ChunkSupervisor semantics for shard workers: budgeted respawn,
-        re-init from the registry slice, replay of only the in-flight job."""
+        """ChunkSupervisor semantics for shard workers: a budgeted restart
+        from the registry slice, then the in-flight scan is resent."""
         pending.attempts[k] += 1
         if pending.attempts[k] > self.max_attempts:
             raise ShardJobFailed(
@@ -848,35 +671,11 @@ class ShardRouter:
             raise ShardPoolExhausted(
                 f"{self._consecutive_respawns} consecutive shard respawns with no progress"
             )
-        handle = self._workers[k]
-        if handle is not None:
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-                if handle.process.is_alive():
-                    handle.process.kill()
-                    handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        reg = self.telemetry.registry
-        reg.counter("shard.worker_crashes").inc()
-        reg.counter("shard.respawns").inc()
-        self._spawn(k)
-        self._workers[k].crashes += 1
-        self._workers[k].respawns += 1
-        self.telemetry.emit("shard.respawn", shard=k, job=pending.job,
-                            attempt=pending.attempts[k])
-        status = self._init(k, self._indices[k], self._pairs[k], pending.prev_job, pending)
-        # pending.job when the worker kept the applied job (a resend
-        # replays its stored hits), else prev_job
-        self._worker_job[k] = status["job"]
+        self._restart(k)
 
     def _gather(self, pending: _Pending) -> dict[int, dict]:
         waiting = set(range(self.shards))
         acks: dict[int, dict] = {}
-        transient: list[str] = []
         while waiting:
             for k in sorted(waiting):
                 handle = self._workers[k]
@@ -887,43 +686,13 @@ class ShardRouter:
                         continue
                     kind, payload = handle.conn.recv()
                 except (EOFError, OSError):
+                    kind, payload = "err", {}
+                if kind == "err":
                     self._respawn(k, pending)
-                    self._send_job_raw(k, pending)
-                    continue
-                if kind == "ack":
-                    if payload.get("job") != pending.job:
-                        continue  # stale ack from an abandoned exchange
+                    self._send_job(k, pending)
+                elif payload.get("seq") == pending.seq:
                     acks[k] = payload
                     waiting.discard(k)
-                    self._worker_job[k] = pending.job
                     self._consecutive_respawns = 0
-                    if payload.get("replayed"):
-                        self.telemetry.registry.counter("shard.replays").inc()
-                elif kind == "err" and payload.get("dead"):
-                    self._respawn(k, pending)
-                    self._send_job_raw(k, pending)
-                else:  # transient worker-side error (persist failed)
-                    transient.append(f"shard {k}: {payload.get('error')}")
-                    waiting.discard(k)
-                    self._worker_job[k] = pending.job  # applied in memory, unacked
-        if transient:
-            raise TransientError("; ".join(transient))
+                # else: the reply to a scan an earlier, failed flush sent
         return acks
-
-    def _send_job_raw(self, k: int, pending: _Pending) -> None:
-        faults.fire("shard.dispatch")
-        self._workers[k].conn.send(self._job_message(k, pending))
-
-    def _abandon_pending(self) -> None:
-        """A previous batch failed permanently and a *different* one is next:
-        any worker that applied the abandoned job rolls back by rebuild."""
-        pending = self._pending
-        self._pending = None
-        for k in range(self.shards):
-            if self._worker_job[k] != pending.job:
-                continue
-            handle = self._workers[k]
-            if handle is None or not handle.process.is_alive():
-                self._spawn(k)
-            self._init(k, self._indices[k], self._pairs[k], pending.prev_job)
-            self._worker_job[k] = pending.prev_job

@@ -32,6 +32,7 @@ tests/core/test_crash_oracle.py``.
 
 from __future__ import annotations
 
+import json
 import os
 import posixpath
 import random
@@ -420,51 +421,54 @@ def test_ptree_persist_survives_power_loss(tmp_path, monkeypatch):
         need = 4 if acks else 3
         if n not in (3, 4) or n < need:
             return [f"ptree manifest records {n} leaves, {need} were acknowledged"]
-        if not PersistentProductTree(spool_dir=where).load_or_rebuild(MODULI[:n]):
-            return [f"the committed {n}-leaf forest does not load from the spool"]
+        # either committed forest serves the 4-key corpus: the 3-leaf one
+        # loads and appends the key it trails by, as after a crash between
+        # a registry commit and the tree's append
+        tree = PersistentProductTree(spool_dir=where)
+        if not tree.load_or_rebuild(MODULI[:4]):
+            return [f"the committed {n}-leaf forest does not serve the 4-key corpus"]
+        if list(tree.leaves()) != MODULI[:4]:
+            return [f"the {n}-leaf forest loaded as the wrong corpus"]
         return []
 
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 
 
-def _job(job: int, base: int, moduli: list[int]) -> dict:
-    return {
-        "job": job, "fp": f"fp{job}", "base": base, "moduli": moduli,
-        "bits": 64, "internal": True,
-    }
-
-
 def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
     state = tmp_path / "state"
-    args = (0, 1, 4, str(state), None)
-    worker = _ShardWorker(*args)
-    worker.handle_job(_job(0, 0, MODULI[:3]))
+    worker = _ShardWorker(0, 1, 4, str(state), None)
+    worker.handle_init({"bits": 64, "indices": [0, 1, 2], "moduli": MODULI[:3], "job": 0})
+    _, scanned = worker.handle_job(
+        {"seq": 1, "base": 3, "moduli": MODULI[3:], "bits": 64, "internal": True}
+    )
+    assert scanned["hits"] == [[0, 5, P[0]]]
 
+    # the registry has committed job 1; the worker applies it
     with recording(state, monkeypatch) as rec:
-        kind, reply = worker.handle_job(_job(1, 3, MODULI[3:]))
-        assert kind == "ack" and reply["hits"] == [[0, 5, P[0]]]
-        rec.ack("job 1")
+        worker.handle_apply({"job": 1, "indices": [3, 4, 5], "moduli": MODULI[3:]})
+        rec.ack("apply 1")
 
     def check(where: Path, acks: tuple[str, ...]) -> list[str]:
+        problems = []
+        if acks:
+            stored = json.loads((where / "shards/0/shard.json").read_bytes())
+            if (stored["indices"], stored["job"]) != (list(range(6)), 1):
+                problems.append(f"acknowledged apply not in the snapshot: {stored}")
+        # whatever the crash left, the worker inits from the post-commit
+        # registry slice: its tree loads (appending what it trails by),
+        # never rebuilds, and its watermark is exactly the slice's pairs
         restored = _ShardWorker(0, 1, 4, str(where), None)
-        stored = restored._stored()
-        if stored is None:
-            return ["shard snapshot does not restore"]
-        job = stored["job"]
-        need = 1 if acks else 0
-        if job not in (0, 1) or job < need:
-            return [f"shard restored job {job}, job {need} was acknowledged"]
-        # the registry's slice as of that job must resume it, watermark and all
-        n = 3 * (job + 1)
-        _, status = restored.handle_init({
-            "bits": 64, "indices": list(range(n)), "moduli": MODULI[:n],
-            "pairs_tested": 0, "job": job,
-        })
-        if status["rebuilt"]:
-            return [f"shard slice is not the job-{job} corpus"]
-        if status["pairs_total"] != n * (n - 1) // 2:
-            return [f"shard watermark {status['pairs_total']} after job {job}"]
-        return []
+        _, status = restored.handle_init(
+            {"bits": 64, "indices": list(range(6)), "moduli": MODULI, "job": 1}
+        )
+        scanner = restored.scanner
+        if restored.telemetry.registry.counter("ptree.rebuilds").value:
+            problems.append("the shard tree was rebuilt")
+        if status["keys"] != 6 or list(scanner._ptree.leaves()) != MODULI:
+            problems.append("the shard tree does not hold the post-commit slice")
+        if scanner.total_pairs_tested != 15:
+            problems.append(f"shard watermark {scanner.total_pairs_tested}, not 15")
+        return problems
 
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 

@@ -222,6 +222,37 @@ class TestPersistence:
         writes = telemetry.registry.counter("ptree.blob_writes").value - writes_before
         assert writes == 1
 
+    def test_spool_trailing_by_a_batch_loads_and_appends(self, tmp_path):
+        # the service appends to its tree only after the registry commits,
+        # so a crash in between leaves the spool one batch behind: it loads,
+        # and the batch is an ordinary append writing only the segments it
+        # creates or merges
+        _tree(tmp_path).append(MODULI[:6])  # segments [4, 2]
+        telemetry = Telemetry.create()
+        trailing = _tree(tmp_path, telemetry=telemetry)
+        assert trailing.load_or_rebuild(MODULI[:7]) is True
+        counter = telemetry.registry.counter
+        assert counter("ptree.rebuilds").value == 0
+        assert counter("ptree.node_merges").value == 0
+        # [4, 2] from the spool plus the new 1-leaf segment, the one write
+        assert trailing.segment_sizes() == [4, 2, 1]
+        assert counter("ptree.blob_writes").value == 1
+        assert _ints(trailing.leaves()) == MODULI[:7]
+        # a batch that carries merges writes the merged segment alone
+        merged = _tree(tmp_path, telemetry=telemetry)
+        assert merged.load_or_rebuild(MODULI[:8]) is True
+        assert merged.segment_sizes() == [8]
+        assert counter("ptree.blob_writes").value == 2
+        assert counter("ptree.rebuilds").value == 0
+
+    def test_spool_ahead_of_the_corpus_is_rebuilt(self, tmp_path):
+        _tree(tmp_path).append(MODULI[:6])
+        telemetry = Telemetry.create()
+        recovered = _tree(tmp_path, telemetry=telemetry)
+        assert recovered.load_or_rebuild(MODULI[:5]) is False
+        assert telemetry.registry.counter("ptree.rebuilds").value == 1
+        assert _ints(recovered.leaves()) == MODULI[:5]
+
     def test_corrupt_blob_falls_back_to_rebuild(self, tmp_path):
         _tree(tmp_path).append(MODULI)
         blob = max(tmp_path.glob("seg-*.bin"))

@@ -30,7 +30,7 @@ def write_shards(state_dir, moduli, shards=2):
         indices = [g for g in range(len(moduli)) if g % shards == k]
         _ShardWorker(k, shards, 1, str(state_dir), None).handle_init({
             "bits": 64, "indices": indices, "moduli": [moduli[g] for g in indices],
-            "pairs_tested": 0, "job": None,
+            "job": None,
         })
 
 

@@ -142,14 +142,25 @@ class TestPtreeCommitFaults:
             first = await self._submit_wait(service, mods[:4])
             assert first.status == DONE
             install_plan(parse_spec("ptree.commit#1+=ioerror"))
-            failed = await self._submit_wait(service, mods[4:])
+            # the tree appends after the registry commit, so the flush
+            # succeeds and its verdicts come from the registry; the scanner
+            # that could not take the batch is dropped
+            applied = await self._submit_wait(service, mods[4:6])
+            assert applied.status == DONE
+            assert service.registry.n_keys == 6
+            # the next flush must re-derive the scanner from the registry,
+            # which needs a tree append, so it fails before scanning and
+            # commits nothing
+            failed = await self._submit_wait(service, mods[6:])
             assert failed.status == FAILED
+            assert service.registry.n_keys == 6
             reset_plan()
-            # the failed flush rebuilt the scanner from the registry (the
-            # durable truth), so resubmitting the lost keys — never
-            # committed, hence not duplicates — scans consistently
-            retried = await self._submit_wait(service, mods[4:])
+            # resubmitting the lost keys — never committed, hence not
+            # duplicates — scans against the re-derived scanner
+            retried = await self._submit_wait(service, mods[6:])
             assert retried.status == DONE
+            assert service.registry.duplicate_submissions == 0
+            assert service.shards_view()["pairs_tested"] == 8 * 7 // 2
             await service.stop()
 
         asyncio.run(run())

@@ -1,13 +1,14 @@
-"""Sharded-fleet tests: equivalence with one shard, crash/replay, drain order.
+"""Sharded-fleet tests: equivalence with one shard, crashes, commit failures.
 
 The load-bearing invariants (docs/SHARDING.md pins the prose version):
 
 * an N-shard session finds the *exact* hit set of the 1-shard session on
   the same corpus, and the per-shard pair watermarks sum to M(M−1)/2;
-* kill -9 of one shard worker mid-batch loses nothing — the respawned
-  worker replays only the unacknowledged job;
-* the drain commits every shard snapshot *before* the final registry
-  manifest sync (regression-tested even for ``--shards 1``).
+* kill -9 of one shard worker mid-scan or mid-apply loses nothing — a
+  scan is resent to the respawned worker, and an apply is re-derived from
+  the registry slice that already holds the batch;
+* a registry commit that fails leaves no scan state behind, at one shard
+  or many (the registry leads, scan state follows).
 """
 
 import asyncio
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -63,11 +65,13 @@ def run_session(state_dir, shards, batches, *, telemetry=None, during=None):
             if pos == 0 and during is not None:
                 await during(service)
             await asyncio.wait_for(ticket.wait(), timeout=120)
+            views.setdefault("statuses", []).append(ticket.status)
         views["shards"] = service.shards_view()
         await service.stop()
 
     asyncio.run(go())
     service.last_shards_view = views["shards"]
+    service.ticket_statuses = views.get("statuses", [])
     return service
 
 
@@ -144,38 +148,71 @@ class TestShardEquivalence:
         assert hit_set(service) == hit_set(single)
 
 
+def kill_a_worker_mid_batch(tmp_path, corpus):
+    """Run three 8-key batches through three shards, SIGKILL worker 1
+    0.3 s into the first, and require the session to lose nothing.
+    Returns how many shard applies failed."""
+
+    async def during(service):
+        await asyncio.sleep(0.3)
+        os.kill(service.router._workers[1].process.pid, signal.SIGKILL)
+
+    batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
+    service = run_session(tmp_path, 3, batches, during=during)
+    view = service.last_shards_view
+    assert service.ticket_statuses == ["done"] * 3
+    assert view["detail"][1]["crashes"] >= 1
+    assert view["pairs_tested"] == view["pairs_expected"]
+    assert view["keys"] == service.registry.n_keys
+    single = run_session(tmp_path.with_name(tmp_path.name + "-ref"), 1, batches)
+    assert hit_set(service) == hit_set(single)
+    assert service.registry.duplicate_submissions == single.registry.duplicate_submissions
+    return service.telemetry.registry.counter("shard.apply_failures").value
+
+
 class TestShardCrashes:
     def test_kill_nine_mid_batch_loses_nothing(self, tmp_path, corpus, monkeypatch):
-        # every worker's first JOB persist stalls 1s (hit 1 is the cold-start
-        # rebuild; the stall is pre-write, so the victim dies with the job
-        # applied in memory only); we SIGKILL one worker inside that window
+        # every worker's first APPLY persist stalls 1s (hit 1 is the init
+        # persist; the stall is pre-write, so the victim dies with the
+        # committed batch adopted in memory only), and the router
+        # re-derives the victim from the registry slice, which holds it
         monkeypatch.setenv("REPRO_FAULTS", "shard.commit#2=hang:1.0")
         faults.reset_plan()
+        assert kill_a_worker_mid_batch(tmp_path, corpus) == 1
 
-        async def during(service):
-            await asyncio.sleep(0.3)
-            victim = service.router._workers[1].process
-            os.kill(victim.pid, signal.SIGKILL)
+    def test_kill_nine_mid_scan_loses_nothing(self, tmp_path, corpus, monkeypatch):
+        # every worker stalls 1s before scanning the first batch (the
+        # workers fork from this process, so they inherit the patch): the
+        # scan changed nothing, so the respawned victim just scans again
+        scan = _ShardWorker.handle_job
 
-        batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
-        service = run_session(tmp_path, 3, batches, during=during)
-        view = service.last_shards_view
-        assert view["detail"][1]["crashes"] >= 1
-        assert view["pairs_tested"] == view["pairs_expected"]
-        single = run_session(tmp_path.with_name(tmp_path.name + "-ref"), 1, batches)
-        assert hit_set(service) == hit_set(single)
+        def slow_scan(worker, payload):
+            if payload["base"] == 0:
+                time.sleep(1.0)
+            return scan(worker, payload)
 
-    def test_persist_ioerror_replays_exactly_once(self, tmp_path, corpus, monkeypatch):
-        # the first JOB persist in every worker EIOs (hit 1 is the cold-start
-        # rebuild): the flush fails transient, the batcher retries it, and
-        # the replay returns the stored verdicts without rescanning — the
-        # watermark still lands on M(M−1)/2
+        monkeypatch.setattr(_ShardWorker, "handle_job", slow_scan)
+        assert kill_a_worker_mid_batch(tmp_path, corpus) == 0
+
+    def test_apply_ioerror_rederives_the_worker(self, tmp_path, corpus, monkeypatch):
+        # the first APPLY persist in every worker process EIOs (hit 1 is
+        # its init persist), after the registry committed.  A re-derived
+        # worker is a new process, so every apply of the session fails;
+        # every flush still succeeds, each worker is re-derived from its
+        # registry slice, and the watermark still lands on M(M−1)/2
         monkeypatch.setenv("REPRO_FAULTS", "shard.commit#2=ioerror")
         faults.reset_plan()
+        telemetry = Telemetry.create()
         batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
-        service = run_session(tmp_path, 2, batches)
+        service = run_session(tmp_path, 2, batches, telemetry=telemetry)
+        assert service.ticket_statuses == ["done"] * 3
+        ring = ShardRing(2)
+        appliers = sum(len({ring.owner(n) for n in batch}) for batch in batches)
+        assert telemetry.registry.counter("shard.apply_failures").value == appliers
         view = service.last_shards_view
         assert view["pairs_tested"] == view["pairs_expected"]
+        assert view["keys"] == service.registry.n_keys
+        assert all(d["alive"] for d in view["detail"])
         monkeypatch.delenv("REPRO_FAULTS")
         faults.reset_plan()
         single = run_session(tmp_path.with_name(tmp_path.name + "-ref"), 1, batches)
@@ -191,8 +228,9 @@ class TestShardCrashes:
             await service.start()
             ticket = service.submit([(n, 65537) for n in corpus.moduli[:12]])
             await asyncio.wait_for(ticket.wait(), timeout=120)
-            # tear down the workers without the drain barrier or manifest
-            # sync — the per-job persist-before-ack must carry everything
+            # tear down the workers without the final registry sync:
+            # every committed batch is already durable, and the restarted
+            # shards re-derive from the registry
             service.router.stop()
             service._executor.shutdown(wait=True)
             await service.batcher.stop(drain=False)
@@ -209,19 +247,30 @@ class TestShardCrashes:
         assert hit_set(survivor) == hit_set(single)
 
 
-class TestDrainOrdering:
+#: three failed append attempts, the registry's whole retry budget, spent
+#: on the second batch's commit: the batcher's retry must scan it again
+FAILED_COMMIT = (
+    "registry.commit#2=ioerror;registry.commit#3=ioerror;registry.commit#4=ioerror"
+)
+
+
+class TestRegistryCommitFailure:
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_scan_state_commits_before_manifest_sync(self, tmp_path, corpus, shards):
-        stream = io.StringIO()
-        telemetry = Telemetry.create(event_stream=stream)
-        run_session(tmp_path, shards, [corpus.moduli[:8]], telemetry=telemetry)
-        events = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
-        committed = events.index("service.scan_state_committed")
-        final_sync = len(events) - 1 - events[::-1].index("registry.synced")
-        assert committed < final_sync
-        assert events.index("service.stop") > committed
-        if shards > 1:
-            assert events.index("shard.synced") < final_sync
+    def test_failed_commit_leaves_no_scan_state(self, tmp_path, corpus, shards, monkeypatch):
+        batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
+        clean = run_session(tmp_path / "clean", shards, batches)
+        monkeypatch.setenv("REPRO_FAULTS", FAILED_COMMIT)
+        faults.reset_plan()
+        telemetry = Telemetry.create()
+        service = run_session(tmp_path / "faulted", shards, batches, telemetry=telemetry)
+        assert telemetry.registry.counter("registry.commit_retries").value == 2
+        assert service.ticket_statuses == ["done"] * 3
+        assert service.registry.n_keys == len(set(corpus.moduli)) == 23
+        view = service.last_shards_view
+        assert view["keys"] == service.registry.n_keys
+        assert view["pairs_tested"] == view["pairs_expected"] == 253
+        assert hit_set(service) == hit_set(clean)
+        assert service.registry.duplicate_submissions == clean.registry.duplicate_submissions
 
 
 #: a shard snapshot exactly as the five-tier scanner wrote it: format /1,
@@ -239,20 +288,31 @@ LEGACY_SHARD_JSON = (
 )
 
 
-def init_payload(moduli, *, job, bits=BITS, pairs=0):
+def init_payload(moduli, *, job, bits=BITS):
     """The ``init`` message a router sends for a slice of global indices 0.."""
     return {
         "bits": bits, "indices": list(range(len(moduli))), "moduli": list(moduli),
-        "pairs_tested": pairs, "job": job,
+        "job": job,
     }
+
+
+def job_payload(base, moduli, *, bits=BITS):
+    """A ``job`` message covering its internal pairs too (a one-shard fleet)."""
+    return {"seq": 1, "base": base, "moduli": list(moduli), "bits": bits, "internal": True}
+
+
+def apply_payload(base, moduli, *, job):
+    """The ``apply`` message of a one-shard fleet: the worker owns every key."""
+    return {"job": job, "indices": list(range(base, base + len(moduli))),
+            "moduli": list(moduli)}
 
 
 class TestLegacyShardState:
     @pytest.mark.parametrize("engine", ("native", "ptree", "auto", "all2all", "bulk"))
     def test_snapshot_loads_whatever_engine_it_recorded(self, tmp_path, engine):
         # an upgraded state dir: a /1 snapshot stays ok to the catalog (the
-        # scrubber must not trip degraded mode on it), the worker resumes
-        # from it without a rebuild, and its next job rewrites it as /2
+        # scrubber must not trip degraded mode on it); the worker never
+        # reads it, inits from the registry slice and rewrites it as /3
         payload = json.loads(LEGACY_SHARD_JSON)
         payload["scanner"]["engine"] = engine
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
@@ -265,22 +325,21 @@ class TestLegacyShardState:
 
         moduli = payload["scanner"]["moduli"]
         _, status = worker.handle_init(init_payload(moduli, job=2, bits=32))
-        assert status == {"rebuilt": False, "job": 2, "keys": 6, "pairs_total": 15}
+        assert status == {"job": 2, "keys": 6}
         assert worker.scanner.moduli == moduli
-        assert worker.snapshot_path.read_bytes() == body
+        stored = json.loads(worker.snapshot_path.read_bytes())
+        assert stored == {"format": "repro.shard-snapshot/3", "shard": 0, "shards": 1,
+                          "replicas": 32, "indices": list(range(6)), "job": 2}
 
         fresh = 49157 * 49223
-        _, ack = worker.handle_job({
-            "job": 3, "fp": "f3", "base": 6, "moduli": [fresh], "bits": 32,
-            "internal": True,
-        })
+        _, ack = worker.handle_job(job_payload(6, [fresh], bits=32))
         assert ack["hits"] == [[i, 6, 49157] for i in (0, 1)] + [[5, 6, 49223]]
+        assert json.loads(worker.snapshot_path.read_bytes()) == stored  # a scan writes nothing
+        worker.handle_apply(apply_payload(6, [fresh], job=3))
         stored = json.loads(worker.snapshot_path.read_bytes())
-        assert stored["format"] == "repro.shard-snapshot/2"
-        assert "scanner" not in stored
-        assert (stored["indices"], stored["pairs_tested"], stored["job"]) == (
-            list(range(7)), 21, 3
-        )
+        assert (stored["indices"], stored["job"]) == (list(range(7)), 3)
+        assert [f.verdict for f in ArtifactCatalog(tmp_path).scan().findings
+                if f.family == "shard-snapshot"] == ["ok"]
 
 
 class TestShardSnapshot:
@@ -290,47 +349,50 @@ class TestShardSnapshot:
         for k in (0, 1):
             text = (tmp_path / "shards" / str(k) / "shard.json").read_text()
             payload = json.loads(text)
-            assert payload["format"] == "repro.shard-snapshot/2"
-            assert payload["indices"] and "scanner" not in payload
+            assert payload["format"] == "repro.shard-snapshot/3"
+            assert payload["indices"] and payload["job"] is not None
             assert not [n for n in corpus.moduli if str(n) in text]
 
-    def test_respawn_keeps_an_applied_job(self, tmp_path, corpus):
-        # a worker that persisted job 1 and died before its ack: the
-        # respawn offers the slice before the job plus the job's keys, and
-        # the resent job replays the stored hits instead of rescanning
+    def test_init_over_a_trailing_spool_appends_the_batch(self, tmp_path, corpus):
+        # a worker that died after the registry committed job 1 but before
+        # it applied it: its spool holds the slice before the job, and the
+        # init with the registry's slice after it loads that tree and
+        # appends the job's keys, without a rebuild or a rescan
         moduli = list(dict.fromkeys(corpus.moduli))
-        job1 = {"job": 1, "fp": "f1", "base": 12, "moduli": moduli[12:],
-                "bits": BITS, "internal": True}
         first = _ShardWorker(0, 1, 32, str(tmp_path), None)
-        first.handle_init(init_payload(moduli[:12], job=0, pairs=66))
-        _, applied = first.handle_job(job1)
+        first.handle_init(init_payload(moduli[:12], job=0))
+        first.handle_job(job_payload(12, moduli[12:]))
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
-        _, status = worker.handle_init({
-            **init_payload(moduli[:12], job=0, pairs=66),
-            "next": {"job": 1, "indices": list(range(12, len(moduli))),
-                     "moduli": moduli[12:]},
-        })
-        assert status == {"rebuilt": False, "job": 1, "keys": len(moduli),
-                          "pairs_total": len(moduli) * (len(moduli) - 1) // 2}
-        _, replay = worker.handle_job(job1)
-        assert replay["replayed"] and replay["hits"] == applied["hits"]
-        assert worker.telemetry.registry.counter("incremental.cross_scans").value == 0
+        _, status = worker.handle_init(init_payload(moduli, job=1))
+        assert status == {"job": 1, "keys": len(moduli)}
+        counter = worker.telemetry.registry.counter
+        assert counter("ptree.rebuilds").value == 0
+        assert counter("incremental.cross_scans").value == 0
+        assert worker.scanner.moduli == moduli
+        assert list(worker.scanner._ptree.leaves()) == moduli
+        # the appended leaves scan: a probe equal to the job's last key
+        # meets it, as it does in a tree built from scratch
+        m = len(moduli)
+        reference = _ShardWorker(0, 1, 32, str(tmp_path / "ref"), None)
+        reference.handle_init(init_payload(moduli, job=1))
+        probe = job_payload(m, [moduli[-1]])
+        _, ack = worker.handle_job(probe)
+        assert [m - 1, m, moduli[-1]] in ack["hits"]
+        assert ack == reference.handle_job(probe)[1]
 
     def test_init_over_an_intact_spool_reads_the_tree(self, tmp_path, corpus):
-        # a worker reset to the registry's slice (its snapshot lost) whose
-        # spool already holds exactly that slice reads it: no tree rebuild,
-        # no merge, no blob written
+        # a worker reset to the registry's slice whose spool already holds
+        # exactly that slice reads it: no tree rebuild, no merge, no blob
+        # written
         moduli = list(dict.fromkeys(corpus.moduli))
         writer = _ShardWorker(0, 1, 32, str(tmp_path), None)
         writer.handle_init(init_payload([], job=None))
-        writer.handle_job({
-            "job": 0, "fp": "f0", "base": 0, "moduli": moduli, "bits": BITS,
-            "internal": True,
-        })
+        writer.handle_job(job_payload(0, moduli))
+        writer.handle_apply(apply_payload(0, moduli, job=0))
         writer.snapshot_path.unlink()
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
-        _, status = worker.handle_init(init_payload(moduli, job=0, pairs=253))
-        assert status["rebuilt"] and status["pairs_total"] == 253
+        _, status = worker.handle_init(init_payload(moduli, job=0))
+        assert status == {"job": 0, "keys": len(moduli)}
         counter = worker.telemetry.registry.counter
         assert counter("ptree.rebuilds").value == 0
         assert counter("ptree.node_merges").value == 0
