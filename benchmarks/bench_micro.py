@@ -56,13 +56,17 @@ of as a vague end-to-end slowdown:
   time and the bytes each commit adds to the state dir.  The registry
   log appends one record per commit, so neither should grow with age;
   ``p50_ratio`` is the p50 at 10,000 prior batches over the p50 at 1;
-* ``shard_persist``  — one shard apply's snapshot persist
-  (``_ShardWorker._persist`` in :mod:`repro.service.shard`: encode, the
-  durable replace and its sidecar) for a worker that owns 1,000, 5,000
-  and 25,000 2048-bit keys (every other global index, as at two
-  shards): the snapshot's bytes and p50 wall time, against an inlined
-  reference that also writes the ``scanner`` copy of the slice (moduli
-  and pair count) the ``repro.shard-snapshot/1`` format carried;
+* ``shard_persist``  — what one shard apply writes: a one-key
+  :meth:`repro.core.ptree.PersistentProductTree.append` (its carries,
+  then one durable log append) on a tree of 1,000, 5,000 and 25,000
+  2048-bit keys (every other global index, as at two shards), timed in
+  rounds across the three: p50/p99 wall time and the bytes each append
+  adds to the log.  The forests are grown in memory with stand-in merge
+  products of the right sizes, so setting up a large slice multiplies
+  nothing.  ``p50_ratio`` is the p50 at 25,000 keys over the p50 at
+  1,000; ``carry`` is the one append that completes a 2,048-leaf
+  segment: its wall time and bytes, against the bytes of the whole
+  merged segment (what the per-segment blob layout rewrote);
 * ``startup``        — the start-up cost every command pays: a fresh
   ``python -c "import repro.cli"`` and a fresh 64-key ``repro batchscan``,
   each run several times in new processes, with the median wall time,
@@ -112,6 +116,7 @@ from repro.core.checkpoint import (
     encode_manifest,
 )
 from repro.core.incremental import IncrementalScanner
+from repro.core.ptree import PersistentProductTree
 from repro.core.spool import write_sidecar
 from repro.gcd.word import gcd_approx_words
 from repro.mp.wordint import WordInt
@@ -124,7 +129,6 @@ from repro.service.http import (
     parse_submission,
 )
 from repro.service.registry import WeakKeyRegistry
-from repro.service.shard import _ShardWorker
 from repro.util.intops import (
     DIV_CUTOFF_BITS,
     PythonBackend,
@@ -159,10 +163,12 @@ MANIFEST_RECORDS = (1_000, 10_000)
 COMMIT_AGES = (1, 1_000, 10_000)
 COMMIT_BITS = 2048
 QUICK_COMMIT_SAMPLES, FULL_COMMIT_SAMPLES = 60, 200
-#: the shard_persist section: keys per shard, key size, persists timed
+#: the shard_persist section: keys per shard, key size, appends timed at
+#: each size, and the segment size whose completing carry is measured
 SHARD_KEYS = (1_000, 5_000, 25_000)
 SHARD_BITS = 2048
-QUICK_SHARD_SAMPLES, FULL_SHARD_SAMPLES = 3, 11
+QUICK_SHARD_SAMPLES, FULL_SHARD_SAMPLES = 60, 200
+SHARD_CARRY_LEAVES = 2048
 #: the startup section: fresh processes per measurement, and its batchscan
 #: input (small, so the run is mostly start-up)
 QUICK_STARTUP_RUNS, FULL_STARTUP_RUNS = 5, 11
@@ -186,6 +192,7 @@ FLOORS = (
 CEILINGS = (
     ("import_rss_mib", ("startup", "import_cli", "rss_mib")),
     ("commit_age_ratio", ("commit_age", "p50_ratio")),
+    ("shard_persist_ratio", ("shard_persist", "p50_ratio")),
 )
 
 
@@ -689,61 +696,79 @@ def bench_commit_age(samples: int, seed: str) -> dict:
     }
 
 
-def _v1_persist(worker: _ShardWorker, moduli: list[int]) -> int:
-    """The persist before the snapshot dropped its moduli, inlined: the
-    same payload plus the ``scanner`` copy of the slice, the same write."""
-    m = len(moduli)
-    payload = {
-        "format": "repro.shard-snapshot/1",
-        "shard": worker.shard, "shards": worker.shards, "replicas": worker.replicas,
-        "scanner": {
-            "version": 4, "bits": SHARD_BITS, "int_backend": "python",
-            "moduli": moduli, "hits": [],
-            "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
-        },
-        "indices": worker.indices, "pairs_tested": m * (m - 1),
-        "job": worker.job, "job_fp": "0123456789abcdef",
-        "job_hits": [], "job_pairs": 2 * m - 1,
-    }
-    body = json.dumps(payload).encode("utf-8")
-    durable.replace_bytes(worker.snapshot_path, body)
-    write_sidecar(worker.snapshot_path, hashlib.sha256(body).hexdigest())
-    return len(body)
+def _stand_in_tree(backend, spool_dir: Path, n_keys: int, seed: str) -> PersistentProductTree:
+    """A log-backed tree holding ``n_keys`` leaves (global indices 0, 2, 4,
+    ...), grown in memory: every merge product is one shared random value
+    of the product's size, so no multiplication runs and the forest costs
+    little more than its leaves."""
+    tree = PersistentProductTree(backend=backend, spool_dir=spool_dir)
+    rng = random.Random(seed)
+    stand_ins: dict[int, object] = {}
+
+    def product(a, b):
+        bits = a.bit_length() + b.bit_length()
+        if bits not in stand_ins:
+            stand_ins[bits] = backend.from_int(rng.getrandbits(bits) | 1 << (bits - 1))
+        return stand_ins[bits]
+
+    leaves = synthetic_moduli(n_keys, SHARD_BITS, seed)
+    tree._grow([backend.from_int(n) for n in leaves], product)
+    return tree
 
 
-def bench_shard_persist(samples: int, seed: str) -> dict:
-    """One shard apply's snapshot persist at each of :data:`SHARD_KEYS` keys.
+def _log_bytes(spool_dir: Path) -> int:
+    return sum(p.stat().st_size for p in spool_dir.glob("*.log"))
 
-    The worker holds a two-shard slice (every other global index) after
-    job ``2 * keys``; its scanner is not built, since the snapshot does
-    not read it.  Persists of the current format and the ``/1``
-    reference alternate, so host drift lands on both alike.
+
+def bench_shard_persist(backend, samples: int, seed: str) -> dict:
+    """One shard apply's tree append at each of :data:`SHARD_KEYS` keys.
+
+    ``samples`` rounds append one fresh key to each tree in turn, so host
+    drift lands on every size alike; the log's size is read around each.
+    Then one append completes a :data:`SHARD_CARRY_LEAVES`-leaf segment.
     """
+    fresh = iter(synthetic_moduli(samples * len(SHARD_KEYS) + 1, SHARD_BITS, seed + "-fresh"))
+    with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+        trees = [
+            _stand_in_tree(backend, Path(d) / f"keys-{n}", n, f"{seed}-{n}")
+            for n in SHARD_KEYS
+        ]
+        seconds = [[] for _ in SHARD_KEYS]
+        written = [[] for _ in SHARD_KEYS]
+        for _ in range(samples):
+            for k, tree in enumerate(trees):
+                before = _log_bytes(tree.spool_dir)
+                t0 = time.perf_counter()
+                tree.append([next(fresh)], [2 * tree.n_leaves])
+                seconds[k].append(time.perf_counter() - t0)
+                written[k].append(_log_bytes(tree.spool_dir) - before)
+        del trees
+        carry = _stand_in_tree(backend, Path(d) / "carry", SHARD_CARRY_LEAVES - 1, seed)
+        t0 = time.perf_counter()
+        carry.append([next(fresh)])
+        carry_seconds = time.perf_counter() - t0
+        merged = carry.segments[0]
+        segment_bytes = sum(
+            4 + (int(node).bit_length() + 7) // 8 for level in merged.levels for node in level
+        )
+        carry_row = {
+            "leaves": merged.size, "ms": round(carry_seconds * 1e3, 3),
+            "bytes": _log_bytes(carry.spool_dir), "segment_bytes": segment_bytes,
+        }
     rows = []
-    for n_keys in SHARD_KEYS:
-        moduli = synthetic_moduli(n_keys, SHARD_BITS, seed)
-        with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
-            worker = _ShardWorker(0, 2, 32, d, None)
-            worker.indices = list(range(0, 2 * n_keys, 2))
-            worker.job = 2 * n_keys
-            now, then = [], []
-            for _ in range(samples):
-                t0 = time.perf_counter()
-                worker._persist()
-                now.append(time.perf_counter() - t0)
-                nbytes = worker.snapshot_path.stat().st_size
-                t0 = time.perf_counter()
-                v1_bytes = _v1_persist(worker, moduli)
-                then.append(time.perf_counter() - t0)
+    for n_keys, times, sizes in zip(SHARD_KEYS, seconds, written):
+        q = statistics.quantiles(times, n=100, method="inclusive")
         rows.append({
             "keys": n_keys,
-            "bytes": nbytes,
-            "bytes_per_key": round(nbytes / n_keys, 2),
-            "p50_ms": round(statistics.median(now) * 1e3, 3),
-            "v1_bytes": v1_bytes,
-            "v1_p50_ms": round(statistics.median(then) * 1e3, 3),
+            "p50_ms": round(statistics.median(times) * 1e3, 4),
+            "p99_ms": round(q[98] * 1e3, 4),
+            "bytes_per_apply": statistics.median(sizes),
         })
-    return {"bits": SHARD_BITS, "samples": samples, "rows": rows}
+    return {
+        "bits": SHARD_BITS, "samples": samples, "rows": rows,
+        "p50_ratio": round(rows[-1]["p50_ms"] / rows[0]["p50_ms"], 3),
+        "carry": carry_row,
+    }
 
 
 def bench_submit(n_keys: int, seed: str) -> dict:
@@ -915,11 +940,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  commit_age {row['prior_batches']:>6} batches  p50 {row['p50_ms']:7.3f} ms"
               f"  p99 {row['p99_ms']:7.3f} ms  {row['bytes_per_commit']:.0f} B/commit"
               f"  {row['files']} files", file=sys.stderr)
-    sections["shard_persist"] = bench_shard_persist(shard_samples, args.seed + "-shard")
+    sections["shard_persist"] = bench_shard_persist(backend, shard_samples, args.seed + "-shard")
     for row in sections["shard_persist"]["rows"]:
-        print(f"  shard_persist {row['keys']:>6} keys  {row['bytes']:>9} B  p50 {row['p50_ms']:8.3f} ms"
-              f"  (/1 with moduli: {row['v1_bytes']} B, p50 {row['v1_p50_ms']:.3f} ms)",
+        print(f"  shard_persist {row['keys']:>6} keys  p50 {row['p50_ms']:7.3f} ms"
+              f"  p99 {row['p99_ms']:7.3f} ms  {row['bytes_per_apply']:.0f} B/apply",
               file=sys.stderr)
+    c = sections["shard_persist"]["carry"]
+    print(f"  shard_persist {c['leaves']}-leaf carry  {c['ms']:.1f} ms  {c['bytes']} B"
+          f"  (the merged segment: {c['segment_bytes']} B)", file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -1046,12 +1074,16 @@ def test_bench_micro_quick(tmp_path, report):
     assert max(r["bytes_per_commit"] for r in ages) - min(
         r["bytes_per_commit"] for r in ages
     ) <= len(str(COMMIT_AGES[-1]))
-    shard_rows = s["shard_persist"]["rows"]
-    assert [r["keys"] for r in shard_rows] == list(SHARD_KEYS)
-    for r in shard_rows:
-        # indices and counters only: a few bytes a key, not the moduli
-        assert r["bytes_per_key"] < 10
-        assert r["bytes"] * 50 < r["v1_bytes"]
+    shard = s["shard_persist"]
+    assert [r["keys"] for r in shard["rows"]] == list(SHARD_KEYS)
+    # an apply writes what it creates, whatever the slice's size: at most
+    # one 2048-bit key and the few merge products its carry makes
+    for r in shard["rows"]:
+        assert 0 < r["bytes_per_apply"] < 2_000
+    # the carry writes one new node per level, not the whole segment again
+    carry = shard["carry"]
+    assert carry["leaves"] == SHARD_CARRY_LEAVES
+    assert carry["bytes"] * 4 < carry["segment_bytes"]
     for name in ("import_cli", "batchscan"):
         r = s["startup"][name]
         assert r["wall_seconds"] > 0 and r["rss_mib"] > 0

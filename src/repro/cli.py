@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fs.add_argument(
         "--state-dir", type=Path, required=True,
-        help="the state directory to check (registry, ptree, shard "
-        "snapshots, batchscan spools, ingest state)",
+        help="the state directory to check (registry, product-tree logs, "
+        "batchscan spools, ingest state)",
     )
     fs.add_argument(
         "--repair", action="store_true",

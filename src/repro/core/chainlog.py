@@ -1,7 +1,9 @@
-"""Hash-chained segment log: the weak-key registry's on-disk format.
+"""Hash-chained segment log: the on-disk format of the weak-key registry
+and of every persistent product tree.
 
-The log is a run of *segment* files ``registry-000000.log``,
-``registry-000001.log``, ... in one directory.  A new segment starts once
+A log is a run of *segment* files ``<stem>-000000.log``,
+``<stem>-000001.log``, ... in one directory: the registry's stem is
+``registry``, a product tree's ``tree``.  A new segment starts once
 the active one would grow past :data:`SEGMENT_BYTES`.  Each segment opens
 with a 40-byte header: the magic ``b"RGLOG001"`` and the link of the last
 record before it (32 zero bytes in the first segment).  Records follow,
@@ -14,10 +16,12 @@ one *frame* each::
     link     SHA-256(previous link || header), 32 bytes
 
 The links chain every header to all before it, across segments.  A
-header pins its body with two SHA-256 digests, one per body part (the
-batch's keys, then its hits as flat ``i, j, prime`` triples).  So a
-damaged body under an intact header can be rebuilt, and the pins prove
-the rebuild.  A damaged header, link or frame prefix cannot.
+header pins its body with two SHA-256 digests, one per body part: the
+first ``keys_nbytes`` bytes (a registry batch's keys, a tree append's new
+leaves), then the rest (the batch's hits as flat ``i, j, prime``
+triples, the append's new merge products).  So a damaged body under an
+intact header can be rebuilt, and the pins prove the rebuild.  A damaged
+header, link or frame prefix cannot.
 
 A frame that runs past the end of the last segment is a *torn tail*: the
 append that wrote it never completed its fsync, so it was never
@@ -38,7 +42,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.core import durable
 from repro.core.spool import _encode_record
@@ -51,8 +55,12 @@ __all__ = [
     "LogScan",
     "LogWriter",
     "MAGIC",
+    "REGISTRY",
     "SEGMENT_BYTES",
     "SEGMENT_HEADER",
+    "TREE",
+    "cut_back",
+    "iter_log",
     "pack_ints",
     "read_log",
     "read_segment",
@@ -70,23 +78,27 @@ SEGMENT_BYTES = 4 << 20
 
 _PREFIX = struct.Struct("<II")
 _PREFIX_BYTES = _PREFIX.size + 4
-_SEGMENT_NAME = re.compile(r"registry-(\d{6})\.log")
+#: segment file stems: the registry's log, and each product tree's
+REGISTRY, TREE = "registry", "tree"
 
 
-def segment_path(directory: str | Path, index: int) -> Path:
-    """``directory/registry-<index>.log``.
+def segment_path(directory: str | Path, index: int, stem: str = REGISTRY) -> Path:
+    """``directory/<stem>-<index>.log``.
 
     >>> segment_path("state", 3).name
     'registry-000003.log'
+    >>> segment_path("state/ptree", 0, "tree").name
+    'tree-000000.log'
     """
-    return Path(directory) / f"registry-{index:06d}.log"
+    return Path(directory) / f"{stem}-{index:06d}.log"
 
 
-def segment_paths(directory: str | Path) -> list[tuple[int, Path]]:
+def segment_paths(directory: str | Path, stem: str = REGISTRY) -> list[tuple[int, Path]]:
     """Every ``(index, path)`` segment in ``directory``, in index order."""
+    name = re.compile(re.escape(stem) + r"-(\d{6})\.log")
     found = []
-    for path in Path(directory).glob("registry-*.log"):
-        match = _SEGMENT_NAME.fullmatch(path.name)
+    for path in Path(directory).glob(f"{stem}-*.log"):
+        match = name.fullmatch(path.name)
         if match:
             found.append((int(match.group(1)), path))
     return sorted(found)
@@ -135,13 +147,14 @@ def _body_problem(header: dict, body: bytes) -> str:
     return ""
 
 
-def _frame(prev_link: bytes, header: dict, body: bytes) -> tuple[bytes, int, bytes]:
-    """``(frame bytes, offset of the body in them, link)``."""
+def _frame(prev_link: bytes, header: dict, body: bytes) -> tuple[list[bytes], int, bytes]:
+    """``(frame parts, offset of the body in the frame, link)``: the
+    parts are joined once per write, so a large body is copied once."""
     head = json.dumps(header, separators=(",", ":")).encode()
     lengths = _PREFIX.pack(len(head), len(body))
     link = hashlib.sha256(prev_link + head).digest()
-    prefix = lengths + zlib.crc32(lengths).to_bytes(4, "little")
-    return prefix + head + body + link, _PREFIX_BYTES + len(head), link
+    prefix = lengths + zlib.crc32(lengths).to_bytes(4, "little") + head
+    return [prefix, body, link], len(prefix), link
 
 
 @dataclass
@@ -152,6 +165,7 @@ class Frame:
     link verifies the header but the body misses its pins, and
     ``"torn"`` for a final frame cut inside its body or link (the header
     is whole but unverified; ``link`` is the link it should carry).
+    ``body`` is a view of the segment's bytes, not a copy.
     """
 
     segment: int
@@ -159,7 +173,7 @@ class Frame:
     body_at: int
     body_len: int
     header: dict
-    body: bytes
+    body: memoryview
     link: bytes
     damage: str | None = None
 
@@ -212,6 +226,7 @@ def read_segment(
     if len(data) <= SEGMENT_HEADER:
         return fault(0, cut, f"segment of {len(data)} bytes holds no whole record")
     pos, size = SEGMENT_HEADER, len(data)
+    view = memoryview(data)
     while pos < size:
         if pos + _PREFIX_BYTES > size:
             return fault(pos, cut, "record cut inside its frame prefix")
@@ -233,13 +248,13 @@ def read_segment(
         if end > size:
             if not isinstance(header, dict):
                 return fault(pos, cut, f"record at byte {pos} cut short, header unreadable")
-            frame = Frame(index, pos, body_at, body_len, header, data[body_at:], expected, "torn")
+            frame = Frame(index, pos, body_at, body_len, header, view[body_at:], expected, "torn")
             frames.append(frame)
             return fault(pos, cut, f"record at byte {pos} cut inside its body", frame)
         stored = data[end - LINK_BYTES : end]
         if stored != expected or not isinstance(header, dict):
             return fault(pos, "hash-mismatch", f"record header at byte {pos} fails its link")
-        body = data[body_at : end - LINK_BYTES]
+        body = view[body_at : end - LINK_BYTES]
         frame = Frame(index, pos, body_at, body_len, header, body, stored)
         frames.append(frame)
         problem = _body_problem(header, body)
@@ -272,49 +287,92 @@ class LogScan:
         ]
 
 
-def read_log(directory: str | Path) -> LogScan:
-    """Read every segment of the log in ``directory`` and check the chain.
+def iter_log(
+    directory: str | Path, stem: str = REGISTRY
+) -> Iterator[tuple[int, bytes, list[Frame], list[LogFault]]]:
+    """Read the log in ``directory`` one segment at a time, checking the chain.
 
-    Faults come back in log order: a gap in the segment numbering is
-    ``missing``, and :func:`read_segment` reports the rest.
+    Yields ``(index, data, frames, faults)`` per segment, in order, so a
+    caller that stops early never reads the rest.  A gap in the segment
+    numbering is a ``missing`` fault of the segment after it, and
+    :func:`read_segment` reports the rest.
     """
-    scan = LogScan(segments=segment_paths(directory))
+    segments = segment_paths(directory, stem)
     link: bytes | None = GENESIS
-    for pos, (index, path) in enumerate(scan.segments):
-        expected = scan.segments[pos - 1][0] + 1 if pos else 0
+    for pos, (index, path) in enumerate(segments):
+        gap = []
+        expected = segments[pos - 1][0] + 1 if pos else 0
         if index != expected:
-            scan.faults.append(LogFault(index, 0, "missing", f"segment {expected:06d} is gone"))
+            gap = [LogFault(index, 0, "missing", f"segment {expected:06d} is gone")]
             link = None
-        data = scan.data[index] = path.read_bytes()
-        final = pos == len(scan.segments) - 1
+        data = path.read_bytes()
+        final = pos == len(segments) - 1
         frames, faults = read_segment(data, index, final=final, prev=link)
-        scan.frames.extend(frames)
-        scan.faults.extend(faults)
         # damaged bodies leave the chain intact; anything else breaks it
         chained = all(f.frame is not None and f.frame.damage == "body" for f in faults)
         link = frames[-1].link if frames and chained else None
+        yield index, data, frames, gap + faults
+        del data, frames, faults  # one segment in memory at a time
+
+
+def read_log(directory: str | Path, stem: str = REGISTRY) -> LogScan:
+    """Read every segment of the log in ``directory`` and check the chain.
+
+    Faults come back in log order (see :func:`iter_log`).
+    """
+    scan = LogScan(segments=segment_paths(directory, stem))
+    for index, data, frames, faults in iter_log(directory, stem):
+        scan.data[index] = data
+        scan.frames.extend(frames)
+        scan.faults.extend(faults)
     return scan
 
 
+def cut_back(directory: str | Path, last: Frame | None, stem: str = REGISTRY) -> None:
+    """Cut the log back to the end of ``last``.
+
+    Every later segment is removed, newest first, so a crash part way
+    leaves a shorter log, never a gap; ``last``'s own segment is
+    truncated to its end.  ``None`` removes the whole log.
+    """
+    for index, path in reversed(segment_paths(directory, stem)):
+        if last is not None and index == last.segment:
+            if path.stat().st_size > last.end:
+                durable.truncate(path, last.end)
+            break
+        durable.remove(path)
+
+
 class LogWriter:
-    """Appends frames to the log's active segment, rolling at the size cap."""
+    """Appends frames to the log's active segment, rolling at the size cap
+    (``segment_bytes``, default :data:`SEGMENT_BYTES`)."""
 
     def __init__(
-        self, directory: str | Path, *, segment: int = 0, size: int = 0, link: bytes = GENESIS
+        self,
+        directory: str | Path,
+        *,
+        stem: str = REGISTRY,
+        segment_bytes: int | None = None,
+        segment: int = 0,
+        size: int = 0,
+        link: bytes = GENESIS,
     ) -> None:
         self.directory = Path(directory)
+        self.stem = stem
+        self.segment_bytes = segment_bytes
         self.segment = segment
         self.size = size
         self.link = link
         self._dirty = False
 
     @classmethod
-    def after(cls, directory: str | Path, frames: list[Frame]) -> "LogWriter":
-        """A writer that continues after the last of ``frames``."""
+    def after(cls, directory: str | Path, frames: list[Frame], **kwargs) -> "LogWriter":
+        """A writer (``kwargs``: ``stem``, ``segment_bytes``) that
+        continues after the last of ``frames``."""
         if not frames:
-            return cls(directory)
+            return cls(directory, **kwargs)
         last = frames[-1]
-        return cls(directory, segment=last.segment, size=last.end, link=last.link)
+        return cls(directory, segment=last.segment, size=last.end, link=last.link, **kwargs)
 
     def append(self, records: list[tuple[dict, bytes]]) -> list[tuple[Path, int, int]]:
         """Durably append one frame per ``(header, body)``.
@@ -326,40 +384,41 @@ class LogWriter:
         """
         if self._dirty:
             # a failed append may have left part of a frame behind
-            active = segment_path(self.directory, self.segment)
+            active = segment_path(self.directory, self.segment, self.stem)
             if self.size:
                 durable.truncate(active, self.size)
             else:
                 durable.remove(active)
-            durable.remove(segment_path(self.directory, self.segment + 1))
+            durable.remove(segment_path(self.directory, self.segment + 1, self.stem))
             self._dirty = False
         placed = []
-        batch = bytearray()
+        batch: list[bytes] = []
         segment, size, link = self.segment, self.size, self.link
-        pending: list[tuple[int, bytes, int, bytes]] = []  # (segment, bytes, size, link)
+        pending: list[tuple[int, list[bytes], int, bytes]] = []  # (segment, parts, size, link)
 
         def flush():
             if batch:
-                pending.append((segment, bytes(batch), size, link))
+                pending.append((segment, batch[:], size, link))
                 batch.clear()
 
         for header, body in records:
-            frame, body_off, new_link = _frame(link, header, body)
-            if size and size + len(frame) > SEGMENT_BYTES:
+            parts, body_off, new_link = _frame(link, header, body)
+            frame_len = body_off + len(body) + LINK_BYTES
+            if size and size + frame_len > (self.segment_bytes or SEGMENT_BYTES):
                 flush()
                 segment, size = segment + 1, 0
             if not size:
-                batch += MAGIC + link
+                batch.append(MAGIC + link)
                 size = SEGMENT_HEADER
-            path = segment_path(self.directory, segment)
+            path = segment_path(self.directory, segment, self.stem)
             placed.append((path, size + _PREFIX_BYTES, size + body_off))
-            batch += frame
-            size += len(frame)
+            batch += parts
+            size += frame_len
             link = new_link
         flush()
-        for segment, data, size, link in pending:
+        for segment, parts, size, link in pending:
             self._dirty = True
-            durable.append(segment_path(self.directory, segment), data)
+            durable.append(segment_path(self.directory, segment, self.stem), b"".join(parts))
             self._dirty = False
             self.segment, self.size, self.link = segment, size, link
         return placed

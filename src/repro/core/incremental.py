@@ -18,7 +18,7 @@ internal pairs take one direct ``k(k−1)/2`` pass.  Hit sets equal a
 brute-force all-pairs oracle (property-tested in
 ``tests/core/test_incremental_stateful.py``).
 
-The tree lives in memory, or with ``spool_dir`` in RGSPOOL1 blobs that a
+The tree lives in memory, or with ``spool_dir`` in a tree log that a
 restarted scanner reloads.  The paper's SIMT engine is not used here: it
 is the subject of ``repro scan --backend bulk``.
 """
@@ -90,6 +90,7 @@ class IncrementalScanner:
         int_backend: str | IntBackend | None = None,
         spool_dir: str | Path | None = None,
         telemetry: Telemetry | None = None,
+        indices: Sequence[int] | None = None,
     ) -> None:
         """``bits`` fixes the modulus size up front.  ``telemetry``
         persists across batches — the scanner is long-lived, so its
@@ -101,10 +102,11 @@ class IncrementalScanner:
         which is how a restarted service resumes without rescanning.
 
         ``int_backend`` selects the big-integer implementation.
-        ``spool_dir`` checkpoints the product tree on disk (RGSPOOL1 blobs
-        + pinned manifest); the tree over ``moduli`` loads from it here,
-        or is rebuilt when it does not hold exactly ``moduli``.  Without
-        it the tree lives in memory only."""
+        ``spool_dir`` keeps the product tree's log on disk; the tree over
+        ``moduli`` loads from it here, appending whatever the log does not
+        hold.  Without it the tree lives in memory only.  ``indices`` are
+        the global indices of ``moduli`` the log records (default: their
+        positions; a shard's slice passes its own)."""
         if bits < 16 or bits % 2:
             raise ValueError(f"bits must be an even size >= 16, got {bits}")
         self.bits = bits
@@ -119,7 +121,7 @@ class IncrementalScanner:
         self._ptree = PersistentProductTree(
             backend=self.backend, spool_dir=self.spool_dir, telemetry=self.telemetry,
         )
-        self._ptree.load_or_rebuild(self.moduli)
+        self._ptree.load_or_rebuild(self.moduli, indices)
 
     def _check(self, new_moduli: list[int]) -> None:
         for n in new_moduli:
@@ -203,14 +205,16 @@ class IncrementalScanner:
         reg.counter("scan.hits").inc(len(report.hits))
         return report
 
-    def adopt(self, new_moduli: list[int], *, pairs: int = 0) -> None:
+    def adopt(
+        self, new_moduli: list[int], *, pairs: int = 0, indices: Sequence[int] | None = None
+    ) -> None:
         """Extend the corpus (and its product tree) **without scanning**.
 
         The apply half of :meth:`add_batch`: the keys join the corpus (the
         ptree carry-merges the new leaves) and ``pairs``, the pairs a
         :meth:`cross_scan` of them covered, are credited.  A shard adopts
-        only the keys it owns and credits nothing: its router keeps the
-        fleet's pair watermarks.
+        only the keys it owns, with their global ``indices``, and credits
+        nothing: its router keeps the fleet's pair watermarks.
 
         >>> s = IncrementalScanner(bits=16)
         >>> s.adopt([193 * 197, 193 * 199])
@@ -219,7 +223,7 @@ class IncrementalScanner:
         """
         self._check(new_moduli)
         if new_moduli:
-            self._ptree.append(new_moduli)
+            self._ptree.append(new_moduli, indices)
             self.moduli.extend(new_moduli)
             self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
         self.total_pairs_tested += pairs

@@ -35,40 +35,54 @@ neighbours, and a merge reuses both children's node arrays wholesale —
 one multiplication per merge, ``m − 1`` multiplications *total* over the
 corpus lifetime, amortized O(1) per insert with O(log m) segments live.
 
-Persistence rides the exact storage primitives the registry commits with:
-each segment is one RGSPOOL1 blob (:mod:`repro.core.spool`, nodes in
-bottom-up level order) pinned by SHA-256 in an atomically rewritten
-manifest (:mod:`repro.core.checkpoint`).  The commit protocol per flush is
-*blobs first, manifest second*; a crash between the two leaves the old
-manifest pointing at the old (still present) blobs, so a restarted
-scanner resumes at the previous flush boundary without recomputing a
-single product.  A spool that holds a *prefix* of the corpus (the service
-appends to its tree only after the registry commits, so its spool may
-trail the registry by a batch) loads and takes the missing tail as an
-ordinary append.  Any other mismatch — corrupt blob, foreign manifest, or
-leaves that disagree with the scanner's corpus — falls back to a full
-rebuild from the moduli (counted in ``ptree.rebuilds``), which is always
-correct and never trusted state over arithmetic.
+Persistence is a hash-chained log (:mod:`repro.core.chainlog`, segment
+files ``tree-NNNNNN.log``), the registry's own format: each
+:meth:`PersistentProductTree.append` is one fsync'd frame whose body
+holds the new leaves, then the new merge products (in the order the
+carries made them), under the registry's two-part pin, and whose header
+carries each new leaf's global index.  The binary-counter forest never
+discards a node, so the log is exactly the live tree and never needs
+compaction, and an append writes only what it created.  A load replays
+the verified frames with no multiplication, as long as their leaves and
+indices agree with the caller's corpus; it cuts the log back to the last
+frame it kept and appends the rest of the corpus.  That one rule covers
+a log that trails the corpus (the service appends only after the
+registry commits), a torn or damaged frame, and a log of some other
+corpus (a shard-count change): whatever the log cannot supply is
+appended again, and a load that keeps nothing counts in
+``ptree.rebuilds``.  A state dir from before the log (a
+``product-tree/1`` manifest over per-segment blobs) is rebuilt once and
+its files removed.
 
-The ``ptree.commit`` fault point fires before each persist attempt (on
-top of the ``spool.write`` / ``manifest.commit`` points inside the
-primitives), so chaos tests can kill exactly the tree's commit path.
+The ``ptree.commit`` fault point fires before each append attempt, and
+its ``corrupt:*`` actions rot the body of the frame just appended.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core import durable
-from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
-from repro.core.spool import SpoolError, read_blob, write_blob
+from repro.core import chainlog, durable
+# ``write_blob`` stays importable from here: perfbench/launch.py traces it
+from repro.core.spool import write_blob  # noqa: F401
 from repro.resilience import RetryPolicy, faults
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = ["PersistentProductTree", "PTREE_FORMAT"]
+__all__ = ["PersistentProductTree"]
 
-PTREE_FORMAT = "product-tree/1"
+#: leaves per frame when a load appends what the log lacks, so a rebuild
+#: writes bounded frames (a flush of up to ``max_batch`` keys is one)
+REBUILD_FRAME_LEAVES = 256
+#: the tree log's segment cap: a load holds one segment's bytes beside
+#: the nodes it decodes from them, so this bounds its transient memory
+#: (a frame larger than the cap gets a segment of its own)
+SEGMENT_BYTES = 1 << 20
+#: files of the ``product-tree/1`` layout a load removes
+_OLD_LAYOUT = ("manifest.json", "manifest.json.sha256", "seg-*.bin")
 
 #: a segment is screened only when its root has at least this many times
 #: the bits of the batch product.  On 2,000 × 2048-bit keys (CPython
@@ -99,53 +113,24 @@ class _Segment:
         return len(self.levels[0])
 
     @property
-    def height(self) -> int:
-        return len(self.levels) - 1
-
-    @property
     def root(self):
         return self.levels[-1][0]
 
-    def stage_name(self) -> str:
-        return f"seg.{self.start}.{self.height}"
 
-    def blob_name(self) -> str:
-        return f"seg-{self.start:08d}-h{self.height:02d}.bin"
-
-    def nodes(self) -> list:
-        """Every node, bottom-up level order — the blob serialisation."""
-        out: list = []
-        for level in self.levels:
-            out.extend(level)
-        return out
-
-    @classmethod
-    def from_nodes(cls, start: int, nodes: list) -> "_Segment":
-        """Rebuild from a blob payload; raises ``ValueError`` on a bad shape."""
-        levels: list[list] = []
-        width = (len(nodes) + 1) // 2
-        if width & (width - 1) or not nodes:
-            raise ValueError(f"segment blob holds {len(nodes)} nodes, not 2s-1")
-        pos = 0
-        while width >= 1:
-            levels.append(nodes[pos : pos + width])
-            pos += width
-            width //= 2
-        if pos != len(nodes):
-            raise ValueError("segment blob node count does not form a perfect tree")
-        return cls(start, levels)
-
-
-def _merge(a: _Segment, b: _Segment, mul) -> _Segment:
-    """Merge two adjacent equal-sized segments: one multiplication, all
-    child nodes reused by reference."""
+def _merge(a: _Segment, b: _Segment, root) -> _Segment:
+    """Merge two adjacent equal-sized segments under ``root`` (their
+    product): all child nodes reused by reference."""
     levels = [a.levels[i] + b.levels[i] for i in range(len(a.levels))]
-    levels.append([mul(a.root, b.root)])
+    levels.append([root])
     return _Segment(a.start, levels)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class PersistentProductTree:
-    """Incrementally maintained product forest, optionally spool-backed.
+    """Incrementally maintained product forest, optionally log-backed.
 
     >>> t = PersistentProductTree()
     >>> t.append([3, 5, 7])
@@ -165,7 +150,7 @@ class PersistentProductTree:
     ) -> None:
         self.backend = resolve_backend(backend)
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        self.store = CheckpointStore(self.spool_dir) if self.spool_dir else None
+        self._log = self._writer([]) if self.spool_dir else None
         self.telemetry = telemetry
         self.retry_policy = (
             retry_policy
@@ -174,9 +159,6 @@ class PersistentProductTree:
         )
         self.segments: list[_Segment] = []
         self.n_leaves = 0
-        #: blob name -> StageRecord for blobs this tree knows are on disk
-        #: (written by us or verified at load); saves re-hashing per flush
-        self._committed: dict[str, StageRecord] = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -235,15 +217,10 @@ class PersistentProductTree:
 
     # -- growth ----------------------------------------------------------------
 
-    def append(self, values: list[int]) -> None:
-        """Append leaves (carry-merging as needed) and persist the new shape."""
-        if not values:
-            return
-        B = self.backend
-        mul, from_int = B.mul, B.from_int
-        merges = 0
-        for v in values:
-            self.segments.append(_Segment(self.n_leaves, [[from_int(v)]]))
+    def _grow(self, leaves: list, product) -> None:
+        """Push ``leaves`` and carry-merge; ``product(a, b)`` is each new root."""
+        for leaf in leaves:
+            self.segments.append(_Segment(self.n_leaves, [[leaf]]))
             self.n_leaves += 1
             while (
                 len(self.segments) >= 2
@@ -251,72 +228,69 @@ class PersistentProductTree:
             ):
                 b = self.segments.pop()
                 a = self.segments.pop()
-                self.segments.append(_merge(a, b, mul))
-                merges += 1
+                self.segments.append(_merge(a, b, product(a.root, b.root)))
+
+    def _set_gauges(self) -> None:
         if self.telemetry is not None:
             reg = self.telemetry.registry
-            reg.counter("ptree.node_merges").inc(merges)
             reg.gauge("ptree.leaves").set(self.n_leaves)
             reg.gauge("ptree.segments").set(len(self.segments))
-        self._persist()
+
+    def append(self, values: list[int], indices: Sequence[int] | None = None) -> None:
+        """Append leaves (carry-merging as needed) and log them in one frame.
+
+        ``indices`` are the leaves' global indices, recorded in the frame's
+        header (default: their leaf positions).
+        """
+        if not values:
+            return
+        if indices is None:
+            indices = range(self.n_leaves, self.n_leaves + len(values))
+        if len(indices) != len(values):
+            raise ValueError(f"{len(indices)} indices for {len(values)} leaves")
+        B = self.backend
+        mul = B.mul
+        products: list = []
+
+        def product(a, b):
+            products.append(mul(a, b))
+            return products[-1]
+
+        self._grow([B.from_int(v) for v in values], product)
+        if self.telemetry is not None:
+            self.telemetry.registry.counter("ptree.node_merges").inc(len(products))
+        self._set_gauges()
+        self._persist(values, products, indices)
 
     # -- persistence -----------------------------------------------------------
 
-    def _manifest(self) -> Manifest:
-        return Manifest(
-            config={"format": PTREE_FORMAT, "n_leaves": self.n_leaves},
-            stages=[],
-        )
+    def _persist(self, values: list[int], products: list, indices: Sequence[int]) -> None:
+        """One durable append: the new leaves, then the new merge products.
 
-    def _persist(self) -> None:
-        """Commit the live forest: new segment blobs first, manifest second.
-
-        Blob writes are tmp+rename (idempotent under retry); stale blobs
-        from superseded segments are unlinked only after the manifest no
-        longer references them, so no crash window ever leaves the
-        manifest pointing at a missing file.
+        A failed attempt is cut back by the log writer before the retry.
         """
-        if self.store is None:
+        if self._log is None:
             return
-        store = self.store
-        manifest = self._manifest()
-        writes = 0
+        leaves = chainlog.pack_ints(values)
+        nodes = chainlog.pack_ints(products)
+        header = {
+            "kind": "tree", "indices": [int(i) for i in indices],
+            "keys_nbytes": len(leaves), "sha256": [_sha256(leaves), _sha256(nodes)],
+        }
+        body = leaves + nodes
+        del leaves, nodes  # a carry's frame is large: keep one copy of it
 
-        def commit_blobs() -> list[StageRecord]:
-            nonlocal writes
+        def write():
             faults.fire("ptree.commit")
             durable.makedirs(self.spool_dir)
-            records = []
-            for seg in self.segments:
-                blob = seg.blob_name()
-                record = self._committed.get(blob)
-                if record is None:
-                    info = write_blob(self.spool_dir / blob, seg.nodes())
-                    faults.corrupt_file("ptree.commit", info.path)
-                    record = StageRecord(
-                        name=seg.stage_name(), blob=blob, count=info.count,
-                        nbytes=info.nbytes, sha256=info.sha256, seconds=0.0,
-                    )
-                    writes += 1
-                records.append(record)
-            return records
+            return self._log.append([(header, body)])[0]
 
-        manifest.stages = self.retry_policy.run(
-            commit_blobs, on_retry=self._on_retry
-        )
-        self.retry_policy.run(
-            lambda: store.save(manifest), on_retry=self._on_retry
-        )
-        self._committed = {record.blob: record for record in manifest.stages}
-        live = set(self._committed)
-        for stray in self.spool_dir.glob("seg-*.bin"):
-            if stray.name not in live:
-                try:
-                    stray.unlink()
-                except OSError:  # a stray blob is harmless; never fail a commit on it
-                    pass
+        path, _, body_at = self.retry_policy.run(write, on_retry=self._on_retry)
+        faults.corrupt_file("ptree.commit", path, region=(body_at, body_at + len(body)))
         if self.telemetry is not None:
-            self.telemetry.registry.counter("ptree.blob_writes").inc(writes)
+            reg = self.telemetry.registry
+            reg.counter("ptree.log_appends").inc()
+            reg.counter("ptree.log_bytes").inc(len(body))
 
     def _on_retry(self, attempt: int, delay: float, exc: BaseException) -> None:
         if self.telemetry is not None:
@@ -328,62 +302,88 @@ class PersistentProductTree:
 
     # -- restore ---------------------------------------------------------------
 
-    def load_or_rebuild(self, moduli: list[int]) -> bool:
+    def load_or_rebuild(
+        self, moduli: Sequence[int], indices: Sequence[int] | None = None
+    ) -> bool:
         """Make this (empty) tree hold exactly ``moduli``.
 
-        Tries the spool first: every referenced blob must re-verify, the
-        segment shapes must form a binary-counter forest over contiguous
-        leaf ranges, and the stored leaves must equal a prefix of
-        ``moduli`` value-for-value.  The rest of ``moduli`` is then
-        appended, which writes only the new and merged segments.  Anything
-        less falls back to a rebuild from scratch (``ptree.rebuilds``
-        counts these).  Returns True when the spool satisfied the load.
+        ``indices`` are the moduli's global indices (default: their
+        positions).  The log's verified frames are replayed, with no
+        multiplication, for as long as their leaves and indices are the
+        next ones of ``moduli`` and ``indices``; the log is cut back after
+        the last frame kept, and the rest of ``moduli`` is appended in
+        frames of at most :data:`REBUILD_FRAME_LEAVES` leaves.  Returns
+        False when the log supplied nothing for a non-empty corpus: a
+        rebuild from scratch (counted in ``ptree.rebuilds`` when the tree
+        is log-backed).
         """
         if self.n_leaves:
             raise ValueError("load_or_rebuild requires an empty tree")
-        if self.store is not None and self._try_load(moduli):
-            if self.telemetry is not None:
-                reg = self.telemetry.registry
-                reg.gauge("ptree.leaves").set(self.n_leaves)
-                reg.gauge("ptree.segments").set(len(self.segments))
-            self.append(moduli[self.n_leaves :])
-            return True
-        if self.store is not None and self.telemetry is not None:
+        if indices is None:
+            indices = range(len(moduli))
+        if self._log is not None:
+            self._load(moduli, indices)
+        rebuilt = bool(moduli) and not self.n_leaves
+        if rebuilt and self._log is not None and self.telemetry is not None:
             self.telemetry.registry.counter("ptree.rebuilds").inc()
-        self.segments = []
-        self.n_leaves = 0
-        self.append(moduli)
-        return False
+        self._set_gauges()
+        for start in range(self.n_leaves, len(moduli), REBUILD_FRAME_LEAVES):
+            stop = start + REBUILD_FRAME_LEAVES
+            self.append(list(moduli[start:stop]), indices[start:stop])
+        return not rebuilt
 
-    def _try_load(self, moduli: list[int]) -> bool:
-        manifest = self.store.load()
-        if manifest is None or manifest.config.get("format") != PTREE_FORMAT:
+    def _load(self, moduli: Sequence[int], indices: Sequence[int]) -> None:
+        """Replay the log's usable prefix, one segment in memory at a time,
+        and cut the log back to it."""
+        for pattern in _OLD_LAYOUT:
+            for stale in self.spool_dir.glob(pattern):
+                stale.unlink()
+        last = None
+        for _, data, frames, problems in chainlog.iter_log(self.spool_dir, chainlog.TREE):
+            end = problems[0].offset if problems else None
+            kept = 0
+            for frame in frames:
+                if end is not None and frame.start >= end:
+                    break
+                if not self._replay(frame, moduli, indices):
+                    break
+                kept += 1
+            if kept:  # keep the last frame's place, not the segment's bytes
+                last = dataclasses.replace(frames[kept - 1], body=memoryview(b""))
+            stop = problems or kept < len(frames)
+            del data, frames
+            if stop:
+                break
+        chainlog.cut_back(self.spool_dir, last, chainlog.TREE)
+        self._log = self._writer([last] if last is not None else [])
+
+    def _writer(self, frames: list) -> chainlog.LogWriter:
+        return chainlog.LogWriter.after(
+            self.spool_dir, frames, stem=chainlog.TREE, segment_bytes=SEGMENT_BYTES
+        )
+
+    def _replay(self, frame: chainlog.Frame, moduli: Sequence[int], indices: Sequence[int]) -> bool:
+        """Grow by one verified frame if it continues ``moduli``/``indices``."""
+        head, n = frame.header, self.n_leaves
+        new = head.get("indices")
+        if head.get("kind") != "tree" or not isinstance(new, list):
             return False
-        n_leaves = manifest.config.get("n_leaves")
-        if not isinstance(n_leaves, int) or n_leaves > len(moduli):
+        k = len(new)
+        cut = head.get("keys_nbytes", 0)
+        try:
+            leaves = chainlog.unpack_ints(frame.body[:cut])
+            roots = chainlog.unpack_ints(frame.body[cut:])
+        except ValueError:
             return False
-        from_int, to_int = self.backend.from_int, self.backend.to_int
-        segments: list[_Segment] = []
-        start = 0
-        for record in manifest.stages:
-            if not self.store.verify(record):
-                return False
-            try:
-                nodes = read_blob(self.spool_dir / record.blob)
-                seg = _Segment.from_nodes(start, [from_int(v) for v in nodes])
-            except (OSError, SpoolError, ValueError):
-                return False
-            if record.name != seg.stage_name() or record.blob != seg.blob_name():
-                return False
-            if segments and seg.size >= segments[-1].size:
-                return False  # not a binary-counter forest
-            if seg.levels[0] != [from_int(n) for n in moduli[start : start + seg.size]]:
-                return False  # leaves disagree with the corpus
-            segments.append(seg)
-            start += seg.size
-        if start != n_leaves:
+        # a binary counter going from n to n + k leaves merges this often
+        merges = k - bin(n + k).count("1") + bin(n).count("1")
+        if (
+            new != list(indices[n : n + k])
+            or leaves != list(moduli[n : n + k])
+            or len(roots) != merges
+        ):
             return False
-        self.segments = segments
-        self.n_leaves = start
-        self._committed = {record.blob: record for record in manifest.stages}
+        from_int = self.backend.from_int
+        products = iter([from_int(r) for r in roots])
+        self._grow([from_int(v) for v in leaves], lambda a, b: next(products))
         return True

@@ -176,8 +176,8 @@ def sidecar_path(path: str | Path) -> Path:
 def write_sidecar(path: str | Path, sha256_hex: str) -> Path:
     """Atomically record ``sha256_hex`` as ``path``'s checksum sidecar.
 
-    JSON artifacts (registry/ptree manifests, ingest cursor, shard
-    snapshots) carry no internal integrity pin the way spool blobs are
+    JSON artifacts (checkpoint manifests, the ingest cursor) carry no
+    internal integrity pin the way spool blobs are
     pinned by their manifest, so their writers drop a sidecar holding the
     SHA-256 of the exact bytes they just committed.  The sidecar is
     written *after* the artifact's own rename; the crash window between

@@ -1,6 +1,6 @@
 """The artifact catalog: every durable format, enumerated and deep-verified.
 
-A state directory holds up to five artifact families, each with its own
+A state directory holds up to four artifact families, each with its own
 verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
 
 ``registry``        the ``registry-*.log`` segments of the hash-chained
@@ -9,16 +9,13 @@ verification story (see ``docs/INTEGRITY.md`` for the full taxonomy):
                     ``manifest.json`` of format ``weak-key-registry/1``
                     (per-batch blobs the registry has not converted to
                     the log yet) is in this family too.
-``ptree``           a ``product-tree/1`` manifest plus ``seg-*.bin``
-                    segment blobs: the service's tree at
-                    ``state_dir/ptree/``, and each shard worker's at
-                    ``shards/<k>/ptree/``.
-``spool``           any other checkpointed spool (the batchscan
-                    pipeline's level blobs).
-``shard-snapshot``  ``shards/<k>/shard.json`` files
-                    (``repro.shard-snapshot/3``, or ``/1`` and ``/2``
-                    from earlier workers), checksummed by a ``.sha256``
-                    sidecar.
+``ptree``           the ``tree-*.log`` segments of each product tree's
+                    log, verified exactly as the registry's: the
+                    service's tree at ``state_dir/ptree/``, and each
+                    shard worker's at ``shards/<k>/ptree/``.  Derived
+                    data: a restarted service re-derives it.
+``spool``           any checkpointed spool (the batchscan pipeline's
+                    level blobs).
 ``ingest``          the crawl's ``cursor.json`` (sidecar-checksummed),
                     ``dedup/seen.log`` + derived buckets, and the outbox.
 
@@ -93,13 +90,9 @@ _SEVERITY = {
 
 #: the per-batch blob layout ``WeakKeyRegistry.load`` converts to the log
 REGISTRY_V1_FORMAT = "weak-key-registry/1"
-PTREE_FORMAT = "product-tree/1"
-#: ``/1`` also carried a ``scanner`` copy of the slice and ``/2`` a pair
-#: watermark and the last job's hits; workers read none of them back
-SHARD_FORMATS = ("repro.shard-snapshot/1", "repro.shard-snapshot/2", "repro.shard-snapshot/3")
 CURSOR_FORMAT = "repro-ct-cursor-v1"
-
-_SHARD_KEYS = frozenset({"format", "shard", "shards", "replicas", "indices", "job"})
+#: the product trees' log directories, relative to the state directory
+TREE_DIRS = ("ptree", "shards/*/ptree")
 
 
 @dataclass(frozen=True)
@@ -259,22 +252,11 @@ class ArtifactCatalog:
                 continue
             payload, verdict, _ = _read_json(manifest)
             fmt = (payload or {}).get("config", {}).get("format")
-            if fmt == REGISTRY_V1_FORMAT:
-                family = "registry"
-            elif fmt == PTREE_FORMAT:
-                family = "ptree"
-            else:
-                family = "spool"
-            if verdict != "ok":
-                # an unreadable manifest carries no format tag; classify by
-                # the well-known directory layout — the root manifest is a
-                # registry not yet converted to the log until proven
-                # otherwise (fsck's refuse-to-touch rule keys off this),
-                # ``ptree/`` is the product tree
-                if manifest.parent == self.state_dir:
-                    family = "registry"
-                elif manifest.parent.name == "ptree":
-                    family = "ptree"
+            # an unreadable manifest carries no format tag: the root one is
+            # a registry not yet converted to the log until proven otherwise
+            # (fsck's refuse-to-touch rule keys off this)
+            root = verdict != "ok" and manifest.parent == self.state_dir
+            family = "registry" if fmt == REGISTRY_V1_FORMAT or root else "spool"
             out.append((manifest.parent, family))
         return out
 
@@ -292,11 +274,12 @@ class ArtifactCatalog:
         units: list[VerifyUnit] = []
         if not self.state_dir.is_dir():
             return units
-        units.extend(self._log_units())
+        units.extend(self._log_units(self.state_dir, "registry", chainlog.REGISTRY))
+        for pattern in TREE_DIRS:
+            for tree in sorted(self.state_dir.glob(pattern)):
+                units.extend(self._log_units(tree, "ptree", chainlog.TREE))
         for directory, family in self.manifest_dirs():
             units.extend(self._manifest_units(directory, family))
-        for snapshot in sorted(self.state_dir.glob("shards/*/shard.json")):
-            units.append(self._json_unit("shard-snapshot", snapshot, self._verify_shard))
         cursor = self.state_dir / "cursor.json"
         if cursor.exists() or (self.state_dir / "dedup").is_dir():
             units.extend(self._ingest_units(cursor))
@@ -318,34 +301,37 @@ class ArtifactCatalog:
             check=lambda: verify(family, path),
         )
 
-    # -- the registry log -------------------------------------------------------
+    # -- chain logs: the registry and the product trees ---------------------------
 
-    def _log_units(self) -> list[VerifyUnit]:
-        segments = chainlog.segment_paths(self.state_dir)
+    def _log_units(self, directory: Path, family: str, stem: str) -> list[VerifyUnit]:
+        segments = chainlog.segment_paths(directory, stem)
         return [
             VerifyUnit(
                 name=self._rel(path),
                 nbytes=self._file_size(path),
-                check=lambda pos=pos: self._verify_segment(segments, pos),
+                check=lambda pos=pos: self._verify_segment(family, directory, stem, segments, pos),
             )
             for pos, (_, path) in enumerate(segments)
         ]
 
-    def _verify_segment(self, segments: list[tuple[int, Path]], pos: int) -> list[Finding]:
+    def _verify_segment(
+        self, family: str, directory: Path, stem: str,
+        segments: list[tuple[int, Path]], pos: int,
+    ) -> list[Finding]:
         """One segment on its own, plus its link to the segment before it."""
         index, path = segments[pos]
         rel = self._rel(path)
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            return [Finding("registry", rel, "missing", "segment vanished mid-scan")]
+            return [Finding(family, rel, "missing", "segment vanished mid-scan")]
         findings = []
         prev = chainlog.GENESIS
         expected = segments[pos - 1][0] + 1 if pos else 0
         if index != expected:
             prev = None
             findings.append(Finding(
-                "registry", chainlog.segment_path(self.state_dir, expected).name,
+                family, self._rel(chainlog.segment_path(directory, expected, stem)),
                 "missing", f"the log resumes at {rel}",
             ))
         elif pos:
@@ -360,11 +346,11 @@ class ArtifactCatalog:
         if faults:
             more = f" (+{len(faults) - 1} more)" if len(faults) > 1 else ""
             findings.append(
-                Finding("registry", rel, faults[0].verdict, faults[0].detail + more)
+                Finding(family, rel, faults[0].verdict, faults[0].detail + more)
             )
-        return findings or [Finding("registry", rel, "ok")]
+        return findings or [Finding(family, rel, "ok")]
 
-    # -- checkpointed directories (ptree / batchscan spools) --------------------
+    # -- checkpointed directories (batchscan spools) -----------------------------
 
     def _manifest_units(self, directory: Path, family: str) -> list[VerifyUnit]:
         manifest_path = directory / "manifest.json"
@@ -519,25 +505,6 @@ class ArtifactCatalog:
                     )
                 )
         return findings
-
-    # -- shard snapshots --------------------------------------------------------
-
-    def _verify_shard(self, family: str, path: Path) -> list[Finding]:
-        rel = self._rel(path)
-        payload, verdict, detail = _read_json(path)
-        if verdict != "ok":
-            return [Finding(family=family, artifact=rel, verdict=verdict, detail=detail)]
-        if payload.get("format") not in SHARD_FORMATS or not _SHARD_KEYS <= set(payload):
-            return [
-                Finding(
-                    family=family, artifact=rel, verdict="hash-mismatch",
-                    detail=f"format {payload.get('format')!r} or keys damaged",
-                )
-            ]
-        stale = _sidecar_finding(family, rel, path, path.read_bytes())
-        if stale is not None:
-            return [stale]
-        return [Finding(family=family, artifact=rel, verdict="ok")]
 
     # -- ingest (cursor / dedup / outbox) ---------------------------------------
 

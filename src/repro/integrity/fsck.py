@@ -5,23 +5,21 @@ order the steps run — ordering matters because later rungs consume
 redundancy that earlier rungs must read first:
 
 1. **Registry keys** of a log record whose body is damaged (its header
-   still verifies) are rebuilt from redundancy: the persistent product
-   tree's leaves hold every registered modulus in global-index order,
-   and each shard's tree (``shards/<k>/ptree``) holds its slice, whose
-   global indices the shard snapshot lists in leaf order.  A rebuild is
-   accepted only if its SHA-256 matches the header's pin — the pin is
-   the authority, never the rebuild.  The damaged segment is copied to
-   the quarantine, then replaced whole.
+   still verifies) are rebuilt from redundancy: every product tree's log
+   (the service's ``ptree/`` and each shard's ``shards/<k>/ptree``)
+   records each leaf with its global index, in a frame whose pin proves
+   it.  A rebuild is accepted only if its SHA-256 matches the header's
+   pin — the pin is the authority, never the rebuild.  The damaged
+   segment is copied to the quarantine, then replaced whole.
 2. **Registry hits** of such a record are recomputed by a pairwise GCD
    rescan of the (now complete) moduli, again accepted only on pin
    match.  A torn final record is rebuilt the same way when its header
    survived and redundancy proves it, and cut off, as a load would,
    otherwise — never refused.
-3. **Derived data is rebuilt, damaged originals quarantined**: corrupt
-   ptree segments/manifest are quarantined wholesale and the tree is
-   regrown from registry moduli; a damaged shard tree and corrupt shard
-   snapshots are quarantined (workers rebuild from the registry at next
-   start); dedup buckets are rebuilt from ``seen.log``.
+3. **Derived data is dropped or rebuilt, damaged originals
+   quarantined**: a damaged tree log is quarantined from its first
+   faulty segment on, and the service re-derives what it lost from the
+   registry at next start; dedup buckets are rebuilt from ``seen.log``.
 4. **Torn tails are truncated to the committed watermark**: ``seen.log``
    is cut back to a whole number of records (never below the cursor's
    watermark — losing committed dedup records is refused, see below).
@@ -50,9 +48,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core import chainlog, durable
-from repro.core.spool import SpoolError, blob_sha256, read_blob, write_sidecar
+from repro.core.spool import write_sidecar
 from repro.integrity.catalog import (
     DIGEST_SIZE,
+    TREE_DIRS,
     ArtifactCatalog,
     CatalogReport,
     Finding,
@@ -177,18 +176,18 @@ class _Repairer:
                 "service, which converts the registry)",
             )
             return
-        moduli, complete = self._repair_registry()
-        self._repair_ptree(corrupt, moduli, complete)
+        self._repair_registry()
+        if not self.report.refusals:  # keep a refused registry's redundancy as found
+            self._repair_ptree(corrupt)
         self._repair_spools(corrupt)
-        self._repair_shards(corrupt)
         self._repair_ingest(corrupt)
         self._sweep_residue()
         self._refresh_sidecars()
 
     # -- registry --------------------------------------------------------------
 
-    def _repair_registry(self) -> tuple[dict[int, int], bool]:
-        """Heal the registry log; returns (global index → modulus, complete).
+    def _repair_registry(self) -> None:
+        """Heal the registry log.
 
         A damaged body under an intact header is rebuilt: keys from
         redundancy, hits by a GCD rescan, each accepted only if it matches
@@ -203,7 +202,7 @@ class _Repairer:
         """
         scan = chainlog.read_log(self.state_dir)
         if not scan.segments:
-            return {}, False
+            return
         for fault in scan.faults:
             if fault.frame is not None or fault.verdict == "torn-tail":
                 continue
@@ -214,7 +213,7 @@ class _Repairer:
                 "that depends on it",
             )
         if self.report.refusals:
-            return {}, False
+            return
 
         final = scan.segments[-1][0]
         layout = []  # (frame, base, count)
@@ -229,7 +228,6 @@ class _Repairer:
             if keys is not None and frame.damage != "torn":
                 moduli.update(enumerate(chainlog.unpack_ints(keys), start=base))
             base += count
-        total = base
 
         fixes: dict[int, list] = {}  # segment -> [(frame or fault, new body or None to cut)]
         for frame, base, count in layout:
@@ -240,7 +238,6 @@ class _Repairer:
             except _Unprovable as exc:
                 if frame.damage == "torn" and frame.segment == final:
                     fixes.setdefault(frame.segment, []).append((frame, None))
-                    total -= count
                 else:
                     self._refuse(
                         self._segment_rel(frame.segment), f"batch {frame.header['batch']}: {exc}"
@@ -254,7 +251,6 @@ class _Repairer:
                 fixes.setdefault(fault.segment, []).append((fault, None))
         for index, segment_fixes in sorted(fixes.items()):
             self._rewrite_segment(scan, index, segment_fixes)
-        return moduli, len(moduli) == total
 
     def _segment_rel(self, index: int) -> str:
         return chainlog.segment_path(self.state_dir, index).name
@@ -304,23 +300,22 @@ class _Repairer:
             flat = self._rescan_hits(base, count, {**moduli, **batch})
             hits = self._pinned(frame, "hits", flat, "recomputed by GCD rescan")
         moduli.update(batch)
-        return keys + hits
+        return bytes(keys) + bytes(hits)
 
     def _redundant_moduli(self) -> dict[int, int]:
-        """Global index → modulus, from every intact redundancy source:
-        the service's product tree, whose leaves are the registry in
-        global order, and each shard's tree, whose leaves its snapshot's
-        indices place."""
-        out = _tree_leaves(self.state_dir / "ptree")
-        for snapshot in sorted(self.state_dir.glob("shards/*/shard.json")):
-            try:
-                indices = json.loads(snapshot.read_bytes())["indices"]
-                leaves = _tree_leaves(snapshot.parent / "ptree")
-                for pos, gidx in enumerate(indices):
-                    if pos in leaves:
-                        out.setdefault(int(gidx), leaves[pos])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+        """Global index → modulus, from every product tree's log: each
+        frame whose leaves still match their pin places them at the
+        global indices its header lists."""
+        out: dict[int, int] = {}
+        for pattern in TREE_DIRS:
+            for tree in sorted(self.state_dir.glob(pattern)):
+                for frame in chainlog.read_log(tree, chainlog.TREE).frames:
+                    if frame.header.get("kind") != "tree":
+                        continue
+                    leaves = self._verified_part(frame, "keys")
+                    if leaves is not None:
+                        for gidx, n in zip(frame.header["indices"], chainlog.unpack_ints(leaves)):
+                            out.setdefault(int(gidx), n)
         return out
 
     def _rescan_hits(self, base: int, count: int, moduli: dict[int, int]) -> bytes:
@@ -369,40 +364,26 @@ class _Repairer:
 
     # -- ptree -----------------------------------------------------------------
 
-    def _repair_ptree(
-        self, corrupt: dict[str, Finding], moduli: dict[int, int], complete: bool
-    ) -> None:
-        """Rebuild every damaged product tree.  The service's tree regrows
-        from the recovered registry; any other (a shard's) is quarantined,
-        and its worker rebuilds it from the registry slice at next start."""
-        main = self.state_dir / "ptree"
-        damaged = {(self.state_dir / a).parent for a, f in corrupt.items() if f.family == "ptree"}
-        for ptree_dir in sorted(damaged):
-            rel = str(ptree_dir.relative_to(self.state_dir))
-            if ptree_dir == main and not complete:
-                self._refuse(
-                    rel,
-                    "cannot rebuild the product tree: no fully recovered registry "
-                    "in this state directory to regrow it from",
-                )
+    def _repair_ptree(self, corrupt: dict[str, Finding]) -> None:
+        """Quarantine every damaged tree log from its first faulty segment
+        on.  A tree is derived: the service loads what is left and
+        re-derives the rest from the registry at next start."""
+        first: dict[Path, int] = {}
+        for artifact, finding in corrupt.items():
+            if finding.family != "ptree":
                 continue
-            for item in sorted(ptree_dir.iterdir()):
-                if item.is_file():
-                    self._quarantine(item)
-            if ptree_dir != main:
-                self._did(
-                    "drop-derived", rel,
-                    "a shard's product tree is derived; its worker rebuilds it "
-                    "from the registry slice at next start",
-                )
-                continue
-            # regrow from registry truth — the tree is derived data
-            from repro.core.ptree import PersistentProductTree
-
-            tree = PersistentProductTree(spool_dir=ptree_dir)
-            ordered = [moduli[g] for g in sorted(moduli)]
-            tree.append(ordered)
-            self._did("rebuild", rel, f"regrown from {len(ordered)} registry moduli")
+            path = self.state_dir / artifact
+            index = int(path.stem.rsplit("-", 1)[1])
+            first[path.parent] = min(index, first.get(path.parent, index))
+        for tree, cut in sorted(first.items()):
+            for index, path in chainlog.segment_paths(tree, chainlog.TREE):
+                if index >= cut:
+                    self._quarantine(path)
+            self._did(
+                "drop-derived", str(tree.relative_to(self.state_dir)),
+                f"tree log quarantined from segment {cut:06d} on; the service "
+                "re-derives it from the registry at next start",
+            )
 
     # -- batchscan spools -------------------------------------------------------
 
@@ -453,24 +434,6 @@ class _Repairer:
                 "truncate", rel_manifest,
                 f"kept {len(keep)} verified stages, dropped {len(dropped)} "
                 "(the pipeline re-runs them on resume)",
-            )
-
-    # -- shard snapshots --------------------------------------------------------
-
-    def _repair_shards(self, corrupt: dict[str, Finding]) -> None:
-        for artifact, finding in corrupt.items():
-            if finding.family != "shard-snapshot":
-                continue
-            path = self.state_dir / artifact
-            if path.exists():
-                self._quarantine(path)
-            side = path.with_name(path.name + ".sha256")
-            if side.exists():
-                self._quarantine(side)
-            self._did(
-                "drop-derived", artifact,
-                "shard snapshots are derived; the worker rebuilds from the "
-                "registry at next start",
             )
 
     # -- ingest ----------------------------------------------------------------
@@ -596,25 +559,3 @@ class _Repairer:
 def _start(fix) -> int:
     """Where a fix applies in its segment: a frame's or a fault's offset."""
     return fix.start if isinstance(fix, chainlog.Frame) else fix.offset
-
-
-def _tree_leaves(ptree_dir: Path) -> dict[int, int]:
-    """Leaf position → modulus, from a product-tree spool's intact segments."""
-    out: dict[int, int] = {}
-    try:
-        payload = json.loads((ptree_dir / "manifest.json").read_bytes())
-        for record in payload.get("stages", []):
-            name = str(record.get("name", ""))
-            if not name.startswith("seg."):
-                continue
-            _, start, _height = name.split(".")
-            path = ptree_dir / str(record["blob"])
-            if blob_sha256(path) != record.get("sha256"):
-                continue
-            nodes = read_blob(path)
-            n_leaves = (len(nodes) + 1) // 2
-            for offset, n in enumerate(nodes[:n_leaves]):
-                out[int(start) + offset] = n
-    except (OSError, ValueError, SpoolError, KeyError, AttributeError):
-        pass
-    return out

@@ -10,9 +10,10 @@ corpus grows.
 
 Two design points carry the correctness argument:
 
-* **Cycles run on the service's scan thread.**  Every registry/ptree
-  commit and every shard snapshot persist happens on that single-worker
-  executor, so a scrub cycle can never observe a half-written commit —
+* **Cycles run on the service's scan thread.**  Every registry commit
+  and tree append happens on that single-worker executor (a shard's
+  append is awaited there), so a scrub cycle can never observe a
+  half-written commit —
   the same serialisation that makes ``/metricsz`` snapshots consistent.
 * **Damage trips degraded mode, never repair.**  The scrubber is a
   detector; an online "repair" racing the commit path is how you turn

@@ -50,21 +50,22 @@ counts two hits, each aimed at one region of it: its body (the keys and
 hits, rebuildable from redundancy), then its header (not rebuildable).
 So ``#3`` is batch 1's body and ``#2`` batch 0's header; a ``truncate``
 of a region also drops everything after it.  At ``ptree.commit`` each
-newly written segment blob counts one hit.
+tree-log append counts one hit, aimed at the body of its frame.
 
 Injection points instrumented across the tree (``FAULT_POINTS``):
 
 ==================  ==========================================================
 ``spool.write``     :func:`repro.core.spool.write_blob`, before the tmp write
+                    (the batchscan pipeline's spool)
 ``manifest.commit`` :meth:`repro.core.checkpoint.CheckpointStore.save`
+                    (the batchscan pipeline's manifest)
 ``chunk.execute``   worker-side, before each supervised chunk/block runs
 ``worker.init``     worker-side, at pool-worker initialisation
 ``batcher.flush``   :class:`repro.service.batcher.MicroBatcher`, per flush
 ``http.handler``    :class:`repro.service.http.HttpServer`, per request
 ``registry.commit`` :meth:`repro.service.registry.WeakKeyRegistry.commit_batch`
-``ptree.commit``    :class:`repro.core.ptree.PersistentProductTree`, per persist
+``ptree.commit``    :class:`repro.core.ptree.PersistentProductTree`, per append
 ``shard.dispatch``  :class:`repro.service.shard.ShardRouter`, before each job send
-``shard.commit``    shard-worker-side, before the per-shard snapshot persists
 ``ct.fetch``        :class:`repro.ingest.ctlog.CTLogClient`, per get-entries
 ``ct.cursor.commit`` :meth:`repro.ingest.cursor.CrawlCursor.commit`, per save
 ``ingest.sink``     :class:`repro.ingest.sink.RegistrySink`, before each submit
@@ -104,7 +105,6 @@ FAULT_POINTS = (
     "registry.commit",
     "ptree.commit",
     "shard.dispatch",
-    "shard.commit",
     "ct.fetch",
     "ct.cursor.commit",
     "ingest.sink",

@@ -140,7 +140,11 @@ class ChunkSupervisor:
             self.registry.counter(name).inc(n)
 
     def _respawn(self, cause: BaseException) -> None:
-        """A worker died: rebuild the pool and resubmit every in-flight unit."""
+        """A worker died: rebuild the pool and resubmit every in-flight unit.
+
+        A pool that breaks again while the lost units are resubmitted is
+        one more death against ``max_respawns``.
+        """
         self.respawns += 1
         self._count("resilience.worker_crashes")
         self._count("resilience.pool_respawns")
@@ -170,7 +174,10 @@ class ChunkSupervisor:
                         f"work unit died {unit.attempts - 1} times "
                         f"(budget {self.max_attempts - 1} retries); treating it as poison"
                     ) from cause
-            unit.future = self._pool.submit(_invoke, self.fn, unit.item)
+            try:
+                unit.future = self._pool.submit(_invoke, self.fn, unit.item)
+            except BrokenExecutor as exc:
+                return self._respawn(exc)
 
     # -- submission / collection ----------------------------------------------
 

@@ -208,9 +208,9 @@ class WeakKeyService:
     def _registry_scanner(self) -> IncrementalScanner:
         """A scanner over the registry's corpus, which the commit contract
         says is fully covered: restart never rescans an old pair.  Its
-        product tree checkpoints to ``state_dir/ptree`` and reloads from
-        there, appending the batch it may trail the registry by (rebuilt
-        when missing or stale)."""
+        product tree logs to ``state_dir/ptree`` and reloads from there,
+        appending the batch it may trail the registry by (and whatever
+        else the log cannot supply)."""
         return IncrementalScanner(
             bits=self.bits, moduli=self.registry.moduli,
             int_backend=self.config.int_backend,

@@ -217,23 +217,13 @@ class WeakKeyRegistry:
         if not scan.faults:
             return 0
         first = scan.faults[0]
-        path = chainlog.segment_path(self.state_dir, first.segment)
-        keep = first.offset if first.offset > chainlog.SEGMENT_HEADER else 0
-        if first.verdict == "torn-tail":  # only ever the end of the last segment
-            if keep:
-                durable.truncate(path, keep)
-            else:
-                durable.remove(path)
-        else:
+        if first.verdict != "torn-tail":  # a torn tail is only ever unacknowledged
             for index, later in reversed(scan.segments):
                 if index > first.segment:
                     durable.quarantine(self.state_dir, later)
-            data = scan.data[first.segment]
-            durable.quarantine(self.state_dir, path, data)
-            if keep:
-                durable.replace_bytes(path, data[:keep])
-            else:
-                durable.remove(path)
+            path = chainlog.segment_path(self.state_dir, first.segment)
+            durable.quarantine(self.state_dir, path, scan.data[first.segment])
+        chainlog.cut_back(self.state_dir, good[-1] if good else None)
         return max(1, len(scan.frames) - len(good))
 
     def _restore(self, records: list[tuple[dict, bytes]]) -> None:

@@ -5,7 +5,7 @@ tiles over groups of ``r`` moduli precisely so independent compute units can
 own disjoint slices.  This module generalises that schedule to the serving
 path: a :class:`ShardRouter` owns ``N`` supervised worker processes, each
 running its own :class:`~repro.core.incremental.IncrementalScanner` (its
-product tree spooled under the shard's directory) over a consistent-hash
+product tree logged under the shard's directory) over a consistent-hash
 slice of the modulus space.
 
 **Pair-coverage partition.**  For an admitted batch ``B`` of ``b`` fresh
@@ -28,26 +28,29 @@ cross-scan at every worker: nothing changes, so a worker that dies
 mid-scan is respawned and the scan resent, and a scan whose registry
 commit fails is simply scanned again when the batcher retries it.  Only
 after the registry's one-append commit does :meth:`ShardRouter.apply`
-send each worker that owns keys of the batch those keys; the worker
-adopts them (its tree appends) and persists its snapshot — ring slot,
-the global indices of its slice in leaf order, and the job that last
-grew it — under
-``state_dir/shards/<k>/`` (the ``shard.commit`` fault point).  The
-snapshot is derived state for ``repro fsck``, which maps the shard
-tree's leaves to global indices through it; no worker reads it back.  A
+send each worker that owns keys of the batch those keys with their
+global indices; the worker adopts them, and its tree's one append to
+``state_dir/shards/<k>/ptree/`` records the keys and their indices
+(``repro fsck`` reads them there as redundancy for the registry).  A
 worker that fails to apply is replaced by a fresh one reset to its
 registry slice, which by then holds the batch, so a failure after the
 commit never fails the flush.
 
 **Init.**  The registry is the durable truth.  Every (re)started worker
 gets its slice — indices and moduli — from the registry in one ``init``
-message and builds its scanner over it; the tree loads from the spool,
+message and builds its scanner over it; the tree loads from its log,
 appending the keys it trails by (a crash between commit and apply leaves
-it one batch behind), and is rebuilt only when the spool holds something
-else (a shard-count change: ``shard.rebalance``).  The router derives each
-shard's pair watermark from the registry's admission history
+it one batch behind), and is rebuilt only when the log holds something
+else (a shard-count change: ``shard.rebalance``).  The router derives
+each shard's pair watermark from the registry's admission history
 (:func:`simulate_watermarks`); the registry records only the fleet's
 shape, to detect a rebalance.
+
+Workers are forked, and each closes its inherited copies of the
+router's pipe ends, so once the router is gone (even by ``kill -9``)
+every worker reads EOF and exits after the message in hand.  Until then
+it keeps the state lock it inherited, so a restart cannot race a
+worker's last tree append.
 
 Failure handling mirrors :class:`~repro.resilience.supervisor.ChunkSupervisor`
 semantics: a SIGKILL'd worker is respawned, re-initialised, and rescans
@@ -60,7 +63,6 @@ the full protocol, ordering model and failure matrix.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import sys
 import time
@@ -68,16 +70,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import durable
 from repro.core.attack import WeakHit
 from repro.core.incremental import IncrementalScanner
-from repro.core.spool import write_sidecar
 from repro.resilience import faults
 from repro.resilience.errors import FatalError, ResilienceError, TransientError
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "SHARD_SNAPSHOT_FORMAT",
     "ShardJobFailed",
     "ShardPoolExhausted",
     "ShardRing",
@@ -85,8 +84,8 @@ __all__ = [
     "simulate_watermarks",
 ]
 
-#: on-disk format tag of ``state_dir/shards/<k>/shard.json``
-SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/3"
+#: what earlier workers kept in ``state_dir/shards/<k>/``; init removes it
+_OLD_SNAPSHOT = ("shard.json", "shard.json.sha256")
 
 #: virtual nodes per shard on the hash ring — enough for a few-percent
 #: balance spread at single-digit shard counts without bloating lookups
@@ -185,8 +184,8 @@ class _ShardWorker:
 
     ``init`` builds the scanner over the registry's slice; ``job``
     cross-scans a batch against it and changes nothing; ``apply``, sent
-    once the registry has committed that batch, adopts the owned keys and
-    persists the snapshot before acking.  Any failure kills the worker:
+    once the registry has committed that batch, adopts the owned keys
+    (one tree-log append) before acking.  Any failure kills the worker:
     its router replaces it with one reset to the registry slice.
     """
 
@@ -208,27 +207,6 @@ class _ShardWorker:
         self.indices: list[int] = []
         self.job: int | None = None
 
-    @property
-    def snapshot_path(self) -> Path:
-        return self.dir / "shard.json"
-
-    def _persist(self) -> None:
-        faults.fire("shard.commit")
-        payload = {
-            "format": SHARD_SNAPSHOT_FORMAT,
-            "shard": self.shard,
-            "shards": self.shards,
-            "replicas": self.replicas,
-            "indices": self.indices,
-            "job": self.job,
-        }
-        body = json.dumps(payload).encode("utf-8")
-        durable.makedirs(self.dir)
-        durable.replace_bytes(self.snapshot_path, body)
-        faults.corrupt_file("shard.commit", self.snapshot_path)
-        # hash the in-memory bytes: a post-rename rot must not reach the sidecar
-        write_sidecar(self.snapshot_path, hashlib.sha256(body).hexdigest())
-
     def _scanner(self, bits: int, moduli: list[int]) -> IncrementalScanner:
         return IncrementalScanner(
             bits=bits,
@@ -236,20 +214,21 @@ class _ShardWorker:
             int_backend=self.int_backend,
             spool_dir=self.dir / "ptree",
             telemetry=self.telemetry,
+            indices=self.indices,
         )
 
     def handle_init(self, payload: dict) -> tuple[str, dict]:
-        """Reset to the registry's slice as of ``job`` and persist it."""
+        """Reset to the registry's slice as of ``job``; the tree loads
+        from its log and appends what the log lacks."""
+        for name in _OLD_SNAPSHOT:
+            (self.dir / name).unlink(missing_ok=True)
         self.indices = [int(i) for i in payload["indices"]]
         self.job = payload["job"]
         bits = payload.get("bits")
         moduli = [int(n) for n in payload["moduli"]]
         self.scanner = self._scanner(int(bits), moduli) if bits else None
-        try:
-            self._persist()
-        except OSError:
-            pass  # the snapshot only serves fsck; the next apply rewrites it
-        return ("status", {"keys": len(self.indices), "job": self.job})
+        rebuilds = self.telemetry.registry.counter("ptree.rebuilds").value
+        return ("status", {"keys": len(self.indices), "job": self.job, "rebuilds": rebuilds})
 
     def handle_job(self, payload: dict) -> tuple[str, dict]:
         """Cross-scan the batch against the slice; hits in global indices."""
@@ -267,11 +246,11 @@ class _ShardWorker:
         return ("ack", {"seq": payload["seq"], "hits": hits, "pairs": report.pairs_tested})
 
     def handle_apply(self, payload: dict) -> tuple[str, dict]:
-        """The registry committed the job: adopt the owned keys, persist."""
-        self.scanner.adopt([int(n) for n in payload["moduli"]])
-        self.indices.extend(int(i) for i in payload["indices"])
+        """The registry committed the job: adopt the owned keys."""
+        indices = [int(i) for i in payload["indices"]]
+        self.scanner.adopt([int(n) for n in payload["moduli"]], indices=indices)
+        self.indices.extend(indices)
         self.job = payload["job"]
-        self._persist()
         return ("ack", {"job": self.job, "keys": len(self.indices)})
 
     def run(self, conn) -> None:
@@ -307,8 +286,15 @@ def _shard_worker_main(
     replicas: int,
     state_dir: str,
     int_backend: str | None,
+    inherited: tuple = (),
 ) -> None:
-    """Process entry point for one shard worker (fork- and spawn-safe)."""
+    """Process entry point for one shard worker (fork- and spawn-safe).
+
+    ``inherited`` are the router's pipe ends a forked worker got a copy
+    of; closing them lets every worker read EOF once the router is gone.
+    """
+    for other in inherited:
+        other.close()
     worker = _ShardWorker(shard, shards, replicas, state_dir, int_backend)
     worker.run(conn)
 
@@ -575,11 +561,14 @@ class ShardRouter:
 
     def _spawn(self, k: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = ()
+        if self._ctx.get_start_method() == "fork":
+            inherited = (parent_conn, *(h.conn for h in self._workers if h is not None))
         process = self._ctx.Process(
             target=_shard_worker_main,
             args=(
                 child_conn, k, self.shards, self.replicas, str(self.state_dir),
-                self.int_backend,
+                self.int_backend, inherited,
             ),
             name=f"repro-shard-{k}",
             daemon=True,
@@ -621,7 +610,8 @@ class ShardRouter:
             "moduli": [registry_moduli[i] for i in indices],
             "job": self._worker_job[k],
         }))
-        self._wait(k, "init")
+        status = self._wait(k, "init")
+        self.telemetry.registry.counter("ptree.rebuilds").inc(status["rebuilds"])
 
     def _restart(self, k: int) -> None:
         """Replace failed worker ``k`` with a fresh process over its

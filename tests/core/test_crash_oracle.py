@@ -32,7 +32,6 @@ tests/core/test_crash_oracle.py``.
 
 from __future__ import annotations
 
-import json
 import os
 import posixpath
 import random
@@ -56,6 +55,7 @@ from repro.integrity.fsck import run_fsck
 from repro.rsa.primes import generate_prime
 from repro.service.registry import WeakKeyRegistry
 from repro.service.shard import _ShardWorker
+from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"),
@@ -404,32 +404,49 @@ def test_registry_v1_conversion_survives_power_loss(tmp_path, monkeypatch):
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 
 
+def _tree_reload_problems(where: Path, tree_dir: Path, load) -> list[str]:
+    """After a load, the state must scan clean (the load cut its log back
+    to what it kept), and a second load must keep it all and append nothing."""
+    problems = [
+        f"after load: {f.verdict} {f.artifact} ({f.detail})"
+        for f in run_fsck(where).scan.corrupt
+    ]
+    telemetry = load()
+    counter = telemetry.registry.counter
+    if counter("ptree.rebuilds").value or counter("ptree.log_appends").value:
+        problems.append(f"a second load of {tree_dir.name} did not keep its whole log")
+    return problems
+
+
 def test_ptree_persist_survives_power_loss(tmp_path, monkeypatch):
-    spool = tmp_path / "ptree"
-    tree = PersistentProductTree(spool_dir=spool)
+    state = tmp_path / "state"
+    tree = PersistentProductTree(spool_dir=state / "ptree")
     tree.append(MODULI[:3])  # segments [2, 1]
 
-    with recording(spool, monkeypatch) as rec:
-        tree.append(MODULI[3:4])  # carry-merges into one 4-leaf segment
+    with recording(state, monkeypatch) as rec:
+        tree.append(MODULI[3:4])  # one frame: the leaf and its carry's 2 products
         rec.ack("append")
 
+    def load(where: Path) -> Telemetry:
+        telemetry = Telemetry.create()
+        loaded = PersistentProductTree(spool_dir=where / "ptree", telemetry=telemetry)
+        loaded.load_or_rebuild(MODULI[:4])
+        if list(loaded.leaves()) != MODULI[:4]:
+            raise AssertionError("the tree loaded as the wrong corpus")
+        return telemetry
+
     def check(where: Path, acks: tuple[str, ...]) -> list[str]:
-        manifest = CheckpointStore(where).load()
-        if manifest is None:
-            return ["ptree manifest is gone"]
-        n = manifest.config.get("n_leaves")
-        need = 4 if acks else 3
-        if n not in (3, 4) or n < need:
-            return [f"ptree manifest records {n} leaves, {need} were acknowledged"]
-        # either committed forest serves the 4-key corpus: the 3-leaf one
-        # loads and appends the key it trails by, as after a crash between
-        # a registry commit and the tree's append
-        tree = PersistentProductTree(spool_dir=where)
-        if not tree.load_or_rebuild(MODULI[:4]):
-            return [f"the committed {n}-leaf forest does not serve the 4-key corpus"]
-        if list(tree.leaves()) != MODULI[:4]:
-            return [f"the {n}-leaf forest loaded as the wrong corpus"]
-        return []
+        # whatever the crash left, the log serves the 4-key corpus without
+        # a rebuild: the 3-leaf prefix loads and appends the key it trails
+        # by, as after a crash between a registry commit and the tree's
+        # append; an acknowledged append is already there
+        counter = load(where).registry.counter
+        problems = []
+        if counter("ptree.rebuilds").value:
+            problems.append("the tree was rebuilt")
+        if acks and counter("ptree.log_appends").value:
+            problems.append("the acknowledged append is not in the log")
+        return problems + _tree_reload_problems(where, where / "ptree", lambda: load(where))
 
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 
@@ -443,32 +460,35 @@ def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
     )
     assert scanned["hits"] == [[0, 5, P[0]]]
 
-    # the registry has committed job 1; the worker applies it
+    # the registry has committed job 1; the worker applies it: one append
     with recording(state, monkeypatch) as rec:
         worker.handle_apply({"job": 1, "indices": [3, 4, 5], "moduli": MODULI[3:]})
         rec.ack("apply 1")
 
-    def check(where: Path, acks: tuple[str, ...]) -> list[str]:
-        problems = []
-        if acks:
-            stored = json.loads((where / "shards/0/shard.json").read_bytes())
-            if (stored["indices"], stored["job"]) != (list(range(6)), 1):
-                problems.append(f"acknowledged apply not in the snapshot: {stored}")
-        # whatever the crash left, the worker inits from the post-commit
-        # registry slice: its tree loads (appending what it trails by),
-        # never rebuilds, and its watermark is exactly the slice's pairs
+    def init(where: Path) -> _ShardWorker:
         restored = _ShardWorker(0, 1, 4, str(where), None)
         _, status = restored.handle_init(
             {"bits": 64, "indices": list(range(6)), "moduli": MODULI, "job": 1}
         )
-        scanner = restored.scanner
-        if restored.telemetry.registry.counter("ptree.rebuilds").value:
+        if status["keys"] != 6 or list(restored.scanner._ptree.leaves()) != MODULI:
+            raise AssertionError("the shard tree does not hold the post-commit slice")
+        return restored
+
+    def check(where: Path, acks: tuple[str, ...]) -> list[str]:
+        # whatever the crash left, the worker inits from the post-commit
+        # registry slice: its tree loads (appending what it trails by),
+        # never rebuilds, and its watermark is exactly the slice's pairs
+        restored = init(where)
+        counter = restored.telemetry.registry.counter
+        problems = []
+        if counter("ptree.rebuilds").value:
             problems.append("the shard tree was rebuilt")
-        if status["keys"] != 6 or list(scanner._ptree.leaves()) != MODULI:
-            problems.append("the shard tree does not hold the post-commit slice")
-        if scanner.total_pairs_tested != 15:
-            problems.append(f"shard watermark {scanner.total_pairs_tested}, not 15")
-        return problems
+        if acks and counter("ptree.log_appends").value:
+            problems.append("the acknowledged apply is not in the shard's tree log")
+        if restored.scanner.total_pairs_tested != 15:
+            problems.append(f"shard watermark {restored.scanner.total_pairs_tested}, not 15")
+        tree = where / "shards" / "0" / "ptree"
+        return problems + _tree_reload_problems(where, tree, lambda: init(where).telemetry)
 
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 

@@ -209,7 +209,7 @@ class TestEngineTiers:
         )
         # loaded at construction, so the first flush pays nothing extra
         assert telemetry.registry.counter("ptree.rebuilds").value == 0
-        assert telemetry.registry.counter("ptree.blob_writes").value == 0
+        assert telemetry.registry.counter("ptree.log_appends").value == 0
         assert resumed._ptree.n_leaves == 10
         resumed.add_batch(corpus.moduli[10:])
         assert resumed.coverage_is_complete()

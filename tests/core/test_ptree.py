@@ -1,19 +1,20 @@
 """The persistent product tree: shape, arithmetic, persistence, crashes.
 
 The crash/resume matrix mirrors ``tests/core/test_pipeline.py``: a
-deterministic fault is armed at every commit point of the tree's persist
-protocol (``ptree.commit``, each ``spool.write``, the ``manifest.commit``)
-with retries exhausted, and after every crash a restarted tree must come
-back byte-equal to a never-crashed one — loading the previous flush
-boundary when the durable state is intact, rebuilding from the corpus
-when it is not, and never trusting state over arithmetic.
+deterministic fault is armed at the tree's commit point (``ptree.commit``,
+before each log append) with retries exhausted, and after every crash a
+restarted tree must come back equal to a never-crashed one, loading the
+previous flush boundary from its log.  The spool and manifest points
+arm too, and must never fire: a tree append writes no blob and no
+manifest.
 """
 
 import math
 
 import pytest
 
-from repro.core.checkpoint import CheckpointStore
+from repro.core import chainlog, ptree
+from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.ptree import SCREEN_MIN_RATIO, PersistentProductTree
 from repro.core.spool import write_blob
 from repro.resilience import RetryPolicy
@@ -201,32 +202,73 @@ class TestRemainders:
         assert [(h.i, h.j, h.prime) for h in report.hits] == native == [(0, n, p), (0, n + 2, q)]
 
 
+def _frames(spool_dir):
+    return chainlog.read_log(spool_dir, chainlog.TREE).frames
+
+
+def _log_bytes(spool_dir):
+    return b"".join(p.read_bytes() for _, p in chainlog.segment_paths(spool_dir, chainlog.TREE))
+
+
 class TestPersistence:
     def test_reload_restores_exact_shape(self, tmp_path):
         telemetry = Telemetry.create()
         tree = _tree(tmp_path)
         tree.append(MODULI[:7])
         tree.append(MODULI[7:])
+        before = _log_bytes(tmp_path)
         reloaded = _tree(tmp_path, telemetry=telemetry)
         assert reloaded.load_or_rebuild(MODULI) is True
         assert reloaded.segment_sizes() == tree.segment_sizes()
         assert _ints(reloaded.leaves()) == MODULI
-        assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert _screened(reloaded, 193 * 401) == _screened(tree, 193 * 401)
+        counter = telemetry.registry.counter
+        assert counter("ptree.rebuilds").value == 0
+        # the replay multiplies nothing and writes nothing
+        assert counter("ptree.node_merges").value == 0
+        assert counter("ptree.log_appends").value == 0
+        assert _log_bytes(tmp_path) == before
 
     def test_unchanged_segments_are_not_rewritten(self, tmp_path):
         telemetry = Telemetry.create()
         tree = _tree(tmp_path, telemetry=telemetry)
         tree.append(MODULI[:8])  # one perfect segment of 8
-        writes_before = telemetry.registry.counter("ptree.blob_writes").value
+        before = _log_bytes(tmp_path)
         tree.append([MODULI[8]])  # adds a 1-leaf segment; the 8 stays put
-        writes = telemetry.registry.counter("ptree.blob_writes").value - writes_before
-        assert writes == 1
+        after = _log_bytes(tmp_path)
+        assert after.startswith(before)
+        assert telemetry.registry.counter("ptree.log_appends").value == 2
+        # the new frame holds the one leaf and no merge product
+        last = _frames(tmp_path)[-1]
+        assert last.header["indices"] == [8]
+        assert last.body == chainlog.pack_ints([MODULI[8]])
+        assert len(after) - len(before) == last.end - last.start
+
+    def test_an_append_is_one_fsync(self, tmp_path, monkeypatch):
+        # one frame, one write, one fsync; plus the directory's when the
+        # frame opens a segment file (and the new directory's own)
+        import os
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
+        tree = _tree(tmp_path / "ptree")
+        tree.append(MODULI[:3])
+        assert len(synced) == 3  # the new directory, the new file, its directory
+        for batch in ([MODULI[3]], MODULI[4:8], MODULI[8:]):  # carries included
+            synced.clear()
+            tree.append(batch)
+            assert len(synced) == 1
+        monkeypatch.setattr(ptree, "SEGMENT_BYTES", 1)  # the next frame opens a segment
+        synced.clear()
+        _tree(tmp_path / "ptree").load_or_rebuild(MODULI + [401 * 409])
+        assert len(synced) == 2
 
     def test_spool_trailing_by_a_batch_loads_and_appends(self, tmp_path):
         # the service appends to its tree only after the registry commits,
-        # so a crash in between leaves the spool one batch behind: it loads,
-        # and the batch is an ordinary append writing only the segments it
-        # creates or merges
+        # so a crash in between leaves the log one batch behind: it loads,
+        # and the batch is an ordinary append writing only the nodes it
+        # creates
         _tree(tmp_path).append(MODULI[:6])  # segments [4, 2]
         telemetry = Telemetry.create()
         trailing = _tree(tmp_path, telemetry=telemetry)
@@ -234,16 +276,20 @@ class TestPersistence:
         counter = telemetry.registry.counter
         assert counter("ptree.rebuilds").value == 0
         assert counter("ptree.node_merges").value == 0
-        # [4, 2] from the spool plus the new 1-leaf segment, the one write
+        # [4, 2] from the log plus the new 1-leaf segment, the one append
         assert trailing.segment_sizes() == [4, 2, 1]
-        assert counter("ptree.blob_writes").value == 1
+        assert counter("ptree.log_appends").value == 1
         assert _ints(trailing.leaves()) == MODULI[:7]
-        # a batch that carries merges writes the merged segment alone
+        # a batch that carries merges logs the new leaf and its 3 products
         merged = _tree(tmp_path, telemetry=telemetry)
         assert merged.load_or_rebuild(MODULI[:8]) is True
         assert merged.segment_sizes() == [8]
-        assert counter("ptree.blob_writes").value == 2
+        assert counter("ptree.log_appends").value == 2
+        assert counter("ptree.node_merges").value == 3
         assert counter("ptree.rebuilds").value == 0
+        assert [f.header["indices"] for f in _frames(tmp_path)] == [
+            list(range(6)), [6], [7],
+        ]
 
     def test_spool_ahead_of_the_corpus_is_rebuilt(self, tmp_path):
         _tree(tmp_path).append(MODULI[:6])
@@ -252,16 +298,48 @@ class TestPersistence:
         assert recovered.load_or_rebuild(MODULI[:5]) is False
         assert telemetry.registry.counter("ptree.rebuilds").value == 1
         assert _ints(recovered.leaves()) == MODULI[:5]
+        assert [f.header["indices"] for f in _frames(tmp_path)] == [list(range(5))]
 
     def test_corrupt_blob_falls_back_to_rebuild(self, tmp_path):
+        # the whole corpus went in one append: rot in that frame's body
+        # leaves the log nothing to supply
         _tree(tmp_path).append(MODULI)
-        blob = max(tmp_path.glob("seg-*.bin"))
-        blob.write_bytes(blob.read_bytes()[:-3] + b"\x00\x00\x00")
+        (_, segment), = chainlog.segment_paths(tmp_path, chainlog.TREE)
+        data = bytearray(segment.read_bytes())
+        data[-40] ^= 1
+        segment.write_bytes(bytes(data))
         telemetry = Telemetry.create()
         recovered = _tree(tmp_path, telemetry=telemetry)
         assert recovered.load_or_rebuild(MODULI) is False
         assert telemetry.registry.counter("ptree.rebuilds").value == 1
         assert _ints(recovered.leaves()) == MODULI
+        assert not chainlog.read_log(tmp_path, chainlog.TREE).faults
+
+    @pytest.mark.parametrize("damage", ["torn", "rot"])
+    def test_damaged_frame_is_cut_back_and_appended_again(self, tmp_path, damage):
+        # the frames before the damage load; the log is cut back to them
+        # and the rest of the corpus appended, never a full rebuild
+        tree = _tree(tmp_path)
+        for batch in (MODULI[:4], MODULI[4:6], MODULI[6:]):
+            tree.append(batch)
+        (_, segment), = chainlog.segment_paths(tmp_path, chainlog.TREE)
+        second = _frames(tmp_path)[1]
+        data = bytearray(segment.read_bytes())
+        if damage == "torn":
+            data = data[: second.body_at + 3]
+        else:
+            data[second.body_at + 3] ^= 1
+        segment.write_bytes(bytes(data))
+        telemetry = Telemetry.create()
+        recovered = _tree(tmp_path, telemetry=telemetry)
+        assert recovered.load_or_rebuild(MODULI) is True
+        assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert _ints(recovered.leaves()) == MODULI
+        scan = chainlog.read_log(tmp_path, chainlog.TREE)
+        assert not scan.faults
+        assert [f.header["indices"] for f in scan.frames] == [
+            [0, 1, 2, 3], list(range(4, 11)),
+        ]
 
     def test_corpus_drift_falls_back_to_rebuild(self, tmp_path):
         _tree(tmp_path).append(MODULI)
@@ -271,24 +349,45 @@ class TestPersistence:
         assert recovered.load_or_rebuild(drifted) is False
         assert _ints(recovered.leaves()) == drifted
 
-    def test_foreign_manifest_falls_back_to_rebuild(self, tmp_path):
-        from repro.core.checkpoint import Manifest, StageRecord
+    def test_other_indices_fall_back_to_rebuild(self, tmp_path):
+        # a shard's slice: the same leaves under other global indices are
+        # another slice (a shard-count change), so nothing is kept
+        _tree(tmp_path).append(MODULI[:4], [0, 2, 4, 6])
+        telemetry = Telemetry.create()
+        same = _tree(tmp_path, telemetry=telemetry)
+        assert same.load_or_rebuild(MODULI[:4], [0, 2, 4, 6]) is True
+        other = _tree(tmp_path, telemetry=telemetry)
+        assert other.load_or_rebuild(MODULI[:4], [1, 3, 5, 7]) is False
+        assert telemetry.registry.counter("ptree.rebuilds").value == 1
+        assert _frames(tmp_path)[0].header["indices"] == [1, 3, 5, 7]
 
-        info = write_blob(tmp_path / "other.bin", [1, 2, 3])
+    def test_foreign_manifest_falls_back_to_rebuild(self, tmp_path):
+        # a tree dir in the product-tree/1 layout (a manifest pinning one
+        # blob per segment) is rebuilt once, and its files are removed
+        info = write_blob(tmp_path / "seg-00000000-h01.bin", [MODULI[0], MODULI[1],
+                                                              MODULI[0] * MODULI[1]])
         CheckpointStore(tmp_path).save(
             Manifest(
-                config={"format": "something-else/1"},
+                config={"format": "product-tree/1", "n_leaves": 2},
                 stages=[
                     StageRecord(
-                        name="other", blob="other.bin", count=info.count,
+                        name="seg.0.1", blob=info.path.name, count=info.count,
                         nbytes=info.nbytes, sha256=info.sha256, seconds=0.0,
                     )
                 ],
             )
         )
-        recovered = _tree(tmp_path)
+        telemetry = Telemetry.create()
+        recovered = _tree(tmp_path, telemetry=telemetry)
         assert recovered.load_or_rebuild(MODULI[:3]) is False
+        assert telemetry.registry.counter("ptree.rebuilds").value == 1
         assert _ints(recovered.leaves()) == MODULI[:3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tree-000000.log"]
+
+    def test_rebuild_appends_bounded_frames(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ptree, "REBUILD_FRAME_LEAVES", 4)
+        _tree(tmp_path).load_or_rebuild(MODULI)
+        assert [len(f.header["indices"]) for f in _frames(tmp_path)] == [4, 4, 3]
 
     def test_load_requires_empty_tree(self, tmp_path):
         tree = _tree(tmp_path)
@@ -297,7 +396,7 @@ class TestPersistence:
             tree.load_or_rebuild(MODULI[:2])
 
     def test_transient_write_fault_is_retried_through(self, tmp_path):
-        install_plan(parse_spec("spool.write#1=ioerror"))
+        install_plan(parse_spec("ptree.commit#1=ioerror"))
         telemetry = Telemetry.create()
         tree = _tree(tmp_path, telemetry=telemetry)
         tree.append(MODULI[:4])
@@ -329,12 +428,17 @@ class TestCrashResumeMatrix:
             durable.extend(batch)
         reset_plan()
 
-        # the previous flush boundary survives every crash: blobs are
-        # written before the manifest and stale blobs unlinked only after
-        # it, so the old manifest always points at intact files
-        boundary = _tree(tmp_path)
-        # (a crash on the very first flush leaves no manifest to load)
-        assert boundary.load_or_rebuild(durable) is (len(durable) > 0)
+        if point == "ptree.commit":
+            assert crashed == (nth <= len(BATCHES))
+        else:
+            assert not crashed  # a tree append writes no blob and no manifest
+
+        # the previous flush boundary survives every crash: an append is
+        # one frame, and a failed one is never acknowledged
+        telemetry = Telemetry.create()
+        boundary = _tree(tmp_path, telemetry=telemetry)
+        assert boundary.load_or_rebuild(durable) is True
+        assert telemetry.registry.counter("ptree.rebuilds").value == 0
         assert _ints(boundary.leaves()) == durable
 
         # resuming the stream from the boundary converges with a tree
@@ -347,5 +451,3 @@ class TestCrashResumeMatrix:
         assert _ints(boundary.leaves()) == _ints(clean.leaves())
         probe = 193 * 239 * 401
         assert _screened(boundary, probe) == _screened(clean, probe)
-        if not crashed:
-            assert nth > 1  # every point fires at least once over 4 flushes

@@ -3,13 +3,27 @@
 import json
 
 from repro.core import chainlog
-from repro.core.spool import write_sidecar
+from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
+from repro.core.spool import write_blob, write_sidecar
 from repro.integrity.catalog import ArtifactCatalog
 
 from tests.integrity.conftest import build_state, flip_record_byte, truncate_tail
 
 LOG = "registry-000000.log"
-PTREE_MANIFEST = "ptree/manifest.json"
+TREE_LOG = "ptree/tree-000000.log"
+SPOOL_MANIFEST = "spool-000/manifest.json"
+
+
+def build_spool(state_dir):
+    """A batchscan-style checkpointed spool: one pinned blob."""
+    spool = state_dir / "spool-000"
+    spool.mkdir()
+    info = write_blob(spool / "level-000.bin", [3, 5, 7])
+    CheckpointStore(spool).save(Manifest(
+        config={"format": "batchscan-spool/1"},
+        stages=[StageRecord(name="level.0", blob=info.path.name, count=info.count,
+                            nbytes=info.nbytes, sha256=info.sha256, seconds=0.0)],
+    ))
 
 
 def scan(state_dir):
@@ -33,9 +47,7 @@ class TestCleanState:
         build_state(tmp_path, corpus, corpus_hits)
         report = scan(tmp_path)
         names = {f.artifact for f in report.findings}
-        assert LOG in names
-        assert PTREE_MANIFEST in names
-        assert any(a.startswith("ptree/seg-") for a in names)
+        assert names == {LOG, TREE_LOG}
 
     def test_empty_directory_is_clean(self, tmp_path):
         report = scan(tmp_path)
@@ -84,41 +96,41 @@ class TestBlobVerdicts:
 
     def test_zeroed_region_is_hash_mismatch(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        path = tmp_path / "ptree" / "manifest.json"
-        segs = [p for p in (tmp_path / "ptree").glob("seg-*.bin")]
-        data = bytearray(segs[0].read_bytes())
-        data[len(data) // 2 : len(data) // 2 + 8] = b"\0" * 8
-        segs[0].write_bytes(bytes(data))
+        path = tmp_path / TREE_LOG
+        last = chainlog.read_log(path.parent, chainlog.TREE).frames[-1]
+        data = bytearray(path.read_bytes())
+        data[last.body_at : last.body_at + 8] = b"\0" * 8
+        path.write_bytes(bytes(data))
         report = scan(tmp_path)
-        assert not report.clean
+        assert verdicts(report) == {TREE_LOG: "hash-mismatch"}
         assert all(f.family == "ptree" for f in report.corrupt)
 
 
 class TestManifestVerdicts:
-    def test_manifest_bitflip_is_detected(self, tmp_path, corpus, corpus_hits):
-        build_state(tmp_path, corpus, corpus_hits)
-        path = tmp_path / PTREE_MANIFEST
+    def test_manifest_bitflip_is_detected(self, tmp_path):
+        build_spool(tmp_path)
+        path = tmp_path / SPOOL_MANIFEST
         text = path.read_text().replace('"count"', '"cxunt"', 1)
         path.write_text(text)
         report = scan(tmp_path)
         assert not report.clean
         assert any(
-            f.artifact == PTREE_MANIFEST and f.verdict == "hash-mismatch"
+            f.artifact == SPOOL_MANIFEST and f.verdict == "hash-mismatch"
             for f in report.corrupt
         )
 
-    def test_manifest_truncation_is_torn_tail(self, tmp_path, corpus, corpus_hits):
-        build_state(tmp_path, corpus, corpus_hits)
-        truncate_tail(tmp_path / PTREE_MANIFEST, drop=20)
+    def test_manifest_truncation_is_torn_tail(self, tmp_path):
+        build_spool(tmp_path)
+        truncate_tail(tmp_path / SPOOL_MANIFEST, drop=20)
         report = scan(tmp_path)
         assert any(
-            f.artifact == PTREE_MANIFEST and f.verdict == "torn-tail"
+            f.artifact == SPOOL_MANIFEST and f.verdict == "torn-tail"
             for f in report.corrupt
         )
 
-    def test_stale_sidecar_is_warning_not_corrupt(self, tmp_path, corpus, corpus_hits):
-        build_state(tmp_path, corpus, corpus_hits)
-        write_sidecar(tmp_path / PTREE_MANIFEST, "0" * 64)
+    def test_stale_sidecar_is_warning_not_corrupt(self, tmp_path):
+        build_spool(tmp_path)
+        write_sidecar(tmp_path / SPOOL_MANIFEST, "0" * 64)
         report = scan(tmp_path)
         assert report.clean
         assert any(f.verdict == "stale-checksum" for f in report.warnings)

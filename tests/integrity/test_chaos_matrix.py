@@ -98,18 +98,21 @@ class TestRegistryFamily:
 @pytest.mark.parametrize("mode,verdict", MODE_VERDICT)
 class TestPtreeFamily:
     def test_detect_repair_rescan(self, tmp_path, corpus, mode, verdict):
-        # corrupt every segment write: the binary-counter merge deletes
-        # superseded segments, so only damage to the *surviving* blob
-        # (the final merged segment) is observable afterwards
+        # ``#2`` rots the body of the tree's second append, the last frame
+        # of its log (the first flush builds the scanner over an empty
+        # registry, which appends nothing)
         hits = run_batches(
-            tmp_path, corpus, f"ptree.commit=corrupt:{mode}"
+            tmp_path, corpus, f"ptree.commit#2=corrupt:{mode}"
         )
         damaged = family_verdicts(tmp_path, "ptree")
-        assert list(damaged.values()) == [verdict], damaged
-        assert all(a.startswith("ptree/seg-") for a in damaged)
+        assert damaged == {"ptree/tree-000000.log": verdict}, damaged
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
+        assert [r["artifact"] for r in report.repairs if r["action"] == "drop-derived"] == [
+            "ptree"
+        ]
         assert_recovered(tmp_path, corpus, hits)
+        assert (tmp_path / "ptree" / "tree-000000.log").exists()
 
 
 @pytest.mark.parametrize("mode", ["truncate", "zero"])
@@ -138,35 +141,28 @@ class TestRegistryHeaderFamily:
 
 @pytest.mark.parametrize("mode,verdict", MODE_VERDICT)
 class TestShardFamily:
-    def test_snapshots_drop_and_rebuild_with_two_shards(
+    def test_registry_body_rebuilt_from_shard_tree_logs(
         self, tmp_path, corpus, mode, verdict
     ):
-        # corrupt every persist: the final snapshot of each worker is damaged
+        # a sharded state dir keeps no service tree: the shard trees' logs,
+        # whose headers place each leaf at its global index, are the only
+        # redundancy for batch 1's rotted record body
         hits = run_batches(
-            tmp_path, corpus, f"shard.commit=corrupt:{mode}", shards=2
+            tmp_path, corpus, f"registry.commit#3=corrupt:{mode}", shards=2
         )
-        damaged = family_verdicts(tmp_path, "shard-snapshot")
-        assert set(damaged) <= {"shards/0/shard.json", "shards/1/shard.json"}
-        assert damaged, "no snapshot corruption recorded"
-        if mode != "bitflip":  # a bitflip inside a JSON number stays parseable,
-            assert set(damaged.values()) == {verdict}  # caught by sidecar only
-        corrupt = family_verdicts(tmp_path, "shard-snapshot", corrupt_only=True)
+        assert not (tmp_path / "ptree").exists()
+        assert family_verdicts(tmp_path, "registry") == {LOG: verdict}
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        # corrupt-severity snapshots are dropped (derived data); a
-        # still-parseable bitflip is surfaced as stale-checksum instead
-        for artifact in corrupt:
-            assert not (tmp_path / artifact).exists()
-        # the restarted fleet rebuilds its snapshots from the registry
+        assert [r["artifact"] for r in report.repairs if r["action"] == "rebuild"] == [LOG]
         assert_recovered(tmp_path, corpus, hits, shards=2)
-        assert (tmp_path / "shards" / "0" / "shard.json").exists()
 
     def test_shard_trees_drop_and_rebuild_with_two_shards(
         self, tmp_path, corpus, mode, verdict
     ):
-        # corrupt every segment write of both workers' trees
+        # rot each worker's second append, the last frame of its log
         hits = run_batches(
-            tmp_path, corpus, f"ptree.commit=corrupt:{mode}", shards=2
+            tmp_path, corpus, f"ptree.commit#2=corrupt:{mode}", shards=2
         )
         damaged = family_verdicts(tmp_path, "ptree", corrupt_only=True)
         assert damaged, "no shard tree corruption recorded"
@@ -178,10 +174,10 @@ class TestShardFamily:
         assert {
             r["artifact"] for r in report.repairs if r["action"] == "drop-derived"
         } == trees
-        # the restarted workers rebuild their trees from the registry slice
+        # the restarted workers re-derive their trees from the registry slice
         assert_recovered(tmp_path, corpus, hits, shards=2)
         for tree in trees:
-            assert (tmp_path / tree / "manifest.json").exists()
+            assert (tmp_path / tree / "tree-000000.log").exists()
 
 
 @pytest.mark.parametrize("mode", ["truncate", "zero"])

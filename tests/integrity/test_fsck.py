@@ -2,12 +2,13 @@
 
 import hashlib
 import json
-import shutil
 
 import pytest
 
 from repro.core import chainlog
-from repro.core.spool import read_blob, write_blob, write_sidecar
+from repro.core import ptree
+from repro.core.ptree import PersistentProductTree
+from repro.core.spool import write_blob, write_sidecar
 from repro.integrity.fsck import run_fsck
 from repro.service.shard import _ShardWorker
 from repro.service.registry import WeakKeyRegistry
@@ -19,9 +20,11 @@ from tests.integrity.conftest import (
     record_region,
     truncate_tail,
 )
+from tests.integrity.test_catalog import SPOOL_MANIFEST, build_spool
 from tests.service.test_registry import V1_BATCHES, write_v1
 
 LOG = "registry-000000.log"
+TREE_LOG = "tree-000000.log"
 
 
 def write_shards(state_dir, moduli, shards=2):
@@ -32,6 +35,13 @@ def write_shards(state_dir, moduli, shards=2):
             "bits": 64, "indices": indices, "moduli": [moduli[g] for g in indices],
             "job": None,
         })
+
+
+def rot_tree_leaves(tree_dir):
+    """Flip a byte in the leaves of every frame of one tree log."""
+    for frame in chainlog.read_log(tree_dir, chainlog.TREE).frames:
+        path = chainlog.segment_path(tree_dir, frame.segment, chainlog.TREE)
+        flip_byte(path, frame.body_at + frame.header["keys_nbytes"] // 2)
 
 
 def repairs_of(report, action=None):
@@ -94,9 +104,9 @@ class TestRegistryRepair:
     def test_unprovable_torn_record_is_cut_off_as_a_load_would(
         self, tmp_path, corpus, corpus_hits
     ):
-        # with every ptree segment damaged nothing proves the torn batch:
-        # fsck cuts it off, leaving the registry a load would, and still
-        # regrows the tree from what is left — a tear is never a refusal
+        # with the tree's every leaf damaged nothing proves the torn batch:
+        # fsck cuts it off, leaving the registry a load would, and drops
+        # the damaged tree log — a tear is never a refusal
         state, loaded = tmp_path / "state", tmp_path / "loaded"
         build_state(state, corpus, corpus_hits)
         pristine = (state / LOG).read_bytes()
@@ -106,12 +116,11 @@ class TestRegistryRepair:
         (state / LOG).write_bytes(torn)
         loaded.mkdir()
         (loaded / LOG).write_bytes(torn)
-        for segment in (state / "ptree").glob("seg-*.bin"):
-            flip_byte(segment)
+        rot_tree_leaves(state / "ptree")
         report = run_fsck(state, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         assert [r["artifact"] for r in repairs_of(report, "truncate")] == [LOG]
-        assert [r["artifact"] for r in repairs_of(report, "rebuild")] == ["ptree"]
+        assert [r["artifact"] for r in repairs_of(report, "drop-derived")] == ["ptree"]
         assert (state / LOG).read_bytes() == pristine[: frame.start]
         repaired, direct = WeakKeyRegistry(state), WeakKeyRegistry(loaded)
         assert repaired.load() == direct.load() == 1
@@ -141,12 +150,12 @@ class TestRegistryRepair:
         assert fresh.moduli == corpus.moduli
         assert {(h.i, h.j) for h in fresh.hits} == expected_hits
 
-    def test_keys_blob_rebuilt_from_shard_snapshot(
+    def test_keys_blob_rebuilt_from_shard_tree_logs(
         self, tmp_path, corpus, corpus_hits
     ):
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
         # one shard owning every even index, one owning the odds: each
-        # worker spools its slice's tree and a snapshot of its indices
+        # worker's tree log records its leaves with their global indices
         write_shards(tmp_path, corpus.moduli)
         pristine = (tmp_path / LOG).read_bytes()
         flip_record_byte(tmp_path, 0, "keys")
@@ -155,16 +164,37 @@ class TestRegistryRepair:
         assert (tmp_path / LOG).read_bytes() == pristine
 
     def test_shard_snapshot_alone_is_no_redundancy(self, tmp_path, corpus, corpus_hits):
-        # the snapshot holds indices, not moduli: without its tree it
-        # proves nothing
+        # a snapshot an earlier release left lists indices, not moduli:
+        # without a tree log it proves nothing, and fsck does not read it
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
-        write_shards(tmp_path, corpus.moduli)
         for k in (0, 1):
-            shutil.rmtree(tmp_path / "shards" / str(k) / "ptree")
+            indices = [g for g in range(len(corpus.moduli)) if g % 2 == k]
+            shard_dir = tmp_path / "shards" / str(k)
+            shard_dir.mkdir(parents=True)
+            (shard_dir / "shard.json").write_text(json.dumps({
+                "format": "repro.shard-snapshot/3", "shard": k, "shards": 2,
+                "replicas": 1, "indices": indices, "job": 1,
+            }))
         flip_record_byte(tmp_path, 0, "keys")
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
         assert any("no intact redundancy" in r["reason"] for r in report.refusals)
+
+    def test_rotted_shard_tree_leaves_are_no_redundancy(
+        self, tmp_path, corpus, corpus_hits
+    ):
+        # leaves that miss their pin prove nothing, and a refused registry
+        # keeps its damaged tree logs as they are
+        build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
+        write_shards(tmp_path, corpus.moduli)
+        for k in (0, 1):
+            rot_tree_leaves(tmp_path / "shards" / str(k) / "ptree")
+        flip_record_byte(tmp_path, 0, "keys")
+        report = run_fsck(tmp_path, repair=True)
+        assert not report.healed
+        assert any("no intact redundancy" in r["reason"] for r in report.refusals)
+        assert not repairs_of(report, "drop-derived")
+        assert (tmp_path / "shards" / "0" / "ptree" / TREE_LOG).exists()
 
     def test_no_redundancy_refuses_loudly(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits, with_ptree=False)
@@ -180,23 +210,16 @@ class TestRegistryRepair:
 class TestPtreeRepair:
     def test_segment_corruption_regrows_the_tree(self, tmp_path, corpus, corpus_hits):
         build_state(tmp_path, corpus, corpus_hits)
-        seg = sorted((tmp_path / "ptree").glob("seg-*.bin"))[0]
-        flip_byte(seg)
+        flip_byte(tmp_path / "ptree" / TREE_LOG)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
-        assert any(
-            r["artifact"] == "ptree" and r["action"] == "rebuild"
-            for r in report.repairs
-        )
-        # regrown leaves carry the registry's moduli
-        manifest = json.loads((tmp_path / "ptree" / "manifest.json").read_bytes())
-        leaves = {}
-        for record in manifest["stages"]:
-            _, start, _h = record["name"].split(".")
-            nodes = read_blob(tmp_path / "ptree" / record["blob"])
-            for off, n in enumerate(nodes[: (len(nodes) + 1) // 2]):
-                leaves[int(start) + off] = n
-        assert [leaves[g] for g in sorted(leaves)] == corpus.moduli
+        assert [r["artifact"] for r in repairs_of(report, "drop-derived")] == ["ptree"]
+        assert (tmp_path / "quarantine" / "ptree" / TREE_LOG).exists()
+        # the next load regrows the tree from the registry's moduli
+        tree = PersistentProductTree(spool_dir=tmp_path / "ptree")
+        assert tree.load_or_rebuild(corpus.moduli) is False
+        assert [int(n) for n in tree.leaves()] == corpus.moduli
+        assert run_fsck(tmp_path).clean
 
     @pytest.mark.parametrize("service_tree", [False, True])
     def test_damaged_shard_tree_is_dropped_as_derived(
@@ -207,22 +230,36 @@ class TestPtreeRepair:
         build_state(tmp_path, corpus, corpus_hits, with_ptree=service_tree)
         write_shards(tmp_path, corpus.moduli)
         shard_tree = tmp_path / "shards" / "1" / "ptree"
-        seg = sorted(shard_tree.glob("seg-*.bin"))[0]
-        flip_byte(seg)
+        flip_byte(shard_tree / TREE_LOG)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         dropped = [r["artifact"] for r in repairs_of(report, "drop-derived")]
         assert dropped == ["shards/1/ptree"]
         assert not repairs_of(report, "rebuild")
         assert not list(shard_tree.iterdir())
-        assert (tmp_path / "quarantine" / "shards" / "1" / "ptree" / seg.name).exists()
-        assert (tmp_path / "shards" / "0" / "ptree" / "manifest.json").exists()
+        assert (tmp_path / "quarantine" / "shards" / "1" / "ptree" / TREE_LOG).exists()
+        assert (tmp_path / "shards" / "0" / "ptree" / TREE_LOG).exists()
+
+    def test_damage_in_a_later_segment_keeps_the_earlier_ones(
+        self, tmp_path, corpus, corpus_hits, monkeypatch
+    ):
+        monkeypatch.setattr(ptree, "SEGMENT_BYTES", 1)  # a tree segment per append
+        build_state(tmp_path, corpus, corpus_hits, batches=4)
+        tree = tmp_path / "ptree"
+        assert [i for i, _ in chainlog.segment_paths(tree, chainlog.TREE)] == [0, 1, 2, 3]
+        flip_byte(chainlog.segment_path(tree, 2, chainlog.TREE))
+        report = run_fsck(tmp_path, repair=True)
+        assert report.healed, (report.repairs, report.refusals)
+        assert [i for i, _ in chainlog.segment_paths(tree, chainlog.TREE)] == [0, 1]
+        assert sorted(p.name for p in (tmp_path / "quarantine" / "ptree").iterdir()) == [
+            "tree-000002.log", "tree-000003.log",
+        ]
 
     def test_mutual_repair_of_disjoint_damage(self, tmp_path):
-        # registry keys heal from ptree leaves while the damaged ptree
-        # regrows from the (by-then complete) registry — order matters.
-        # 12 keys give a two-segment tree (8 + 4 leaves), so damage to
-        # keys 0-5 and to the 4-leaf segment (leaves 8-11) is disjoint.
+        # registry keys heal from the tree log's leaves before the damaged
+        # tree log is dropped — order matters.  12 keys in two batches give
+        # two frames (leaves 0-5 and 6-11), so damage to keys 0-5 and to
+        # the second frame is disjoint.
         from repro.core.attack import find_shared_primes
         from repro.rsa.corpus import generate_weak_corpus
 
@@ -230,9 +267,7 @@ class TestPtreeRepair:
         hits = find_shared_primes(corpus.moduli).hits
         build_state(tmp_path, corpus, hits)
         flip_record_byte(tmp_path, 0, "keys")  # indices 0-5: inside seg A
-        seg_b = sorted((tmp_path / "ptree").glob("seg-00000008-*.bin"))
-        assert seg_b, sorted((tmp_path / "ptree").iterdir())
-        truncate_tail(seg_b[0])
+        truncate_tail(tmp_path / "ptree" / TREE_LOG)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed, (report.repairs, report.refusals)
         fresh = WeakKeyRegistry(tmp_path)
@@ -290,15 +325,16 @@ class TestRootOfTruthRefusals:
 
 
 class TestShardAndSpoolRepair:
-    def test_corrupt_snapshot_is_dropped_as_derived(self, tmp_path):
+    def test_old_shard_snapshot_is_no_artifact(self, tmp_path, corpus):
+        # a snapshot an earlier release left, even a torn one, is not read
+        # by fsck; the worker's next init removes it
         sdir = tmp_path / "shards" / "0"
         sdir.mkdir(parents=True)
         (sdir / "shard.json").write_text('{"format": "repro.shard-')
         report = run_fsck(tmp_path, repair=True)
-        assert report.healed, (report.repairs, report.refusals)
+        assert report.clean and report.healed and not report.repairs
+        write_shards(tmp_path, corpus.moduli)
         assert not (sdir / "shard.json").exists()
-        assert (tmp_path / "quarantine" / "shards" / "0" / "shard.json").exists()
-        assert repairs_of(report, "drop-derived")
 
     def test_spool_truncated_to_verified_prefix(self, tmp_path):
         from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
@@ -351,32 +387,29 @@ class TestIngestRepair:
 
 
 class TestSidecarRefresh:
-    def test_stale_sidecar_refreshed_when_family_clean(
-        self, tmp_path, corpus, corpus_hits
-    ):
-        build_state(tmp_path, corpus, corpus_hits)
-        manifest = tmp_path / "ptree" / "manifest.json"
+    def test_stale_sidecar_refreshed_when_family_clean(self, tmp_path):
+        build_spool(tmp_path)
+        manifest = tmp_path / SPOOL_MANIFEST
         write_sidecar(manifest, "0" * 64)
         report = run_fsck(tmp_path, repair=True)
         assert report.healed
-        recorded = (tmp_path / "ptree" / "manifest.json.sha256").read_text().strip()
+        recorded = manifest.with_name("manifest.json.sha256").read_text().strip()
         actual = hashlib.sha256(manifest.read_bytes()).hexdigest()
         assert recorded == actual
 
-    def test_stale_sidecar_not_refreshed_over_unrepaired_damage(
-        self, tmp_path, corpus, corpus_hits
-    ):
+    def test_stale_sidecar_not_refreshed_over_unrepaired_damage(self, tmp_path):
         # refreshing a sidecar in a family that still has corruption would
         # launder the damage into a "verified" state — must not happen.  A
-        # damaged registry header refuses the registry, so the damaged tree
-        # cannot be regrown and its family stays corrupt.
-        build_state(tmp_path, corpus, corpus_hits)
-        flip_record_byte(tmp_path, 0, "header")
-        flip_byte(sorted((tmp_path / "ptree").glob("seg-*.bin"))[0])
-        write_sidecar(tmp_path / "ptree" / "manifest.json", "0" * 64)
+        # second spool's damaged manifest is refused, so the spool family
+        # stays corrupt.
+        build_spool(tmp_path)
+        other = tmp_path / "spool-001"
+        other.mkdir()
+        (other / "manifest.json").write_text('{"version": 1, "config": {')
+        write_sidecar(tmp_path / SPOOL_MANIFEST, "0" * 64)
         report = run_fsck(tmp_path, repair=True)
         assert not report.healed
-        side = tmp_path / "ptree" / "manifest.json.sha256"
+        side = (tmp_path / SPOOL_MANIFEST).with_name("manifest.json.sha256")
         assert side.read_text().strip() == "0" * 64
 
 

@@ -2,8 +2,8 @@
 
 The deep-verify contract is stronger than "the chaos suite's three
 corruption shapes are caught": *any* byte of *any* committed RGSPOOL1
-blob, manifest or registry log segment can rot, and the catalog must
-say so.  Hypothesis
+blob, manifest, registry log segment or tree log segment can rot, and
+the catalog must say so.  Hypothesis
 drives the quantifier — it picks the artifact, the offset, and the XOR
 delta; shrinking turns a miss into the smallest undetected mutation,
 which is exactly the bug report you want.
@@ -42,7 +42,9 @@ def state_dir(tmp_path_factory):
     registry.load()
     registry.commit_batch(corpus.moduli, hits)
 
-    PersistentProductTree(spool_dir=root / "ptree").append(corpus.moduli)
+    tree = PersistentProductTree(spool_dir=root / "ptree")
+    tree.append(corpus.moduli[:7])
+    tree.append(corpus.moduli[7:])
 
     spool = root / "shard-000"
     spool.mkdir()
@@ -62,8 +64,7 @@ def state_dir(tmp_path_factory):
 
 FAMILIES = {
     "registry": lambda root: [root / "registry-000000.log"],
-    "ptree": lambda root: sorted((root / "ptree").glob("seg-*.bin"))
-    + [root / "ptree" / "manifest.json"],
+    "ptree": lambda root: [root / "ptree" / "tree-000000.log"],
     "batchscan": lambda root: [root / "shard-000" / "blob-000.bin",
                                root / "shard-000" / "manifest.json"],
 }

@@ -109,6 +109,44 @@ class TestWorkerDeath:
                 )
             )
 
+    def test_pool_breaking_during_resubmit_counts_as_a_death(self, monkeypatch):
+        # deterministic: the first pool takes two units and then breaks;
+        # every pool after it breaks again inside ``submit``, while the
+        # lost units are being resubmitted.  Each of those breaks is one
+        # more death against the budget, never an escaping BrokenProcessPool
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class Pool:
+            def __init__(self, healthy):
+                self.healthy = healthy
+
+            def submit(self, fn, *args):
+                if not self.healthy:
+                    raise BrokenProcessPool("broke while resubmitting")
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        pools = []
+
+        def spawn(self):
+            pools.append(Pool(healthy=not pools))
+            return pools[-1]
+
+        monkeypatch.setattr(ChunkSupervisor, "_spawn", spawn)
+        registry = MetricsRegistry()
+        supervisor = ChunkSupervisor(_double, workers=2, max_respawns=3, registry=registry)
+        supervisor.submit([1])
+        supervisor.submit([2])
+        with pytest.raises(PoolExhausted, match="budget 3"):
+            supervisor.next_result()
+        assert len(pools) == 4  # the first pool and three respawns
+        assert registry.counter("resilience.pool_respawns").value == 4
+
 
 class TestApplicationErrors:
     def test_worker_exception_propagates_unchanged(self):

@@ -17,12 +17,18 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.core.spool import write_sidecar
+import repro
+from repro.core import chainlog
+from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
+from repro.core.spool import write_blob, write_sidecar
 from repro.integrity.catalog import ArtifactCatalog
 from repro.resilience import faults
 from repro.rsa.corpus import generate_weak_corpus
@@ -171,12 +177,55 @@ def kill_a_worker_mid_batch(tmp_path, corpus):
 
 
 class TestShardCrashes:
+    @pytest.mark.skipif(
+        not os.path.isfile(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+        reason="needs /proc/<pid>/task/<tid>/children to find the workers",
+    )
+    def test_kill_nine_of_the_front_door_leaves_no_worker(self, tmp_path, corpus):
+        # a kill -9 of `serve --shards 2` must not leave its forked workers
+        # holding the state lock or the router's pipes: they exit, and a
+        # restart on the same state dir serves the same hits
+        state = tmp_path / "state"
+        procs, workers = [], set()
+        try:
+            proc, url = start_serve(state, tmp_path / "port1", 2)
+            procs.append(proc)
+            for start in (0, 12):
+                chunk = corpus.moduli[start : start + 12]
+                get_json(f"{url}/submit?wait=1", {"moduli": [hex(n)[2:] for n in chunk]})
+            before = get_json(f"{url}/hits")
+            workers = children(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 30
+            while any(running(w) for w in workers):
+                assert time.monotonic() < deadline, "shard workers outlived the serve"
+                time.sleep(0.05)
+            proc, url = start_serve(state, tmp_path / "port2", 2)
+            procs.append(proc)
+            after = get_json(f"{url}/hits")
+            assert after == before and after["hits"]
+            assert get_json(f"{url}/healthz")["duplicate_submissions"] == 1
+            workers |= children(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_kill_nine_mid_batch_loses_nothing(self, tmp_path, corpus, monkeypatch):
-        # every worker's first APPLY persist stalls 1s (hit 1 is the init
-        # persist; the stall is pre-write, so the victim dies with the
-        # committed batch adopted in memory only), and the router
-        # re-derives the victim from the registry slice, which holds it
-        monkeypatch.setenv("REPRO_FAULTS", "shard.commit#2=hang:1.0")
+        # every worker's first tree append, its first APPLY (the registry
+        # starts empty, so no init appends), stalls 1s before it writes:
+        # the victim dies with the committed batch adopted in memory only,
+        # and the router re-derives it from the registry slice, which
+        # holds it
+        monkeypatch.setenv("REPRO_FAULTS", "ptree.commit#1=hang:1.0")
         faults.reset_plan()
         assert kill_a_worker_mid_batch(tmp_path, corpus) == 1
 
@@ -195,13 +244,19 @@ class TestShardCrashes:
         assert kill_a_worker_mid_batch(tmp_path, corpus) == 0
 
     def test_apply_ioerror_rederives_the_worker(self, tmp_path, corpus, monkeypatch):
-        # the first APPLY persist in every worker process EIOs (hit 1 is
-        # its init persist), after the registry committed.  A re-derived
-        # worker is a new process, so every apply of the session fails;
-        # every flush still succeeds, each worker is re-derived from its
-        # registry slice, and the watermark still lands on M(M−1)/2
-        monkeypatch.setenv("REPRO_FAULTS", "shard.commit#2=ioerror")
-        faults.reset_plan()
+        # every APPLY's tree append EIOs on every attempt, after the
+        # registry committed; an init's append does not (the workers fork
+        # from this process, so they inherit the patch, and the plan is
+        # armed in the applying worker only).  Every apply of the session
+        # fails; every flush still succeeds, each worker is re-derived
+        # from its registry slice, and the watermark lands on M(M−1)/2
+        apply = _ShardWorker.handle_apply
+
+        def failing_apply(worker, payload):
+            faults.install_plan(faults.parse_spec("ptree.commit=ioerror"))
+            return apply(worker, payload)
+
+        monkeypatch.setattr(_ShardWorker, "handle_apply", failing_apply)
         telemetry = Telemetry.create()
         batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
         service = run_session(tmp_path, 2, batches, telemetry=telemetry)
@@ -213,8 +268,6 @@ class TestShardCrashes:
         assert view["pairs_tested"] == view["pairs_expected"]
         assert view["keys"] == service.registry.n_keys
         assert all(d["alive"] for d in view["detail"])
-        monkeypatch.delenv("REPRO_FAULTS")
-        faults.reset_plan()
         single = run_session(tmp_path.with_name(tmp_path.name + "-ref"), 1, batches)
         assert hit_set(service) == hit_set(single)
 
@@ -245,6 +298,51 @@ class TestShardCrashes:
         single = run_session(tmp_path.with_name(tmp_path.name + "-ref"), 1,
                              [corpus.moduli[:12], corpus.moduli[12:]])
         assert hit_set(survivor) == hit_set(single)
+
+
+#: the source tree this test imports ``repro`` from, for the subprocesses
+REPRO_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def start_serve(state_dir, port_file, shards):
+    """``repro serve`` in a subprocess; returns ``(process, base URL)``."""
+    env = {**os.environ, "PYTHONPATH": REPRO_SRC}
+    env.pop("REPRO_FAULTS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--state-dir", str(state_dir),
+         "--shards", str(shards), "--port", "0", "--port-file", str(port_file),
+         "--linger-ms", "5", "--scrub-interval", "0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60
+    while not (port_file.exists() and port_file.read_text().strip()):
+        assert proc.poll() is None, f"serve exited with {proc.returncode}"
+        assert time.monotonic() < deadline, "serve never wrote its port"
+        time.sleep(0.05)
+    return proc, f"http://127.0.0.1:{port_file.read_text().strip()}"
+
+
+def get_json(url, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=60) as resp:
+        return json.load(resp)
+
+
+def children(pid):
+    """The pids ``pid`` has forked, from every thread's ``children`` list."""
+    found = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found.update(int(c) for c in (task / "children").read_text().split())
+    return found
+
+
+def running(pid):
+    """Alive and not a zombie."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status
 
 
 #: three failed append attempts, the registry's whole retry budget, spent
@@ -307,51 +405,129 @@ def apply_payload(base, moduli, *, job):
             "moduli": list(moduli)}
 
 
+def write_old_tree(tree_dir, moduli):
+    """A tree dir in the ``product-tree/1`` layout: one pinned blob per
+    binary-counter segment, nodes bottom-up, and a sidecar'd manifest."""
+    tree_dir.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest(config={"format": "product-tree/1", "n_leaves": len(moduli)})
+    start = 0
+    for size in (1 << b for b in reversed(range(len(moduli).bit_length()))):
+        if not len(moduli) & size:
+            continue
+        level = list(moduli[start : start + size])
+        nodes = list(level)
+        while len(level) > 1:
+            level = [level[k] * level[k + 1] for k in range(0, len(level), 2)]
+            nodes += level
+        height = size.bit_length() - 1
+        info = write_blob(tree_dir / f"seg-{start:08d}-h{height:02d}.bin", nodes)
+        manifest.stages.append(StageRecord(
+            name=f"seg.{start}.{height}", blob=info.path.name, count=info.count,
+            nbytes=info.nbytes, sha256=info.sha256, seconds=0.0,
+        ))
+        start += size
+    CheckpointStore(tree_dir).save(manifest)
+
+
+def write_old_snapshot(shard_dir, payload):
+    """A ``repro.shard-snapshot`` file and its checksum sidecar."""
+    shard_dir.mkdir(parents=True, exist_ok=True)
+    body = json.dumps(payload).encode()
+    (shard_dir / "shard.json").write_bytes(body)
+    write_sidecar(shard_dir / "shard.json", hashlib.sha256(body).hexdigest())
+
+
+OLD_FILES = ("**/manifest.json", "**/manifest.json.sha256", "**/seg-*.bin", "**/shard.json*")
+
+
 class TestLegacyShardState:
     @pytest.mark.parametrize("engine", ("native", "ptree", "auto", "all2all", "bulk"))
     def test_snapshot_loads_whatever_engine_it_recorded(self, tmp_path, engine):
-        # an upgraded state dir: a /1 snapshot stays ok to the catalog (the
-        # scrubber must not trip degraded mode on it); the worker never
-        # reads it, inits from the registry slice and rewrites it as /3
+        # an upgraded shard dir: a /1 snapshot (whatever tier it recorded)
+        # beside a product-tree/1 tree.  The worker reads neither: it inits
+        # from the registry slice, rebuilds its tree log once, and removes
+        # every old file, so the catalog sees only the log
         payload = json.loads(LEGACY_SHARD_JSON)
         payload["scanner"]["engine"] = engine
-        worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
-        worker.snapshot_path.parent.mkdir(parents=True)
-        body = json.dumps(payload).encode()
-        worker.snapshot_path.write_bytes(body)
-        write_sidecar(worker.snapshot_path, hashlib.sha256(body).hexdigest())
-        assert [f.verdict for f in ArtifactCatalog(tmp_path).scan().findings
-                if f.family == "shard-snapshot"] == ["ok"]
-
         moduli = payload["scanner"]["moduli"]
+        shard_dir = tmp_path / "shards" / "0"
+        write_old_snapshot(shard_dir, payload)
+        write_old_tree(shard_dir / "ptree", moduli)
+        worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
         _, status = worker.handle_init(init_payload(moduli, job=2, bits=32))
-        assert status == {"job": 2, "keys": 6}
+        assert status == {"job": 2, "keys": 6, "rebuilds": 1}
         assert worker.scanner.moduli == moduli
-        stored = json.loads(worker.snapshot_path.read_bytes())
-        assert stored == {"format": "repro.shard-snapshot/3", "shard": 0, "shards": 1,
-                          "replicas": 32, "indices": list(range(6)), "job": 2}
+        assert not [p for pattern in OLD_FILES for p in tmp_path.glob(pattern)]
+        report = ArtifactCatalog(tmp_path).scan()
+        assert report.clean and not report.warnings
+        assert [f.artifact for f in report.findings] == ["shards/0/ptree/tree-000000.log"]
 
         fresh = 49157 * 49223
         _, ack = worker.handle_job(job_payload(6, [fresh], bits=32))
         assert ack["hits"] == [[i, 6, 49157] for i in (0, 1)] + [[5, 6, 49223]]
-        assert json.loads(worker.snapshot_path.read_bytes()) == stored  # a scan writes nothing
         worker.handle_apply(apply_payload(6, [fresh], job=3))
-        stored = json.loads(worker.snapshot_path.read_bytes())
-        assert (stored["indices"], stored["job"]) == (list(range(7)), 3)
-        assert [f.verdict for f in ArtifactCatalog(tmp_path).scan().findings
-                if f.family == "shard-snapshot"] == ["ok"]
+        frames = chainlog.read_log(shard_dir / "ptree", chainlog.TREE).frames
+        assert [f.header["indices"] for f in frames] == [list(range(6)), [6]]
+
+
+class TestPreLogStateDir:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pre_log_state_dir_rebuilds_each_tree_once(self, tmp_path, corpus, shards):
+        # a state dir as the blob-tree release left it: the same registry
+        # log, every tree in the product-tree/1 layout and, when sharded, a
+        # snapshot per shard.  The first start rebuilds each tree once,
+        # serves the same hits, and leaves no old file behind
+        batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
+        reference = run_session(tmp_path, shards, batches)
+        registry = reference.registry
+        trees = sorted(tmp_path.glob("ptree")) + sorted(tmp_path.glob("shards/*/ptree"))
+        assert len(trees) == (1 if shards == 1 else 2)
+        ring = ShardRing(shards)
+        for tree in trees:
+            for log in tree.iterdir():
+                log.unlink()
+            if shards == 1:
+                write_old_tree(tree, registry.moduli)
+                continue
+            k = int(tree.parent.name)
+            indices = [g for g, n in enumerate(registry.moduli) if ring.owner(n) == k]
+            write_old_tree(tree, [registry.moduli[g] for g in indices])
+            write_old_snapshot(tree.parent, {
+                "format": "repro.shard-snapshot/3", "shard": k, "shards": shards,
+                "replicas": 32, "indices": indices, "job": registry.n_batches - 1,
+            })
+        telemetry = Telemetry.create()
+        restarted = run_session(tmp_path, shards, [], telemetry=telemetry)
+        assert telemetry.registry.counter("ptree.rebuilds").value == len(trees)
+        assert hit_set(restarted) == hit_set(reference)
+        view = restarted.last_shards_view
+        assert view["pairs_tested"] == view["pairs_expected"]
+        assert not [p for pattern in OLD_FILES for p in tmp_path.glob(pattern)]
+        report = ArtifactCatalog(tmp_path).scan()
+        assert report.clean and not report.warnings, report.to_json()
+        # the next start reads the logs the first one wrote
+        again = Telemetry.create()
+        run_session(tmp_path, shards, [], telemetry=again)
+        assert again.registry.counter("ptree.rebuilds").value == 0
 
 
 class TestShardSnapshot:
     def test_snapshot_holds_no_moduli(self, tmp_path, corpus):
+        # a shard's slice is recorded only in its tree log: the headers
+        # list the slice's global indices, in leaf order, and no modulus;
+        # no separate snapshot is written
         batches = [corpus.moduli[i : i + 8] for i in range(0, len(corpus.moduli), 8)]
-        run_session(tmp_path, 2, batches)
+        service = run_session(tmp_path, 2, batches)
+        ring = ShardRing(2)
+        moduli = service.registry.moduli
         for k in (0, 1):
-            text = (tmp_path / "shards" / str(k) / "shard.json").read_text()
-            payload = json.loads(text)
-            assert payload["format"] == "repro.shard-snapshot/3"
-            assert payload["indices"] and payload["job"] is not None
-            assert not [n for n in corpus.moduli if str(n) in text]
+            shard_dir = tmp_path / "shards" / str(k)
+            assert sorted(p.name for p in shard_dir.iterdir()) == ["ptree"]
+            headers = [f.header for f in chainlog.read_log(shard_dir / "ptree", chainlog.TREE).frames]
+            indices = [g for h in headers for g in h["indices"]]
+            assert indices == [g for g, n in enumerate(moduli) if ring.owner(n) == k]
+            text = json.dumps(headers)
+            assert not [n for n in moduli if str(n) in text]
 
     def test_init_over_a_trailing_spool_appends_the_batch(self, tmp_path, corpus):
         # a worker that died after the registry committed job 1 but before
@@ -364,7 +540,7 @@ class TestShardSnapshot:
         first.handle_job(job_payload(12, moduli[12:]))
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
         _, status = worker.handle_init(init_payload(moduli, job=1))
-        assert status == {"job": 1, "keys": len(moduli)}
+        assert status == {"job": 1, "keys": len(moduli), "rebuilds": 0}
         counter = worker.telemetry.registry.counter
         assert counter("ptree.rebuilds").value == 0
         assert counter("incremental.cross_scans").value == 0
@@ -382,19 +558,18 @@ class TestShardSnapshot:
 
     def test_init_over_an_intact_spool_reads_the_tree(self, tmp_path, corpus):
         # a worker reset to the registry's slice whose spool already holds
-        # exactly that slice reads it: no tree rebuild, no merge, no blob
-        # written
+        # exactly that slice reads it: no tree rebuild, no merge, nothing
+        # appended
         moduli = list(dict.fromkeys(corpus.moduli))
         writer = _ShardWorker(0, 1, 32, str(tmp_path), None)
         writer.handle_init(init_payload([], job=None))
         writer.handle_job(job_payload(0, moduli))
         writer.handle_apply(apply_payload(0, moduli, job=0))
-        writer.snapshot_path.unlink()
         worker = _ShardWorker(0, 1, 32, str(tmp_path), None)
         _, status = worker.handle_init(init_payload(moduli, job=0))
-        assert status == {"job": 0, "keys": len(moduli)}
+        assert status == {"job": 0, "keys": len(moduli), "rebuilds": 0}
         counter = worker.telemetry.registry.counter
         assert counter("ptree.rebuilds").value == 0
         assert counter("ptree.node_merges").value == 0
-        assert counter("ptree.blob_writes").value == 0
+        assert counter("ptree.log_appends").value == 0
         assert worker.scanner.moduli == moduli
