@@ -64,9 +64,18 @@ of as a vague end-to-end slowdown:
   adds to the log.  The forests are grown in memory with stand-in merge
   products of the right sizes, so setting up a large slice multiplies
   nothing.  ``p50_ratio`` is the p50 at 25,000 keys over the p50 at
-  1,000; ``carry`` is the one append that completes a 2,048-leaf
-  segment: its wall time and bytes, against the bytes of the whole
-  merged segment (what the per-segment blob layout rewrote);
+  1,000; ``carry`` is the one append that completes a capped
+  (:data:`repro.core.ptree.MAX_SEGMENT_LEAVES`-leaf) segment, the
+  largest carry a tree makes: its wall time and bytes, against the bytes
+  of the whole merged segment (what the per-segment blob layout
+  rewrote);
+* ``ptree_age``      — a log-backed tree of 2048-bit keys grown from
+  1,000 to 20,000 keys one key per append (real products, cheap
+  moduli), with a row at 2,000, 5,000, 10,000 and 20,000: the maximum
+  and p50 append wall time since the previous row, the log bytes per
+  append, and the bytes of every resident node per key held.  Capped
+  segments keep all three flat; ``max_append_ms`` is the maximum over
+  every row;
 * ``startup``        — the start-up cost every command pays: a fresh
   ``python -c "import repro.cli"`` and a fresh 64-key ``repro batchscan``,
   each run several times in new processes, with the median wall time,
@@ -116,7 +125,7 @@ from repro.core.checkpoint import (
     encode_manifest,
 )
 from repro.core.incremental import IncrementalScanner
-from repro.core.ptree import PersistentProductTree
+from repro.core.ptree import MAX_SEGMENT_LEAVES, PersistentProductTree
 from repro.core.spool import write_sidecar
 from repro.gcd.word import gcd_approx_words
 from repro.mp.wordint import WordInt
@@ -168,7 +177,11 @@ QUICK_COMMIT_SAMPLES, FULL_COMMIT_SAMPLES = 60, 200
 SHARD_KEYS = (1_000, 5_000, 25_000)
 SHARD_BITS = 2048
 QUICK_SHARD_SAMPLES, FULL_SHARD_SAMPLES = 60, 200
-SHARD_CARRY_LEAVES = 2048
+SHARD_CARRY_LEAVES = MAX_SEGMENT_LEAVES
+#: the ptree_age section: tree sizes (the first is one append, the keys
+#: up to each later size one append each) and the key size
+PTREE_AGE_KEYS = (1_000, 2_000, 5_000, 10_000, 20_000)
+PTREE_AGE_BITS = 2048
 #: the startup section: fresh processes per measurement, and its batchscan
 #: input (small, so the run is mostly start-up)
 QUICK_STARTUP_RUNS, FULL_STARTUP_RUNS = 5, 11
@@ -193,6 +206,7 @@ CEILINGS = (
     ("import_rss_mib", ("startup", "import_cli", "rss_mib")),
     ("commit_age_ratio", ("commit_age", "p50_ratio")),
     ("shard_persist_ratio", ("shard_persist", "p50_ratio")),
+    ("ptree_append_ms", ("ptree_age", "max_append_ms")),
 )
 
 
@@ -771,6 +785,44 @@ def bench_shard_persist(backend, samples: int, seed: str) -> dict:
     }
 
 
+def bench_ptree_age(backend, seed: str) -> dict:
+    """A log-backed tree grown one key per append through :data:`PTREE_AGE_KEYS`.
+
+    Each row covers the appends since the previous one; the products are
+    real, so every carry, up to those completing a capped segment, is
+    timed.
+    """
+    moduli = synthetic_moduli(PTREE_AGE_KEYS[-1], PTREE_AGE_BITS, seed)
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="bench_micro_") as d:
+        tree = PersistentProductTree(backend=backend, spool_dir=Path(d))
+        tree.append(moduli[: PTREE_AGE_KEYS[0]])
+        for lo, hi in zip(PTREE_AGE_KEYS, PTREE_AGE_KEYS[1:]):
+            before = _log_bytes(tree.spool_dir)
+            seconds = []
+            for n in moduli[lo:hi]:
+                t0 = time.perf_counter()
+                tree.append([n])
+                seconds.append(time.perf_counter() - t0)
+            node_bytes = sum(
+                (int(node).bit_length() + 7) // 8
+                for seg in tree.segments for level in seg.levels for node in level
+            )
+            rows.append({
+                "keys": hi,
+                "max_append_ms": round(max(seconds) * 1e3, 3),
+                "p50_append_ms": round(statistics.median(seconds) * 1e3, 4),
+                "bytes_per_append": round((_log_bytes(tree.spool_dir) - before) / (hi - lo)),
+                "node_bytes_per_key": round(node_bytes / hi),
+                "segments": len(tree.segments),
+            })
+    return {
+        "bits": PTREE_AGE_BITS, "from_keys": PTREE_AGE_KEYS[0],
+        "segment_leaves": MAX_SEGMENT_LEAVES, "rows": rows,
+        "max_append_ms": max(r["max_append_ms"] for r in rows),
+    }
+
+
 def bench_submit(n_keys: int, seed: str) -> dict:
     """Submit-to-verdict latency, JSON vs binary, identical fresh registries."""
     from bench_service import synthetic_moduli as honest_moduli
@@ -948,6 +1000,11 @@ def main(argv: list[str] | None = None) -> int:
     c = sections["shard_persist"]["carry"]
     print(f"  shard_persist {c['leaves']}-leaf carry  {c['ms']:.1f} ms  {c['bytes']} B"
           f"  (the merged segment: {c['segment_bytes']} B)", file=sys.stderr)
+    sections["ptree_age"] = bench_ptree_age(backend, args.seed + "-age")
+    for row in sections["ptree_age"]["rows"]:
+        print(f"  ptree_age {row['keys']:>6} keys  max {row['max_append_ms']:7.1f} ms"
+              f"  p50 {row['p50_append_ms']:6.3f} ms  {row['bytes_per_append']} B/append"
+              f"  {row['node_bytes_per_key']} node B/key", file=sys.stderr)
     sections["submit"] = bench_submit(submit_keys, args.seed + "-submit")
     for fmt in ("json", "wire"):
         r = sections["submit"][fmt]
@@ -1084,6 +1141,13 @@ def test_bench_micro_quick(tmp_path, report):
     carry = shard["carry"]
     assert carry["leaves"] == SHARD_CARRY_LEAVES
     assert carry["bytes"] * 4 < carry["segment_bytes"]
+    age = s["ptree_age"]["rows"]
+    assert [r["keys"] for r in age] == list(PTREE_AGE_KEYS[1:])
+    # capped segments: the log growth and the resident nodes per key do
+    # not grow with the tree (the append time has its CI ceiling)
+    first, last = age[0], age[-1]
+    assert last["bytes_per_append"] < 1.2 * first["bytes_per_append"]
+    assert last["node_bytes_per_key"] < 1.2 * first["node_bytes_per_key"]
     for name in ("import_cli", "batchscan"):
         r = s["startup"][name]
         assert r["wall_seconds"] > 0 and r["rss_mib"] > 0

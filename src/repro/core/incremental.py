@@ -13,7 +13,7 @@ batch is screened against *all* old keys with one GCD per segment root
 against ``Π new``, and only the segments that share a prime with the
 batch, or are too small for a screen to pay, are descended (no squaring
 needed — new keys are never in the tree).  A small flush that shares
-nothing costs O(log m) GCDs instead of ``k·m`` independent ones.  The
+nothing costs one GCD per segment instead of ``k·m`` independent ones.  The
 internal pairs take one direct ``k(k−1)/2`` pass.  Hit sets equal a
 brute-force all-pairs oracle (property-tested in
 ``tests/core/test_incremental_stateful.py``).

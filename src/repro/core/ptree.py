@@ -14,7 +14,8 @@ and since ``g`` divides the root, that descent is cheap whatever ``k``
 is.  No squaring is needed anywhere — unlike classic batch GCD, plain
 ``mod`` suffices, because ``P`` is built from moduli that are not in the
 tree.  Shared primes are rare, so a typical flush pays one GCD per
-segment (O(log m) of them) instead of ``m``.
+segment (``m / MAX_SEGMENT_LEAVES + O(log MAX_SEGMENT_LEAVES)`` of them)
+instead of ``m``.
 
 The screen is not free: CPython's ``gcd`` takes time quadratic in the
 smaller operand, here ``min(|P|, |root|)`` bits, while the descent it
@@ -28,24 +29,31 @@ it did before.
 
 Rebuilding the tree from scratch on every flush would cost ``m − 1``
 multiplications each time.  :class:`PersistentProductTree` instead keeps
-the tree as a *forest of perfect power-of-two segments* whose sizes are
-the binary decomposition of ``m`` (the classic binary-counter shape):
-appending a leaf adds a one-leaf segment and carry-merges equal-sized
-neighbours, and a merge reuses both children's node arrays wholesale —
-one multiplication per merge, ``m − 1`` multiplications *total* over the
-corpus lifetime, amortized O(1) per insert with O(log m) segments live.
+the tree as a *forest of perfect power-of-two segments*: appending a
+leaf adds a one-leaf segment and carry-merges equal-sized neighbours
+below :data:`MAX_SEGMENT_LEAVES` leaves, and a merge reuses both
+children's node arrays wholesale.  So the forest is ``m //
+MAX_SEGMENT_LEAVES`` capped segments followed by the binary
+decomposition of the rest: one multiplication per merge, fewer than
+``m`` in the corpus lifetime, with ``O(m / MAX_SEGMENT_LEAVES + log
+MAX_SEGMENT_LEAVES)`` segments live.  The cap bounds both the costliest
+carry (the merge that completes a capped segment) and the resident
+nodes: a leaf sits under ``log₂ MAX_SEGMENT_LEAVES`` interior levels
+whatever ``m`` is.
 
 Persistence is a hash-chained log (:mod:`repro.core.chainlog`, segment
 files ``tree-NNNNNN.log``), the registry's own format: each
 :meth:`PersistentProductTree.append` is one fsync'd frame whose body
 holds the new leaves, then the new merge products (in the order the
 carries made them), under the registry's two-part pin, and whose header
-carries each new leaf's global index.  The binary-counter forest never
-discards a node, so the log is exactly the live tree and never needs
-compaction, and an append writes only what it created.  A load replays
-the verified frames with no multiplication, as long as their leaves and
-indices agree with the caller's corpus; it cuts the log back to the last
-frame it kept and appends the rest of the corpus.  That one rule covers
+carries each new leaf's global index.  The forest never discards a
+node, so the log holds the live tree and never needs compaction, and an
+append writes only what it created.  A load replays the verified frames
+with no multiplication, as long as their leaves and indices agree with
+the caller's corpus; it cuts the log back to the last frame it kept and
+appends the rest of the corpus.  (A frame written before the cap also
+holds the products above it: a load skips them, and their bytes stay in
+the log.)  That one rule covers
 a log that trails the corpus (the service appends only after the
 registry commits), a torn or damaged frame, and a log of some other
 corpus (a shard-count change): whatever the log cannot supply is
@@ -81,6 +89,16 @@ REBUILD_FRAME_LEAVES = 256
 #: the nodes it decodes from them, so this bounds its transient memory
 #: (a frame larger than the cap gets a segment of its own)
 SEGMENT_BYTES = 1 << 20
+#: segments stop carry-merging at this many leaves.  It is the largest
+#: power of two whose completing append stays under 100 ms at 2048 bits
+#: (one-key log-backed append, median of 5, CPython 3.11.7 ``python``
+#: backend on a 2 vCPU KVM guest): 512 leaves took 59 ms, 1,024 took
+#: 164 ms and 2,048 took 450 ms.  At 512
+#: only the roots span more than the service's ``max_batch`` (256)
+#: leaves, above which an interior level no longer reduces a flush's
+#: residue; so no such level is kept, and resident nodes stay at 10× the
+#: corpus whatever its size
+MAX_SEGMENT_LEAVES = 1 << 9
 #: files of the ``product-tree/1`` layout a load removes
 _OLD_LAYOUT = ("manifest.json", "manifest.json.sha256", "seg-*.bin")
 
@@ -163,7 +181,8 @@ class PersistentProductTree:
     # -- queries ---------------------------------------------------------------
 
     def segment_sizes(self) -> list[int]:
-        """Live segment leaf counts — the binary decomposition of ``n_leaves``."""
+        """Live segment leaf counts: ``n_leaves // MAX_SEGMENT_LEAVES`` capped
+        segments, then the binary decomposition of the remainder."""
         return [seg.size for seg in self.segments]
 
     def leaves(self):
@@ -218,13 +237,14 @@ class PersistentProductTree:
     # -- growth ----------------------------------------------------------------
 
     def _grow(self, leaves: list, product) -> None:
-        """Push ``leaves`` and carry-merge; ``product(a, b)`` is each new root."""
+        """Push ``leaves`` and carry-merge below the cap; ``product(a, b)``
+        is each new root."""
         for leaf in leaves:
             self.segments.append(_Segment(self.n_leaves, [[leaf]]))
             self.n_leaves += 1
             while (
                 len(self.segments) >= 2
-                and self.segments[-1].size == self.segments[-2].size
+                and self.segments[-1].size == self.segments[-2].size < MAX_SEGMENT_LEAVES
             ):
                 b = self.segments.pop()
                 a = self.segments.pop()
@@ -237,7 +257,7 @@ class PersistentProductTree:
             reg.gauge("ptree.segments").set(len(self.segments))
 
     def append(self, values: list[int], indices: Sequence[int] | None = None) -> None:
-        """Append leaves (carry-merging as needed) and log them in one frame.
+        """Append leaves (carry-merging below the cap) and log them in one frame.
 
         ``indices`` are the leaves' global indices, recorded in the frame's
         header (default: their leaf positions).
@@ -375,12 +395,18 @@ class PersistentProductTree:
             roots = chainlog.unpack_ints(frame.body[cut:])
         except ValueError:
             return False
-        # a binary counter going from n to n + k leaves merges this often
-        merges = k - bin(n + k).count("1") + bin(n).count("1")
+        # the sizes an uncapped carry from n to n + k leaves merges into, in
+        # order: a frame written before the cap holds all of them, a capped
+        # one only those of at most MAX_SEGMENT_LEAVES leaves
+        sizes = [
+            1 << j for p in range(n + 1, n + k + 1) for j in range(1, (p & -p).bit_length())
+        ]
+        if len(roots) == len(sizes):
+            roots = [r for r, size in zip(roots, sizes) if size <= MAX_SEGMENT_LEAVES]
         if (
             new != list(indices[n : n + k])
             or leaves != list(moduli[n : n + k])
-            or len(roots) != merges
+            or len(roots) != sum(size <= MAX_SEGMENT_LEAVES for size in sizes)
         ):
             return False
         from_int = self.backend.from_int

@@ -17,16 +17,21 @@ cheap — a block/chunk is self-contained, so recovery is resubmission):
 3. each chunk carries an attempt count charged only when the chunk can
    actually have been executing (dispatch is FIFO, so that is the oldest
    ``workers`` lost units — a unit still queued behind them merely
-   *witnessed* the crash and is resubmitted free of charge); a chunk
-   that keeps dying raises
+   *witnessed* the crash and is resubmitted free of charge), and only by
+   a pool that completed nothing before it died: which executing unit
+   killed a worker is unknown, and a healthy unit lost beside it must
+   not exhaust its budget while the pool progresses (a poison unit is
+   charged once the units beside it have completed); a chunk that keeps
+   dying raises
    :class:`~repro.resilience.errors.ChunkFailed` after ``max_attempts``
    executions (a poison work unit must not retry forever);
 4. pool respawns are budgeted too: workers that die during *init* would
    otherwise respawn in a loop, so the supervisor gives up with
    :class:`~repro.resilience.errors.PoolExhausted` after ``max_respawns``
-   *consecutive* respawns with no completed work unit in between — a pool
-   that keeps making progress between crashes is degraded, not stuck, and
-   may be respawned indefinitely.
+   *consecutive* respawns with no completed work unit in between — any
+   unit, not only the oldest in flight: a pool that keeps making progress
+   between crashes is degraded, not stuck, and may be respawned
+   indefinitely.
 
 Ordinary exceptions raised *by* a work unit propagate unchanged — the
 supervisor handles worker death, not application errors (stage-level
@@ -71,13 +76,15 @@ def _completed(future: Future) -> bool:
 
 
 class _Inflight:
-    """One submitted work unit: its spec, its current future, its attempts."""
+    """One submitted work unit: its spec, its current future (and the pool
+    generation that runs it), its attempts."""
 
-    __slots__ = ("item", "future", "attempts")
+    __slots__ = ("item", "future", "generation", "attempts")
 
-    def __init__(self, item, future: Future, attempts: int = 1) -> None:
+    def __init__(self, item, future: Future, generation: int, attempts: int = 1) -> None:
         self.item = item
         self.future = future
+        self.generation = generation
         self.attempts = attempts
 
 
@@ -116,6 +123,7 @@ class ChunkSupervisor:
         self.max_respawns = max_respawns
         self.registry = registry
         self.respawns = 0
+        self._generation = 1  # pools spawned so far: the current one's number
         self._inflight: deque[_Inflight] = deque()
         self._pool: ProcessPoolExecutor | None = self._spawn()
 
@@ -143,8 +151,15 @@ class ChunkSupervisor:
         """A worker died: rebuild the pool and resubmit every in-flight unit.
 
         A pool that breaks again while the lost units are resubmitted is
-        one more death against ``max_respawns``.
+        one more death against ``max_respawns``.  A pool that completed any
+        unit before it died made progress: the count starts again, and the
+        death is charged to no unit.
         """
+        progress = any(
+            u.generation == self._generation and _completed(u.future) for u in self._inflight
+        )
+        if progress:
+            self.respawns = 0
         self.respawns += 1
         self._count("resilience.worker_crashes")
         self._count("resilience.pool_respawns")
@@ -157,6 +172,7 @@ class ChunkSupervisor:
             ) from cause
         self.shutdown()
         self._pool = self._spawn()
+        self._generation += 1
         # Futures that finished before the pool broke still hold their
         # results — keep them, never recompute.  Of the *lost* units, only
         # the oldest `workers` can have been executing when the pool died
@@ -166,7 +182,7 @@ class ChunkSupervisor:
         lost = [u for u in self._inflight if not _completed(u.future)]
         self._count("resilience.chunk_retries", len(lost))
         for position, unit in enumerate(lost):
-            if position < self.workers:
+            if position < self.workers and not progress:
                 unit.attempts += 1
                 if unit.attempts > self.max_attempts:
                     self.shutdown()
@@ -178,6 +194,7 @@ class ChunkSupervisor:
                 unit.future = self._pool.submit(_invoke, self.fn, unit.item)
             except BrokenExecutor as exc:
                 return self._respawn(exc)
+            unit.generation = self._generation
 
     # -- submission / collection ----------------------------------------------
 
@@ -195,7 +212,7 @@ class ChunkSupervisor:
             except BrokenExecutor as exc:
                 # the pool broke between collections; heal it, then submit
                 self._respawn(exc)
-        self._inflight.append(_Inflight(item, future))
+        self._inflight.append(_Inflight(item, future, self._generation))
 
     def next_result(self) -> _R:
         """The oldest in-flight unit's result, healing the pool as needed."""

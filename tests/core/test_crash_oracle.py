@@ -451,7 +451,7 @@ def test_ptree_persist_survives_power_loss(tmp_path, monkeypatch):
     assert assert_crash_safe(rec, check, tmp_path / "replay") > 1
 
 
-def test_shard_snapshot_persist_survives_power_loss(tmp_path, monkeypatch):
+def test_shard_tree_append_survives_power_loss(tmp_path, monkeypatch):
     state = tmp_path / "state"
     worker = _ShardWorker(0, 1, 4, str(state), None)
     worker.handle_init({"bits": 64, "indices": [0, 1, 2], "moduli": MODULI[:3], "job": 0})

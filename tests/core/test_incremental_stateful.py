@@ -21,6 +21,7 @@ from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.core import ptree
 from repro.core.incremental import IncrementalScanner
 
 BITS = 32  # tiny "moduli" keep the oracle cheap; scanner logic is size-blind
@@ -165,7 +166,31 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
             assert scanner.coverage_is_complete()
 
 
-EngineDifferentialMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=8, deadline=None
-)
+class CappedEngineMachine(EngineDifferentialMachine):
+    """The same machine with segments capped at 8 leaves, so capped
+    segments occur at these corpus sizes; their 256-bit roots still screen
+    a one-key batch."""
+
+    CAP = 8
+
+    def __init__(self):
+        self.uncapped = ptree.MAX_SEGMENT_LEAVES
+        ptree.MAX_SEGMENT_LEAVES = self.CAP
+        super().__init__()
+
+    def teardown(self):
+        ptree.MAX_SEGMENT_LEAVES = self.uncapped
+        super().teardown()
+
+    @invariant()
+    def segments_are_capped(self):
+        sizes = self.scanners["spool"]._ptree.segment_sizes()
+        assert max(sizes, default=0) <= self.CAP
+        if self.CAP in sizes[1:]:
+            event("ptree: two capped segments")
+
+
+for machine in (EngineDifferentialMachine, CappedEngineMachine):
+    machine.TestCase.settings = settings(max_examples=20, stateful_step_count=8, deadline=None)
 TestEngineDifferentialMachine = EngineDifferentialMachine.TestCase
+TestCappedEngineMachine = CappedEngineMachine.TestCase

@@ -70,6 +70,21 @@ class TestShape:
         merges = telemetry.registry.counter("ptree.node_merges").value
         assert merges == m - bin(m).count("1")
 
+    def test_segments_stop_merging_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(ptree, "MAX_SEGMENT_LEAVES", 4)
+        telemetry = Telemetry.create()
+        one_by_one, batched = _tree(telemetry=telemetry), _tree()
+        for n in MODULI:
+            one_by_one.append([n])
+        batched.append(MODULI)
+        assert one_by_one.segment_sizes() == batched.segment_sizes() == [4, 4, 2, 1]
+        assert _ints(batched.leaves()) == MODULI
+        # each capped segment took 3 merges, the 3-leaf rest 1
+        assert telemetry.registry.counter("ptree.node_merges").value == 2 * 3 + 1
+        for seg in batched.segments:
+            assert [len(level) for level in seg.levels][-1] == 1
+            assert int(seg.root) == math.prod(_ints(seg.levels[0]))
+
     def test_append_nothing_is_a_noop(self):
         tree = _tree()
         tree.append([])
@@ -228,6 +243,40 @@ class TestPersistence:
         assert counter("ptree.node_merges").value == 0
         assert counter("ptree.log_appends").value == 0
         assert _log_bytes(tmp_path) == before
+
+    def test_log_written_before_the_cap_loads_without_a_rebuild(self, tmp_path, monkeypatch):
+        # an uncapped tree (the forest before the cap) logs every carry;
+        # a capped load skips the products above the cap, multiplies and
+        # writes nothing, and screens as a tree grown capped from scratch
+        monkeypatch.setattr(ptree, "MAX_SEGMENT_LEAVES", 1 << 30)
+        uncapped = _tree(tmp_path)
+        for batch in (MODULI[:3], MODULI[3:8], MODULI[8:]):
+            uncapped.append(batch)
+        assert uncapped.segment_sizes() == [8, 2, 1]
+        before = _log_bytes(tmp_path)
+        monkeypatch.setattr(ptree, "MAX_SEGMENT_LEAVES", 2)
+        telemetry = Telemetry.create()
+        loaded = _tree(tmp_path, telemetry=telemetry)
+        assert loaded.load_or_rebuild(MODULI) is True
+        counter = telemetry.registry.counter
+        assert counter("ptree.rebuilds").value == 0
+        assert counter("ptree.node_merges").value == 0
+        assert counter("ptree.log_appends").value == 0
+        assert _log_bytes(tmp_path) == before
+        fresh = _tree()
+        fresh.append(MODULI)
+        assert loaded.segment_sizes() == fresh.segment_sizes() == [2, 2, 2, 2, 2, 1]
+        assert [_ints(s.levels[-1]) for s in loaded.segments] == [
+            _ints(s.levels[-1]) for s in fresh.segments
+        ]
+        for probe in (193, 193 * 239 * 401):
+            assert _screened(loaded, probe) == _screened(fresh, probe)
+        # capped frames follow the pre-cap ones, and both kinds reload
+        loaded.append([401 * 409])
+        again = _tree(tmp_path, telemetry=telemetry)
+        assert again.load_or_rebuild(MODULI + [401 * 409]) is True
+        assert counter("ptree.rebuilds").value == 0
+        assert again.segment_sizes() == [2, 2, 2, 2, 2, 2]
 
     def test_unchanged_segments_are_not_rewritten(self, tmp_path):
         telemetry = Telemetry.create()

@@ -11,7 +11,10 @@ which is exactly the bug report you want.
 Detection means the scan is no longer pristine: blob damage surfaces at
 corrupt severity (the manifest pins every byte), while a mutation inside
 a still-parseable JSON manifest may surface as a ``stale-checksum``
-warning — reported, never silently accepted.
+warning — reported, never silently accepted.  One truncation is not
+damage: a log cut exactly at a frame boundary of its last segment reads
+as the same log before its later appends (``docs/INTEGRITY.md``'s
+accepted loss), and for a tree log the next load appends what it lost.
 """
 
 import pytest
@@ -22,6 +25,7 @@ try:
 except ImportError:  # pragma: no cover - bare environments skip the property
     pytest.skip("hypothesis is not installed", allow_module_level=True)
 
+from repro.core import chainlog
 from repro.core.attack import find_shared_primes
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.ptree import PersistentProductTree
@@ -29,13 +33,18 @@ from repro.core.spool import write_blob
 from repro.integrity.catalog import ArtifactCatalog
 from repro.rsa.corpus import generate_weak_corpus
 from repro.service.registry import WeakKeyRegistry
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
-def state_dir(tmp_path_factory):
+def corpus():
+    return generate_weak_corpus(10, 64, shared_groups=(2,), seed=31)
+
+
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory, corpus):
     """One committed state dir with all three spool kinds, scanned clean."""
     root = tmp_path_factory.mktemp("mutation-state")
-    corpus = generate_weak_corpus(10, 64, shared_groups=(2,), seed=31)
     hits = find_shared_primes(corpus.moduli).hits
 
     registry = WeakKeyRegistry(root)
@@ -101,17 +110,33 @@ def test_any_single_byte_mutation_is_detected(state_dir, family, data):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_any_truncation_is_detected(state_dir, family, data):
+def test_any_truncation_is_detected(state_dir, corpus, family, data):
     targets = FAMILIES[family](state_dir)
     path = data.draw(st.sampled_from(targets), label="artifact")
     raw = path.read_bytes()
     keep = data.draw(st.integers(0, len(raw) - 1), label="bytes-kept")
+    # the tree log is one segment of two frames (the registry's holds one
+    # record): a cut at the end of the first leaves a shorter valid log
+    boundaries = set()
+    if family == "ptree":
+        (_, _, frames, _), = chainlog.iter_log(path.parent, chainlog.TREE)
+        boundaries = {frame.end for frame in frames}
     try:
         path.write_bytes(raw[:keep])
         report = ArtifactCatalog(state_dir).scan()
+        if keep in boundaries:
+            # the accepted loss: nothing to find, and a tree load appends
+            # the lost frames again from the corpus, byte for byte
+            assert report.clean and not report.warnings, report.to_json()
+            telemetry = Telemetry.create()
+            tree = PersistentProductTree(spool_dir=path.parent, telemetry=telemetry)
+            assert tree.load_or_rebuild(corpus.moduli) is True
+            assert telemetry.registry.counter("ptree.rebuilds").value == 0
+            assert telemetry.registry.counter("ptree.log_appends").value > 0
+            assert path.read_bytes() == raw
+            return
         if path.suffix in (".bin", ".log"):
-            # every blob byte is pinned, and a log segment never holds zero
-            # records: truncation is corrupt, full stop
+            # every other cut of a pinned blob or a log segment is corrupt
             detected = report.corrupt
         else:
             # manifest truncation that leaves valid JSON (e.g. dropping

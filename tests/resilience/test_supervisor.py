@@ -147,6 +147,48 @@ class TestWorkerDeath:
         assert len(pools) == 4  # the first pool and three respawns
         assert registry.counter("resilience.pool_respawns").value == 4
 
+    def test_oldest_unit_lost_beside_completing_siblings(self, monkeypatch):
+        # deterministic: each of the first seven pools completes one later
+        # unit and then breaks before the oldest returns (its sibling
+        # worker finished first and died on its next unit); the eighth pool
+        # is healthy.  Every death followed progress, so neither the
+        # respawn budget (3 in a row) nor the oldest unit's attempt budget
+        # (6) runs out, and the results come back whole and in order
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class Pool:
+            def __init__(self, generation):
+                self.generation = generation
+                self.submitted = 0
+
+            def submit(self, invoke, fn, item):
+                self.submitted += 1
+                future = Future()
+                if self.generation > 7 or self.submitted == 2:
+                    future.set_result(fn(item))
+                else:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        pools = []
+
+        def spawn(self):
+            pools.append(Pool(len(pools) + 1))
+            return pools[-1]
+
+        monkeypatch.setattr(ChunkSupervisor, "_spawn", spawn)
+        registry = MetricsRegistry()
+        supervisor = ChunkSupervisor(_double, workers=2, registry=registry)
+        for i in range(8):
+            supervisor.submit([i])
+        assert [supervisor.next_result() for _ in range(8)] == [[2 * i] for i in range(8)]
+        assert len(pools) == 8
+        assert registry.counter("resilience.pool_respawns").value == 7
+
 
 class TestApplicationErrors:
     def test_worker_exception_propagates_unchanged(self):

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import chainlog
+from repro.core import chainlog, ptree
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.spool import write_blob, write_sidecar
 from repro.integrity.catalog import ArtifactCatalog
@@ -117,6 +117,25 @@ class TestShardEquivalence:
         assert view["pairs_tested"] == view["pairs_expected"]
         assert view["pairs_tested"] == single.last_shards_view["pairs_tested"]
         assert all(d["alive"] for d in view["detail"])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_capped_forests_keep_the_hit_set(self, tmp_path, corpus, shards, monkeypatch):
+        # the first session grows uncapped forests (the tree logs written
+        # before the cap); the restart caps segments at 2 leaves.  Every
+        # tree log loads without a rebuild, and the hits and pairs are an
+        # uncapped single shard's
+        batches = [corpus.moduli[i : i + 7] for i in range(0, len(corpus.moduli), 7)]
+        reference = run_session(tmp_path / "ref", 1, batches)
+        monkeypatch.setattr(ptree, "MAX_SEGMENT_LEAVES", 1 << 30)
+        run_session(tmp_path / "capped", shards, batches[:2])
+        monkeypatch.setattr(ptree, "MAX_SEGMENT_LEAVES", 2)
+        telemetry = Telemetry.create()
+        capped = run_session(tmp_path / "capped", shards, batches[2:], telemetry=telemetry)
+        assert telemetry.registry.counter("ptree.rebuilds").value == 0
+        assert hit_set(capped) == hit_set(reference)
+        view = capped.last_shards_view
+        assert view["pairs_tested"] == view["pairs_expected"]
+        assert view["pairs_tested"] == reference.last_shards_view["pairs_tested"]
 
     def test_restart_never_rescans(self, tmp_path, corpus):
         half = len(corpus.moduli) // 2
