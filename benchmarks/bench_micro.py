@@ -510,6 +510,24 @@ def bench_flush_scan(backend, n_keys: int, seed: str, repeat: int) -> dict:
     }
 
 
+def flush_scan_table(section: dict) -> str:
+    """The ``flush_scan`` table of ``docs/PERFORMANCE.md`` ("Screened
+    flush"), rendered from a section of ``BENCH_micro.json``."""
+    segments = len(section["segment_sizes"])
+    lines = [
+        "| flush keys k | unscreened | screened | speedup | segments screened |",
+        "|---:|---:|---:|---:|---:|",
+    ]
+    for n, row in enumerate(section["rows"]):
+        speedup = f"{row['speedup']:.2f}×" if n else f"**{row['speedup']:.2f}×**"
+        lines.append(
+            f"| {row['k']} | {row['unscreened_seconds'] * 1e3:,.1f} ms"
+            f" | {row['screened_seconds'] * 1e3:,.1f} ms | {speedup}"
+            f" | {row['segments_screened']} of {segments} |"
+        )
+    return "\n".join(lines)
+
+
 class _Client:
     """One keep-alive HTTP/1.1 connection that can post either format."""
 
@@ -1085,6 +1103,14 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(failures, indent=2), file=sys.stderr)
         return 1
     return 0
+
+
+def test_flush_scan_table_is_rendered_from_the_committed_json():
+    root = Path(__file__).resolve().parents[1]
+    section = json.loads((root / "BENCH_micro.json").read_text())["sections"]["flush_scan"]
+    doc = (root / "docs" / "PERFORMANCE.md").read_text()
+    table = "\n".join("  " + line for line in flush_scan_table(section).splitlines())
+    assert table in doc
 
 
 def test_bench_micro_quick(tmp_path, report):

@@ -22,7 +22,8 @@ a scan survive worker death: each in-flight block spec is retained next
 to its future, a broken pool is respawned, and the lost blocks are
 resubmitted — a ``kill -9``'d worker costs one block's latency, not the
 run (see ``docs/RESILIENCE.md``).  The disk-streamed batch-GCD pipeline
-(:mod:`repro.core.pipeline`) runs in one process and uses none of this.
+(:mod:`repro.core.pipeline`) fans its large remainder levels out over the
+same supervisor, one pool per run.
 """
 
 from __future__ import annotations

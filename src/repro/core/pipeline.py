@@ -17,22 +17,32 @@ before the next stage starts:
 ``pairing``               flagged moduli → explicit weak pairs (``hits.json``)
 ========================  ====================================================
 
-Everything runs in one process, and a stage holds at most one input
-record pair (a parent and its child) plus its output at a time, so peak
-memory is the largest such pair, not a level.  A killed run resumes
-from the last committed stage (``resume=True``); corrupted blobs or an
-unreadable manifest fall back to re-running the affected stages.  See
-``docs/BATCH_PIPELINE.md`` for the full architecture walkthrough.
+Stages run in the calling process, except the remainder levels whose
+nodes are large enough to repay a worker: with more than one usable CPU,
+those cut their parent records into work units and fan them out over
+one supervised process pool per run
+(:class:`~repro.resilience.supervisor.ChunkSupervisor`), writing the
+residues back in order, so every blob is the same bytes.  A stage holds
+at most one input record pair (a parent and its child) plus its output
+at a time; a remainder stage also gathers its parent records into work
+units of at least :data:`UNIT_BITS` bits (one record, once a record is
+larger) and holds one unit inline, or up to ``workers + 2`` on the
+pool.  Peak memory is bounded by those, not by a level.  A killed run
+resumes from the last committed stage (``resume=True``); corrupted
+blobs or an unreadable manifest fall back to re-running the affected
+stages.  See ``docs/BATCH_PIPELINE.md`` for the full architecture
+walkthrough.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core import durable
 from repro.core.attack import WeakHit, group_batch_hits
@@ -41,7 +51,10 @@ from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.spool import BlobInfo, iter_blob, write_blob
 from repro.resilience import RetryPolicy, classify_error
 from repro.telemetry import Telemetry
-from repro.util.intops import IntBackend, resolve_backend
+from repro.util.intops import DIV_CUTOFF_BITS, IntBackend, resolve_backend
+
+if TYPE_CHECKING:
+    from repro.resilience.supervisor import ChunkSupervisor
 
 __all__ = [
     "PipelineConfig",
@@ -166,7 +179,8 @@ _REMAINDER_FORMAT = "cofactor"
 #
 # Each stage streams one record at a time from its input blob(s) into
 # ``write_blob``: a product stage holds one sibling pair, a remainder stage
-# one parent/child pair, the leaf stage one modulus/remainder pair.
+# one work unit of parent records (up to ``workers + 2`` on the pool), the
+# leaf stage one modulus/remainder pair.
 
 
 def _validated(moduli: Iterable[int]) -> Iterator[int]:
@@ -198,24 +212,64 @@ def _product_stage(src: Path, dst: Path, B: IntBackend) -> BlobInfo:
     return write_blob(dst, products())
 
 
+#: least size of a remainder work unit: its records' ``u``, ``a`` and ``b``
+#: bits summed (one record when a record alone is larger)
+UNIT_BITS = 1 << 17
+
+
+def _cofactor_units(
+    parents: Iterable, values: Iterator, backend: str
+) -> Iterator[tuple[str, list[tuple]]]:
+    """Cut a level's ``(u, a, b)`` parent records into work units of at
+    least :data:`UNIT_BITS` bits; a carried node's record is ``(u, a)``
+    or ``(u,)``."""
+    records: list[tuple] = []
+    bits = 0
+    for u in parents:
+        record = (u, *islice(values, 2))
+        records.append(record)
+        bits += sum(v.bit_length() for v in record)
+        if bits >= UNIT_BITS:
+            yield backend, records
+            records, bits = [], 0
+    if records:
+        yield backend, records
+
+
+def _cofactor_unit(unit: tuple[str, list[tuple]]) -> list:
+    """One work unit: each record's child residues, in order (a pool
+    worker's task, or run inline)."""
+    backend, records = unit
+    B = resolve_backend(backend)
+    out: list = []
+    for u, *pair in records:
+        out.extend(cofactor_step(u, *pair, B) if len(pair) == 2 else (u,))
+    return out
+
+
 def _remainder_stage(
-    parent_blob: Path | None, value_blob: Path, dst: Path, B: IntBackend
+    parent_blob: Path | None,
+    value_blob: Path,
+    dst: Path,
+    B: IntBackend,
+    pool: ChunkSupervisor | None = None,
 ) -> BlobInfo:
     """``(N/value) mod value`` per child, from its parent's residue by
     :func:`~repro.core.batch_gcd.cofactor_step`; a carried node keeps its
-    parent's.  ``parent_blob=None`` is the root, whose residue is 1."""
+    parent's.  ``parent_blob=None`` is the root, whose residue is 1.
+
+    With a ``pool``, up to ``workers + 2`` units are in flight and their
+    residues are written back in order, so the blob is the same bytes;
+    a failed attempt leaves none of them in flight."""
     parents = iter_blob(parent_blob, backend=B) if parent_blob else [B.from_int(1)]
-
-    def residues() -> Iterator[int]:
-        values = iter_blob(value_blob, backend=B)
-        for u in parents:
-            pair = list(islice(values, 2))
-            if len(pair) == 2:
-                yield from cofactor_step(u, *pair, B)
-            else:
-                yield u
-
-    return write_blob(dst, residues())
+    units = _cofactor_units(parents, iter_blob(value_blob, backend=B), B.name)
+    if pool is None:
+        return write_blob(dst, chain.from_iterable(map(_cofactor_unit, units)))
+    results = pool.map(units, pool.workers + 2)
+    try:
+        return write_blob(dst, chain.from_iterable(results))
+    finally:
+        results.close()
 
 
 def _leaf_stage(moduli_blob: Path, rem_blob: Path, dst: Path, B: IntBackend) -> BlobInfo:
@@ -251,6 +305,58 @@ def _load_hits(path: Path) -> list[WeakHit]:
     return [WeakHit(h["i"], h["j"], int(h["prime"])) for h in raw["hits"]]
 
 
+# -- the remainder pool ----------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the remainder pool's worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled_levels(ingest: StageRecord, sizes: list[int], workers: int) -> set[int]:
+    """The remainder levels a worker pool repays, judged from the ingest
+    record alone.
+
+    A level qualifies when it has at least two parents and its nodes
+    (about the mean modulus size, doubled per level) exceed
+    :data:`~repro.util.intops.DIV_CUTOFF_BITS`.  Below that size the
+    arithmetic is schoolbook and costs less than shipping the records to
+    a worker and back.
+
+    >>> record = StageRecord("ingest", "product-000.bin", 512, 512 * 260, "", 0.0)
+    >>> sorted(_pooled_levels(record, level_sizes(512), workers=2))
+    [2, 3, 4, 5, 6, 7]
+    >>> _pooled_levels(record, level_sizes(512), workers=1)
+    set()
+    """
+    if workers < 2:
+        return set()
+    bits = 8 * ingest.nbytes / ingest.count
+    return {
+        k
+        for k in range(len(sizes) - 1)
+        if sizes[k + 1] >= 2 and bits * 2**k > DIV_CUTOFF_BITS
+    }
+
+
+def _remainder_pool(workers: int, tel: Telemetry) -> ChunkSupervisor:
+    """The run's one supervised pool.  It imports the pool machinery now,
+    before ``pipeline.start``, but forks only when the first unit is
+    submitted."""
+    import multiprocessing
+    import multiprocessing.popen_fork  # noqa: F401  (loaded at the first fork)
+
+    from repro.resilience.supervisor import ChunkSupervisor
+
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ChunkSupervisor(
+        _cofactor_unit, workers=workers, mp_context=context, registry=tel.registry
+    )
+
+
 # -- the driver ----------------------------------------------------------------
 
 
@@ -277,6 +383,11 @@ def run_pipeline(
     Returns a :class:`PipelineResult`; equivalent to in-memory
     ``batch_gcd`` + pairing on the same moduli (property-tested in
     ``tests/core/test_pipeline.py``).
+
+    With more than one usable CPU, the remainder levels that repay it
+    (:func:`_pooled_levels`) run on one supervised worker pool for the
+    whole run, forked at the first such stage; the workers are reaped
+    before this function returns or raises.
 
     >>> import tempfile
     >>> with tempfile.TemporaryDirectory() as d:
@@ -328,43 +439,56 @@ def run_pipeline(
         result.n_moduli = n
         result.levels = top
         reg.gauge("pipeline.levels").max_of(top)
-        tel.set_progress_total(len(plan))
-        tel.advance(1)  # ingest, whether freshly run or resumed
-        tel.emit(
-            "pipeline.start",
-            moduli=n,
-            levels=top,
-            stages=len(plan),
-            resumed=result.resumed,
-            int_backend=B.name,
-        )
+        workers = _usable_cpus()
+        pooled = {
+            k for k in _pooled_levels(ingest_record, sizes, workers)
+            if f"remainder.{k}" not in done_names
+        }
+        pool = _remainder_pool(workers, tel) if pooled else None
+        try:
+            workers = pool.workers if pool else 1
+            reg.gauge("pipeline.workers").set(workers)
+            tel.set_progress_total(len(plan))
+            tel.advance(1)  # ingest, whether freshly run or resumed
+            tel.emit(
+                "pipeline.start",
+                moduli=n,
+                levels=top,
+                stages=len(plan),
+                resumed=result.resumed,
+                int_backend=B.name,
+                workers=workers,
+            )
 
-        for name, blob in plan[1:]:
-            if name in done_names:
-                result.stages_skipped.append(name)
+            for name, blob in plan[1:]:
+                if name in done_names:
+                    result.stages_skipped.append(name)
+                    tel.advance(1)
+                    tel.emit("pipeline.stage.skip", stage=name)
+                    continue
+                tel.emit("pipeline.stage.start", stage=name)
+                dst = spool_dir / blob
+                if name == "pairing":
+                    (hits, info), seconds = _attempt(
+                        name,
+                        lambda: _pairing_stage(
+                            spool_dir / "product-000.bin", spool_dir / "gcds.bin", dst, B
+                        ),
+                        config,
+                        tel,
+                    )
+                    result.hits = hits
+                else:
+                    stage_fn = _stage_body(name, spool_dir, dst, top, tel, B, pooled, pool)
+                    info, seconds = _attempt(name, stage_fn, config, tel)
+                    _check_count(name, info, sizes, n)
+                _commit(store, manifest, name, info, seconds, config, tel)
+                result.stages_run.append(name)
                 tel.advance(1)
-                tel.emit("pipeline.stage.skip", stage=name)
-                continue
-            tel.emit("pipeline.stage.start", stage=name)
-            dst = spool_dir / blob
-            if name == "pairing":
-                (hits, info), seconds = _attempt(
-                    name,
-                    lambda: _pairing_stage(
-                        spool_dir / "product-000.bin", spool_dir / "gcds.bin", dst, B
-                    ),
-                    config,
-                    tel,
-                )
-                result.hits = hits
-            else:
-                stage_fn = _stage_body(name, spool_dir, dst, top, tel, B)
-                info, seconds = _attempt(name, stage_fn, config, tel)
-                _check_count(name, info, sizes, n)
-            _commit(store, manifest, name, info, seconds, config, tel)
-            result.stages_run.append(name)
-            tel.advance(1)
-            hook(name)
+                hook(name)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True)
 
         if not result.hits and "pairing" in done_names:
             result.hits = _load_hits(spool_dir / "hits.json")
@@ -390,6 +514,8 @@ def _stage_body(
     top: int,
     tel: Telemetry,
     B: IntBackend,
+    pooled: set[int],
+    pool: ChunkSupervisor | None,
 ) -> Callable[[], BlobInfo]:
     kind, _, level = name.partition(".")
     if kind == "product":
@@ -404,9 +530,10 @@ def _stage_body(
         k = int(level)
         parent = None if k == top - 1 else spool_dir / f"remainder-{k + 1:03d}.bin"
         values = spool_dir / f"product-{k:03d}.bin"
+        stage_pool = pool if k in pooled else None
         return lambda: _observed(
             "pipeline.remainder_level_seconds",
-            lambda: _remainder_stage(parent, values, dst, B),
+            lambda: _remainder_stage(parent, values, dst, B, stage_pool),
             tel,
         )
     if kind == "leaf":

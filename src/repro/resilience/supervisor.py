@@ -37,12 +37,25 @@ Ordinary exceptions raised *by* a work unit propagate unchanged — the
 supervisor handles worker death, not application errors (stage-level
 :class:`~repro.resilience.retry.RetryPolicy` handles those).
 
+Workers die with their parent.  An orphaned worker would otherwise block
+on the call queue forever: its pipe never reads EOF, because every
+sibling worker holds a copy of the write end.  On Linux each worker asks
+the kernel for ``SIGKILL`` when its parent dies (``PR_SET_PDEATHSIG``),
+and exits at once if the parent died before it could ask.  The kernel
+sends that signal when the *thread* that forked the worker ends, and a
+pool forks from the thread that first submits to it, so a pool must be
+driven from a thread that outlives it (the main thread, in every caller
+here).
+
 Telemetry (when a registry is supplied): ``resilience.worker_crashes``,
 ``resilience.pool_respawns``, ``resilience.chunk_retries``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -57,8 +70,33 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _worker_init(initializer: Callable | None, initargs: tuple) -> None:
+#: ``prctl`` option: the signal a process receives when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _exit_with_parent(parent: int | None) -> None:
+    """Have the kernel kill this worker when its parent dies (Linux only).
+
+    ``parent`` is the pid that forked the worker (``None`` when a fork
+    server did).  A parent that died before the request took effect has
+    left the worker re-parented already; it exits here instead.
+    """
+    import ctypes  # worker-side only: the parent never loads it
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return  # no prctl: not Linux
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if parent is not None and os.getppid() != parent:
+        os._exit(1)
+
+
+def _worker_init(initializer: Callable | None, initargs: tuple, parent: int | None) -> None:
     """Every supervised pool worker starts here (the ``worker.init`` point)."""
+    _exit_with_parent(parent)
     faults.fire("worker.init")
     if initializer is not None:
         initializer(*initargs)
@@ -93,9 +131,9 @@ class ChunkSupervisor:
 
     The window of in-flight units lives here so that pool breakage can
     resubmit all of them; callers only ever see results or application
-    exceptions.  ``shutdown`` is idempotent and never blocks on stuck
-    workers (``wait=False, cancel_futures=True``) — the generator-
-    abandonment path depends on that.
+    exceptions.  ``shutdown`` is idempotent and by default never blocks
+    on stuck workers (``wait=False, cancel_futures=True``) — the
+    generator-abandonment path depends on that.
     """
 
     def __init__(
@@ -130,17 +168,23 @@ class ChunkSupervisor:
     # -- pool lifecycle --------------------------------------------------------
 
     def _spawn(self) -> ProcessPoolExecutor:
+        context = self.mp_context or multiprocessing.get_context()
+        parent = None if context.get_start_method() == "forkserver" else os.getpid()
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=self.mp_context,
+            mp_context=context,
             initializer=_worker_init,
-            initargs=(self.initializer, self.initargs),
+            initargs=(self.initializer, self.initargs, parent),
         )
 
-    def shutdown(self) -> None:
-        """Tear the pool down without waiting (idempotent, abandon-safe)."""
+    def shutdown(self, *, wait: bool = False) -> None:
+        """Tear the pool down (idempotent, abandon-safe).
+
+        Pending units are cancelled.  ``wait=True`` also joins the
+        workers, once each has finished the unit it is running.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
     def _count(self, name: str, n: int = 1) -> None:
@@ -231,6 +275,32 @@ class ChunkSupervisor:
             self.respawns = 0
             return result
 
+    def discard(self) -> None:
+        """Drop every unit in flight: none of their results is ever read.
+
+        Units still queued are cancelled; a unit a worker is running
+        finishes into a future nobody holds.
+        """
+        while self._inflight:
+            self._inflight.popleft().future.cancel()
+
+    def map(self, items: Iterable[_T], window: int) -> Iterator[_R]:
+        """``fn`` over a lazy stream, in order, at most ``window`` in flight.
+
+        The pool outlives the stream, so one pool can serve many.  However
+        the stream ends (exhausted, abandoned or failed), no unit of it
+        is left in flight.
+        """
+        try:
+            for item in items:
+                self.submit(item)
+                if self.inflight >= window:
+                    yield self.next_result()
+            while self.inflight:
+                yield self.next_result()
+        finally:
+            self.discard()
+
 
 def supervised_map(
     fn: Callable[[_T], _R],
@@ -271,11 +341,6 @@ def supervised_map(
         registry=registry,
     )
     try:
-        for item in items:
-            supervisor.submit(item)
-            if supervisor.inflight >= window:
-                yield supervisor.next_result()
-        while supervisor.inflight:
-            yield supervisor.next_result()
+        yield from supervisor.map(items, window)
     finally:
         supervisor.shutdown()

@@ -6,12 +6,16 @@ moduli — and, for planted corpora, the ground truth.
 """
 
 import dataclasses
+import errno
 import io
 import json
 import math
+import multiprocessing
+import random
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.attack import find_shared_primes
 from repro.core.batch_gcd import product_tree
 from repro.core.checkpoint import MANIFEST_NAME, CheckpointStore
@@ -26,8 +30,11 @@ from repro.core.pipeline import (
     stage_plan,
 )
 from repro.core.spool import read_blob, write_blob
+from repro.resilience.faults import ENV_VAR, reset_plan
+from repro.resilience.supervisor import ChunkSupervisor
 from repro.util.intops import resolve_backend
 from repro.rsa.corpus import generate_weak_corpus
+from repro.rsa.primes import generate_prime
 from repro.telemetry import Telemetry
 
 
@@ -418,6 +425,143 @@ class TestTelemetry:
         assert names.count("pipeline.stage.done") == len(ALL_STAGES)
         assert result.metrics["counters"]["pipeline.moduli"] == 12
         assert "pipeline" in result.metrics["stages"]
+
+
+#: planted pairs of the wide corpus: key j reuses key i's first half
+WIDE_PAIRS = ((0, 63), (5, 6), (17, 40))
+
+
+@pytest.fixture(scope="module")
+def wide_moduli():
+    """64 moduli of about 2048 bits: each half is the 8th power of a
+    128-bit prime (cheap to draw, and the GCDs do not care).  From level 2
+    up the nodes exceed ``DIV_CUTOFF_BITS``, so with two CPUs remainder
+    levels 2, 3 and 4 run on the pool, two work units each."""
+    rng = random.Random(27)
+    halves = [generate_prime(128, rng) ** 8 for _ in range(128)]
+    moduli = [halves[2 * k] * halves[2 * k + 1] for k in range(64)]
+    for i, j in WIDE_PAIRS:
+        moduli[j] = halves[2 * i] * halves[2 * j + 1]
+    return moduli
+
+
+@pytest.fixture(scope="module")
+def inline_spool(wide_moduli, tmp_path_factory):
+    """The wide corpus run on one CPU: the bytes a pooled run must match."""
+    spool = tmp_path_factory.mktemp("inline")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_usable_cpus", lambda: 1)
+        result = run_pipeline(wide_moduli, PipelineConfig(spool_dir=spool))
+    assert result.metrics["gauges"]["pipeline.workers"] == 1
+    assert result.hit_pairs == set(WIDE_PAIRS)
+    return spool
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Select the pooled path the way a 2-CPU host does."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    reset_plan()
+    yield
+    reset_plan()
+
+
+def _same_bytes(spool, reference, n=64):
+    for _, blob in stage_plan(n)[1:]:
+        assert (spool / blob).read_bytes() == (reference / blob).read_bytes(), blob
+
+
+class TestRemainderPool:
+    """The pooled remainder stages write what the inline ones write."""
+
+    def test_pool_levels_follow_node_size(self, wide_moduli, inline_spool):
+        ingest = CheckpointStore(inline_spool).load().stage("ingest")
+        assert pipeline._pooled_levels(ingest, level_sizes(64), workers=2) == {2, 3, 4}
+        assert pipeline._pooled_levels(ingest, level_sizes(64), workers=1) == set()
+
+    def test_pooled_run_writes_the_same_bytes(
+        self, wide_moduli, inline_spool, two_cpus, tmp_path
+    ):
+        result = run_pipeline(wide_moduli, PipelineConfig(spool_dir=tmp_path))
+        assert result.metrics["gauges"]["pipeline.workers"] == 2
+        assert result.hit_pairs == set(WIDE_PAIRS)
+        _same_bytes(tmp_path, inline_spool)
+        assert multiprocessing.active_children() == []  # reaped
+
+    def test_one_cpu_builds_no_pool(self, wide_moduli, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+
+        def no_pool(*args):
+            raise AssertionError("a one-CPU run built a pool")
+
+        monkeypatch.setattr(pipeline, "_remainder_pool", no_pool)
+        result = run_pipeline(wide_moduli, PipelineConfig(spool_dir=tmp_path))
+        assert result.hit_pairs == set(WIDE_PAIRS)
+
+    def test_worker_death_heals(
+        self, wide_moduli, inline_spool, two_cpus, monkeypatch, tmp_path
+    ):
+        # every pool worker dies at its 2nd unit, in every generation
+        monkeypatch.setenv(ENV_VAR, "chunk.execute#2=exit")
+        result = run_pipeline(wide_moduli, PipelineConfig(spool_dir=tmp_path))
+        assert result.metrics["counters"]["resilience.worker_crashes"] >= 1
+        assert result.hit_pairs == set(WIDE_PAIRS)
+        _same_bytes(tmp_path, inline_spool)
+        assert multiprocessing.active_children() == []
+
+    def test_write_failure_with_units_in_flight_retries_to_the_same_blobs(
+        self, wide_moduli, inline_spool, two_cpus, monkeypatch, tmp_path
+    ):
+        # the first write of remainder level 2 fails after its first
+        # residue, while the level's second unit is still in flight
+        real_write = pipeline.write_blob
+        failed = []
+
+        def flaky_write(path, values):
+            if path.name != "remainder-002.bin" or failed:
+                return real_write(path, values)
+
+            def cut():
+                yield next(iter(values))
+                failed.append(path.name)
+                raise OSError(errno.EIO, "injected: i/o error [spool.write]")
+
+            return real_write(path, cut())
+
+        dropped = []
+        real_discard = ChunkSupervisor.discard
+
+        def discard(self):
+            dropped.append(self.inflight)
+            real_discard(self)
+            assert self.inflight == 0
+
+        monkeypatch.setattr(pipeline, "write_blob", flaky_write)
+        monkeypatch.setattr(ChunkSupervisor, "discard", discard)
+        result = run_pipeline(wide_moduli, PipelineConfig(spool_dir=tmp_path))
+        assert failed == ["remainder-002.bin"]
+        assert max(dropped) >= 1  # the failed attempt left a unit behind
+        assert result.metrics["counters"]["pipeline.stage_retries"] == 1
+        assert result.hit_pairs == set(WIDE_PAIRS)
+        _same_bytes(tmp_path, inline_spool)
+
+    @pytest.mark.parametrize("killed_at", ["product.6", "remainder.4", "remainder.2"])
+    def test_kill_between_stages_resumes_to_the_same_hits(
+        self, wide_moduli, inline_spool, two_cpus, tmp_path, killed_at
+    ):
+        with pytest.raises(_Kill):
+            run_pipeline(
+                wide_moduli,
+                PipelineConfig(spool_dir=tmp_path),
+                _stage_hook=_kill_after(killed_at),
+            )
+        assert multiprocessing.active_children() == []
+        resumed = run_pipeline(
+            wide_moduli, PipelineConfig(spool_dir=tmp_path, resume=True)
+        )
+        assert resumed.stages_skipped[-1] == killed_at
+        assert resumed.hit_pairs == set(WIDE_PAIRS)
+        _same_bytes(tmp_path, inline_spool)
 
 
 class TestQuickCheck:

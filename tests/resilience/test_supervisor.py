@@ -1,13 +1,22 @@
 """Supervised-pool tests: worker death, poison chunks, executor hygiene."""
 
 import os
+import random
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.resilience import ChunkFailed, PoolExhausted
+from repro.resilience.faults import ENV_VAR
 from repro.resilience.supervisor import ChunkSupervisor, supervised_map
+from repro.rsa.corpus import generate_weak_corpus
 from repro.telemetry import MetricsRegistry
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -257,3 +266,76 @@ class TestValidation:
         chunks = [[i, i + 1] for i in range(0, 60, 2)]
         pooled = list(supervised_map(_double, iter(chunks), workers=3))
         assert pooled == [_double(chunk) for chunk in chunks]
+
+
+def _children(pid: int) -> list[int]:
+    """Live pids whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat(int(entry))[1:2] == [str(pid)]:
+            found.append(int(entry))
+    return found
+
+
+def _stat(pid: int) -> list[str]:
+    """``[state, ppid]`` of a process, or ``[]`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return []
+
+
+def _running(pid: int) -> bool:
+    stat = _stat(pid)
+    return bool(stat) and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestParentDeath:
+    """``kill -9`` of the parent takes its pool workers with it."""
+
+    @pytest.mark.parametrize("command", ["scan", "batchscan"])
+    def test_workers_exit_when_the_parent_is_killed(self, command, tmp_path):
+        if command == "scan":
+            corpus = tmp_path / "corpus.json"
+            corpus.write_text(generate_weak_corpus(40, 128, shared_groups=(2,), seed=1).to_json())
+            argv = ["scan", "--corpus", str(corpus), "--backend", "parallel", "--workers", "2"]
+        else:
+            # 32 odd 2048-bit moduli: remainder levels 2 and 3 use the pool
+            rng = random.Random(1)
+            moduli = tmp_path / "moduli.txt"
+            moduli.write_text("".join(
+                f"{rng.getrandbits(2048) | 1 | 1 << 2047:#x}\n" for _ in range(32)
+            ))
+            argv = ["batchscan", "--moduli", str(moduli), "--spool-dir", str(tmp_path / "spool")]
+        # every worker stalls in its first unit, so the kill lands mid-run
+        env = {**os.environ, "PYTHONPATH": str(SRC), ENV_VAR: "chunk.execute#1=hang:60"}
+        code = (
+            "import sys, repro.core.pipeline as p\n"
+            "p._usable_cpus = lambda: 2\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert proc.poll() is None, "the run ended before its workers started"
+                assert time.monotonic() < deadline, "no workers within 60 s"
+                time.sleep(0.01)
+                workers = _children(proc.pid)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -4,9 +4,10 @@ Every check runs in a fresh interpreter, since this test process has long
 since imported everything.  The rule (docs/PERFORMANCE.md, "Start-up and
 import footprint"): ``import repro.cli`` loads no subsystem a command
 might not need, a one-shot ``batchscan`` never loads the bulk engine, the
-service or the crawler, and a command imports nothing after its ready
-event (``pipeline.start``, ``scan.start``, the first ``/healthz`` that
-``serve`` answers): ``scan --backend bulk`` loads its engine before
+service or the crawler (only a run whose remainder stages use a worker
+pool loads ``multiprocessing``), and a command imports nothing after its
+ready event (``pipeline.start``, ``scan.start``, the first ``/healthz``
+that ``serve`` answers): ``scan --backend bulk`` loads its engine before
 ``scan.start``, so the import counts as setup, not scan time.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -70,10 +72,12 @@ def small_pem(tmp_path: Path) -> Path:
     return pem
 
 
-def run_command(argv: list[str], ready_event: str) -> dict:
-    """Run one CLI command in a fresh interpreter: its exit code, the
-    modules loaded when ``ready_event`` was emitted, and those loaded after."""
+def run_command(argv: list[str], ready_event: str, prelude: str = "") -> dict:
+    """Run one CLI command in a fresh interpreter (after ``prelude``): its
+    exit code, the modules loaded when ``ready_event`` was emitted, and
+    those loaded after."""
     return run_python(
+        prelude +
         "import contextlib, io, json, sys\n"
         "from repro.telemetry import Telemetry\n"
         "at_ready = []\n"
@@ -99,14 +103,27 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_batchscan_loads_no_heavy_module(tmp_path):
-    pem = small_pem(tmp_path)
-    got = run_command(
-        ["batchscan", "--pem", str(pem), "--spool-dir", str(tmp_path / "spool")],
+    # the toy corpus runs every stage inline and loads no heavy module; 32
+    # odd 2048-bit moduli on two CPUs put remainder levels 2 and 3 on the
+    # worker pool, whose imports (and only those) land before pipeline.start
+    inline = run_command(
+        ["batchscan", "--pem", str(small_pem(tmp_path)), "--spool-dir", str(tmp_path / "s1")],
         "pipeline.start",
     )
-    assert got["rc"] == 0
-    assert loaded_heavy(got["at_ready"] + got["after"]) == []
-    assert got["after"] == []
+    rng = random.Random(1)
+    moduli = tmp_path / "moduli.txt"
+    moduli.write_text("".join(f"{rng.getrandbits(2048) | 1 | 1 << 2047:#x}\n" for _ in range(32)))
+    pooled = run_command(
+        ["batchscan", "--moduli", str(moduli), "--spool-dir", str(tmp_path / "s2")],
+        "pipeline.start",
+        "import repro.core.pipeline as pipeline\npipeline._usable_cpus = lambda: 2\n",
+    )
+    assert inline["rc"] == pooled["rc"] == 0
+    assert loaded_heavy(inline["at_ready"] + inline["after"]) == []
+    assert "concurrent.futures.process" in pooled["at_ready"]
+    heavy = loaded_heavy(pooled["at_ready"])
+    assert [m for m in heavy if not m.startswith("multiprocessing")] == []
+    assert inline["after"] == pooled["after"] == []
 
 
 def test_bulk_scan_loads_engine_before_scan_start(tmp_path):

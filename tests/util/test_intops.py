@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pipeline
 from repro.core.batch_gcd import batch_gcd
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.rsa.primes import generate_prime
@@ -324,8 +325,11 @@ def corpus_2048():
 
 
 def test_batch_gcd_and_pipeline_parity_across_the_cutoff(
-    corpus_2048, recursion_calls, tmp_path
+    corpus_2048, recursion_calls, tmp_path, monkeypatch
 ):
+    # the spy counts calls in this process: keep every pipeline stage
+    # inline, off the remainder pool a multi-CPU host would fork
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     moduli = corpus_2048
     expected = [
         math.gcd(n, math.prod(moduli[:i] + moduli[i + 1 :]))
